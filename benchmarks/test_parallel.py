@@ -55,12 +55,14 @@ POLLING = {0: "4Jan97"}
 #   2. polling-time t[0]   -> virtual-at-expansion (+ pushdown + selection)
 #   3. range on T          -> index-selection via interval folding
 #   4. path-then-pure where-> predicate-reorder (pure conjunct hoisted)
+#   5. <changed ... in [..]>-> time-range-strategy (cross-time range scan)
 RULE_QUERIES = (
     "select X from root.<add at 3Jan97>item X",
     "select X from root.<add at t[0]>item X",
     "select T, X from root.<add at T>item X where T >= 2Jan97 and T <= 5Jan97",
     "select R, T from root.item R, R.price<upd at T> P "
     "where R.info.a < 50 and T >= 3Jan97",
+    "select X, T from root.item.price<changed at T in [2Jan97..5Jan97]> X",
 )
 
 # The timed workload: first from-item binds cheaply (one label lookup),

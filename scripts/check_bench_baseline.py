@@ -41,14 +41,7 @@ whichever bench families the artifact contains:
   a 2x speedup), both postures must agree with the in-memory ground
   truth (``equivalence.snapshot_mismatches`` == 0), and the fast path
   must actually have served from checkpoints
-  (``store.snapshots_from_checkpoint`` > 0);
-* ``bench_timetravel.*`` -- the cross-time strategy gate: answering a
-  narrow range query by merged TimestampIndex scans must beat full
-  history replay (``wall.ratio`` < 1.0), all strategy postures must
-  return identical rows (``equivalence.row_mismatches`` == 0), and the
-  narrow probes must have produced rows
-  (``workload.rows_narrow`` > 0) -- a strategy split that returned
-  nothing measured nothing.
+  (``store.snapshots_from_checkpoint`` > 0).
 
 Exit status: 0 clean, 1 on any divergence (the CI bench-regression and
 telemetry-overhead jobs gate on it).
@@ -105,8 +98,9 @@ def _check_parallel(artifact: dict) -> str:
         fail("bench_parallel.plan.compiled is "
              f"{artifact.get('bench_parallel.plan.compiled')!r}; queries "
              f"bypassed the plan pipeline")
-    for rule in ("virtual-at-expansion", "annotation-literal-pushdown",
-                 "index-selection", "predicate-reorder"):
+    for rule in ("virtual-at-expansion", "time-range-strategy",
+                 "annotation-literal-pushdown", "index-selection",
+                 "predicate-reorder"):
         counter = f"bench_parallel.plan.rules_fired.{rule}"
         if artifact.get(counter, 0) <= 0:
             fail(f"{counter} is {artifact.get(counter, '<missing>')!r}; "
@@ -192,29 +186,6 @@ def _check_store(artifact: dict) -> str:
             f"{served} probe(s) served from checkpoints")
 
 
-def _check_timetravel(artifact: dict) -> str:
-    ratio = artifact.get("bench_timetravel.wall.ratio")
-    if not isinstance(ratio, (int, float)) or ratio <= 0:
-        fail(f"bench_timetravel.wall.ratio is {ratio!r}; the bench did "
-             f"not record the index-scan/full-replay wall-clock ratio")
-    if ratio >= 1.0:
-        fail(f"narrow-range index/replay ratio {ratio} >= 1.0; the "
-             f"TimestampIndex scan stopped beating full history replay, "
-             f"so the planner's narrow-range strategy pick is wrong")
-    mismatches = artifact.get("bench_timetravel.equivalence.row_mismatches",
-                              "<missing>")
-    if mismatches != 0:
-        fail(f"bench_timetravel.equivalence.row_mismatches is "
-             f"{mismatches!r}; a range strategy changed query rows")
-    rows = artifact.get("bench_timetravel.workload.rows_narrow", 0)
-    if rows <= 0:
-        fail(f"bench_timetravel.workload.rows_narrow is {rows!r}; the "
-             f"narrow probes returned nothing, so the strategy "
-             f"measurement is vacuous")
-    return (f"narrow-range index/replay ratio {ratio} < 1.0 over "
-            f"{rows} row(s)")
-
-
 def main(argv: list[str]) -> None:
     if len(argv) != 3:
         fail(f"usage: {argv[0]} <artifact.json> <baseline.json>")
@@ -245,12 +216,10 @@ def main(argv: list[str]) -> None:
         notes.append(_check_analyze(artifact))
     if "bench_store.wall.ratio" in artifact:
         notes.append(_check_store(artifact))
-    if "bench_timetravel.wall.ratio" in artifact:
-        notes.append(_check_timetravel(artifact))
     if not notes:
         fail("artifact contains no recognized bench family "
-             "(bench_parallel.*, bench_obs.*, bench_analyze.*, "
-             "bench_store.*, or bench_timetravel.*)")
+             "(bench_parallel.*, bench_obs.*, bench_analyze.*, or "
+             "bench_store.*)")
 
     print(f"baseline check OK: {len(baseline)} series match, "
           + "; ".join(notes))

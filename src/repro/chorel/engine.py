@@ -26,9 +26,9 @@ from ..plan import (
     CompiledPlan,
     ExecutionContext,
     compile_query,
-    insert_exchange,
     run_compiled,
 )
+from ..plan.batch import resolve_batch_size
 from ..timestamps import Timestamp, parse_timestamp
 
 __all__ = ["ChorelEngine"]
@@ -49,11 +49,9 @@ class ChorelEngine:
     ``use_planner=False`` routes ``run`` through the legacy single-pass
     evaluator (the differential oracle; identical rows, identical order).
 
-    ``batch_size`` selects the physical execution model: positive widths
-    run the batched operators (the default,
-    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows per batch), ``0``
-    the per-environment iterator model.  Rows and order are identical
-    either way.
+    ``batch_size`` is the physical operators' batch width (default
+    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows); it must be
+    positive.  Rows and order are identical for every width.
     """
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
@@ -66,9 +64,7 @@ class ChorelEngine:
         self._evaluator = Evaluator(self.view)
         self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
         self.use_planner = use_planner
-        from ..plan.batch import DEFAULT_BATCH_SIZE
-        self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None \
-            else batch_size
+        self.batch_size = resolve_batch_size(batch_size)
         self.last_profile = None
         self.last_compiled: CompiledPlan | None = None
 
@@ -150,20 +146,13 @@ class ChorelEngine:
         ``analyze=True`` attaches per-operator runtime accounting
         (identical rows) and leaves the stats on ``compiled.runtime``.
         """
-        root = compiled.root
         ctx = self._execution_context(bindings, pool=pool,
                                       min_shard_size=min_shard_size,
                                       parallel_metrics=parallel_metrics)
         if pool is not None:
-            exchanged = insert_exchange(root)
-            if exchanged is not None:
-                return run_compiled(compiled, exchanged, ctx, self,
-                                    analyze=analyze)
-            if parallel_metrics is not None:
-                parallel_metrics["serial_queries"].inc()
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+            return run_compiled(compiled, ctx, self, analyze=analyze)
         with span("lorel.eval"):
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+            return run_compiled(compiled, ctx, self, analyze=analyze)
 
     def _execution_context(self, bindings=None, *, pool=None,
                            min_shard_size: int = 1,

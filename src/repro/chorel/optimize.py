@@ -12,10 +12,9 @@ physical operator (:func:`repro.plan.physical.execute_index_plan`).
 
 What remains here is the engine facade (index/path-index ownership, the
 ``chorel.optimize`` / ``chorel.index_scan`` spans, and the pushdown
-accounting) plus deprecation shims: :class:`~repro.plan.stats.IndexPlan`
+accounting) plus one deprecation shim: :class:`~repro.plan.stats.IndexPlan`
 and :class:`~repro.plan.stats.EngineStats` moved to the plan layer but
-remain importable from here, and ``_extract_plan`` / ``_execute_plan``
-keep their pre-planner signatures.
+remain importable from here.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from ..doem.model import DOEMDatabase
 from ..lorel.result import QueryResult
 from ..lore.indexes import PathIndex, TimestampIndex
 from ..obs.trace import span
-from ..plan import (
-    CompileContext,
-    CompiledPlan,
-    execute_index_plan,
-    run_compiled,
-)
+from ..plan import CompileContext, CompiledPlan, run_compiled
 # Deprecation shims: these classes now live in the plan layer.
 from ..plan.stats import EngineStats, IndexPlan, RangePlan
 from .engine import ChorelEngine
@@ -63,10 +57,6 @@ class IndexedChorelEngine(ChorelEngine):
         self.stats = EngineStats()
         self.last_plan: IndexPlan | None = None
         self.last_range_plan: RangePlan | None = None
-        # Optional: attach a store HistoryLog (engine.log = store.log(name))
-        # to give the checkpoint-replay strategy a durable seek floor;
-        # without one, replay re-encodes the history from the DOEM.
-        self.log = None
 
     def refresh_index(self) -> None:
         """Force a full index rebuild.
@@ -102,7 +92,6 @@ class IndexedChorelEngine(ChorelEngine):
         context = super()._execution_context(bindings, **parallel)
         context.index = self.index
         context.paths = self.paths
-        context.log = self.log
         return context
 
     def execute(self, compiled: CompiledPlan,
@@ -114,16 +103,14 @@ class IndexedChorelEngine(ChorelEngine):
             ctx = self._execution_context(bindings)
             with span("chorel.index_scan",
                       plan=compiled.index_plan.describe()):
-                return run_compiled(compiled, compiled.root, ctx, self,
-                                    analyze=analyze)
+                return run_compiled(compiled, ctx, self, analyze=analyze)
         if compiled.is_range:
-            # Likewise serial: the range kernel is one merged event scan
-            # (index or replay) plus backward verification.
+            # Likewise serial: the range kernel is one merged index scan
+            # plus backward verification.
             ctx = self._execution_context(bindings)
             with span("chorel.range_scan",
                       plan=compiled.range_plan.describe()):
-                return run_compiled(compiled, compiled.root, ctx, self,
-                                    analyze=analyze)
+                return run_compiled(compiled, ctx, self, analyze=analyze)
         return super().execute(compiled, bindings, analyze=analyze,
                                **parallel)
 
@@ -156,8 +143,7 @@ class IndexedChorelEngine(ChorelEngine):
             return self.execute(compiled, analyze=analyze)
         range_plan = compiled.range_plan
         if range_plan is not None:
-            # Both range strategies are planner-served scans (the replay
-            # seeks the log, not the evaluator), so they count as indexed.
+            # The range kernel is an index scan, so it counts as indexed.
             self.last_range_plan = range_plan
             self.stats.indexed_queries += 1
             return self.execute(compiled, analyze=analyze)
@@ -165,22 +151,3 @@ class IndexedChorelEngine(ChorelEngine):
         if not self.use_planner:
             return self._evaluator.run(query, self._base_env(None))
         return self.execute(compiled, analyze=analyze)
-
-    # -- pre-planner compatibility shims --------------------------------
-
-    def _extract_plan(self, query) -> IndexPlan | None:
-        """The index plan the optimizer would choose, or ``None``.
-
-        Deprecated: compile instead (``engine.compile(q).index_plan``).
-        """
-        if isinstance(query, str):
-            query = self.parse(query)
-        return self._compile(query).index_plan
-
-    def _execute_plan(self, plan: IndexPlan) -> QueryResult:
-        """Execute an index plan directly (no accounting).
-
-        Deprecated: the ``AnnotationFilter`` operator
-        (:func:`repro.plan.physical.execute_index_plan`) is the kernel.
-        """
-        return execute_index_plan(plan, self._execution_context())

@@ -512,27 +512,17 @@ class TranslatingChorelEngine:
         ``analyze=True`` instruments the translated Lorel plan (identical
         rows) and leaves the stats on ``compiled.runtime``.
         """
-        from ..plan import ExecutionContext, insert_exchange, run_compiled
+        from ..plan import ExecutionContext, run_compiled
         ctx = ExecutionContext(evaluator=self.lorel._evaluator,
                                base_env=self._base_env(), pool=pool,
                                min_shard_size=min_shard_size,
                                parallel_metrics=parallel_metrics,
                                batch_size=self.batch_size)
-        root = compiled.root
         if pool is not None:
-            exchanged = insert_exchange(root)
-            if exchanged is not None:
-                raw = run_compiled(compiled, exchanged, ctx, self,
-                                   analyze=analyze)
-            else:
-                if parallel_metrics is not None:
-                    parallel_metrics["serial_queries"].inc()
-                raw = run_compiled(compiled, root, ctx, self,
-                                   analyze=analyze)
+            raw = run_compiled(compiled, ctx, self, analyze=analyze)
         else:
             with span("lorel.eval"):
-                raw = run_compiled(compiled, root, ctx, self,
-                                   analyze=analyze)
+                raw = run_compiled(compiled, ctx, self, analyze=analyze)
         return self._postprocess(raw, compiled.translation)
 
     def _base_env(self) -> dict:

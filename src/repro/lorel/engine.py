@@ -21,9 +21,9 @@ from ..plan import (
     CompiledPlan,
     ExecutionContext,
     compile_query,
-    insert_exchange,
     run_compiled,
 )
+from ..plan.batch import resolve_batch_size
 from .ast import Query
 from .eval import Evaluator
 from .parser import parse_query
@@ -45,11 +45,9 @@ class LorelEngine:
     evaluator instead of the compile/execute pipeline (the differential
     oracle; identical rows, in identical order).
 
-    ``batch_size`` selects the physical execution model: positive widths
-    run the batched operators (the default,
-    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows per batch), ``0``
-    the per-environment iterator model.  Rows and order are identical
-    either way.
+    ``batch_size`` is the physical operators' batch width (default
+    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows); it must be
+    positive.  Rows and order are identical for every width.
     """
 
     def __init__(self, db: OEMDatabase, name: str | None = None, *,
@@ -60,9 +58,7 @@ class LorelEngine:
         self.view = OEMView(db, names)
         self._evaluator = Evaluator(self.view)
         self.use_planner = use_planner
-        from ..plan.batch import DEFAULT_BATCH_SIZE
-        self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None \
-            else batch_size
+        self.batch_size = resolve_batch_size(batch_size)
         self.last_profile = None
         self.last_compiled: CompiledPlan | None = None
 
@@ -100,22 +96,15 @@ class LorelEngine:
         ``analyze=True`` attaches per-operator runtime accounting
         (identical rows) and leaves the stats on ``compiled.runtime``.
         """
-        root = compiled.root
         ctx = ExecutionContext(evaluator=self._evaluator,
                                base_env=self._base_env(), pool=pool,
                                min_shard_size=min_shard_size,
                                parallel_metrics=parallel_metrics,
                                batch_size=self.batch_size)
         if pool is not None:
-            exchanged = insert_exchange(root)
-            if exchanged is not None:
-                return run_compiled(compiled, exchanged, ctx, self,
-                                    analyze=analyze)
-            if parallel_metrics is not None:
-                parallel_metrics["serial_queries"].inc()
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+            return run_compiled(compiled, ctx, self, analyze=analyze)
         with span("lorel.eval"):
-            return run_compiled(compiled, root, ctx, self, analyze=analyze)
+            return run_compiled(compiled, ctx, self, analyze=analyze)
 
     # -- entry points ----------------------------------------------------
 

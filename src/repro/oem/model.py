@@ -58,6 +58,7 @@ class OEMDatabase:
         self._values: dict[str, Value] = {}
         self._out: dict[str, dict[str, dict[str, None]]] = {}
         self._in: dict[str, set[Arc]] = {}
+        self._arc_count = 0
         self._counter = itertools.count(1)
         self._root = root
         self.create_node(root, root_value)
@@ -125,10 +126,9 @@ class OEMDatabase:
                     yield Arc(source, label, target)
 
     def arc_count(self) -> int:
-        """Total number of arcs."""
-        return sum(len(targets)
-                   for by_label in self._out.values()
-                   for targets in by_label.values())
+        """Total number of arcs (a counter :meth:`add_arc` and
+        :meth:`remove_arc` maintain, so staleness checks stay O(1))."""
+        return self._arc_count
 
     def has_arc(self, source: str, label: str, target: str) -> bool:
         """True when the arc ``(source, label, target)`` exists."""
@@ -230,6 +230,7 @@ class OEMDatabase:
                 f"addArc({source}, {label!r}, {target}): arc already exists")
         targets[target] = None
         self._in[target].add(Arc(source, label, target))
+        self._arc_count += 1
 
     def remove_arc(self, source: str, label: str, target: str) -> None:
         """``remArc(p, l, c)``: remove a labeled arc.
@@ -248,6 +249,7 @@ class OEMDatabase:
         if not targets:
             del self._out[source][label]
         self._in[target].discard(Arc(source, label, target))
+        self._arc_count -= 1
 
     def _delete_node(self, node_id: str) -> None:
         """Physically drop a node and its arcs.  Internal: used by GC only."""
@@ -308,10 +310,16 @@ class OEMDatabase:
         """Verify the invariants of Definition 2.1, raising on violation.
 
         Checks: the root exists; only complex nodes have outgoing arcs;
-        arc endpoints exist; every node is reachable from the root.
+        arc endpoints exist; the arc counter equals a recount; every node
+        is reachable from the root.
         """
         if self._root not in self._values:
             raise OEMError(f"root {self._root!r} is not a node")
+        recount = sum(len(targets) for by_label in self._out.values()
+                      for targets in by_label.values())
+        if recount != self._arc_count:
+            raise OEMError(f"arc counter {self._arc_count} != "
+                           f"{recount} arcs present")
         for node_id, value in self._values.items():
             if value is not COMPLEX and self.has_children(node_id):
                 raise OEMError(
@@ -360,6 +368,7 @@ class OEMDatabase:
                              for label, targets in by_label.items()}
                       for node, by_label in self._out.items()}
         clone._in = {node: set(arcs) for node, arcs in self._in.items()}
+        clone._arc_count = self._arc_count
         clone._counter = itertools.count(next(_copy.copy(self._counter)))
         clone._root = self._root
         return clone

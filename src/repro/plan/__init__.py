@@ -9,15 +9,14 @@ Three stages (see ``docs/query-planner.md``):
    (:mod:`repro.plan.lowering`).
 2. **Rewrite passes** (:mod:`repro.plan.rules`): a rule-based
    :class:`PassManager` running virtual-``<at T>`` expansion,
-   time-range strategy selection, annotation-literal pushdown, index
+   time-range recognition, annotation-literal pushdown, index
    selection, and predicate reordering -- each with its own trace span
    and fired counter.
-3. **Physical operators** (:mod:`repro.plan.physical`): a batched
+3. **Physical operators** (:mod:`repro.plan.physical`): one batched
    operator model (:mod:`repro.plan.batch`) whose kernels are the
-   evaluator's staged methods -- with a per-environment iterator model
-   retained at ``batch_size=0`` -- plus the annotation-index scan, the
-   range kernel (merged index scans or checkpoint-anchored history
-   replay), and the sharding ``Exchange``.
+   evaluator's staged methods, plus the range kernel (merged
+   timestamp-index scans; the single-time annotation-index scan is its
+   ``[t, t]`` case) and the sharding ``Exchange``.
 
 Engines call :func:`compile_query` then :func:`execute_plan`; the
 :class:`CompiledPlan` in between is what ``repro explain`` renders.

@@ -314,24 +314,6 @@ class PlanStats:
                 yield batch
         return wrapped()
 
-    def observe_envs(self, node: LogicalNode, stream) -> Iterator:
-        """Batch-less variant: each element is one environment row."""
-        op = self._by_node[id(node)]
-
-        def wrapped():
-            iterator = iter(stream)
-            while True:
-                started = perf_counter()
-                try:
-                    env = next(iterator)
-                except StopIteration:
-                    op.wall_seconds += perf_counter() - started
-                    return
-                op.wall_seconds += perf_counter() - started
-                op.rows_out += 1
-                yield env
-        return wrapped()
-
     def observe_input(self, node: LogicalNode, stream) -> Iterator:
         """Wrap a node's *input* batch stream: rows/batches in."""
         op = self._by_node[id(node)]
@@ -341,15 +323,6 @@ class PlanStats:
                 op.batches_in += 1
                 op.rows_in += len(batch)
                 yield batch
-        return wrapped()
-
-    def observe_input_envs(self, node: LogicalNode, stream) -> Iterator:
-        op = self._by_node[id(node)]
-
-        def wrapped():
-            for env in stream:
-                op.rows_in += 1
-                yield env
         return wrapped()
 
     def predicate_counts(self, node: LogicalNode) -> dict:

@@ -1,11 +1,11 @@
 """Environment batches: the unit of work of the batched physical operators.
 
-The iterator execution model streams environments one at a time through
-nested generators; profiling showed the generator plumbing itself -- one
-frame resume per environment per operator -- dominating the hot path, and
-the sharding ``Exchange`` paying that plumbing again per shard *plus*
-per-task submission overhead for tiny work units.  The batched model
-moves whole :class:`EnvBatch` lists between operators instead:
+Streaming environments one at a time through nested generators makes
+the generator plumbing itself -- one frame resume per environment per
+operator -- dominate the hot path, and makes the sharding ``Exchange``
+pay that plumbing again per shard *plus* per-task submission overhead
+for tiny work units.  The operators move whole :class:`EnvBatch` lists
+instead:
 
 * ``PathExpand`` advances an entire batch through its path with a
   frontier traversal (:meth:`repro.lorel.eval.Evaluator.
@@ -27,8 +27,8 @@ histogram so a metrics dump shows the actual batch-size distribution.
 
 Equivalence contract: all operators are per-row independent and
 order-preserving, so results are row- and order-identical to the
-iterator model and the legacy evaluator for **any** batch size -- the
-hypothesis suite in ``tests/plan/test_batched_equivalence.py`` pins this
+legacy evaluator for **any** positive batch size -- the hypothesis
+suite in ``tests/plan/test_batched_equivalence.py`` pins this
 across engines, batch sizes, and shard widths.
 """
 
@@ -43,7 +43,8 @@ from ..oem.values import like
 from ..parallel.sharding import chunk_fixed
 
 __all__ = ["EnvBatch", "DEFAULT_BATCH_SIZE", "BATCH_ROWS_METRIC",
-           "batch_rows_histogram", "compile_predicate", "filter_rows"]
+           "resolve_batch_size", "batch_rows_histogram",
+           "compile_predicate", "filter_rows"]
 
 DEFAULT_BATCH_SIZE = 256
 """Default operator batch width (rows).
@@ -53,6 +54,16 @@ pool submission under Exchange) is noise against per-row work; small
 enough that pipelined memory stays bounded and shards split evenly.
 ``docs/batched-execution.md`` discusses tuning.
 """
+
+
+def resolve_batch_size(batch_size: int | None) -> int:
+    """An engine's ``batch_size`` argument as a positive batch width."""
+    if batch_size is None:
+        return DEFAULT_BATCH_SIZE
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    return batch_size
+
 
 BATCH_ROWS_METRIC = "repro.plan.batch_rows"
 

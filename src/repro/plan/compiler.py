@@ -118,9 +118,6 @@ def compile_query(query: Query, evaluator, *,
         # the cardinality-feedback store key the same query the same way
         # regardless of which rewrite passes fire for a given engine.
         fingerprint = plan_fingerprint(root)
-        # The range-strategy pass consults recorded cardinality feedback
-        # keyed by this fingerprint, so it rides on the compile context.
-        ctx.fingerprint = fingerprint
         root, reports = PassManager(rules).run(root, ctx)
         elapsed = time.perf_counter() - started
         plan_metrics()["compiled"].inc()

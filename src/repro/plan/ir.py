@@ -18,10 +18,8 @@ Nine node kinds cover every query the engines accept:
   detached ``stages`` on pool workers, concatenating in shard order (the
   merge discipline that keeps sharded results order-identical to serial).
 * :class:`TimeRangeScan` -- the cross-time source leaf: enumerate the
-  change events of a :class:`~repro.plan.stats.RangePlan`'s interval,
-  either by merged timestamp-index scans or by checkpoint-anchored
-  history replay (the plan's ``strategy``), in one global deterministic
-  order.
+  change events of a :class:`~repro.plan.stats.RangePlan`'s interval
+  by merged timestamp-index scans, in one global deterministic order.
 * :class:`DeltaProject` -- the range rewrite's terminal for change
   queries (``<changed>``, ``<last-change>``, range-restricted real
   annotations): verify each scanned event backward along the plan's
@@ -146,13 +144,9 @@ class AnnotationFilter(LogicalNode):
 class TimeRangeScan(LogicalNode):
     """Enumerate change events inside a time range (the range source leaf).
 
-    The :class:`~repro.plan.stats.RangePlan` names the event kinds, the
-    interval, and the physical ``strategy``: ``index-scan`` merges one
-    timestamp-index range scan per kind, ``checkpoint-replay`` rescans
-    the change history (seeking past the newest durable checkpoint below
-    the range when a store log is attached).  Either way the emitted
-    stream is globally ordered by ``(time, kind, subject)``, so the two
-    strategies are row- and order-interchangeable.
+    The :class:`~repro.plan.stats.RangePlan` names the event kinds and
+    the interval; the scan merges one timestamp-index range scan per
+    kind into a stream globally ordered by ``(time, kind, subject)``.
     """
 
     plan: RangePlan

@@ -1,35 +1,32 @@
-"""Physical operators: batched and iterator execution over logical plans.
+"""Physical operators: batched execution over logical plans.
 
-The primary execution model is **batched**: each logical node maps to a
-transformer over :class:`~repro.plan.batch.EnvBatch` lists of environment
-dicts.  ``PathExpand`` advances a whole batch with the evaluator's
-frontier kernel (:meth:`~repro.lorel.eval.Evaluator.bind_from_item_batch`),
+There is one execution model: each logical node maps to a transformer
+over :class:`~repro.plan.batch.EnvBatch` lists of environment dicts.
+``PathExpand`` advances a whole batch with the evaluator's frontier
+kernel (:meth:`~repro.lorel.eval.Evaluator.bind_from_item_batch`),
 ``Predicate`` compiles its condition once and filters vectorized
 (:func:`~repro.plan.batch.compile_predicate`), and ``Exchange`` ships
 whole row lists to pool workers -- thread or process -- so sharding
-amortizes per-task overhead over hundreds of rows instead of paying
-generator plumbing per environment.
+amortizes per-task overhead over hundreds of rows.
 
-The original environment-streaming iterator model is retained
-(``batch_size=0``): each node maps to a small generator composed exactly
-like the legacy evaluator's ``from_envs`` recursion.  Both models replay
-the same depth-first, data-ordered enumeration -- a batched frontier
-expands its rows in frontier order, producing the concatenation of the
-per-row depth-first enumerations -- which is what keeps all three paths
-(legacy, iterator, batched) row- and order-identical for any batch size
-or shard count (``tests/plan/test_batched_equivalence.py`` proves it).
+A batched frontier expands its rows in frontier order, producing the
+concatenation of the per-row depth-first enumerations the legacy
+evaluator's ``from_envs`` recursion yields -- which is what keeps the
+planner row- and order-identical to the ``use_planner=False`` oracle for
+any batch width (a width of 1 is the row-at-a-time case) or shard count
+(``tests/plan/test_batched_equivalence.py`` proves it).
 
 The operators delegate single-binding work to the evaluator's staged API
-(:meth:`~repro.lorel.eval.Evaluator.bind_from_item`,
+(:meth:`~repro.lorel.eval.Evaluator.bind_from_item_batch`,
 :meth:`~repro.lorel.eval.Evaluator.solve`,
 :meth:`~repro.lorel.eval.Evaluator.project_row`) -- those staging steps
 *are* the physical kernels; this module is the plumbing between them.
 
 Two operators do more than plumb:
 
-* :func:`execute_index_plan` -- the ``AnnotationFilter`` kernel: a
-  timestamp-index range scan with backward path verification (absorbed
-  from the pre-planner ``IndexedChorelEngine``).
+* :func:`execute_range_plan` -- the range kernel behind
+  ``AnnotationFilter``, ``DeltaProject`` and ``VersionJoin``: a merged
+  timestamp-index range scan with backward path verification.
 * the ``Exchange`` operator -- binds its source chain serially,
   shards the environments contiguously, runs the detached stages on
   pool workers, and concatenates in shard order.  Under a process pool
@@ -79,8 +76,8 @@ from .ir import (
 from .stats import TIME_LABELS, IndexPlan, RangePlan
 
 __all__ = ["ExecutionContext", "execute_plan", "execute_index_plan",
-           "execute_range_plan", "insert_exchange", "iter_envs",
-           "iter_batches", "run_stages_on_rows", "run_compiled"]
+           "execute_range_plan", "insert_exchange", "iter_batches",
+           "run_stages_on_rows", "run_compiled"]
 
 
 @dataclass
@@ -90,13 +87,13 @@ class ExecutionContext:
     ``index``/``paths``/``doem`` are only set by the indexed engine (the
     ``AnnotationFilter`` kernel needs them); ``pool`` and the parallel
     knobs are only set when the :class:`~repro.parallel.executor.
-    ParallelExecutor` drives execution.  ``batch_size`` selects the
-    execution model: positive widths run the batched operators (the
-    default), ``0`` the per-environment iterator model.  ``stats`` is an
-    optional :class:`~repro.plan.analyze.PlanStats` collector (EXPLAIN
-    ANALYZE); when ``None`` -- the default -- every operator takes its
-    original uninstrumented path.  ``observed`` collects execution facts
-    the engine reads back afterwards (currently the shard fan-out).
+    ParallelExecutor` drives execution.  ``batch_size`` is the batch
+    width the operators re-establish after each expansion (positive).
+    ``stats`` is an optional :class:`~repro.plan.analyze.PlanStats`
+    collector (EXPLAIN ANALYZE); when ``None`` -- the default -- every
+    operator takes its uninstrumented path.  ``observed`` collects
+    execution facts the engine reads back afterwards (currently the
+    shard fan-out).
     """
 
     evaluator: object
@@ -104,144 +101,12 @@ class ExecutionContext:
     index: object = None
     paths: object = None
     doem: object = None
-    log: object = None  # HistoryLog for checkpoint-replay, if attached
     pool: object = None
     min_shard_size: int = 1
     parallel_metrics: object = None
     batch_size: int = DEFAULT_BATCH_SIZE
     stats: object = None
     observed: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Environment-streaming operators
-# ---------------------------------------------------------------------------
-
-def iter_envs(node: LogicalNode, ctx: ExecutionContext) -> Iterator[dict]:
-    """The environment stream a logical (sub)chain produces.
-
-    A thin dispatcher: when ``ctx.stats`` is attached (ANALYZE), the
-    node's output stream is wrapped so rows out and inclusive wall time
-    land in its :class:`~repro.plan.analyze.OpStats`; otherwise the raw
-    generator runs untouched.
-    """
-    stream = _node_envs(node, ctx)
-    if ctx.stats is not None:
-        stream = ctx.stats.observe_envs(node, stream)
-    return stream
-
-
-def _child_envs(parent: LogicalNode, ctx: ExecutionContext) -> Iterator[dict]:
-    """A node's input stream -- its child's output, counted as rows in."""
-    stream = iter_envs(parent.child, ctx)
-    if ctx.stats is not None:
-        stream = ctx.stats.observe_input_envs(parent, stream)
-    return stream
-
-
-def _node_envs(node: LogicalNode, ctx: ExecutionContext) -> Iterator[dict]:
-    if isinstance(node, Scan):
-        yield dict(ctx.base_env)
-    elif isinstance(node, PathExpand):
-        for env in _child_envs(node, ctx):
-            yield from ctx.evaluator.bind_from_item(node.item, env)
-    elif isinstance(node, Predicate):
-        evaluator = ctx.evaluator
-        # The iterator model never vectorizes: every judged row is a
-        # solver fallback in the ANALYZE accounting.
-        counts = (ctx.stats.predicate_counts(node)
-                  if ctx.stats is not None else None)
-        for env in _child_envs(node, ctx):
-            if counts is not None:
-                counts["fallback"] += 1
-            if next(evaluator.solve(node.condition, env), None) is not None:
-                yield env
-    elif isinstance(node, Exchange):
-        yield from _exchange_envs(node, ctx)
-    else:  # pragma: no cover - lowering only builds the nodes above
-        raise TypeError(f"cannot stream environments from {node!r}")
-
-
-def _apply_stages(stages, envs: Iterator[dict],
-                  ctx: ExecutionContext) -> Iterator[dict]:
-    """Run detached Exchange stages over an environment stream, in order."""
-    for stage in stages:
-        envs = _apply_stage(stage, envs, ctx)
-    return envs
-
-
-def _apply_stage(stage, envs, ctx):
-    if isinstance(stage, PathExpand):
-        def expand(source=envs, item=stage.item):
-            for env in source:
-                yield from ctx.evaluator.bind_from_item(item, env)
-        return expand()
-    if isinstance(stage, Predicate):
-        def keep(source=envs, condition=stage.condition):
-            evaluator = ctx.evaluator
-            for env in source:
-                if next(evaluator.solve(condition, env), None) is not None:
-                    yield env
-        return keep()
-    raise TypeError(f"unsupported exchange stage {stage!r}")
-
-
-def _exchange_envs(node: Exchange, ctx: ExecutionContext) -> Iterator[dict]:
-    """Bind the source serially, shard, fan out, merge in shard order."""
-    from ..parallel.sharding import chunk_evenly, shard_count
-
-    stats = ctx.stats
-    with span("parallel.bind_first"):
-        first_envs = list(_child_envs(node, ctx))
-    metrics = ctx.parallel_metrics
-    workers = ctx.pool.max_workers if ctx.pool is not None else 1
-    shards = shard_count(len(first_envs), workers,
-                         min_shard_size=ctx.min_shard_size)
-    if ctx.pool is None or shards <= 1:
-        if metrics is not None:
-            metrics["serial_queries"].inc()
-        if stats is not None:
-            # Materialize through the recorder-aware shard kernel so the
-            # detached stage nodes account even on the serial path (row
-            # and order identical to the lazy generators -- the batched
-            # equivalence suite pins filter_rows against the solver).
-            recorder = StageRecorder(len(node.stages))
-            rows = run_stages_on_rows(node.stages, first_envs,
-                                      ctx.evaluator, recorder)
-            stats.merge_stage_payload(node, recorder.stages)
-            yield from rows
-            return
-        yield from _apply_stages(node.stages, iter(first_envs), ctx)
-        return
-    if metrics is not None:
-        metrics["sharded_queries"].inc()
-        metrics["shards"].inc(shards)
-    ctx.observed["shards"] = shards
-    if stats is not None:
-        stats.op_for(node).shards = shards
-    chunks = chunk_evenly(first_envs, shards)
-    emit_event("shard_dispatched", level="debug", mode="thread-iter",
-               shards=shards, rows=len(first_envs))
-    with span("parallel.fanout", shards=shards):
-        if stats is not None:
-            evaluator = ctx.evaluator
-
-            def task(chunk, stages=node.stages):
-                recorder = StageRecorder(len(stages))
-                return (run_stages_on_rows(stages, chunk, evaluator,
-                                           recorder),
-                        recorder)
-            env_lists = []
-            for envs, recorder in ctx.pool.map_ordered(task, chunks):
-                stats.merge_stage_payload(node, recorder.stages)
-                env_lists.append(envs)
-        else:
-            env_lists = ctx.pool.map_ordered(
-                lambda chunk: list(_apply_stages(node.stages, iter(chunk),
-                                                 ctx)),
-                chunks)
-    for envs in env_lists:
-        yield from envs
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +119,11 @@ def iter_batches(node: LogicalNode,
 
     Batch boundaries are re-established at ``ctx.batch_size`` after each
     expansion (an expansion can multiply rows); row order across the
-    stream is identical to :func:`iter_envs` for any width.
+    stream is the same for any width.
 
-    Like :func:`iter_envs` this is a dispatcher: with ``ctx.stats``
-    attached the output stream is wrapped for per-operator accounting,
-    without it the raw generator runs untouched.
+    A thin dispatcher: with ``ctx.stats`` attached (ANALYZE) the output
+    stream is wrapped for per-operator accounting, without it the raw
+    generator runs untouched.
     """
     stream = _node_batches(node, ctx)
     if ctx.stats is not None:
@@ -418,24 +283,20 @@ def _exchange_batches(node: Exchange,
                     telemetry,
                     parent_span=fanout if isinstance(fanout, Span) else None)
                 row_lists.append(rows)
-        elif stats is not None:
+        else:
             evaluator = ctx.evaluator
 
             def task(chunk, stages=node.stages):
-                recorder = StageRecorder(len(stages))
+                recorder = StageRecorder(len(stages)) if stats is not None \
+                    else None
                 return (run_stages_on_rows(stages, chunk, evaluator,
                                            recorder),
                         recorder)
             row_lists = []
             for rows, recorder in pool.map_ordered(task, chunks):
-                stats.merge_stage_payload(node, recorder.stages)
+                if recorder is not None:
+                    stats.merge_stage_payload(node, recorder.stages)
                 row_lists.append(rows)
-        else:
-            evaluator = ctx.evaluator
-            row_lists = pool.map_ordered(
-                lambda chunk: run_stages_on_rows(node.stages, chunk,
-                                                 evaluator),
-                chunks)
     for rows in row_lists:
         if rows:
             yield EnvBatch(rows)
@@ -492,18 +353,13 @@ def execute_plan(root: LogicalNode, ctx: ExecutionContext) -> QueryResult:
     op = stats.op_for(root) if stats is not None else None
     started = perf_counter() if op is not None else 0.0
     result = QueryResult()
-    if ctx.batch_size > 0:
-        project = evaluator.project_row
-        add = result.add
-        observe = batch_rows_histogram().observe
-        source = _child_batches(root, ctx)
-        for batch in source:
-            observe(len(batch))
-            for env in batch.rows:
-                add(project(root.select, env, root.labels))
-    else:
-        for env in _child_envs(root, ctx):
-            result.add(evaluator.project_row(root.select, env, root.labels))
+    project = evaluator.project_row
+    add = result.add
+    observe = batch_rows_histogram().observe
+    for batch in _child_batches(root, ctx):
+        observe(len(batch))
+        for env in batch.rows:
+            add(project(root.select, env, root.labels))
     if op is not None:
         # Inclusive: the loop pulls the whole child pipeline, so the
         # root's time is the query's end-to-end execute time.
@@ -512,14 +368,15 @@ def execute_plan(root: LogicalNode, ctx: ExecutionContext) -> QueryResult:
     return result
 
 
-def run_compiled(compiled, root: LogicalNode, ctx: ExecutionContext,
-                 engine, *, analyze: bool = False) -> QueryResult:
-    """Execute a plan root and record the run in the query log.
+def run_compiled(compiled, ctx: ExecutionContext, engine, *,
+                 analyze: bool = False) -> QueryResult:
+    """Execute a compiled plan and record the run in the query log.
 
-    The one post-compile execution path every engine facade shares:
-    with ``analyze=True`` a :class:`~repro.plan.analyze.PlanStats`
-    collector is attached over ``root`` (the *executed* tree -- pass the
-    Exchange-rewritten root when sharding), finalized into
+    The one post-compile execution path every engine facade shares.
+    With a worker pool on the context the plan is rewritten for sharding
+    (:func:`insert_exchange`); unshardable plans run serially.  With
+    ``analyze=True`` a :class:`~repro.plan.analyze.PlanStats` collector
+    is attached over the *executed* tree, finalized into
     ``compiled.runtime``, and its actuals fed to the cardinality
     feedback store; either way the execution lands one record in the
     :mod:`repro.obs.querylog`.
@@ -527,6 +384,13 @@ def run_compiled(compiled, root: LogicalNode, ctx: ExecutionContext,
     from ..obs.querylog import record_engine_query
     from .analyze import PlanStats
 
+    root = compiled.root
+    if ctx.pool is not None:
+        exchanged = insert_exchange(root)
+        if exchanged is not None:
+            root = exchanged
+        elif ctx.parallel_metrics is not None:
+            ctx.parallel_metrics["serial_queries"].inc()
     stats = None
     if analyze:
         stats = PlanStats(root, fingerprint=compiled.fingerprint)
@@ -548,13 +412,13 @@ def run_compiled(compiled, root: LogicalNode, ctx: ExecutionContext,
 # ---------------------------------------------------------------------------
 #
 # One executor serves every time-travel shape.  A *scan* enumerates
-# `(when, kind, subject)` change events -- from merged per-kind
-# timestamp-index range scans or from a replay of the change history --
-# in one global deterministic order, and the terminal verifies each
-# event backward along the plan's path before building its row.  The
-# single-time annotation path (`AnnotationFilter`) is the degenerate
-# case: `execute_index_plan` wraps its `IndexPlan` as a one-kind
-# `RangePlan` and runs the same kernel.
+# `(when, kind, subject)` change events -- merged per-kind
+# timestamp-index range scans -- in one global deterministic order, and
+# the terminal verifies each event backward along the plan's path before
+# building its row.  The single-time annotation path
+# (`AnnotationFilter`) is the degenerate case: `execute_index_plan`
+# wraps its `IndexPlan` as a one-kind `RangePlan` and runs the same
+# kernel.
 
 _KIND_RANK = {"cre": 0, "upd": 1, "add": 2, "rem": 3}
 
@@ -566,8 +430,7 @@ def execute_index_plan(plan: IndexPlan, ctx: ExecutionContext,
     Since the cross-time refactor this is the degenerate single-kind
     case of the range machinery: the ``IndexPlan``'s interval (usually
     pinned to ``[t, t]``) becomes a :class:`~repro.plan.stats.RangePlan`
-    scanned with the index strategy -- there is no separate single-time
-    code path.
+    -- there is no separate single-time code path.
     """
     range_plan = RangePlan(
         kinds=(plan.kind,),
@@ -581,7 +444,6 @@ def execute_index_plan(plan: IndexPlan, ctx: ExecutionContext,
         high=plan.high,
         include_low=plan.include_low,
         include_high=plan.include_high,
-        strategy="index-scan",
         select=plan.select,
         object_label=plan.object_label,
         time_label=TIME_LABELS[plan.kind],
@@ -631,29 +493,9 @@ def execute_range_plan(plan: RangePlan, ctx: ExecutionContext,
 def _range_events(plan: RangePlan, ctx: ExecutionContext) -> list:
     """All in-range ``(when, kind, subject)`` events, globally ordered.
 
-    The order -- time, then kind (cre, upd, add, rem), then subject --
-    is strategy-independent: the index scan and the history replay
-    produce identical streams, which is what makes the two strategies
-    interchangeable (the cross-time equivalence suite pins it).
+    One timestamp-index range scan per event kind, merged into the
+    order time, then kind (cre, upd, add, rem), then subject.
     """
-    if plan.strategy == "checkpoint-replay":
-        events = _replay_events(plan, ctx)
-    else:
-        events = _index_events(plan, ctx)
-    events.sort(key=lambda event: (event[0]._order_key(),
-                                   _KIND_RANK[event[1]],
-                                   _subject_key(event[2])))
-    return events
-
-
-def _subject_key(subject) -> tuple[str, str, str]:
-    if isinstance(subject, str):
-        return ("", "", subject)
-    return (subject.source, subject.label, subject.target)
-
-
-def _index_events(plan: RangePlan, ctx: ExecutionContext) -> list:
-    """One timestamp-index range scan per event kind, merged."""
     events = []
     for kind in plan.kinds:
         # Arc kinds narrow the scan to the final step's label via the
@@ -665,68 +507,19 @@ def _index_events(plan: RangePlan, ctx: ExecutionContext) -> list:
                 include_high=plan.include_high,
                 label=label):
             events.append((when, kind, subject))
+    events.sort(key=_event_key)
     return events
 
 
-def _replay_events(plan: RangePlan, ctx: ExecutionContext) -> list:
-    """Replay the change history, keeping the in-range wanted events."""
-    from ..oem.changes import AddArc, CreNode, RemArc
-    from ..oem.model import Arc
-
-    wanted = set(plan.kinds)
-    final_label = plan.labels[-1]
-    events = []
-    for when, change_set in _replay_entries(plan, ctx):
-        if not _within_range(plan, when):
-            continue
-        for operation in change_set:
-            if isinstance(operation, CreNode):
-                kind, subject = "cre", operation.node
-            elif isinstance(operation, AddArc):
-                kind, subject = "add", Arc(*operation.arc)
-            elif isinstance(operation, RemArc):
-                kind, subject = "rem", Arc(*operation.arc)
-            else:  # UpdNode
-                kind, subject = "upd", operation.node
-            if kind not in wanted:
-                continue
-            if kind in ("add", "rem") and subject.label != final_label:
-                continue
-            events.append((when, kind, subject))
-    return events
+def _event_key(event) -> tuple:
+    when, kind, subject = event
+    return (when._order_key(), _KIND_RANK[kind], _subject_key(subject))
 
 
-def _replay_entries(plan: RangePlan, ctx: ExecutionContext):
-    """The ``(timestamp, change set)`` pairs to replay, range-pruned.
-
-    With a store log attached (``ctx.log``) the scan starts after the
-    newest durable checkpoint strictly below the range -- everything at
-    or before it is guaranteed out of range -- which is the
-    nearest-checkpoint seek that makes wide-range replay cheaper than a
-    from-origin scan.  Without a log the history is re-encoded from the
-    DOEM annotations (Section 3.2) and pruned by timestamp alone.
-    """
-    if ctx.log is not None:
-        entries = ctx.log.entries()
-        floor = None
-        if plan.low.is_finite:
-            for ref in ctx.log.checkpoints():
-                if ref.at < plan.low and (floor is None or ref.at > floor):
-                    floor = ref.at
-        if floor is not None:
-            entries = tuple(entry for entry in entries
-                            if entry[0] > floor)
-        return entries
-    from ..doem.extract import encoded_history
-    return tuple(encoded_history(ctx.doem))
-
-
-def _within_range(plan: RangePlan, when: Timestamp) -> bool:
-    if when < plan.low or (when == plan.low and not plan.include_low):
-        return False
-    if when > plan.high or (when == plan.high and not plan.include_high):
-        return False
-    return True
+def _subject_key(subject) -> tuple[str, str, str]:
+    if isinstance(subject, str):
+        return ("", "", subject)
+    return (subject.source, subject.label, subject.target)
 
 
 def _last_events(events: list) -> list:
@@ -739,11 +532,7 @@ def _last_events(events: list) -> list:
     latest: dict = {}
     for event in events:  # already globally ordered ascending
         latest[_subject_key(event[2])] = event
-    kept = list(latest.values())
-    kept.sort(key=lambda event: (event[0]._order_key(),
-                                 _KIND_RANK[event[1]],
-                                 _subject_key(event[2])))
-    return kept
+    return sorted(latest.values(), key=_event_key)
 
 
 def _version_join(plan: RangePlan, events: list, ctx: ExecutionContext,

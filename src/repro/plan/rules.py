@@ -18,10 +18,8 @@ The default pipeline, in order:
    version-enumerating ``<at [a..b]>``) and replace the chain with a
    :class:`~repro.plan.ir.DeltaProject` or
    :class:`~repro.plan.ir.VersionJoin` over a
-   :class:`~repro.plan.ir.TimeRangeScan`, choosing the scan strategy --
-   timestamp-index scan for narrow ranges, nearest-checkpoint history
-   replay for wide or open-ended ones -- with recorded EXPLAIN ANALYZE
-   actuals overriding the width heuristic.
+   :class:`~repro.plan.ir.TimeRangeScan` (a merged timestamp-index
+   scan) carrying the resolved :class:`~repro.plan.stats.RangePlan`.
 3. ``annotation-literal-pushdown`` -- recognize the linear
    root-to-annotation chain shape and build the candidate
    :class:`~repro.plan.stats.IndexPlan`, folding a pinned annotation
@@ -78,21 +76,11 @@ __all__ = ["CompileContext", "PassReport", "RewriteRule", "PassManager",
            "VirtualAtExpansion", "TimeRangeStrategy",
            "AnnotationLiteralPushdown", "IndexSelection",
            "PredicateReorder", "default_rules", "RULE_NAMES",
-           "plan_metrics", "fold_interval", "literal_time",
-           "RANGE_REPLAY_THRESHOLD_DAYS"]
+           "plan_metrics", "fold_interval", "literal_time"]
 
 RULE_NAMES = ("virtual-at-expansion", "time-range-strategy",
               "annotation-literal-pushdown", "index-selection",
               "predicate-reorder")
-
-# Strategy selection for cross-time range scans: ranges spanning at most
-# this many days scan the timestamp index, wider (or open-ended) ranges
-# replay the change history from the nearest checkpoint.
-RANGE_REPLAY_THRESHOLD_DAYS = 30
-# Recorded EXPLAIN ANALYZE actuals override the width heuristic at these
-# event counts (see TimeRangeStrategy).
-RANGE_FEEDBACK_WIDE_EVENTS = 4096
-RANGE_FEEDBACK_NARROW_EVENTS = 64
 
 # Default result labels for the bound time variable of a cross-time
 # annotation (mirrors the evaluator's default-label table).
@@ -132,7 +120,6 @@ class CompileContext:
     bound_names: frozenset = frozenset()
     candidate: Optional[IndexPlan] = None
     notes: dict = field(default_factory=dict)
-    fingerprint: str = ""  # lowered-tree hash (cardinality-feedback key)
 
 
 @dataclass(frozen=True)
@@ -422,11 +409,11 @@ class VirtualAtExpansion(RewriteRule):
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: time-range strategy selection (the cross-time rewrite)
+# Pass 2: time-range strategy (the cross-time rewrite)
 # ---------------------------------------------------------------------------
 
 class TimeRangeStrategy(RewriteRule):
-    """Rewrite cross-time chains into range scans with a chosen strategy.
+    """Rewrite cross-time chains into timestamp-index range scans.
 
     Recognizes the same linear root-anchored chain shape as the index
     rules, but ending in a *range-family* annotation: ``<changed>`` /
@@ -442,15 +429,8 @@ class TimeRangeStrategy(RewriteRule):
     single-kind case of the same range machinery
     (:func:`~repro.plan.physical.execute_index_plan`).
 
-    Strategy selection: ranges spanning at most
-    :data:`RANGE_REPLAY_THRESHOLD_DAYS` days scan the timestamp index;
-    wider or open-ended ranges replay the change history from the
-    nearest checkpoint.  Cardinality feedback closes the loop: when a
-    previous EXPLAIN ANALYZE of the same plan fingerprint recorded the
-    scan's actual event count, that count overrides the width heuristic
-    (``> RANGE_FEEDBACK_WIDE_EVENTS`` events flips a narrow range to
-    replay, ``< RANGE_FEEDBACK_NARROW_EVENTS`` flips a wide one to the
-    index).
+    The pass recognizes; it does not choose.  Every range shape runs the
+    one physical strategy, the merged timestamp-index scan.
     """
 
     name = "time-range-strategy"
@@ -503,11 +483,10 @@ class TimeRangeStrategy(RewriteRule):
                 return root, False
         if not _select_supported(plan):
             return root, False
-        why = self._choose_strategy(plan, ctx, versions)
         scan = TimeRangeScan(plan)
         terminal = VersionJoin(plan, scan) if versions \
             else DeltaProject(plan, scan)
-        ctx.notes[self.name] = f"{plan.describe()} ({why})"
+        ctx.notes[self.name] = plan.describe()
         return terminal, True
 
     @staticmethod
@@ -540,61 +519,6 @@ class TimeRangeStrategy(RewriteRule):
                 return False  # unresolvable bound: keep the general engine
             setattr(plan, attr, when)
         return True
-
-    def _choose_strategy(self, plan: RangePlan, ctx,
-                         versions: bool) -> str:
-        if plan.low.is_finite and plan.high.is_finite:
-            width = (plan.high - plan.low) / 86400
-            if width <= RANGE_REPLAY_THRESHOLD_DAYS:
-                strategy = "index-scan"
-                why = (f"width {width:g}d <= "
-                       f"{RANGE_REPLAY_THRESHOLD_DAYS}d")
-            else:
-                strategy = "checkpoint-replay"
-                why = f"width {width:g}d > {RANGE_REPLAY_THRESHOLD_DAYS}d"
-        else:
-            strategy = "checkpoint-replay"
-            why = "open-ended range"
-        events = self._feedback_events(plan, ctx, strategy, versions)
-        if events is not None:
-            if strategy == "index-scan" \
-                    and events > RANGE_FEEDBACK_WIDE_EVENTS:
-                strategy = "checkpoint-replay"
-                why = (f"feedback: {events} events > "
-                       f"{RANGE_FEEDBACK_WIDE_EVENTS}")
-            elif strategy == "checkpoint-replay" \
-                    and events < RANGE_FEEDBACK_NARROW_EVENTS:
-                strategy = "index-scan"
-                why = (f"feedback: {events} events < "
-                       f"{RANGE_FEEDBACK_NARROW_EVENTS}")
-        plan.strategy = strategy
-        return why
-
-    @staticmethod
-    def _feedback_events(plan: RangePlan, ctx, strategy: str,
-                         versions: bool) -> int | None:
-        """The scan's recorded event count for this fingerprint, if any.
-
-        Looks up the shape the plan would execute as under the tentative
-        strategy -- the shape a previous analyzed run of the identical
-        query recorded -- and returns the ``TimeRangeScan``'s actual
-        rows out (preorder position 1, after the terminal).
-        """
-        if not ctx.fingerprint:
-            return None
-        from .analyze import cardinality_feedback
-        previous, plan.strategy = plan.strategy, strategy
-        try:
-            scan = TimeRangeScan(plan)
-            terminal = VersionJoin(plan, scan) if versions \
-                else DeltaProject(plan, scan)
-            shape = (terminal.describe(), scan.describe())
-            actuals = cardinality_feedback().lookup(ctx.fingerprint, shape)
-        finally:
-            plan.strategy = previous
-        if actuals is None or len(actuals) < 2:
-            return None
-        return actuals[1]
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,14 @@ class RangePlan:
     ``<changed>``, ``("add", "rem")`` for the arc position, a 1-tuple for
     a range-restricted real annotation), the interval comes from the
     annotation's ``in [a..b]`` range (inclusive on both present sides)
-    optionally narrowed by folded where conjuncts, and ``strategy`` is
-    the physical source the planner chose: ``"index-scan"`` merges
-    per-kind :class:`~repro.lore.indexes.TimestampIndex` scans,
-    ``"checkpoint-replay"`` rescans the change history (seeking past the
-    newest durable checkpoint below the range when a store log is
-    attached).  Both strategies must produce the same globally ordered
-    event stream -- the cross-time equivalence suite pins that.
+    optionally narrowed by folded where conjuncts.  ``strategy`` names
+    the one physical source, merged per-kind
+    :class:`~repro.lore.indexes.TimestampIndex` scans.
     """
+
+    # A constant, not a field: there is one range strategy.  EXPLAIN
+    # and the pipeline benchmark's per-strategy counter read it.
+    strategy = "index-scan"
 
     kinds: tuple[str, ...]        # real event kinds to enumerate
     labels: tuple[str, ...]       # plain labels of the path, in order
@@ -80,7 +80,6 @@ class RangePlan:
     include_low: bool = True
     include_high: bool = True
     last_only: bool = False       # <last-change ...>: newest per subject
-    strategy: str = "index-scan"  # | "checkpoint-replay"
     select: tuple[SelectItem, ...] = ()
     object_label: str = "answer"
     time_label: str = "change-time"

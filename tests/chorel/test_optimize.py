@@ -223,3 +223,34 @@ class TestPlanDetails:
         query = "select guide.restaurant.comment<cre at T>"
         assert sorted(map(str, normal.run(query))) == \
             sorted(map(str, indexed.run(query))) == []
+
+
+class TestFreshnessCheckIsConstantTime:
+    """The range kernel asks ``PathIndex`` once per verified event, and
+    each ask compares ``DOEMDatabase.fingerprint()``; that token must not
+    cost a pass over the graph (it once cost 98% of a wide query)."""
+
+    def test_wide_range_query_makes_no_full_graph_pass(self):
+        from repro.sources import large_world
+
+        class NoFullPass(dict):
+            """Point lookups work; walking every node's arcs raises."""
+
+            def _refuse(self, *args):
+                raise AssertionError("a full pass over the graph's arcs")
+            __iter__ = keys = values = items = _refuse
+
+        _, _, doem = large_world(seed=1, items=40, extra_links=10, steps=5,
+                                 churn=12)
+        query = "select X, T from root.item.price<changed at T> X"
+        expected = sorted(map(str, ChorelEngine(
+            doem, name="root", use_planner=False).run(query)))
+        assert expected, "the probe must verify some events"
+        indexed = IndexedChorelEngine(doem, name="root")
+        graph = doem.graph
+        graph._out = NoFullPass(graph._out)
+        assert sorted(map(str, indexed.run(query))) == expected
+        assert indexed.last_range_plan is not None
+        assert indexed.paths.stats.rebuilds == 1
+        with pytest.raises(AssertionError):
+            list(graph.arcs())  # the guard does trip on a real walk

@@ -1,8 +1,10 @@
 """Tests for the OEM database model (Definition 2.1 semantics)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import COMPLEX, OEMDatabase
+from repro import COMPLEX, OEMDatabase, random_database, random_history
 from repro.errors import (
     DuplicateNodeError,
     InvalidChangeError,
@@ -189,6 +191,63 @@ class TestCopyAndEquality:
     def test_copy_mints_fresh_ids(self, tiny):
         clone = tiny.copy()
         assert clone.new_node_id() not in set(clone.nodes())
+
+
+def recount(db):
+    return sum(1 for _ in db.arcs())
+
+
+class TestArcCounter:
+    """``arc_count()`` is a maintained counter, never an iteration."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           nodes=st.integers(min_value=2, max_value=40),
+           steps=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_counter_equals_recount_through_change_sets(self, seed, nodes,
+                                                        steps):
+        db = random_database(seed=seed, nodes=nodes)
+        assert db.arc_count() == recount(db)
+        history = random_history(db, seed=seed, steps=steps, set_size=8)
+        for _, change_set in history:
+            # Without GC first: arcs into unreachable nodes still count.
+            change_set.apply_to(db, collect_garbage=False)
+            assert db.arc_count() == recount(db)
+            db.collect_garbage()
+            assert db.arc_count() == recount(db)
+            clone = db.copy()
+            assert clone.arc_count() == recount(clone) == db.arc_count()
+            db.check()
+
+    def test_copy_counts_independently(self, tiny):
+        clone = tiny.copy()
+        clone.remove_arc("a", "val", "x")
+        assert (tiny.arc_count(), clone.arc_count()) == (2, 1)
+
+    def test_delete_node_drops_its_arcs_from_the_count(self, tiny):
+        tiny._delete_node("a")
+        assert tiny.arc_count() == recount(tiny) == 0
+
+    def test_failed_mutations_leave_the_count_alone(self, tiny):
+        with pytest.raises(InvalidChangeError):
+            tiny.add_arc("r", "child", "a")  # already present
+        with pytest.raises(InvalidChangeError):
+            tiny.remove_arc("r", "nope", "a")
+        assert tiny.arc_count() == recount(tiny) == 2
+
+    def test_check_catches_a_drifted_counter(self, tiny):
+        tiny._arc_count += 1
+        with pytest.raises(OEMError, match="arc counter"):
+            tiny.check()
+
+    def test_arc_count_does_not_iterate(self, tiny):
+        class NoIteration(dict):
+            def __iter__(self):
+                raise AssertionError("arc_count() walked the graph")
+            values = items = keys = __iter__
+
+        tiny._out = NoIteration(tiny._out)
+        assert tiny.arc_count() == 2
 
 
 class TestIsomorphism:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from concurrent.futures import BrokenExecutor
 
@@ -176,13 +177,23 @@ class TestProcessShutdownUnderLoad:
         try:
             blocker = pool.submit(sleepy_first, ("done", 1.5))
             backlog = [pool.submit(square, n) for n in range(6)]
+            settled = threading.Semaphore(0)
+            for future in backlog:
+                # Runs after the pool's own accounting callback, so a
+                # release means that future's books are closed too.
+                # (futures.wait() cannot serve here: the executor leaves
+                # cancelled futures un-notified, which it never counts
+                # as done.)
+                future.add_done_callback(lambda _f: settled.release())
             pool.shutdown(wait=False, cancel_pending=True)
-            # The running task finishes; most of the backlog never runs
-            # (the executor may have prefetched one item into its call
-            # queue before the cancellation).
             assert blocker.result(timeout=30) == "done"
+            for _ in backlog:
+                assert settled.acquire(timeout=30), "a future never settled"
+            # The running task finishes; the backlog never runs, except
+            # what the executor had already moved into its call queue
+            # (capacity max_workers + 1 = 2) before the cancellation.
             cancelled = sum(1 for f in backlog if f.cancelled())
-            assert cancelled >= len(backlog) - 1
+            assert cancelled >= len(backlog) - 2
             assert pool.stats()[f"{prefix}.cancelled"] >= cancelled
             with pytest.raises(RuntimeError):
                 pool.submit(square, 1)

@@ -79,15 +79,13 @@ class TestOperatorAccounting:
         # The root operator's output is the result itself.
         assert stats.ops[0].rows_out == len(result)
 
-    def test_identical_rows_and_iterator_model(self, doem):
-        for batch_size in (None, 0):
-            kwargs = {} if batch_size is None else {"batch_size": batch_size}
-            plain = ChorelEngine(doem, name="guide", **kwargs)
-            analyzed = ChorelEngine(doem, name="guide", **kwargs)
-            expected = [str(row) for row in plain.run(CHAIN_QUERY)]
-            result = analyzed.run(CHAIN_QUERY, analyze=True)
-            assert [str(row) for row in result] == expected
-            assert analyzed.last_compiled.runtime.result_rows == len(expected)
+    def test_identical_rows(self, doem):
+        plain = ChorelEngine(doem, name="guide")
+        analyzed = ChorelEngine(doem, name="guide")
+        expected = [str(row) for row in plain.run(CHAIN_QUERY)]
+        result = analyzed.run(CHAIN_QUERY, analyze=True)
+        assert [str(row) for row in result] == expected
+        assert analyzed.last_compiled.runtime.result_rows == len(expected)
 
     def test_predicate_rows_are_tallied(self, doem):
         engine = ChorelEngine(doem, name="guide")

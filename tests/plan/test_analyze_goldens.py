@@ -35,13 +35,12 @@ CASES = {
     "analyze_projection_only": (
         ChorelEngine,
         "select guide.restaurant.name"),
-    # Cross-time terminals, one per physical strategy: the narrow range
-    # runs the merged index scan, the wide one the history replay.
+    # Cross-time terminals over a narrow and a wide range.
     "analyze_range_index": (
         IndexedChorelEngine,
         "select T from guide.restaurant.price"
         "<changed at T in [1Jan97..5Jan97]>"),
-    "analyze_range_replay": (
+    "analyze_range_wide": (
         IndexedChorelEngine,
         "select X, T from guide.restaurant"
         "<changed at T in [1Jan97..1Mar97]> X"),

@@ -1,10 +1,10 @@
-"""Batched execution is iterator execution is the legacy evaluator.
+"""Batched execution is the legacy evaluator, at every batch width.
 
 The batched physical operators (:mod:`repro.plan.batch`) claim row- and
-order-identity with the iterator model and the pre-planner evaluator for
-*any* batch size -- the equivalence the batched-frontier argument proves
-(a level-synchronous expansion in frontier order replays the
-concatenation of per-row depth-first enumerations).  This suite pins the
+order-identity with the pre-planner evaluator (the ``use_planner=False``
+oracle) for *any* batch size -- the equivalence the batched-frontier
+argument proves (a level-synchronous expansion in frontier order replays
+the concatenation of per-row depth-first enumerations).  This suite pins the
 claim across all four engines, serially and through the sharding
 ``Exchange`` (thread and process pools), over the same randomized worlds
 the index-differential harness trusts, at batch widths 1 (degenerate:
@@ -42,7 +42,7 @@ CHOREL_ENGINES = (ChorelEngine, IndexedChorelEngine)
 
 
 class TestSerialBatchedEquivalence:
-    """batched(size) == iterator == legacy, engine by engine."""
+    """batched(size) == legacy, engine by engine."""
 
     @given(seed=st.integers(min_value=0, max_value=99),
            size=st.sampled_from(BATCH_SIZES))
@@ -52,13 +52,10 @@ class TestSerialBatchedEquivalence:
         queries = world_queries(history)
         for engine_cls in CHOREL_ENGINES:
             batched = engine_cls(doem, name="root", batch_size=size)
-            iterator = engine_cls(doem, name="root", batch_size=0)
             legacy = engine_cls(doem, name="root", use_planner=False)
             for query in queries:
-                expected = texts(legacy.run(query))
-                assert texts(iterator.run(query)) == expected, \
-                    (engine_cls.__name__, query)
-                assert texts(batched.run(query)) == expected, \
+                assert texts(batched.run(query)) == \
+                    texts(legacy.run(query)), \
                     (engine_cls.__name__, size, query)
 
     @given(seed=st.integers(min_value=0, max_value=99),
@@ -67,12 +64,10 @@ class TestSerialBatchedEquivalence:
     def test_lorel(self, seed, size):
         db, _, _ = make_world(seed)
         batched = LorelEngine(db, name="root", batch_size=size)
-        iterator = LorelEngine(db, name="root", batch_size=0)
         legacy = LorelEngine(db, name="root", use_planner=False)
         for query in LOREL_QUERIES:
-            expected = texts(legacy.run(query))
-            assert texts(iterator.run(query)) == expected, query
-            assert texts(batched.run(query)) == expected, (size, query)
+            assert texts(batched.run(query)) == texts(legacy.run(query)), \
+                (size, query)
 
     @given(seed=st.integers(min_value=0, max_value=99),
            size=st.sampled_from(BATCH_SIZES))
@@ -85,6 +80,17 @@ class TestSerialBatchedEquivalence:
         for query in world_queries(history):
             assert outcome(batched, query) == outcome(legacy, query), \
                 (size, query)
+
+    @pytest.mark.parametrize("engine_cls", [
+        LorelEngine, ChorelEngine, IndexedChorelEngine,
+        TranslatingChorelEngine])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_nonpositive_width_rejected(self, engine_cls, size):
+        """There is no row-at-a-time model to select: width 1 is it."""
+        db, _, doem = make_world(0)
+        source = db if engine_cls is LorelEngine else doem
+        with pytest.raises(ValueError, match="batch_size"):
+            engine_cls(source, name="root", batch_size=size)
 
 
 class TestShardedBatchedEquivalence:

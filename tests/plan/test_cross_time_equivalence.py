@@ -1,22 +1,17 @@
 """Cross-time equivalence: the range machinery is trusted *because* this passes.
 
-Three claims over randomized worlds (the same generator the
+Two claims over randomized worlds (the same generator the
 index-differential harness trusts):
 
 * **Interval composition**: a range query over ``[a..b]`` equals the
   union of the same query over adjacent subintervals ``[a..m]`` and
   ``[m..b]`` -- the diff-composition law that makes incremental
   cross-time materialization sound.
-* **Strategy interchangeability**: executing the *same* compiled range
-  plan via the merged TimestampIndex scan and via checkpoint-anchored
-  history replay produces row- and order-identical results -- with and
-  without a durable store log attached (the log only changes where the
-  replay starts, never what it emits).
 * **Engine agreement**: the planner-served range path (indexed engine,
-  either strategy, serial or sharded through a ``ParallelExecutor``)
-  produces the same row set as the naive evaluator pipeline (native
-  engine, planner on or off); the translate backend refuses the shapes
-  cleanly rather than mistranslating them.
+  serial or sharded through a ``ParallelExecutor``) produces the same
+  row set as the naive evaluator pipeline (native engine, planner on or
+  off); the translate backend refuses the shapes cleanly rather than
+  mistranslating them.
 """
 
 from __future__ import annotations
@@ -51,8 +46,8 @@ RANGE_TEMPLATES = [
 ]
 
 # Shapes whose result is *not* a pure per-event range filter (version
-# anchoring, latest-per-subject) -- they get the strategy and engine
-# equivalences but not the composition law.
+# anchoring, latest-per-subject) -- they get the engine equivalences
+# but not the composition law.
 EXTRA_TEMPLATES = [
     "select X from root.{label}.name <at [{a}..{b}]> X",
     "select X, T from root.{label}.name <last-change at T> X",
@@ -81,11 +76,6 @@ def rows(result) -> list[str]:
     return sorted(texts(result))
 
 
-def run_with_strategy(engine, compiled, strategy: str) -> list[str]:
-    compiled.root.plan.strategy = strategy
-    return texts(engine.execute(compiled))
-
-
 class TestIntervalComposition:
     """query([a..b]) == query([a..m]) | query([m..b]), adjacent and closed."""
 
@@ -102,48 +92,6 @@ class TestIntervalComposition:
                     | set(texts(engine.run(right)))
                 assert union == set(texts(engine.run(whole))), \
                     (engine_cls.__name__, template)
-
-
-class TestStrategyInterchangeability:
-    """index-scan and checkpoint-replay: row AND order identical."""
-
-    @given(seed=st.integers(min_value=0, max_value=99))
-    @RELAXED
-    def test_replay_matches_index_scan(self, seed):
-        _, history, doem = make_world(seed)
-        engine = IndexedChorelEngine(doem, name="root")
-        for template, whole, _left, _right in interval_queries(
-                history, templates=RANGE_TEMPLATES + EXTRA_TEMPLATES):
-            compiled = engine.compile(engine.parse(whole))
-            if not compiled.is_range:
-                continue
-            via_index = run_with_strategy(engine, compiled, "index-scan")
-            via_replay = run_with_strategy(engine, compiled,
-                                           "checkpoint-replay")
-            assert via_index == via_replay, (template, whole)
-
-    def test_attached_log_only_moves_the_replay_floor(self, tmp_path):
-        """A durable checkpoint floor changes the scan start, not rows."""
-        from repro.store.store import ChangeLogStore
-
-        db, history, doem = make_world(3)
-        with ChangeLogStore(tmp_path / "store", "rw") as store:
-            log = store.put_history("world", db, history)
-            store.checkpoint("world")
-            assert log.checkpoints(), "the floor needs a checkpoint"
-            bare = IndexedChorelEngine(doem, name="root")
-            backed = IndexedChorelEngine(doem, name="root")
-            backed.log = log
-            for template, whole, _l, _r in interval_queries(
-                    history, templates=RANGE_TEMPLATES + EXTRA_TEMPLATES):
-                compiled = bare.compile(bare.parse(whole))
-                if not compiled.is_range:
-                    continue
-                expected = run_with_strategy(bare, compiled,
-                                             "checkpoint-replay")
-                actual = run_with_strategy(backed, compiled,
-                                           "checkpoint-replay")
-                assert actual == expected, (template, whole)
 
 
 class TestEngineAgreement:

@@ -5,8 +5,7 @@ bounded interval, the ``<upd ... from ... to ...>`` row shape, the
 degenerate literal-pin interval, predicate reordering, the wildcard
 fallback that must *not* select the index, virtual ``<at t[0]>``
 expansion against the polling table, and the cross-time range rewrite
-in both physical strategies (a narrow range pinned to ``index-scan``, a
-wide and an open-ended one pinned to ``checkpoint-replay``, plus the
+(a narrow, a wide and an open-ended range, all index scans, plus the
 ``VersionJoin`` terminal for ``<at [a..b]>``).  A rule change that
 alters the optimized tree or the pass-firing report shows up as a
 reviewable diff, not a silent plan shift.
@@ -43,13 +42,12 @@ CASES = {
         "select guide.#.comment<cre at T>", None),
     "virtual_at_polling": (
         "select guide.<add at t[0]>restaurant", {0: "5Jan97"}),
-    # Cross-time range rewrite: narrow ranges take the merged
-    # timestamp-index scan, ranges wider than the replay threshold (and
-    # open-ended ones) take checkpoint-anchored history replay.
+    # Cross-time range rewrite: every width takes the merged
+    # timestamp-index scan.
     "range_narrow_index": (
         "select T from guide.restaurant.price"
         "<changed at T in [1Jan97..5Jan97]>", None),
-    "range_wide_replay": (
+    "range_wide": (
         "select X, T from guide.restaurant"
         "<changed at T in [1Jan97..1Mar97]> X", None),
     "range_last_change": (
