@@ -54,7 +54,8 @@ class DiffStats:
 def oem_diff(old_db: OEMDatabase, new_db: OEMDatabase,
              matching: Matching | None = None,
              reserved_ids: Iterable[str] = (),
-             id_factory: Callable[[], str] | None = None) -> ChangeSet:
+             id_factory: Callable[[], str] | None = None,
+             signatures: dict[str, int] | None = None) -> ChangeSet:
     """Infer ``U`` with ``U(old_db)`` isomorphic to ``new_db``.
 
     ``matching`` may be precomputed (tests exercise hand-built matchings);
@@ -63,10 +64,18 @@ def oem_diff(old_db: OEMDatabase, new_db: OEMDatabase,
     nodes (QSS passes every identifier its DOEM database has *ever* used,
     since deleted identifiers are never reused); alternatively
     ``id_factory`` takes over identifier generation entirely.
+
+    ``signatures`` is for callers that diff a chain of snapshots (QSS):
+    a table the call reads, then overwrites.  On entry it holds
+    ``node_signatures(old_db)`` as the previous call left it (a table of
+    other nodes is ignored); on return, those of ``U(old_db)`` -- the new
+    side's, re-keyed through the matching, since ``U(old_db)`` is
+    isomorphic to ``new_db`` -- so the next call need not rehash its old
+    side.
     """
     if matching is None:
         with span("diff.match"):
-            matching = match_snapshots(old_db, new_db)
+            matching = match_snapshots(old_db, new_db, signatures)
     reserved = set(reserved_ids)
 
     counter = [0]
@@ -84,12 +93,14 @@ def oem_diff(old_db: OEMDatabase, new_db: OEMDatabase,
     with span("diff.infer"):
         # 1. Created nodes: unmatched on the new side.
         created: dict[str, str] = {}  # new id -> old-space id
+        minted: set[str] = set()
         for node in new_db.nodes():
             if not matching.matched_new(node):
                 fresh = make_id()
-                if old_db.has_node(fresh) or fresh in created.values():
+                if old_db.has_node(fresh) or fresh in minted:
                     raise DiffError(
                         f"id factory produced a colliding id {fresh!r}")
+                minted.add(fresh)
                 created[node] = fresh
                 ops.append(CreNode(fresh, new_db.value(node)))
 
@@ -125,6 +136,10 @@ def oem_diff(old_db: OEMDatabase, new_db: OEMDatabase,
             else:
                 ops.append(RemArc(*arc))
 
+    if signatures is not None:
+        signatures.clear()
+        signatures.update((to_old(node), signature) for node, signature
+                          in matching.new_signatures.items())
     registry = metrics_registry()
     registry.counter("repro.diff.runs").inc()
     registry.counter("repro.diff.ops").inc(len(ops))

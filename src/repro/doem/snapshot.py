@@ -227,6 +227,10 @@ class SnapshotCache:
             self._fingerprint = fingerprint
 
     def _encoded_history(self):
+        if self._store_log is not None:
+            # The log's entries are H(D) of the database it built: no
+            # re-deriving it from every annotation after each poll.
+            return self._store_log.entries()
         if self._history is None:
             from .extract import encoded_history
             self._history = encoded_history(self.doem)

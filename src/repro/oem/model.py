@@ -479,11 +479,16 @@ def _find_isomorphism(left: OEMDatabase,
                 return False
         return True
 
-    def solve(index: int) -> bool:
-        if index == len(order):
-            return True
-        node = order[index]
-        for candidate in candidates[node]:
+    # Iterative backtracking (one frame per node would overflow the
+    # interpreter's stack on a few thousand nodes): ``trail[i]`` walks the
+    # candidates of ``order[i]``; a node is assigned when the level above
+    # it is open.
+    trail: list[Iterator[str]] = []
+    while len(mapping) < len(order):
+        if len(trail) == len(mapping):
+            trail.append(iter(candidates[order[len(mapping)]]))
+        node = order[len(trail) - 1]
+        for candidate in trail[-1]:
             if candidate in used:
                 continue
             if (node == left.root) != (candidate == right.root):
@@ -492,12 +497,10 @@ def _find_isomorphism(left: OEMDatabase,
                 continue
             mapping[node] = candidate
             used.add(candidate)
-            if solve(index + 1):
-                return True
-            del mapping[node]
-            used.discard(candidate)
-        return False
-
-    if solve(0):
-        return mapping
-    return None
+            break
+        else:
+            trail.pop()
+            if not trail:
+                return None
+            used.discard(mapping.pop(order[len(trail) - 1]))
+    return mapping

@@ -168,6 +168,8 @@ class DOEMManager:
         self.store = store
         self._doems: dict[str, DOEMDatabase] = {}
         self._previous: dict[str, OEMDatabase] = {}
+        # key -> node signatures of R_{i-1}, as the last OEMdiff left them.
+        self._signatures: dict[str, dict[str, int]] = {}
         self._all_ids: dict[str, set[str]] = {}
         self._aliases: dict[str, str] = {}
         self.last_diff_stats: dict[str, DiffStats] = {}
@@ -251,6 +253,9 @@ class DOEMManager:
         doem = self.doem(name)
         previous = self.previous_result(name)
         reserved = self._all_ids[key]
+        # Out of the table while the poll is in flight: a failed poll must
+        # not leave signatures of a state the DOEM never reached.
+        signatures = self._signatures.pop(key, {})
         if self.differ == "ids":
             # Cooperative source: identifiers are stable between polls.
             from ..diff.iddiff import id_diff
@@ -258,7 +263,8 @@ class DOEMManager:
                 else _rename_root(result, previous.root)
             change_set = id_diff(previous, aligned)
         else:
-            change_set = oem_diff(previous, result, reserved_ids=reserved)
+            change_set = oem_diff(previous, result, reserved_ids=reserved,
+                                  signatures=signatures)
         timestamp = parse_timestamp(when)
         existing = doem.timestamps()
         if change_set or not existing or existing[-1] < timestamp:
@@ -276,6 +282,8 @@ class DOEMManager:
             updated = previous.copy()
             change_set.apply_to(updated)
             self._previous[key] = updated
+        if signatures:
+            self._signatures[key] = signatures
         return change_set
 
     def compact_before(self, name: str, when: object) -> None:
@@ -332,6 +340,7 @@ class DOEMManager:
             return  # other subscriptions still share this DOEM
         self._doems.pop(key, None)
         self._previous.pop(key, None)
+        self._signatures.pop(key, None)
         self._all_ids.pop(key, None)
 
     def state_size(self, name: str) -> dict[str, int]:

@@ -608,19 +608,20 @@ class QSSServer:
         """Package a filter result as a notification OEM database.
 
         Results are copied out of the subscription DOEM's *current
-        snapshot*; selected objects that are no longer live (e.g. targets
-        of removed arcs) are included as value-only nodes so the
-        notification is still self-contained.
+        snapshot* -- the polling result the DOEM manager already holds,
+        read here and never changed; selected objects that are no longer
+        live (e.g. targets of removed arcs) are included as value-only
+        nodes, on a copy, so the notification is still self-contained.
         """
-        from ..doem.snapshot import current_snapshot
         from ..lorel.result import ObjectRef
 
-        doem = self.doems.doem(name)
-        snapshot = current_snapshot(doem)
-        for row in filtered:
-            for _, value in row.items:
-                if isinstance(value, ObjectRef) and \
-                        not snapshot.has_node(value.node):
-                    node_value = doem.graph.value(value.node)
-                    snapshot.create_node(value.node, node_value)
+        snapshot = self.doems.previous_result(name)
+        dead = {value.node for row in filtered for _, value in row.items
+                if isinstance(value, ObjectRef)
+                and not snapshot.has_node(value.node)}
+        if dead:
+            graph = self.doems.doem(name).graph
+            snapshot = snapshot.copy()
+            for node in sorted(dead):
+                snapshot.create_node(node, graph.value(node))
         return filtered.as_oem(snapshot, root="notification")

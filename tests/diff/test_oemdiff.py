@@ -139,6 +139,13 @@ class TestIdentifierDiscipline:
         with pytest.raises(DiffError):
             oem_diff(guide_db, new, id_factory=lambda: "n1")
 
+    def test_factory_repeating_itself_rejected(self, guide_db):
+        new = scramble_ids(guide_db, salt=8)
+        for extra in ("fresh", "fresher"):
+            new.add_arc("guide", "extra", new.create_node(extra, 1))
+        with pytest.raises(DiffError):
+            oem_diff(guide_db, new, id_factory=lambda: "unused-but-twice")
+
 
 class TestRandomizedContract:
     """Property-style sweep: diff random snapshot pairs, apply, compare."""
@@ -160,3 +167,21 @@ class TestRandomizedContract:
             random_change_set(current, seed=seed * 10 + step,
                               size=6, id_prefix=f"s{step}_").apply_to(current)
             check_diff(previous, scramble_ids(current, salt=step))
+
+
+class TestBenchmarkScaleContract:
+    """What the pipeline benchmark could only approximate while
+    ``isomorphic_to`` recursed: the law itself, at its size."""
+
+    def test_scrambled_poll_of_a_5001_node_source(self):
+        from repro.sources.generators import large_database, large_history
+        source = large_database(seed=3, items=1000)
+        assert len(source) == 5001
+        previous = scramble_ids(source, salt=1)
+        for _, change_set in large_history(source, seed=3, steps=1,
+                                           churn=200):
+            change_set.apply_to(source)
+        polled = scramble_ids(source, salt=2)
+        inferred = oem_diff(previous, polled)
+        assert 0 < len(inferred) < 400
+        assert apply_diff(previous, inferred).isomorphic_to(polled)

@@ -288,6 +288,37 @@ class TestIsomorphism:
         clone = ser.loads(ser.dumps(guide_db))
         assert guide_db.isomorphic_to(clone)
 
+    @staticmethod
+    def chains(lengths, seed):
+        """Chains of complex nodes under one root, created in a shuffled
+        order.  Nodes more than six arcs from both ends of a chain refine
+        to one signature, so the search must guess, and take guesses back."""
+        import random
+        names = [(chain, index) for chain, length in enumerate(lengths)
+                 for index in range(length)]
+        random.Random(seed).shuffle(names)
+        db = OEMDatabase(root="r")
+        for chain, index in names:
+            db.create_node(f"s{seed}c{chain}_{index}", COMPLEX)
+        for chain, length in enumerate(lengths):
+            db.add_arc("r", "chain", f"s{seed}c{chain}_0")
+            for index in range(length - 1):
+                db.add_arc(f"s{seed}c{chain}_{index}", "next",
+                           f"s{seed}c{chain}_{index + 1}")
+        return db
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_search_backtracks_out_of_wrong_guesses(self, seed):
+        assert self.chains([14, 16], seed).isomorphic_to(
+            self.chains([16, 14], seed + 100))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exhausted_search_is_not_isomorphic(self, seed):
+        # Same signature multiset (two middles of 2 + 4 against 3 + 3
+        # nodes), so only the search can tell them apart.
+        assert not self.chains([14, 16], seed).isomorphic_to(
+            self.chains([15, 15], seed + 100))
+
 
 class TestPresentation:
     def test_describe_contains_values(self, tiny):

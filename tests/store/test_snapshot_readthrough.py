@@ -76,3 +76,23 @@ class TestReadThrough:
         assert result.same_as(history.snapshot_at(db, times[-1]))
         assert cache.stats.store_hits == hits_before
         log.close()
+
+    def test_durable_miss_replays_the_log_not_the_annotations(
+            self, tmp_path, monkeypatch):
+        """After every poll the cache starts empty; serving the miss must
+        not cost a walk over every annotation the history ever made."""
+        import repro.doem.extract as extract
+        db, history, log = build(tmp_path)
+        doem = log.get_doem()
+        cache = SnapshotCache(doem)
+        cache.attach_store(log)
+
+        def forbidden(_doem):
+            raise AssertionError("H(D) re-derived from the annotations")
+
+        monkeypatch.setattr(extract, "encoded_history", forbidden)
+        for when in history.timestamps()[-3:]:
+            assert cache.snapshot_at(when).same_as(snapshot_at(doem, when))
+        assert cache.stats.store_hits >= 1
+        assert cache.stats.replayed_sets >= 1
+        log.close()
