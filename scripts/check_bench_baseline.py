@@ -4,27 +4,20 @@
 Usage::
 
     python scripts/check_bench_baseline.py \
-        benchmarks/artifacts/BENCH_parallel.json \
-        benchmarks/baselines/BENCH_parallel_baseline.json
+        benchmarks/artifacts/BENCH_store.json \
+        benchmarks/baselines/BENCH_store_baseline.json
 
 Every key present in the baseline must exist in the artifact with a
 *matching* value -- the baseline deliberately contains only the
-deterministic series (equivalence counters, workload parameters, and
-planner counters), never wall times or machine-dependent pool
-throughput.  Histogram-valued series compare as dicts key-by-key over
-the baseline's keys, so an artifact may carry extra self-describing
-fields (the bucket ``bounds`` added by ``Histogram.snapshot``) without
-diverging.
+deterministic series (equivalence counters and workload parameters),
+never wall times.  Histogram-valued series compare as dicts key-by-key
+over the baseline's keys, so an artifact may carry extra
+self-describing fields (the bucket ``bounds`` added by
+``Histogram.snapshot``) without diverging.
 
 On top of the baseline diff, family-specific invariants run for
 whichever bench families the artifact contains:
 
-* ``bench_parallel.*`` -- the worker pool actually ran
-  (``submitted``/``completed`` > 0), the equivalence sweeps report zero
-  mismatches, every query compiled through ``repro.plan`` with **each**
-  rewrite rule firing at least once, and on a machine with two or more
-  cores the process-sharded pass must beat the serial pass
-  (``wall.ratio`` < 1.0; single-core machines record but are not gated);
 * ``bench_obs.*`` -- the telemetry-overhead gate: the instrumented run
   must cost less than 5% over the disabled run
   (``overhead.ratio`` < 1.05), and the instrumented run must actually
@@ -43,8 +36,8 @@ whichever bench families the artifact contains:
   must actually have served from checkpoints
   (``store.snapshots_from_checkpoint`` > 0).
 
-Exit status: 0 clean, 1 on any divergence (the CI bench-regression and
-telemetry-overhead jobs gate on it).
+Exit status: 0 clean, 1 on any divergence (the CI bench-regression,
+telemetry-overhead and analyze-overhead jobs gate on it).
 """
 
 from __future__ import annotations
@@ -76,50 +69,6 @@ def _matches(expected, actual) -> bool:
         return all(_matches(value, actual.get(key, "<missing>"))
                    for key, value in expected.items())
     return expected == actual
-
-
-def _check_parallel(artifact: dict) -> str:
-    for counter in ("bench_parallel.pool.submitted",
-                    "bench_parallel.pool.completed"):
-        if artifact.get(counter, 0) <= 0:
-            fail(f"{counter} is {artifact.get(counter)!r}; the worker pool "
-                 f"never ran")
-    for counter in ("bench_parallel.equivalence.sharded_mismatches",
-                    "bench_parallel.equivalence.batch_mismatches",
-                    "bench_parallel.equivalence.rules_mismatches"):
-        if artifact.get(counter, "<missing>") != 0:
-            fail(f"{counter} is {artifact.get(counter)!r}; parallel results "
-                 f"diverged from serial")
-
-    # The planner must actually be in the loop: every query compiles
-    # through repro.plan, and every rewrite rule does work on this
-    # workload -- one inert pass is a regression, not a detail.
-    if artifact.get("bench_parallel.plan.compiled", 0) <= 0:
-        fail("bench_parallel.plan.compiled is "
-             f"{artifact.get('bench_parallel.plan.compiled')!r}; queries "
-             f"bypassed the plan pipeline")
-    for rule in ("virtual-at-expansion", "time-range-strategy",
-                 "annotation-literal-pushdown", "index-selection",
-                 "predicate-reorder"):
-        counter = f"bench_parallel.plan.rules_fired.{rule}"
-        if artifact.get(counter, 0) <= 0:
-            fail(f"{counter} is {artifact.get(counter, '<missing>')!r}; "
-                 f"the {rule} pass went inert on the probe workload")
-
-    # Sharding must *pay* where it can: with >= 2 cores the process-pool
-    # pass has real parallelism available, so sharded must beat serial.
-    ratio = artifact.get("bench_parallel.wall.ratio")
-    cpus = artifact.get("bench_parallel.wall.cpus", 1)
-    if not isinstance(ratio, (int, float)) or ratio <= 0:
-        fail(f"bench_parallel.wall.ratio is {ratio!r}; the bench did not "
-             f"record the sharded/serial wall-clock ratio")
-    if cpus >= 2 and ratio >= 1.0:
-        fail(f"sharded/serial ratio {ratio} >= 1.0 on a {cpus}-core "
-             f"machine; process-pool sharding stopped paying for itself")
-
-    return (f"pool ran {artifact['bench_parallel.pool.completed']} tasks, "
-            f"sharded/serial ratio {ratio} on {cpus} cpu(s)"
-            + ("" if cpus >= 2 else " [not gated: single core]"))
 
 
 def _check_obs(artifact: dict) -> str:
@@ -208,8 +157,6 @@ def main(argv: list[str]) -> None:
              + "\n".join(diverged))
 
     notes = []
-    if "bench_parallel.wall.ratio" in artifact:
-        notes.append(_check_parallel(artifact))
     if "bench_obs.overhead.ratio" in artifact:
         notes.append(_check_obs(artifact))
     if "bench_analyze.overhead.ratio" in artifact:
@@ -218,8 +165,7 @@ def main(argv: list[str]) -> None:
         notes.append(_check_store(artifact))
     if not notes:
         fail("artifact contains no recognized bench family "
-             "(bench_parallel.*, bench_obs.*, bench_analyze.*, or "
-             "bench_store.*)")
+             "(bench_obs.*, bench_analyze.*, or bench_store.*)")
 
     print(f"baseline check OK: {len(baseline)} series match, "
           + "; ".join(notes))

@@ -48,14 +48,12 @@ from .errors import (
 from .timestamps import NEG_INF, POS_INF, Timestamp, parse_timestamp
 from .obs import (
     MetricsRegistry,
-    QueryProfile,
     Span,
     Tracer,
     disable_tracing,
     enable_tracing,
     get_tracer,
     metrics_registry,
-    profile_query,
     span,
 )
 from .oem import (
@@ -100,7 +98,6 @@ from .chorel.optimize import IndexedChorelEngine
 from .plan import (
     CompiledPlan,
     EngineStats,
-    IndexPlan,
     PassManager,
     compile_query,
     execute_plan,
@@ -151,8 +148,7 @@ __all__ = [
     "Timestamp", "parse_timestamp", "NEG_INF", "POS_INF",
     # observability
     "Tracer", "Span", "get_tracer", "enable_tracing", "disable_tracing",
-    "span", "MetricsRegistry", "metrics_registry", "QueryProfile",
-    "profile_query",
+    "span", "MetricsRegistry", "metrics_registry",
     # OEM
     "OEMDatabase", "Arc", "COMPLEX", "GraphBuilder",
     "CreNode", "UpdNode", "AddArc", "RemArc", "ChangeOp",
@@ -170,7 +166,7 @@ __all__ = [
     "parse_update", "plan_update",
     "ChorelEngine", "TranslatingChorelEngine", "translate_query",
     "IndexedChorelEngine",
-    "CompiledPlan", "EngineStats", "IndexPlan", "PassManager",
+    "CompiledPlan", "EngineStats", "PassManager",
     "compile_query", "execute_plan",
     # parallel execution
     "ParallelExecutor", "WorkerPool", "parallel_run", "run_many",

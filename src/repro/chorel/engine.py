@@ -65,7 +65,6 @@ class ChorelEngine:
         self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
         self.use_planner = use_planner
         self.batch_size = resolve_batch_size(batch_size)
-        self.last_profile = None
         self.last_compiled: CompiledPlan | None = None
 
     def register_name(self, name: str, node_id: str) -> None:
@@ -168,29 +167,16 @@ class ChorelEngine:
 
     def run(self, query: str | Query,
             bindings: dict[str, str] | None = None, *,
-            profile: bool = False, analyze: bool = False) -> QueryResult:
+            analyze: bool = False) -> QueryResult:
         """Parse (if needed), compile, optimize, and execute a query.
 
         ``bindings`` pre-binds variables to node identifiers before
         evaluation -- the trigger subsystem uses this to hand a rule's
         condition the triggering object (``NEW``, ``PARENT``).
 
-        ``profile=True`` runs the query under the observer
-        (:func:`repro.obs.profile.profile_query`): identical rows come
-        back, and the :class:`~repro.obs.profile.QueryProfile` lands on
-        ``self.last_profile``.
-
         ``analyze=True`` collects per-operator runtime stats (identical
         rows); render them with ``self.last_compiled.explain(analyze=True)``.
         """
-        if profile:
-            if analyze:
-                raise ValueError("profile and analyze are mutually "
-                                 "exclusive; run them separately")
-            from ..obs.profile import profile_query
-            result, self.last_profile = profile_query(self, query,
-                                                      bindings=bindings)
-            return result
         with span("chorel.query"):
             return self._run(query, bindings, analyze=analyze)
 

@@ -3,18 +3,15 @@
 "Designing indexes on annotations (based on their types and timestamps)
 and studying the use of such indexes to achieve a more efficient
 translation of Chorel queries" -- :class:`IndexedChorelEngine` is that
-study's implementation half.  Since the planner refactor the engine is a
-thin facade: recognition of the index-servable shape lives in the
-``annotation-literal-pushdown`` / ``index-selection`` rewrite passes
-(:mod:`repro.plan.rules`), and the index-scan kernel -- a timestamp-range
-scan with backward path verification -- is the ``AnnotationFilter``
-physical operator (:func:`repro.plan.physical.execute_index_plan`).
+study's implementation half.  The engine is a thin facade: recognition
+of the index-servable shape lives in the ``index-selection`` rewrite
+pass (:mod:`repro.plan.rules`), and the index-scan kernel -- a
+timestamp-range scan with backward path verification -- is
+:func:`repro.plan.physical.execute_range_plan`.
 
-What remains here is the engine facade (index/path-index ownership, the
+What remains here is index/path-index ownership, the
 ``chorel.optimize`` / ``chorel.index_scan`` spans, and the pushdown
-accounting) plus one deprecation shim: :class:`~repro.plan.stats.IndexPlan`
-and :class:`~repro.plan.stats.EngineStats` moved to the plan layer but
-remain importable from here.
+accounting (:class:`~repro.plan.stats.EngineStats`, re-exported).
 """
 
 from __future__ import annotations
@@ -24,11 +21,10 @@ from ..lorel.result import QueryResult
 from ..lore.indexes import PathIndex, TimestampIndex
 from ..obs.trace import span
 from ..plan import CompileContext, CompiledPlan, run_compiled
-# Deprecation shims: these classes now live in the plan layer.
-from ..plan.stats import EngineStats, IndexPlan, RangePlan
+from ..plan.stats import EngineStats, RangePlan
 from .engine import ChorelEngine
 
-__all__ = ["IndexedChorelEngine", "IndexPlan", "EngineStats"]
+__all__ = ["IndexedChorelEngine", "EngineStats"]
 
 
 class IndexedChorelEngine(ChorelEngine):
@@ -55,8 +51,13 @@ class IndexedChorelEngine(ChorelEngine):
         self.index = TimestampIndex(doem)
         self.paths = PathIndex(doem)
         self.stats = EngineStats()
-        self.last_plan: IndexPlan | None = None
-        self.last_range_plan: RangePlan | None = None
+        self.last_plan: RangePlan | None = None
+
+    @property
+    def last_range_plan(self) -> RangePlan | None:
+        """Read-only alias of ``last_plan`` (the pipeline benchmark's
+        per-strategy counter reads this name)."""
+        return self.last_plan
 
     def refresh_index(self) -> None:
         """Force a full index rebuild.
@@ -97,57 +98,34 @@ class IndexedChorelEngine(ChorelEngine):
     def execute(self, compiled: CompiledPlan,
                 bindings: dict[str, str] | None = None, *,
                 analyze: bool = False, **parallel) -> QueryResult:
-        if compiled.is_indexed:
-            # The index scan is never sharded: run the AnnotationFilter
-            # root directly (the instrumented kernel when analyzing).
-            ctx = self._execution_context(bindings)
-            with span("chorel.index_scan",
-                      plan=compiled.index_plan.describe()):
-                return run_compiled(compiled, ctx, self, analyze=analyze)
-        if compiled.is_range:
-            # Likewise serial: the range kernel is one merged index scan
-            # plus backward verification.
-            ctx = self._execution_context(bindings)
-            with span("chorel.range_scan",
-                      plan=compiled.range_plan.describe()):
-                return run_compiled(compiled, ctx, self, analyze=analyze)
-        return super().execute(compiled, bindings, analyze=analyze,
-                               **parallel)
-
-    # ------------------------------------------------------------------
+        plan = compiled.index_plan
+        if plan is None:
+            return super().execute(compiled, bindings, analyze=analyze,
+                                   **parallel)
+        # The index scan is never sharded: one merged timestamp-index
+        # scan plus backward verification, already sublinear.
+        ctx = self._execution_context(bindings)
+        with span("chorel.index_scan", plan=plan.describe()):
+            return run_compiled(compiled, ctx, self, analyze=analyze)
 
     def _run(self, query, bindings, *, analyze: bool = False) -> QueryResult:
-        """Evaluate; use the index when the planner selects it."""
-        if analyze and not self.use_planner:
-            raise ValueError("analyze=True requires the planner "
-                             "(use_planner=False has no plan tree)")
+        """Evaluate; use the index when the planner selects it.
+
+        ``use_planner=False`` only reroutes the *fallback* queries to the
+        legacy evaluator: an index-served query has no legacy path.
+        """
         if isinstance(query, str):
             with span("chorel.parse"):
                 query = self.parse(query)
-        self.last_plan = None
-        self.last_range_plan = None
-        if bindings:
-            # The index scan cannot honor pre-bound range variables.
+        with span("chorel.optimize"):
+            # Pre-bound range variables clear ``allow_index``, so
+            # trigger conditions always count as fallback.
+            compiled = self.compile(query, bindings)
+        self.last_plan = compiled.index_plan
+        if self.last_plan is None:
             self.stats.fallback_queries += 1
             if not self.use_planner:
-                return self._evaluator.run(query, self._base_env(bindings))
-            return self.execute(self.compile(query, bindings), bindings,
-                                analyze=analyze)
-        with span("chorel.optimize"):
-            compiled = self._compile(query)
-        self.last_compiled = compiled
-        plan = compiled.index_plan
-        if plan is not None:
-            self.last_plan = plan
+                return super()._run(query, bindings, analyze=analyze)
+        else:
             self.stats.indexed_queries += 1
-            return self.execute(compiled, analyze=analyze)
-        range_plan = compiled.range_plan
-        if range_plan is not None:
-            # The range kernel is an index scan, so it counts as indexed.
-            self.last_range_plan = range_plan
-            self.stats.indexed_queries += 1
-            return self.execute(compiled, analyze=analyze)
-        self.stats.fallback_queries += 1
-        if not self.use_planner:
-            return self._evaluator.run(query, self._base_env(None))
-        return self.execute(compiled, analyze=analyze)
+        return self.execute(compiled, bindings, analyze=analyze)

@@ -417,7 +417,6 @@ class TranslatingChorelEngine:
         self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
         self.use_planner = use_planner
         self.last_translation: TranslationResult | None = None
-        self.last_profile = None
         self.last_compiled = None
 
     def register_name(self, name: str, node_id: str) -> None:
@@ -442,22 +441,13 @@ class TranslatingChorelEngine:
         return translation
 
     def run(self, query: str | Query, *,
-            profile: bool = False, analyze: bool = False) -> QueryResult:
+            analyze: bool = False) -> QueryResult:
         """Translate and evaluate, returning native-comparable rows.
 
-        ``profile=True`` observes the run (identical rows) and leaves the
-        :class:`~repro.obs.profile.QueryProfile` on ``self.last_profile``.
         ``analyze=True`` collects per-operator runtime stats over the
         *translated* Lorel plan (identical rows); render them with
         ``self.last_compiled.explain(analyze=True)``.
         """
-        if profile:
-            if analyze:
-                raise ValueError("profile and analyze are mutually "
-                                 "exclusive; run them separately")
-            from ..obs.profile import profile_query
-            result, self.last_profile = profile_query(self, query)
-            return result
         with span("chorel.query"):
             return self._run(query, analyze=analyze)
 

@@ -13,18 +13,17 @@ Subcommands (``python -m repro <cmd> --help`` for details):
 * ``chorel STORE NAME QUERY``  -- run a Chorel query over a stored DOEM
   database (native engine; ``--translate`` shows/uses the Lorel
   translation instead);
-* ``explain QUERY``            -- run a Chorel query under the profiler
-  and print an EXPLAIN-style report (per-phase timings, index/cache hit
-  rates, rows); uses a built-in demo history unless ``--store``/``--db``
+* ``explain QUERY``            -- EXPLAIN: compile a Chorel query without
+  running it and print the optimized plan tree plus the pass-by-pass
+  firing report; uses a built-in demo history unless ``--store``/``--db``
   point at a stored DOEM database;
-* ``profile QUERY``            -- the same observation as JSON (phase
-  timings, counters, and the full span trace), for dashboards and CI
-  artifacts;
 * ``analyze QUERY``            -- EXPLAIN ANALYZE: execute the query and
   print the physical plan tree with per-operator runtime stats (rows
   in/out, batches, wall time, estimated-vs-actual cardinality, shard
-  fan-out, vectorized/fallback predicate counts); same ``--store`` /
-  ``--db`` / ``--backend`` selection as ``explain``;
+  fan-out, vectorized/fallback predicate counts) and the compile /
+  execute split; ``--json PATH`` also writes the observation as JSON
+  (dashboards, CI artifacts); same ``--store`` / ``--db`` / ``--backend``
+  selection as ``explain``;
 * ``store init|demo|info|fsck|checkpoint|compact`` -- manage a durable
   change-log store (:mod:`repro.store`): create one, persist the demo
   history, describe it, verify/repair segment and checkpoint integrity,
@@ -39,7 +38,7 @@ Subcommands (``python -m repro <cmd> --help`` for details):
   change-log store section.
 
 ``history``, ``timeline``, ``chorel``, and the ``--store`` flag of
-``explain``/``profile``/``analyze`` accept either a Lore store directory
+``explain``/``analyze`` accept either a Lore store directory
 or a change-log store (detected by its ``.doemstore`` marker); a
 change-log store is opened read-only through the process-shared handle,
 so the tools observe the same live history a QSS server in this process
@@ -137,10 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the Lorel-translation backend and print "
                              "the translated query first")
 
-    for command, summary in (("explain", "profile a Chorel query and print "
-                                         "an EXPLAIN-style report"),
-                             ("profile", "profile a Chorel query and emit "
-                                         "the observation as JSON"),
+    for command, summary in (("explain", "compile a Chorel query and print "
+                                         "EXPLAIN: the optimized plan tree "
+                                         "and the passes that fired"),
                              ("analyze", "execute a Chorel query with "
                                          "EXPLAIN ANALYZE: the plan tree "
                                          "with per-operator runtime stats")):
@@ -156,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--backend",
                          choices=["indexed", "native", "translate"],
                          default="indexed",
-                         help="engine to profile (default: indexed)")
-        sub.add_argument("--json", type=Path, default=None, dest="json_path",
-                         help="also write the JSON observation here"
-                         if command in ("explain", "analyze") else
-                         "write the JSON here instead of stdout")
+                         help="engine to plan with (default: indexed)")
+        if command == "analyze":
+            sub.add_argument("--json", type=Path, default=None,
+                             dest="json_path",
+                             help="also write the JSON observation here")
 
     store = commands.add_parser(
         "store", help="manage a durable change-log store (repro.store)")
@@ -242,15 +240,8 @@ def _demo_doem():
     """The built-in demo history (see ``demo_world``), as a DOEM db."""
     from .doem.build import build_doem
     from .sources.generators import demo_world
-    from .timestamps import parse_timestamp
 
-    db, history = demo_world()
-    doem = build_doem(db, history)
-    # Warm the snapshot cache so profiles report its hit rates too.
-    from .doem.snapshot import cached_snapshot_at
-    for probe in ("10Jan97", "15Jan97", "15Jan97"):
-        cached_snapshot_at(doem, parse_timestamp(probe))
-    return doem
+    return build_doem(*demo_world())
 
 
 def _open_doem(store_path: Path, name: str | None):
@@ -347,7 +338,7 @@ def _run(args: argparse.Namespace, out) -> int:
             result = ChorelEngine(doem, name=db_name).run(args.text)
         print(result if result else "(empty result)", file=out)
 
-    elif args.command in ("explain", "profile", "analyze"):
+    elif args.command in ("explain", "analyze"):
         if args.store is not None:
             doem = _open_doem(args.store, args.db)
         else:
@@ -360,40 +351,31 @@ def _run(args: argparse.Namespace, out) -> int:
         else:
             from .chorel.optimize import IndexedChorelEngine
             engine = IndexedChorelEngine(doem, name=db_name)
-        if args.command == "analyze":
-            import json
-            result = engine.run(args.text, analyze=True)
-            compiled = engine.last_compiled
-            print(f"-- EXPLAIN ANALYZE ({args.backend}):", file=out)
-            print(compiled.explain(analyze=True), file=out)
-            print(f"-- {len(result)} row(s)", file=out)
-            if args.json_path is not None:
-                payload = {"query": args.text,
-                           "backend": args.backend,
-                           "rows": len(result),
-                           "fingerprint": compiled.fingerprint,
-                           "plan": compiled.runtime.to_dict()}
-                args.json_path.write_text(
-                    json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-                print(f"-- JSON observation -> {args.json_path}", file=out)
-            return 0
-        engine.run(args.text, profile=True)
-        profile = engine.last_profile
         if args.command == "explain":
-            print(profile.render(), file=out)
-            if args.json_path is not None:
-                args.json_path.write_text(profile.to_json() + "\n",
-                                          encoding="utf-8")
-                print(f"-- JSON observation -> {args.json_path}", file=out)
-        else:
-            if args.json_path is not None:
-                args.json_path.write_text(profile.to_json() + "\n",
-                                          encoding="utf-8")
-                print(f"{profile.backend}: {profile.rows} row(s) in "
-                      f"{profile.total_seconds * 1000:.3f} ms "
-                      f"-> {args.json_path}", file=out)
-            else:
-                print(profile.to_json(), file=out)
+            compiled = engine.compile(args.text)
+            print(f"-- EXPLAIN ({args.backend}):", file=out)
+            print(compiled.explain(), file=out)
+            return 0
+        import json
+        result = engine.run(args.text, analyze=True)
+        compiled = engine.last_compiled
+        runtime = compiled.runtime
+        print(f"-- EXPLAIN ANALYZE ({args.backend}):", file=out)
+        print(compiled.explain(analyze=True), file=out)
+        print(f"-- {len(result)} row(s); "
+              f"compile {compiled.compile_seconds * 1000:.3f} ms, "
+              f"execute {runtime.execute_seconds * 1000:.3f} ms", file=out)
+        if args.json_path is not None:
+            payload = {"query": args.text,
+                       "backend": args.backend,
+                       "rows": len(result),
+                       "fingerprint": compiled.fingerprint,
+                       "compile_seconds": round(compiled.compile_seconds, 6),
+                       "execute_seconds": round(runtime.execute_seconds, 6),
+                       "plan": runtime.to_dict()}
+            args.json_path.write_text(
+                json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+            print(f"-- JSON observation -> {args.json_path}", file=out)
 
     elif args.command == "store":
         import json as _json

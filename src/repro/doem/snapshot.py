@@ -38,7 +38,7 @@ from .model import DOEMDatabase
 
 __all__ = ["snapshot_at", "original_snapshot", "current_snapshot",
            "SnapshotCache", "SnapshotCacheStats", "snapshot_cache",
-           "cached_snapshot_at", "peek_snapshot_cache"]
+           "cached_snapshot_at"]
 
 
 def snapshot_at(doem: DOEMDatabase, when: object) -> OEMDatabase:
@@ -107,9 +107,10 @@ def current_snapshot(doem: DOEMDatabase) -> OEMDatabase:
 class SnapshotCacheStats:
     """Counters describing how a :class:`SnapshotCache` earned its keep.
 
-    ``lookups = exact_hits + incremental + full``; ``replayed_sets`` is
-    the number of change sets applied on the incremental path (the work a
-    full replay from ``O0(D)`` would multiply many times over).
+    ``lookups = exact_hits + incremental + full + store_hits``;
+    ``replayed_sets`` is the number of change sets applied on the
+    incremental path (the work a full replay from ``O0(D)`` would
+    multiply many times over).
 
     Counters are registered in the global metrics registry under
     ``repro.snapshot_cache``; the attributes remain the API.
@@ -133,22 +134,22 @@ class SnapshotCacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from a checkpoint (exact or base).
+        """Fraction of lookups the in-memory cache served (exact or base).
 
-        Durable-checkpoint hits (``store_hits``) count as hits: the
-        lookup replayed a bounded suffix instead of walking the whole
-        annotation graph, exactly like an in-memory incremental hit.
+        A lookup that loaded a durable checkpoint (``store_hits``) is a
+        miss here -- it read and decoded a full snapshot from disk -- and
+        keeps its own counter; counting it as a hit read 1.0 wherever a
+        checkpoint precedes every probe.
         """
         if not self.lookups:
             return 0.0
-        return (self.exact_hits + self.incremental
-                + self.store_hits) / self.lookups
+        return (self.exact_hits + self.incremental) / self.lookups
 
     def reset(self) -> None:
         self._metrics.reset()
 
     def as_dict(self) -> dict:
-        """Raw counters plus the hit rate, for profiles and artifacts."""
+        """Raw counters plus the hit rate, for artifacts and tests."""
         values = {name: getattr(self, name) for name in self._FIELDS}
         values["hit_rate"] = self.hit_rate
         return values
@@ -332,16 +333,6 @@ def snapshot_cache(doem: DOEMDatabase, capacity: int = 8) -> SnapshotCache:
             cache = SnapshotCache(doem, capacity=capacity)
             _CACHES[doem] = cache
         return cache
-
-
-def peek_snapshot_cache(doem: DOEMDatabase) -> SnapshotCache | None:
-    """The database's cache if one exists; never creates one.
-
-    The query profiler uses this to report cache activity without
-    perturbing the cache population it is observing.
-    """
-    with _CACHES_LOCK:
-        return _CACHES.get(doem)
 
 
 def cached_snapshot_at(doem: DOEMDatabase, when: object) -> OEMDatabase:

@@ -83,7 +83,7 @@ class IndexStats:
         self._metrics.reset()
 
     def as_dict(self) -> dict:
-        """Raw counters plus derived rates, for profiles and artifacts."""
+        """Raw counters plus derived rates, for artifacts and tests."""
         values = {name: getattr(self, name) for name in self._FIELDS}
         values["misses"] = self.misses
         values["hit_rate"] = self.hit_rate

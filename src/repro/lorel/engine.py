@@ -59,7 +59,6 @@ class LorelEngine:
         self._evaluator = Evaluator(self.view)
         self.use_planner = use_planner
         self.batch_size = resolve_batch_size(batch_size)
-        self.last_profile = None
         self.last_compiled: CompiledPlan | None = None
 
     def register_name(self, name: str, node_id: str) -> None:
@@ -109,21 +108,12 @@ class LorelEngine:
     # -- entry points ----------------------------------------------------
 
     def run(self, query: str | Query, *,
-            profile: bool = False, analyze: bool = False) -> QueryResult:
+            analyze: bool = False) -> QueryResult:
         """Parse (if needed), compile, optimize, and execute a query.
 
-        ``profile=True`` observes the run (identical rows) and leaves the
-        :class:`~repro.obs.profile.QueryProfile` on ``self.last_profile``.
         ``analyze=True`` collects per-operator runtime stats (identical
         rows); render them with ``self.last_compiled.explain(analyze=True)``.
         """
-        if profile:
-            if analyze:
-                raise ValueError("profile and analyze are mutually "
-                                 "exclusive; run them separately")
-            from ..obs.profile import profile_query
-            result, self.last_profile = profile_query(self, query)
-            return result
         with span("lorel.query"):
             if isinstance(query, str):
                 with span("lorel.parse"):

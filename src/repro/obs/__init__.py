@@ -1,7 +1,6 @@
-"""repro.obs: unified tracing, metrics, and query profiling.
+"""repro.obs: unified tracing, metrics, events and the query log.
 
-Three zero-dependency layers every query-serving component threads
-through:
+Zero-dependency layers every query-serving component threads through:
 
 * :mod:`repro.obs.trace` -- hierarchical wall-time spans with a
   process-global tracer that is a no-op (one boolean check, zero
@@ -11,9 +10,11 @@ through:
   fixed-bucket histograms; the pre-existing stats classes
   (``EngineStats``, ``IndexStats``, ``SnapshotCacheStats``) register
   themselves here while keeping their original attribute APIs;
-* :mod:`repro.obs.profile` -- an EXPLAIN-style per-query profiler
-  (``repro explain`` / ``repro profile`` on the CLI, ``profile=True`` on
-  the engines).
+* :mod:`repro.obs.querylog` -- one record per planner execution, keyed
+  by plan fingerprint (``/queries``, ``repro top``).
+
+Per-query observation is EXPLAIN ANALYZE (``analyze=True`` on the
+engines, ``repro analyze`` on the CLI; :mod:`repro.plan.analyze`).
 
 See ``docs/observability.md`` for the operator's guide.
 """
@@ -47,7 +48,6 @@ from .events import (
 )
 from .propagation import capture_task_telemetry, merge_task_telemetry
 from .http import MetricsHTTPServer, serve_metrics
-from .profile import QueryProfile, profile_query
 
 __all__ = [
     "Span", "Tracer", "TraceCapture", "get_tracer", "enable_tracing",
@@ -58,5 +58,4 @@ __all__ = [
     "disable_events", "emit_event", "event_log", "events_enabled",
     "capture_task_telemetry", "merge_task_telemetry",
     "MetricsHTTPServer", "serve_metrics",
-    "QueryProfile", "profile_query",
 ]

@@ -50,7 +50,7 @@ DEFAULT_CAPACITY = 256
 DEFAULT_SLOW_CAPACITY = 32
 MAX_AGGREGATES = 512
 
-# Engine class name -> the backend label the profiler already uses.
+# Engine class name -> the backend label (``repro explain --backend``).
 ENGINE_LABELS = {
     "LorelEngine": "lorel",
     "ChorelEngine": "chorel-native",
@@ -348,7 +348,7 @@ def record_engine_query(engine, compiled, result, execute_seconds: float, *,
         execute_seconds=execute_seconds,
         rules_fired=tuple(r.name for r in compiled.passes if r.fired),
         shards=shards,
-        indexed=compiled.is_indexed,
+        indexed=compiled.index_plan is not None,
         analyzed=plan_stats is not None,
     )
     plan_text = None

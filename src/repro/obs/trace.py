@@ -17,8 +17,9 @@ Typical use::
         ...
     print(get_tracer().export_json())
 
-The query profiler (:mod:`repro.obs.profile`) uses :meth:`Tracer.capture`
-to collect the spans of a single query without leaving tracing enabled.
+Worker-task telemetry (:mod:`repro.obs.propagation`) uses
+:meth:`Tracer.capture` to collect the spans of a single task without
+leaving tracing enabled.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class Tracer:
         Yields a :class:`TraceCapture` whose ``spans`` are filled in when
         the block exits.  The tracer's prior ``enabled`` state is
         restored; if tracing was off before, the captured spans are also
-        removed from ``roots`` so one-off profiling leaves no residue.
+        removed from ``roots`` so a one-off capture leaves no residue.
         """
         prior = self.enabled
         mark = len(self.roots)

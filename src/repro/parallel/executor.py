@@ -23,10 +23,10 @@ Two orthogonal parallelism axes, both with **deterministic merges**:
   serves all workers -- then each query compiles and executes on a
   worker, and results return in input order.
 
-Index pushdown is preserved: a query the planner lowers to an
-``AnnotationFilter`` is answered by the index scan (already O(log n +
-answers); slicing it thinner would only add overhead), with the engine's
-pushdown accounting intact.
+Index pushdown is preserved: a query index selection serves
+(``compiled.index_plan``) is answered by the index scan (already O(log n
++ answers); slicing it thinner would only add overhead), with the
+engine's pushdown accounting intact.
 
 The executor never mutates the underlying database; conversely, callers
 must not fold new history in *during* a parallel run -- the thread-safety
@@ -150,7 +150,7 @@ class ParallelExecutor:
             query = engine.parse(query)
         self._metrics["queries"].inc()
         compiled = engine._compile(query)
-        if compiled.is_indexed:
+        if compiled.index_plan is not None:
             # The annotation-index scan is already sublinear; let the
             # engine serve it (and keep its pushdown accounting).
             self._metrics["indexed_queries"].inc()
@@ -191,32 +191,26 @@ class ParallelExecutor:
                 return []
             self._acquire_shared()
             outcomes = self.pool.map_ordered(self._run_one, parsed)
-        results: list[QueryResult] = []
-        indexed = fallback = 0
-        for result, mode in outcomes:
-            results.append(result)
-            if mode == "indexed":
-                indexed += 1
-            elif mode == "fallback":
-                fallback += 1
         stats = getattr(engine, "stats", None)
-        if stats is not None and indexed + fallback:
+        if stats is not None:
             # Pushdown accounting is applied here, on the calling thread,
-            # so worker outcomes never race the CounterField descriptors.
+            # so worker outcomes never race the CounterField descriptors;
+            # the stored plan is the last query's, as after a serial loop.
+            indexed = sum(plan is not None for _, plan in outcomes)
             stats.indexed_queries += indexed
-            stats.fallback_queries += fallback
+            stats.fallback_queries += len(outcomes) - indexed
+            engine.last_plan = outcomes[-1][1]
             self._metrics["indexed_queries"].inc(indexed)
-        return results
+        return [result for result, _ in outcomes]
 
     def _run_one(self, parsed):
-        """Compile + execute one batch member (runs on a pool worker)."""
+        """Compile + execute one batch member (runs on a pool worker).
+
+        Returns ``(result, index plan or None)``.
+        """
         engine = self.engine
         compiled = engine._compile(parsed)
-        result = engine.execute(compiled)
-        if compiled.is_indexed:
-            return result, "indexed"
-        has_pushdown = getattr(engine, "stats", None) is not None
-        return result, ("fallback" if has_pushdown else "plain")
+        return engine.execute(compiled), compiled.index_plan
 
     # -- shared context --------------------------------------------------
 

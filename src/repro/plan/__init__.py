@@ -3,19 +3,17 @@
 Three stages (see ``docs/query-planner.md``):
 
 1. **Logical IR** (:mod:`repro.plan.ir`): ``Scan`` / ``PathExpand`` /
-   ``AnnotationFilter`` / ``Predicate`` / ``Project`` / ``Exchange``
-   plus the cross-time trio ``TimeRangeScan`` / ``DeltaProject`` /
-   ``VersionJoin``, lowered from the normalized Lorel/Chorel AST
-   (:mod:`repro.plan.lowering`).
+   ``Predicate`` / ``Project`` / ``Exchange`` plus the index trio
+   ``TimeRangeScan`` / ``DeltaProject`` / ``VersionJoin``, lowered from
+   the normalized Lorel/Chorel AST (:mod:`repro.plan.lowering`).
 2. **Rewrite passes** (:mod:`repro.plan.rules`): a rule-based
-   :class:`PassManager` running virtual-``<at T>`` expansion,
-   time-range recognition, annotation-literal pushdown, index
+   :class:`PassManager` running virtual-``<at T>`` expansion, index
    selection, and predicate reordering -- each with its own trace span
    and fired counter.
 3. **Physical operators** (:mod:`repro.plan.physical`): one batched
    operator model (:mod:`repro.plan.batch`) whose kernels are the
-   evaluator's staged methods, plus the range kernel (merged
-   timestamp-index scans; the single-time annotation-index scan is its
+   evaluator's staged methods, plus the index kernel (merged
+   timestamp-index scans; a single-time annotation is its one-kind
    ``[t, t]`` case) and the sharding ``Exchange``.
 
 Engines call :func:`compile_query` then :func:`execute_plan`; the
@@ -32,7 +30,6 @@ from .analyze import (
 from .batch import DEFAULT_BATCH_SIZE, EnvBatch, compile_predicate
 from .compiler import CompiledPlan, compile_query
 from .ir import (
-    AnnotationFilter,
     DeltaProject,
     Exchange,
     LogicalNode,
@@ -47,29 +44,24 @@ from .ir import (
 from .lowering import lower
 from .physical import (
     ExecutionContext,
-    execute_index_plan,
     execute_plan,
     execute_range_plan,
     insert_exchange,
     run_compiled,
 )
 from .rules import (
-    AnnotationLiteralPushdown,
     CompileContext,
     IndexSelection,
     PassManager,
     PassReport,
     PredicateReorder,
     RewriteRule,
-    TimeRangeStrategy,
     VirtualAtExpansion,
     default_rules,
 )
-from .stats import EngineStats, IndexPlan, RangePlan
+from .stats import EngineStats, RangePlan
 
 __all__ = [
-    "AnnotationFilter",
-    "AnnotationLiteralPushdown",
     "CardinalityFeedback",
     "CompileContext",
     "CompiledPlan",
@@ -80,7 +72,6 @@ __all__ = [
     "EngineStats",
     "Exchange",
     "ExecutionContext",
-    "IndexPlan",
     "IndexSelection",
     "LogicalNode",
     "OpStats",
@@ -95,13 +86,11 @@ __all__ = [
     "RewriteRule",
     "Scan",
     "TimeRangeScan",
-    "TimeRangeStrategy",
     "VersionJoin",
     "VirtualAtExpansion",
     "cardinality_feedback",
     "compile_query",
     "default_rules",
-    "execute_index_plan",
     "execute_plan",
     "execute_range_plan",
     "insert_exchange",

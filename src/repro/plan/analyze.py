@@ -41,7 +41,6 @@ from time import perf_counter
 from typing import Iterator, Optional
 
 from .ir import (
-    AnnotationFilter,
     DeltaProject,
     Exchange,
     LogicalNode,
@@ -170,8 +169,6 @@ def _estimate(node: LogicalNode, assign: dict[int, int]) -> int:
         est = max(1, child // PREDICATE_KEEP)
     elif isinstance(node, Project):
         est = _estimate(node.child, assign) if node.child is not None else 1
-    elif isinstance(node, AnnotationFilter):
-        est = PATH_FANOUT
     elif isinstance(node, TimeRangeScan):
         est = PATH_FANOUT * len(node.plan.kinds)
     elif isinstance(node, (DeltaProject, VersionJoin)):

@@ -107,11 +107,11 @@ class EnvBatch:
 
     def split(self, size: int) -> Iterator["EnvBatch"]:
         """Re-chunk into batches of at most ``size`` rows, order kept."""
-        if size <= 0 or len(self.rows) <= size:
-            yield self
-            return
-        for chunk in chunk_fixed(self.rows, size):
-            yield EnvBatch(chunk)
+        if size < 1:
+            raise ValueError(f"batch size must be positive, got {size}")
+        if len(self.rows) <= size:
+            return iter((self,))
+        return (EnvBatch(chunk) for chunk in chunk_fixed(self.rows, size))
 
     @staticmethod
     def concat(batches: list["EnvBatch"]) -> "EnvBatch":

@@ -7,8 +7,8 @@
 
 The returned :class:`CompiledPlan` carries the optimized logical tree,
 the per-pass firing report (what ``repro explain`` prints), and -- when
-index selection fired -- the :class:`~repro.plan.stats.IndexPlan` the
-``AnnotationFilter`` will scan.  Compilation cost is observable: a
+index selection fired -- the :class:`~repro.plan.stats.RangePlan` the
+``TimeRangeScan`` will scan.  Compilation cost is observable: a
 ``plan.compile`` trace span, the ``repro.plan.compiled`` counter, and the
 ``repro.plan.compile_seconds`` histogram (both gated by the bench
 baseline).
@@ -25,10 +25,10 @@ from ..obs.events import emit_event
 from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import span
 from .analyze import plan_fingerprint
-from .ir import AnnotationFilter, DeltaProject, LogicalNode, VersionJoin, render
+from .ir import DeltaProject, LogicalNode, VersionJoin, render
 from .lowering import lower
 from .rules import CompileContext, PassManager, PassReport, plan_metrics
-from .stats import IndexPlan, RangePlan
+from .stats import RangePlan
 
 __all__ = ["CompiledPlan", "compile_query", "COMPILE_SECONDS_METRIC"]
 
@@ -50,26 +50,11 @@ class CompiledPlan:
     runtime: object = None  # PlanStats, set by an analyze=True execution
 
     @property
-    def index_plan(self) -> Optional[IndexPlan]:
+    def index_plan(self) -> Optional[RangePlan]:
         """The index scan serving this query, if index selection fired."""
-        if isinstance(self.root, AnnotationFilter):
-            return self.root.plan
-        return None
-
-    @property
-    def is_indexed(self) -> bool:
-        return isinstance(self.root, AnnotationFilter)
-
-    @property
-    def range_plan(self) -> Optional[RangePlan]:
-        """The range scan serving this query, if the range rewrite fired."""
         if isinstance(self.root, (DeltaProject, VersionJoin)):
             return self.root.plan
         return None
-
-    @property
-    def is_range(self) -> bool:
-        return isinstance(self.root, (DeltaProject, VersionJoin))
 
     def explain(self, analyze: bool = False) -> str:
         """The optimized plan tree plus the pass-by-pass firing report.
@@ -120,13 +105,15 @@ def compile_query(query: Query, evaluator, *,
         fingerprint = plan_fingerprint(root)
         root, reports = PassManager(rules).run(root, ctx)
         elapsed = time.perf_counter() - started
+        compiled = CompiledPlan(source=query, normalized=normalized,
+                                root=root, labels=labels, passes=reports,
+                                compile_seconds=elapsed,
+                                fingerprint=fingerprint)
         plan_metrics()["compiled"].inc()
         metrics_registry().histogram(COMPILE_SECONDS_METRIC).observe(elapsed)
         emit_event("query_compiled", level="info",
-                   indexed=isinstance(root, AnnotationFilter),
+                   indexed=compiled.index_plan is not None,
                    fingerprint=fingerprint,
                    passes_fired=[r.name for r in reports if r.fired],
                    compile_seconds=round(elapsed, 6))
-    return CompiledPlan(source=query, normalized=normalized, root=root,
-                        labels=labels, passes=reports,
-                        compile_seconds=elapsed, fingerprint=fingerprint)
+    return compiled

@@ -1,6 +1,6 @@
 """The logical plan IR: a small algebra lowered from the Lorel/Chorel AST.
 
-Nine node kinds cover every query the engines accept:
+Eight node kinds cover every query the engines accept:
 
 * :class:`Scan` -- the ambient environment (database names, polling
   times, trigger pre-bindings); the leaf every chain starts from.
@@ -10,21 +10,18 @@ Nine node kinds cover every query the engines accept:
   least one solution.
 * :class:`Project` -- the select clause: emit one labeled row per
   surviving environment (set semantics apply downstream).
-* :class:`AnnotationFilter` -- the index-selection rewrite's terminal
-  node: answer the whole query from a timestamp-index scan described by
-  an :class:`~repro.plan.stats.IndexPlan`.
 * :class:`Exchange` -- the parallel boundary: materialize the source
   chain's environments, cut them into contiguous shards, and run the
   detached ``stages`` on pool workers, concatenating in shard order (the
   merge discipline that keeps sharded results order-identical to serial).
-* :class:`TimeRangeScan` -- the cross-time source leaf: enumerate the
+* :class:`TimeRangeScan` -- the index source leaf: enumerate the
   change events of a :class:`~repro.plan.stats.RangePlan`'s interval
   by merged timestamp-index scans, in one global deterministic order.
-* :class:`DeltaProject` -- the range rewrite's terminal for change
-  queries (``<changed>``, ``<last-change>``, range-restricted real
-  annotations): verify each scanned event backward along the plan's
-  path and project it into a result row.
-* :class:`VersionJoin` -- the range rewrite's terminal for version
+* :class:`DeltaProject` -- index selection's terminal for event queries
+  (real annotations pinned, ranged or free, ``<changed>``,
+  ``<last-change>``): verify each scanned event backward along the
+  plan's path and project it into a result row.
+* :class:`VersionJoin` -- index selection's terminal for version
   enumeration (``<at [a..b]>``): join the live path's node set against
   the scanned events, anchoring each node's in-range version sequence
   at the range's lower bound.
@@ -41,11 +38,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..lorel.ast import Condition, FromItem, Literal, SelectItem, TimeVar, VarRef
-from .stats import IndexPlan, RangePlan
+from .stats import RangePlan
 
 __all__ = ["LogicalNode", "Scan", "PathExpand", "Predicate", "Project",
-           "AnnotationFilter", "TimeRangeScan", "DeltaProject",
-           "VersionJoin", "Exchange", "render"]
+           "TimeRangeScan", "DeltaProject", "VersionJoin", "Exchange",
+           "render"]
 
 
 class LogicalNode:
@@ -126,27 +123,13 @@ class Project(LogicalNode):
 
 
 @dataclass(frozen=True)
-class AnnotationFilter(LogicalNode):
-    """Answer the whole query from an annotation-index scan.
-
-    Index selection replaces the entire ``Project`` chain with this
-    terminal node: the :class:`~repro.plan.stats.IndexPlan` carries the
-    interval, the path to verify backward, and the select list.
-    """
-
-    plan: IndexPlan
-
-    def describe(self) -> str:
-        return f"AnnotationFilter {self.plan.describe()}"
-
-
-@dataclass(frozen=True)
 class TimeRangeScan(LogicalNode):
-    """Enumerate change events inside a time range (the range source leaf).
+    """Enumerate change events inside a time range (the index source leaf).
 
     The :class:`~repro.plan.stats.RangePlan` names the event kinds and
-    the interval; the scan merges one timestamp-index range scan per
-    kind into a stream globally ordered by ``(time, kind, subject)``.
+    the interval (``[t, t]`` for a pinned single-time annotation); the
+    scan merges one timestamp-index range scan per kind into a stream
+    globally ordered by ``(time, kind, subject)``.
     """
 
     plan: RangePlan
@@ -159,11 +142,10 @@ class TimeRangeScan(LogicalNode):
 class DeltaProject(LogicalNode):
     """Verify and project scanned change events into result rows.
 
-    The range rewrite's terminal for change queries: each event from the
+    Index selection's terminal for event queries: each event from the
     child :class:`TimeRangeScan` is verified backward along the plan's
-    path (the same discipline as the ``AnnotationFilter`` kernel) and
-    built into a row; ``last-only`` plans keep the newest in-range event
-    per subject first.
+    path and built into a row; ``last-only`` plans keep the newest
+    in-range event per subject first.
     """
 
     plan: RangePlan
@@ -181,7 +163,7 @@ class DeltaProject(LogicalNode):
 class VersionJoin(LogicalNode):
     """Enumerate the versions of the path's nodes over the plan's range.
 
-    The range rewrite's terminal for ``<at [a..b]>``: the live path's
+    Index selection's terminal for ``<at [a..b]>``: the live path's
     node set is joined against the child :class:`TimeRangeScan`'s
     ``cre``/``upd`` events; a node that predates the range anchors one
     version at the lower bound, and each in-range event adds another.

@@ -24,9 +24,9 @@ The operators delegate single-binding work to the evaluator's staged API
 
 Two operators do more than plumb:
 
-* :func:`execute_range_plan` -- the range kernel behind
-  ``AnnotationFilter``, ``DeltaProject`` and ``VersionJoin``: a merged
-  timestamp-index range scan with backward path verification.
+* :func:`execute_range_plan` -- the index kernel behind ``DeltaProject``
+  and ``VersionJoin``: a merged timestamp-index range scan with backward
+  path verification.
 * the ``Exchange`` operator -- binds its source chain serially,
   shards the environments contiguously, runs the detached stages on
   pool workers, and concatenates in shard order.  Under a process pool
@@ -62,7 +62,6 @@ from .batch import (
     filter_rows,
 )
 from .ir import (
-    AnnotationFilter,
     DeltaProject,
     Exchange,
     LogicalNode,
@@ -73,11 +72,11 @@ from .ir import (
     TimeRangeScan,
     VersionJoin,
 )
-from .stats import TIME_LABELS, IndexPlan, RangePlan
+from .stats import RangePlan
 
-__all__ = ["ExecutionContext", "execute_plan", "execute_index_plan",
-           "execute_range_plan", "insert_exchange", "iter_batches",
-           "run_stages_on_rows", "run_compiled"]
+__all__ = ["ExecutionContext", "execute_plan", "execute_range_plan",
+           "insert_exchange", "iter_batches", "run_stages_on_rows",
+           "run_compiled"]
 
 
 @dataclass
@@ -85,7 +84,7 @@ class ExecutionContext:
     """Everything the operators need from the engine at execution time.
 
     ``index``/``paths``/``doem`` are only set by the indexed engine (the
-    ``AnnotationFilter`` kernel needs them); ``pool`` and the parallel
+    index kernel needs them); ``pool`` and the parallel
     knobs are only set when the :class:`~repro.parallel.executor.
     ParallelExecutor` drives execution.  ``batch_size`` is the batch
     width the operators re-establish after each expansion (positive).
@@ -339,15 +338,12 @@ def insert_exchange(root: LogicalNode) -> Optional[LogicalNode]:
 
 def execute_plan(root: LogicalNode, ctx: ExecutionContext) -> QueryResult:
     """Run a logical plan to a :class:`~repro.lorel.result.QueryResult`."""
-    if isinstance(root, AnnotationFilter):
-        return execute_index_plan(root.plan, ctx, node=root)
     if isinstance(root, (DeltaProject, VersionJoin)):
         return execute_range_plan(root.plan, ctx, node=root,
                                   versions=isinstance(root, VersionJoin))
     if not isinstance(root, Project):
-        raise TypeError(f"plan root must be Project, AnnotationFilter, "
-                        f"DeltaProject, or VersionJoin, "
-                        f"got {type(root).__name__}")
+        raise TypeError(f"plan root must be Project, DeltaProject, or "
+                        f"VersionJoin, got {type(root).__name__}")
     evaluator = ctx.evaluator
     stats = ctx.stats
     op = stats.op_for(root) if stats is not None else None
@@ -411,44 +407,14 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
 # The range kernel (TimeRangeScan + DeltaProject / VersionJoin)
 # ---------------------------------------------------------------------------
 #
-# One executor serves every time-travel shape.  A *scan* enumerates
+# One executor serves every index-served shape.  A *scan* enumerates
 # `(when, kind, subject)` change events -- merged per-kind
 # timestamp-index range scans -- in one global deterministic order, and
 # the terminal verifies each event backward along the plan's path before
-# building its row.  The single-time annotation path
-# (`AnnotationFilter`) is the degenerate case: `execute_index_plan`
-# wraps its `IndexPlan` as a one-kind `RangePlan` and runs the same
-# kernel.
+# building its row.  A single-time annotation is the one-kind case, its
+# interval usually pinned to `[t, t]`.
 
 _KIND_RANK = {"cre": 0, "upd": 1, "add": 2, "rem": 3}
-
-
-def execute_index_plan(plan: IndexPlan, ctx: ExecutionContext,
-                       node: AnnotationFilter | None = None) -> QueryResult:
-    """Serve an index-servable query entirely from the annotation index.
-
-    Since the cross-time refactor this is the degenerate single-kind
-    case of the range machinery: the ``IndexPlan``'s interval (usually
-    pinned to ``[t, t]``) becomes a :class:`~repro.plan.stats.RangePlan`
-    -- there is no separate single-time code path.
-    """
-    range_plan = RangePlan(
-        kinds=(plan.kind,),
-        labels=plan.labels,
-        root_name=plan.root_name,
-        at_var=plan.at_var,
-        from_var=plan.from_var,
-        to_var=plan.to_var,
-        object_var=plan.object_var,
-        low=plan.low,
-        high=plan.high,
-        include_low=plan.include_low,
-        include_high=plan.include_high,
-        select=plan.select,
-        object_label=plan.object_label,
-        time_label=TIME_LABELS[plan.kind],
-    )
-    return execute_range_plan(range_plan, ctx, node=node)
 
 
 def execute_range_plan(plan: RangePlan, ctx: ExecutionContext,

@@ -4,8 +4,8 @@ Each rule is an independent, individually-testable pass over the logical
 tree: ``apply(root, ctx) -> (new_root, fired)``.  The
 :class:`PassManager` runs them in order, opens a ``plan.pass.<name>``
 trace span around each, and bumps the ``repro.plan.rules_fired.<name>``
-counter when a pass changes the plan -- so EXPLAIN, profiles, and the
-bench baseline all see exactly which rules did work.
+counter when a pass changes the plan -- so EXPLAIN, the query log and
+the bench-scale sweep all see exactly which rules did work.
 
 The default pipeline, in order:
 
@@ -13,22 +13,16 @@ The default pipeline, in order:
    annotation literals (the virtual annotations of Section 4.2.2, and
    pinned real annotations alike) into internal timestamps at compile
    time, so neither the executor nor later passes re-parse them.
-2. ``time-range-strategy`` -- recognize the cross-time chain shapes
-   (``<changed>``, ``<last-change>``, range-restricted real annotations,
-   version-enumerating ``<at [a..b]>``) and replace the chain with a
-   :class:`~repro.plan.ir.DeltaProject` or
-   :class:`~repro.plan.ir.VersionJoin` over a
-   :class:`~repro.plan.ir.TimeRangeScan` (a merged timestamp-index
-   scan) carrying the resolved :class:`~repro.plan.stats.RangePlan`.
-3. ``annotation-literal-pushdown`` -- recognize the linear
-   root-to-annotation chain shape and build the candidate
-   :class:`~repro.plan.stats.IndexPlan`, folding a pinned annotation
-   literal into the degenerate interval ``[t, t]``.
-4. ``index-selection`` -- when the engine has an annotation index and the
-   candidate's where clause folds into one time interval with a
-   supported select list, replace the whole chain with a terminal
-   :class:`~repro.plan.ir.AnnotationFilter`.
-5. ``predicate-reorder`` -- hoist cheap, pure filter conjuncts (operands
+2. ``index-selection`` -- when the engine has an annotation index,
+   recognize the linear root-to-annotation chain ("events of kind K on
+   this path with T in an interval"), seed the interval from the
+   annotation's pinned time or ``in [a..b]`` range, fold the where
+   clause into it, and replace the whole chain with a
+   :class:`~repro.plan.ir.DeltaProject` (or
+   :class:`~repro.plan.ir.VersionJoin` for ``<at [a..b]>``) over a
+   :class:`~repro.plan.ir.TimeRangeScan` carrying the resolved
+   :class:`~repro.plan.stats.RangePlan`.
+3. ``predicate-reorder`` -- hoist cheap, pure filter conjuncts (operands
    are literals, time variables, or from-bound variables only) ahead of
    conjuncts that walk paths, preserving the relative order within each
    class.
@@ -60,7 +54,6 @@ from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import span
 from ..timestamps import Timestamp, is_timestamp_literal, parse_timestamp
 from .ir import (
-    AnnotationFilter,
     DeltaProject,
     LogicalNode,
     PathExpand,
@@ -70,23 +63,23 @@ from .ir import (
     TimeRangeScan,
     VersionJoin,
 )
-from .stats import TIME_LABELS, IndexPlan, RangePlan
+from .stats import TIME_LABELS, RangePlan
 
 __all__ = ["CompileContext", "PassReport", "RewriteRule", "PassManager",
-           "VirtualAtExpansion", "TimeRangeStrategy",
-           "AnnotationLiteralPushdown", "IndexSelection",
-           "PredicateReorder", "default_rules", "RULE_NAMES",
-           "plan_metrics", "fold_interval", "literal_time"]
+           "VirtualAtExpansion", "IndexSelection", "PredicateReorder",
+           "default_rules", "RULE_NAMES", "plan_metrics", "fold_interval",
+           "literal_time"]
 
-RULE_NAMES = ("virtual-at-expansion", "time-range-strategy",
-              "annotation-literal-pushdown", "index-selection",
+RULE_NAMES = ("virtual-at-expansion", "index-selection",
               "predicate-reorder")
 
-# Default result labels for the bound time variable of a cross-time
-# annotation (mirrors the evaluator's default-label table).
-_RANGE_TIME_LABELS = {"changed": "change-time",
-                      "last-change": "last-change-time",
-                      "at": "at-time"}
+# Default result labels for an annotation's bound time variable, real
+# kinds and cross-time kinds alike (mirrors the evaluator's
+# default-label table).
+_TIME_LABELS = {**TIME_LABELS,
+                "changed": "change-time",
+                "last-change": "last-change-time",
+                "at": "at-time"}
 
 _metrics_group = None
 
@@ -118,7 +111,6 @@ class CompileContext:
     has_index: bool = False
     allow_index: bool = True
     bound_names: frozenset = frozenset()
-    candidate: Optional[IndexPlan] = None
     notes: dict = field(default_factory=dict)
 
 
@@ -167,13 +159,11 @@ class PassManager:
 
 def default_rules() -> list[RewriteRule]:
     """The standard pipeline, in its required order."""
-    return [VirtualAtExpansion(), TimeRangeStrategy(),
-            AnnotationLiteralPushdown(), IndexSelection(),
-            PredicateReorder()]
+    return [VirtualAtExpansion(), IndexSelection(), PredicateReorder()]
 
 
 # ---------------------------------------------------------------------------
-# Chain-shape helpers shared by the pushdown rules
+# Chain-shape helpers shared by the rules
 # ---------------------------------------------------------------------------
 
 def linear_chain(root: LogicalNode):
@@ -212,7 +202,13 @@ def literal_time(expr, polling_times: dict) -> Timestamp | None:
     return None
 
 
-def fold_interval(condition: Condition, plan: IndexPlan,
+def _annotation_time(value, polling_times: dict) -> Timestamp | None:
+    """An annotation's own time operand (pin or range bound), resolved."""
+    operand = value if isinstance(value, TimeVar) else Literal(value)
+    return literal_time(operand, polling_times)
+
+
+def fold_interval(condition: Condition, plan: RangePlan,
                   polling_times: dict) -> bool:
     """Fold a conjunction of T-vs-literal comparisons into the plan."""
     if isinstance(condition, And):
@@ -229,13 +225,15 @@ def fold_interval(condition: Condition, plan: IndexPlan,
     when = literal_time(right, polling_times)
     if when is None:
         return False
+    return _narrow(plan, op, when)
+
+
+def _narrow(plan: RangePlan, op: str, when: Timestamp) -> bool:
+    """Intersect the plan's interval with ``T <op> when``."""
     if op in ("=", "=="):
         # An equality is the intersection of >= and <=.
-        if when > plan.low or (when == plan.low and not plan.include_low):
-            plan.low, plan.include_low = when, True
-        if when < plan.high or (when == plan.high and not plan.include_high):
-            plan.high, plan.include_high = when, True
-    elif op == ">":
+        return _narrow(plan, ">=", when) and _narrow(plan, "<=", when)
+    if op == ">":
         if when >= plan.low:
             plan.low, plan.include_low = when, False
     elif op == ">=":
@@ -258,9 +256,7 @@ def _chain_labels_annotation(items, ctx):
     Returns ``(labels, annotation, on_arc)`` when the chain starts at a
     name resolving to the root, walks plain labels only, and carries
     exactly one annotation on its final step (``on_arc`` says which
-    position); ``None`` for every other shape.  Shared by the index
-    pushdown and the time-range strategy, which differ only in which
-    annotation kinds they accept.
+    position); ``None`` for every other shape.
     """
     if not items:
         return None
@@ -302,7 +298,7 @@ def _chain_labels_annotation(items, ctx):
     return tuple(labels), annotation, on_arc
 
 
-def _select_supported(plan: IndexPlan) -> bool:
+def _select_supported(plan: RangePlan) -> bool:
     """Only the subject object and annotation variables may be selected."""
     allowed = {plan.at_var, plan.from_var, plan.to_var} - {None}
     for item in plan.select:
@@ -409,39 +405,35 @@ class VirtualAtExpansion(RewriteRule):
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: time-range strategy (the cross-time rewrite)
+# Pass 2: index selection
 # ---------------------------------------------------------------------------
 
-class TimeRangeStrategy(RewriteRule):
-    """Rewrite cross-time chains into timestamp-index range scans.
+class IndexSelection(RewriteRule):
+    """Rewrite annotation chains into timestamp-index range scans.
 
-    Recognizes the same linear root-anchored chain shape as the index
-    rules, but ending in a *range-family* annotation: ``<changed>`` /
-    ``<last-change>`` (node position scans ``cre``/``upd`` events, arc
-    position ``add``/``rem``), a real annotation restricted by
-    ``in [a..b]``, or the version-enumerating ``<at [a..b]>``.  The
-    whole chain becomes a :class:`~repro.plan.ir.DeltaProject` (or
+    A servable chain is a linear walk from a database name that resolves
+    to the root, through plain labels only, ending in exactly one
+    annotation that names change events: a real annotation (its 1-tuple
+    of kinds), ``<changed>`` / ``<last-change>`` (node position scans
+    ``cre``/``upd`` events, arc position ``add``/``rem``), or the
+    version-enumerating ``<at [a..b]>``.  The scan interval starts as the
+    annotation's ``in [a..b]`` range, a pinned time (``<add at 5Jan97>``)
+    intersects it with the degenerate ``[t, t]``, and the where clause
+    must fold into it entirely.  The whole chain becomes a
+    :class:`~repro.plan.ir.DeltaProject` (or
     :class:`~repro.plan.ir.VersionJoin` for versions) over a
     :class:`~repro.plan.ir.TimeRangeScan`.
 
-    The single-time annotation path is *not* a sibling of this rewrite:
-    the ``AnnotationFilter`` kernel executes as the degenerate ``[t, t]``
-    single-kind case of the same range machinery
-    (:func:`~repro.plan.physical.execute_index_plan`).
-
-    The pass recognizes; it does not choose.  Every range shape runs the
-    one physical strategy, the merged timestamp-index scan.
+    Requires an attached annotation index, no trigger pre-bindings, and
+    a select list the row builder supports; every other shape keeps the
+    general evaluator, which serves every annotation form directly.
     """
 
-    name = "time-range-strategy"
+    name = "index-selection"
 
     def apply(self, root, ctx):
-        if ctx.view is None or ctx.root_node is None:
-            return root, False
-        if not (ctx.has_index and ctx.allow_index):
-            # The range operators verify against the engine's path and
-            # timestamp indexes; engines without them keep the general
-            # evaluator (which serves every cross-time form directly).
+        if ctx.view is None or ctx.root_node is None \
+                or not (ctx.has_index and ctx.allow_index):
             return root, False
         chain = linear_chain(root)
         if chain is None:
@@ -452,13 +444,14 @@ class TimeRangeStrategy(RewriteRule):
             return root, False
         labels, annotation, on_arc = walked
         kinds = self._event_kinds(annotation, on_arc)
-        if kinds is None or annotation.at_literal is not None:
+        if kinds is None:
             return root, False
         versions = annotation.kind == "at"
         plan = RangePlan(
             kinds=kinds,
             labels=labels,
             root_name=items[0].path.start,
+            # Anonymous annotations (<add>) scan the full time axis.
             at_var=annotation.at_var or "__anon_T",
             from_var=annotation.from_var,
             to_var=annotation.to_var,
@@ -466,21 +459,25 @@ class TimeRangeStrategy(RewriteRule):
             last_only=annotation.kind == "last-change",
             select=project.select,
             object_label=labels[-1],
-            time_label=_RANGE_TIME_LABELS.get(annotation.kind,
-                                              TIME_LABELS.get(annotation.kind,
-                                                              "change-time")),
+            time_label=_TIME_LABELS[annotation.kind],
         )
+        pinned = annotation.at_literal is not None
+        if (plan.last_only or versions) and (pinned or condition is not None):
+            # Narrowing the scan filters per event, which does not
+            # commute with last-only selection or with the version
+            # anchor -- those shapes keep the general engine when a pin
+            # or a where clause would narrow them.
+            return root, False
         if not self._seed_range(plan, annotation.in_range, ctx):
             return root, False
-        if condition is not None:
-            # Interval folding filters per event, which does not commute
-            # with last-only selection or with the version anchor --
-            # those shapes keep the general engine when a where clause
-            # remains.
-            if plan.last_only or versions:
+        if pinned:
+            when = _annotation_time(annotation.at_literal, ctx.polling_times)
+            if when is None:
                 return root, False
-            if not fold_interval(condition, plan, ctx.polling_times):
-                return root, False
+            _narrow(plan, "=", when)
+        if condition is not None and \
+                not fold_interval(condition, plan, ctx.polling_times):
+            return root, False
         if not _select_supported(plan):
             return root, False
         scan = TimeRangeScan(plan)
@@ -495,26 +492,24 @@ class TimeRangeStrategy(RewriteRule):
         kind = annotation.kind
         if kind in ("changed", "last-change"):
             return ("add", "rem") if on_arc else ("cre", "upd")
-        if annotation.in_range is None:
-            return None  # single-time annotations: the index rules' job
-        if kind == "at":
-            # Version enumeration; the parser only allows the range-
-            # restricted <at> in node position.
-            return ("cre", "upd")
         if kind in TIME_LABELS:
             return (kind,)
+        if kind == "at" and annotation.in_range is not None:
+            # Version enumeration; the parser only allows the range-
+            # restricted <at> in node position.  The plain virtual
+            # <at t> reads one state, not events.
+            return ("cre", "upd")
         return None
 
     @staticmethod
     def _seed_range(plan: RangePlan, rng, ctx) -> bool:
         """Resolve the annotation's ``[a..b]`` bounds into the plan."""
         if rng is None:
-            return True  # unrestricted <changed>: the full time axis
+            return True  # unrestricted: the full time axis
         for bound, attr in ((rng.low, "low"), (rng.high, "high")):
             if bound is None:
                 continue
-            operand = bound if isinstance(bound, TimeVar) else Literal(bound)
-            when = literal_time(operand, ctx.polling_times)
+            when = _annotation_time(bound, ctx.polling_times)
             if when is None:
                 return False  # unresolvable bound: keep the general engine
             setattr(plan, attr, when)
@@ -522,112 +517,7 @@ class TimeRangeStrategy(RewriteRule):
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: annotation-literal pushdown (candidate construction + pinning)
-# ---------------------------------------------------------------------------
-
-class AnnotationLiteralPushdown(RewriteRule):
-    """Recognize the index-servable chain and push pinned literals down.
-
-    A candidate chain is a linear walk from a database name that resolves
-    to the root, through plain labels only, ending in exactly one real
-    (non-``at``) annotation.  A pinned time on that annotation
-    (``<add at 5Jan97>``) collapses the candidate's scan interval to the
-    degenerate ``[t, t]`` -- the naive engine's equality filter, pushed
-    into the index scan.  The candidate is recorded on the context for
-    ``index-selection``; the pass *fires* only when it narrowed an
-    interval.
-    """
-
-    name = "annotation-literal-pushdown"
-
-    def apply(self, root, ctx):
-        ctx.candidate = None
-        if ctx.view is None or ctx.root_node is None:
-            return root, False
-        chain = linear_chain(root)
-        if chain is None:
-            return root, False
-        project, items, _ = chain
-        candidate = self._candidate(project, items, ctx)
-        if candidate is None:
-            return root, False
-        plan, annotation = candidate
-        fired = False
-        if annotation.at_literal is not None:
-            pinned = literal_time(
-                annotation.at_literal if isinstance(annotation.at_literal,
-                                                    TimeVar)
-                else Literal(annotation.at_literal), ctx.polling_times)
-            if pinned is None:
-                return root, False
-            plan.low = plan.high = pinned
-            plan.include_low = plan.include_high = True
-            fired = True
-            ctx.notes[self.name] = f"pinned {plan.kind} at {pinned}"
-        ctx.candidate = plan
-        return root, fired
-
-    def _candidate(self, project: Project, items, ctx):
-        walked = _chain_labels_annotation(items, ctx)
-        if walked is None:
-            return None
-        labels, annotation, _on_arc = walked
-        if annotation.kind not in TIME_LABELS \
-                or annotation.in_range is not None:
-            # Virtual <at> and the cross-time family (changed,
-            # last-change, range-restricted real kinds) are the
-            # time-range strategy's shapes, not the index scan's.
-            return None
-        # Anonymous annotations (<add>) index-scan the full time axis.
-        at_var = annotation.at_var or "__anon_T"
-        plan = IndexPlan(
-            kind=annotation.kind,
-            labels=labels,
-            root_name=items[0].path.start,
-            at_var=at_var,
-            from_var=annotation.from_var,
-            to_var=annotation.to_var,
-            select=project.select,
-            object_label=labels[-1],
-            object_var=items[-1].var,
-        )
-        return plan, annotation
-
-
-# ---------------------------------------------------------------------------
-# Pass 4: index selection
-# ---------------------------------------------------------------------------
-
-class IndexSelection(RewriteRule):
-    """Replace the chain with an ``AnnotationFilter`` when the index fits.
-
-    Requires an attached annotation index, no trigger pre-bindings, a
-    candidate from the pushdown pass, a where clause that folds entirely
-    into one interval on the annotation's time variable, and a select
-    list the row builder supports.
-    """
-
-    name = "index-selection"
-
-    def apply(self, root, ctx):
-        plan = ctx.candidate
-        if plan is None or not (ctx.has_index and ctx.allow_index):
-            return root, False
-        chain = linear_chain(root)
-        if chain is None:
-            return root, False
-        _, _, condition = chain
-        if condition is not None:
-            if not fold_interval(condition, plan, ctx.polling_times):
-                return root, False
-        if not _select_supported(plan):
-            return root, False
-        ctx.notes[self.name] = plan.describe()
-        return AnnotationFilter(plan), True
-
-
-# ---------------------------------------------------------------------------
-# Pass 5: predicate reordering
+# Pass 3: predicate reordering
 # ---------------------------------------------------------------------------
 
 class PredicateReorder(RewriteRule):

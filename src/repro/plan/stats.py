@@ -1,11 +1,9 @@
 """Plan-layer accounting types: the index plan and the pushdown stats.
 
-These used to live in :mod:`repro.chorel.optimize`, below the engine that
-consumed them -- a layering inversion once the planner needed them too.
-:class:`IndexPlan` is the physical description of an annotation-index
-scan (the ``AnnotationFilter`` operator carries one); :class:`EngineStats`
-is the per-engine indexed-vs-fallback split.  ``repro.chorel.optimize``
-re-exports both, so existing imports keep working.
+:class:`RangePlan` is the physical description of an annotation-index
+scan (the ``TimeRangeScan`` leaf and its ``DeltaProject`` /
+``VersionJoin`` terminal carry one); :class:`EngineStats` is the
+per-engine indexed-vs-fallback split.
 """
 
 from __future__ import annotations
@@ -17,51 +15,24 @@ from ..lorel.ast import SelectItem
 from ..obs.metrics import CounterField, registry as metrics_registry
 from ..timestamps import NEG_INF, POS_INF, Timestamp
 
-__all__ = ["IndexPlan", "RangePlan", "EngineStats", "TIME_LABELS"]
+__all__ = ["RangePlan", "EngineStats", "TIME_LABELS"]
 
 TIME_LABELS = {"cre": "create-time", "add": "add-time",
                "rem": "remove-time", "upd": "update-time"}
 
 
 @dataclass
-class IndexPlan:
-    """A recognized index-servable query."""
-
-    kind: str                     # cre | upd | add | rem
-    labels: tuple[str, ...]       # plain labels of the path, in order
-    root_name: str                # the database name the path starts at
-    at_var: str
-    from_var: Optional[str]      # upd only
-    to_var: Optional[str]        # upd only
-    object_var: Optional[str] = None  # explicit range variable, if any
-    low: Timestamp = NEG_INF
-    high: Timestamp = POS_INF
-    include_low: bool = False
-    include_high: bool = True
-    select: tuple[SelectItem, ...] = ()
-    object_label: str = "answer"
-
-    def describe(self) -> str:
-        """Human-readable plan summary (for logs and tests)."""
-        lo = "[" if self.include_low else "("
-        hi = "]" if self.include_high else ")"
-        return (f"index-scan {self.kind} over "
-                f"{'.'.join((self.root_name,) + self.labels)} "
-                f"in {lo}{self.low}, {self.high}{hi}")
-
-
-@dataclass
 class RangePlan:
-    """A recognized range-servable cross-time query.
+    """A recognized index-servable annotation query.
 
-    The range analogue of :class:`IndexPlan`: ``kinds`` lists the *real*
-    event kinds to enumerate (``("cre", "upd")`` for a node-position
-    ``<changed>``, ``("add", "rem")`` for the arc position, a 1-tuple for
-    a range-restricted real annotation), the interval comes from the
-    annotation's ``in [a..b]`` range (inclusive on both present sides)
-    optionally narrowed by folded where conjuncts.  ``strategy`` names
-    the one physical source, merged per-kind
-    :class:`~repro.lore.indexes.TimestampIndex` scans.
+    "Events of kind K on this path with T in an interval": ``kinds``
+    lists the *real* event kinds to enumerate (``("cre", "upd")`` for a
+    node-position ``<changed>``, ``("add", "rem")`` for the arc position,
+    a 1-tuple for a real annotation), the interval comes from the
+    annotation's pinned time (the degenerate ``[t, t]``) or its
+    ``in [a..b]`` range (inclusive on both present sides), narrowed by
+    folded where conjuncts.  ``strategy`` names the one physical source,
+    merged per-kind :class:`~repro.lore.indexes.TimestampIndex` scans.
     """
 
     # A constant, not a field: there is one range strategy.  EXPLAIN
@@ -126,7 +97,7 @@ class EngineStats:
         self._metrics.reset()
 
     def as_dict(self) -> dict:
-        """Raw counters plus derived rates, for profiles and artifacts."""
+        """Raw counters plus derived rates, for artifacts and tests."""
         return {"indexed_queries": self.indexed_queries,
                 "fallback_queries": self.fallback_queries,
                 "total": self.total,

@@ -297,7 +297,6 @@ class DOEMManager:
         safe for *all* sharers and call this once.
         """
         from ..doem.compact import compact
-        from ..timestamps import parse_timestamp
 
         if self.shared_with(name):
             raise QSSError(
@@ -314,10 +313,8 @@ class DOEMManager:
             # state at the cutoff to the log's new origin.
             log.compact(before=parse_timestamp(when))
         # Identifier discipline is preserved: compaction only drops nodes,
-        # and dropped identifiers stay in the reserved set forever.
-        if self.cache_previous_result and key in self._previous:
-            # The cached previous result is a plain snapshot; unaffected.
-            pass
+        # and dropped identifiers stay in the reserved set forever.  The
+        # cached previous result is a plain snapshot; unaffected.
 
     def filter_engine(self, state: SubscriptionState) -> ChorelEngine:
         """A Chorel engine over the subscription's DOEM database.
@@ -353,8 +350,9 @@ class DOEMManager:
             "cached_nodes": 0,
             "cached_arcs": 0,
         }
-        if self.cache_previous_result and name in self._previous:
-            cached = self._previous[name]
+        key = self._key(name)
+        if self.cache_previous_result and key in self._previous:
+            cached = self._previous[key]
             sizes["cached_nodes"] = len(cached)
             sizes["cached_arcs"] = cached.arc_count()
         return sizes

@@ -320,7 +320,7 @@ def demo_world(days: int = 30) -> tuple[OEMDatabase, OEMHistory]:
     An append-only feed plus price churn: one ``item`` arc added under
     the root per day starting 1Jan97, with every third item's value
     later updated -- the workload the annotation indexes and snapshot
-    cache are built for.  ``repro explain`` profiles it out of the box,
+    cache are built for.  ``repro explain`` plans over it out of the box,
     ``repro store demo`` persists it, and the crash-recovery round-trip
     script replays it through a kill.
     """

@@ -37,6 +37,13 @@ INDEXABLE = [
     "select guide.<add at T>restaurant where 1Jan97 <= T",
     "select guide.<add at 5Jan97>restaurant",        # literal pin: [t, t]
     "select guide.<rem at 8Jan97>restaurant",        # literal pin, no hits
+    # The same pass serves the range family: one stored plan for all.
+    "select guide.<add at T in [1Jan97..5Jan97]>restaurant",
+    "select guide.<add at 5Jan97 in [1Jan97..8Jan97]>restaurant",
+    "select T from guide.restaurant.price<changed at T>",
+    "select guide.restaurant.price<changed at 1Jan97>",
+    "select R, T from guide.restaurant<last-change at T> R",
+    "select P from guide.restaurant.price<at [1Jan97..9Jan97]> P",
 ]
 
 FALLBACK = [
@@ -100,6 +107,23 @@ class TestPlanDetails:
         plan = indexed.last_plan
         assert not plan.include_low and plan.include_high
         assert "3Jan97" in plan.describe() and "5Jan97" in plan.describe()
+
+    def test_one_stored_plan(self, engines):
+        """Single-time and range queries land on the same attribute;
+        ``last_range_plan`` only aliases it for the pipeline benchmark."""
+        _, indexed = engines
+        for query, kinds in (
+                ("select guide.<add at 5Jan97>restaurant", ("add",)),
+                ("select T from guide.restaurant.price<changed at T>",
+                 ("cre", "upd"))):
+            indexed.run(query)
+            assert indexed.last_plan.kinds == kinds
+            assert indexed.last_range_plan is indexed.last_plan
+            assert indexed.last_plan is indexed.last_compiled.index_plan
+        indexed.run("select guide.restaurant")
+        assert indexed.last_plan is indexed.last_range_plan is None
+        with pytest.raises(AttributeError):
+            indexed.last_range_plan = None
 
     def test_timevar_bounds_resolve_via_polling_times(self, guide_doem):
         indexed = IndexedChorelEngine(guide_doem, name="guide")
@@ -250,7 +274,7 @@ class TestFreshnessCheckIsConstantTime:
         graph = doem.graph
         graph._out = NoFullPass(graph._out)
         assert sorted(map(str, indexed.run(query))) == expected
-        assert indexed.last_range_plan is not None
+        assert indexed.last_plan is not None
         assert indexed.paths.stats.rebuilds == 1
         with pytest.raises(AssertionError):
             list(graph.arcs())  # the guard does trip on a real walk

@@ -159,6 +159,52 @@ class TestCapture:
         assert cap.find("absent") is None
 
 
+class TestEngineSpans:
+    """The per-engine span trees docs/observability.md documents."""
+
+    UPD_QUERY = ("select T, NV from guide.restaurant.price<upd at T to NV> "
+                 "where T > 1Jan97")
+
+    @staticmethod
+    def phases(engine, query):
+        with get_tracer().capture() as cap:
+            engine.run(query)
+        [root] = cap.spans
+        return root.name, [child.name for child in root.children]
+
+    def test_native(self, guide_doem):
+        from repro import ChorelEngine
+        root, names = self.phases(ChorelEngine(guide_doem, name="guide"),
+                                  self.UPD_QUERY)
+        assert root == "chorel.query"
+        assert "chorel.parse" in names and "lorel.eval" in names
+
+    def test_indexed(self, guide_doem):
+        from repro import IndexedChorelEngine
+        engine = IndexedChorelEngine(guide_doem, name="guide")
+        # Single-time and range scans open the same span.
+        for query in (self.UPD_QUERY,
+                      "select T from guide.restaurant.price<changed at T>"):
+            root, names = self.phases(engine, query)
+            assert root == "chorel.query"
+            assert names == ["chorel.parse", "chorel.optimize",
+                             "chorel.index_scan"]
+
+    def test_translate(self, guide_doem):
+        from repro import TranslatingChorelEngine
+        root, names = self.phases(
+            TranslatingChorelEngine(guide_doem, name="guide"), self.UPD_QUERY)
+        assert root == "chorel.query"
+        assert {"chorel.parse", "chorel.translate", "lorel.eval"} <= set(names)
+
+    def test_lorel(self, guide_db):
+        from repro import LorelEngine
+        root, names = self.phases(LorelEngine(guide_db, name="guide"),
+                                  "select guide.restaurant.name")
+        assert root == "lorel.query"
+        assert "lorel.eval" in names
+
+
 class TestSerialization:
     def test_dict_round_trip(self):
         enable_tracing()

@@ -105,6 +105,39 @@ class TestEndToEnd:
         assert batch_engine.stats.fallback_queries == \
             serial_engine.stats.fallback_queries
 
+    @pytest.mark.parametrize("query", [
+        "select X from root.<add at 3Jan97>item X",              # pinned
+        "select T, X from root.<add at T>item X "
+        "where T >= 2Jan97 and T <= 5Jan97",                     # folded
+        "select T from root.item.price<changed at T in [2Jan97..5Jan97]>",
+        "select T from root.item.price<changed at T>",
+    ])
+    def test_one_served_by_the_index_predicate(self, query):
+        """Every entry point agrees on what "served by the index" means:
+        the pushdown split, the stored plan and the query log's flag."""
+        from repro.obs.querylog import query_log
+        _, _, doem = make_world(3)
+        observed = []
+        for how in ("run", "executor", "run_many"):
+            engine = IndexedChorelEngine(doem, name="root")
+            query_log().reset()
+            if how == "run":
+                rows = exact_rows(engine.run(query))
+            elif how == "executor":
+                with ParallelExecutor(engine, max_workers=2) as executor:
+                    rows = exact_rows(executor.run(query))
+            else:
+                [result] = engine.run_many([query], max_workers=2)
+                rows = exact_rows(result)
+            [record] = query_log().recent()
+            observed.append((rows, engine.stats.as_dict(),
+                             engine.last_plan.describe(),
+                             engine.last_range_plan is engine.last_plan,
+                             record.indexed))
+        assert observed[0] == observed[1] == observed[2]
+        assert observed[0][1]["pushdown_rate"] == 1.0
+        assert observed[0][4] is True
+
     def test_shared_pool_reused_across_executors(self):
         from repro.parallel import WorkerPool
         _, history, doem = make_world(2)

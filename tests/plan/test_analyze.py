@@ -110,14 +110,22 @@ class TestOperatorAccounting:
             assert stats.ops[0].rows_out == len(result) or \
                 stats.result_rows == len(result)
             assert "rows" in stats.render()
+            # The compile/execute split is read off the plan, not
+            # derived from span names.
+            assert engine.last_compiled.compile_seconds > 0.0
+            assert stats.execute_seconds > 0.0
 
     def test_indexed_pushdown_is_accounted(self, doem):
         engine = IndexedChorelEngine(doem, name="guide")
         result, stats = analyzed_stats(engine, INDEXED_QUERY)
-        assert engine.last_compiled.is_indexed
-        [op] = [op for op in stats.ops
-                if op.op.startswith("AnnotationFilter")]
-        assert op.rows_out == len(result)
+        assert engine.last_compiled.index_plan is engine.last_plan
+        # Single-time queries get the scan-vs-verify split: the scan
+        # counts the events it emitted, the terminal the rows it kept.
+        project, scan = stats.ops
+        assert project.op.startswith("DeltaProject add")
+        assert scan.op.startswith("TimeRangeScan ")
+        assert scan.rows_out == project.rows_in
+        assert project.rows_out == len(result)
 
     def test_uninstrumented_run_leaves_no_runtime(self, doem):
         engine = ChorelEngine(doem, name="guide")
@@ -131,10 +139,15 @@ class TestOperatorAccounting:
         with pytest.raises(ValueError, match="planner"):
             legacy.run(CHAIN_QUERY, analyze=True)
 
-    def test_profile_and_analyze_are_exclusive(self, doem):
-        engine = ChorelEngine(doem, name="guide")
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            engine.run(CHAIN_QUERY, profile=True, analyze=True)
+    def test_profile_argument_is_gone(self, doem):
+        """ANALYZE is the one per-query observation on every engine."""
+        for engine in (ChorelEngine(doem, name="guide"),
+                       IndexedChorelEngine(doem, name="guide"),
+                       TranslatingChorelEngine(doem, name="guide"),
+                       LorelEngine(make_guide_db(), name="guide")):
+            with pytest.raises(TypeError, match="profile"):
+                engine.run("select guide.restaurant", profile=True)
+            assert not hasattr(engine, "last_profile")
 
 
 class TestFingerprint:

@@ -163,9 +163,11 @@ class TestEnvBatch:
             assert [env for piece in pieces for env in piece.rows] == rows
             assert all(len(piece) <= size for piece in pieces)
 
-    def test_split_nonpositive_yields_whole(self):
-        batch = EnvBatch([{"i": 0}, {"i": 1}])
-        assert list(batch.split(0)) == [batch]
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_split_nonpositive_raises(self, size):
+        # At the call, not on first iteration -- like resolve_batch_size.
+        with pytest.raises(ValueError, match="positive"):
+            EnvBatch([{"i": 0}, {"i": 1}]).split(size)
 
     def test_concat_is_split_inverse(self):
         rows = [{"i": i} for i in range(7)]

@@ -28,8 +28,7 @@ from repro.lorel.ast import (
 )
 from repro.obs.metrics import registry as metrics_registry
 from repro.plan import (
-    AnnotationFilter,
-    AnnotationLiteralPushdown,
+    DeltaProject,
     Exchange,
     IndexSelection,
     PathExpand,
@@ -37,13 +36,15 @@ from repro.plan import (
     PredicateReorder,
     Project,
     Scan,
+    TimeRangeScan,
     VirtualAtExpansion,
     compile_query,
+    default_rules,
     insert_exchange,
     render,
 )
-from repro.plan.rules import fold_interval, plan_metrics
-from repro.plan.stats import IndexPlan
+from repro.plan.rules import RULE_NAMES, fold_interval, plan_metrics
+from repro.plan.stats import RangePlan
 from repro.timestamps import NEG_INF, POS_INF
 from tests.conftest import make_guide_db
 
@@ -138,39 +139,49 @@ class TestVirtualAtExpansion:
 
 
 class TestAnnotationLiteralPushdown:
+    """A pinned annotation time is pushed into the scan interval."""
+
     def rule_reports(self, engine, text):
         compiled = engine._compile(engine.parse(text))
         reports = {r.name: r for r in compiled.passes}
-        return compiled, reports["annotation-literal-pushdown"]
+        return compiled, reports["index-selection"]
 
     def test_literal_pin_collapses_interval(self, indexed):
         compiled, report = self.rule_reports(
             indexed, "select guide.<add at 5Jan97>restaurant")
         assert report.fired
-        assert "pinned add at 5Jan97" in report.note
         plan = compiled.index_plan
         assert plan is not None
+        assert plan.kinds == ("add",)
         assert plan.low == plan.high == parse_timestamp("5Jan97")
         assert plan.include_low and plan.include_high
 
-    def test_candidate_without_pin_does_not_fire(self, indexed):
-        compiled, report = self.rule_reports(
-            indexed, "select guide.<add at T>restaurant where T < 4Jan97")
-        assert not report.fired           # nothing was narrowed...
-        assert compiled.is_indexed        # ...but the candidate fed selection
+    def test_pin_intersects_the_annotation_range(self, indexed):
+        compiled, _ = self.rule_reports(
+            indexed,
+            "select guide.<add at 5Jan97 in [1Jan97..8Jan97]>restaurant")
+        plan = compiled.index_plan
+        assert plan.low == plan.high == parse_timestamp("5Jan97")
+        compiled, _ = self.rule_reports(
+            indexed,
+            "select guide.<add at 9Jan97 in [1Jan97..8Jan97]>restaurant")
+        plan = compiled.index_plan
+        assert plan.high < plan.low  # empty: the pin is outside the range
 
     def test_wildcard_produces_no_candidate(self, indexed):
         compiled, report = self.rule_reports(
             indexed, "select guide.#.comment<cre at T>")
         assert not report.fired
-        assert not compiled.is_indexed
+        assert compiled.index_plan is None
 
 
 class TestIndexSelection:
-    def test_selects_annotation_filter_when_index_present(self, indexed):
+    def test_selects_index_scan_when_index_present(self, indexed):
         compiled = indexed._compile(indexed.parse(
             "select guide.<add at T>restaurant where T < 4Jan97"))
-        assert isinstance(compiled.root, AnnotationFilter)
+        assert isinstance(compiled.root, DeltaProject)
+        assert isinstance(compiled.root.child, TimeRangeScan)
+        assert compiled.root.plan is compiled.root.child.plan
         report = {r.name: r for r in compiled.passes}["index-selection"]
         assert report.fired
         assert report.note == compiled.index_plan.describe()
@@ -178,7 +189,7 @@ class TestIndexSelection:
     def test_no_index_means_no_selection(self, chorel):
         compiled = chorel._compile(chorel.parse(
             "select guide.<add at T>restaurant where T < 4Jan97"))
-        assert not compiled.is_indexed
+        assert compiled.index_plan is None
         report = {r.name: r for r in compiled.passes}["index-selection"]
         assert not report.fired
 
@@ -186,14 +197,13 @@ class TestIndexSelection:
         compiled = indexed._compile(indexed.parse(
             'select N from guide.restaurant R, R.name N '
             'where R.<add at T>comment = "need info"'))
-        assert not compiled.is_indexed
+        assert compiled.index_plan is None
 
 
 class TestFoldInterval:
     def plan(self):
-        return IndexPlan(kind="add", labels=("restaurant",),
-                         root_name="guide", at_var="T", from_var=None,
-                         to_var=None, select=())
+        return RangePlan(kinds=("add",), labels=("restaurant",),
+                         root_name="guide", at_var="T")
 
     def ts(self, text):
         return parse_timestamp(text)
@@ -218,6 +228,16 @@ class TestFoldInterval:
         assert fold_interval(
             Comparison(VarRef("T"), "=", Literal(self.ts("5Jan97"))), plan, {})
         assert plan.low == plan.high == self.ts("5Jan97")
+
+    def test_equality_never_widens_an_exclusive_bound(self):
+        plan = self.plan()
+        when = Literal(self.ts("5Jan97"))
+        condition = And(Comparison(VarRef("T"), ">", when),
+                        Comparison(VarRef("T"), "=", when))
+        assert fold_interval(condition, plan, {})
+        # (5Jan97, 5Jan97] is empty, as T > t and T = t must be.
+        assert plan.low == plan.high == self.ts("5Jan97")
+        assert not plan.include_low
 
     def test_foreign_variable_refuses(self):
         plan = self.plan()
@@ -282,21 +302,12 @@ class TestRuleIsolation:
                                  rules=[PredicateReorder()])
         assert [r.name for r in compiled.passes] == ["predicate-reorder"]
 
-    def test_selection_without_pushdown_is_inert(self, indexed):
-        # IndexSelection depends on the pushdown pass's candidate.
+    def test_selection_alone_is_sufficient(self, indexed):
         parsed = indexed.parse("select guide.<add at T>restaurant")
         compiled = compile_query(parsed, indexed._evaluator,
                                  context=indexed._compile_context(None),
                                  rules=[IndexSelection()])
-        assert not compiled.is_indexed
-
-    def test_pushdown_then_selection_is_sufficient(self, indexed):
-        parsed = indexed.parse("select guide.<add at T>restaurant")
-        compiled = compile_query(parsed, indexed._evaluator,
-                                 context=indexed._compile_context(None),
-                                 rules=[AnnotationLiteralPushdown(),
-                                        IndexSelection()])
-        assert compiled.is_indexed
+        assert compiled.index_plan is not None
 
 
 class TestExchange:
@@ -336,13 +347,13 @@ class TestExplain:
         compiled = indexed._compile(indexed.parse(
             "select guide.<add at 5Jan97>restaurant"))
         text = compiled.explain()
-        assert text.splitlines()[0].startswith("AnnotationFilter ")
-        assert "passes:" in text
-        for name in ("virtual-at-expansion", "annotation-literal-pushdown",
-                     "index-selection", "predicate-reorder"):
-            assert name in text
-        fired = [line for line in text.splitlines()
-                 if line.strip().startswith("annotation-literal-pushdown")]
+        lines = text.splitlines()
+        assert lines[0] == "DeltaProject add"
+        assert lines[1].startswith("  TimeRangeScan range-scan add over ")
+        assert [line.split()[0] for line in lines[lines.index("passes:") + 1:]] \
+            == list(RULE_NAMES) == [rule.name for rule in default_rules()]
+        fired = [line for line in lines
+                 if line.strip().startswith("index-selection")]
         assert fired and "fired" in fired[0]
 
     def test_engine_compile_sets_last_compiled(self, chorel):

@@ -122,6 +122,12 @@ class TestDOEMManagerStrategies:
         lean = DOEMManager(cache_previous_result=False)
         self._run_polls(lean)
         assert lean.state_size("S")["cached_nodes"] == 0
+        # Under share_by_polling_query the cache is keyed by the DOEM's
+        # alias key, not the subscription name: same polls, same sizes.
+        aliased = DOEMManager(cache_previous_result=True)
+        aliased.set_alias("S", "w::select guide.restaurant")
+        self._run_polls(aliased)
+        assert aliased.state_size("S") == sizes
 
     def test_identifiers_never_reused(self):
         manager = DOEMManager()

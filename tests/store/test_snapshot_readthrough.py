@@ -28,11 +28,13 @@ class TestReadThrough:
         result = cache.snapshot_at(when)
         assert result.same_as(history.snapshot_at(db, when))
         assert cache.stats.store_hits == 1
-        # The durable hit counts toward the cache's hit rate.
-        assert cache.stats.hit_rate == 1.0
+        # A checkpoint load is its own counter, not a cache hit.
+        assert cache.stats.hit_rate == 0.0
         # A repeat is now an exact in-memory hit.
         cache.snapshot_at(when)
         assert cache.stats.exact_hits == 1
+        assert cache.stats.hit_rate == 0.5
+        assert cache.stats.as_dict()["store_hits"] == 1
         log.close()
 
     def test_detached_cache_still_correct(self, tmp_path):

@@ -151,72 +151,54 @@ DEMO_QUERY = "select T, X from root.<add at T>item X where T > 20Jan97"
 
 class TestExplainAndProfile:
     def test_explain_demo(self):
+        """Compile-only EXPLAIN: the plan tree and the pass report."""
+        from repro.obs.querylog import query_log
+        log = query_log()
+        log.reset()
         code, text = run_cli("explain", DEMO_QUERY)
         assert code == 0
-        assert text.startswith(f"EXPLAIN {DEMO_QUERY}")
-        assert "backend: chorel-indexed" in text
-        assert "plan:    index-scan add" in text
-        assert "chorel.index_scan" in text
-        assert "index.hit_rate" in text
+        lines = text.splitlines()
+        assert lines[0] == "-- EXPLAIN (indexed):"
+        assert lines[1] == "DeltaProject add"
+        assert lines[2].startswith(
+            "  TimeRangeScan range-scan add over root.item in (20Jan97, ")
+        assert "passes:" in lines
+        [fired] = [line for line in lines if "fired" in line]
+        assert fired.split()[0] == "index-selection"
+        assert not log.recent()  # nothing was executed
 
     def test_explain_backends(self):
-        for backend, label in (("native", "chorel-native"),
-                               ("translate", "chorel-translate")):
+        for backend, first_step in (("native", "root.<add at T>item X"),
+                                    ("translate", "root.&item-history")):
             code, text = run_cli("explain", DEMO_QUERY,
                                  "--backend", backend)
             assert code == 0
-            assert f"backend: {label}" in text
-
-    def test_backends_agree_on_rows(self):
-        import re
-        counts = set()
-        for backend in ("indexed", "native", "translate"):
-            code, text = run_cli("explain", DEMO_QUERY,
-                                 "--backend", backend)
-            assert code == 0
-            counts.add(re.search(r"rows:\s+(\d+)", text).group(1))
-        assert len(counts) == 1
-
-    def test_explain_with_json_sidecar(self, tmp_path):
-        import json
-        trace = tmp_path / "trace.json"
-        code, text = run_cli("explain", DEMO_QUERY, "--json", str(trace))
-        assert code == 0
-        assert f"-- JSON observation -> {trace}" in text
-        payload = json.loads(trace.read_text(encoding="utf-8"))
-        assert payload["backend"] == "chorel-indexed"
-        assert payload["trace"][0]["name"] == "chorel.query"
-
-    def test_profile_stdout_json(self):
-        import json
-        code, text = run_cli("profile", DEMO_QUERY)
-        assert code == 0
-        payload = json.loads(text)
-        assert payload["query"] == DEMO_QUERY
-        assert payload["rows"] > 0
-        assert "chorel.parse" in payload["phases"]
-
-    def test_profile_json_file(self, tmp_path):
-        import json
-        trace = tmp_path / "profile.json"
-        code, text = run_cli("profile", DEMO_QUERY, "--json", str(trace))
-        assert code == 0
-        assert "row(s)" in text
-        assert json.loads(trace.read_text(encoding="utf-8"))["rows"] > 0
+            assert f"-- EXPLAIN ({backend}):" in text
+            assert "Project [add-time, item]" in text
+            assert f"PathExpand {first_step}" in text
 
     def test_explain_against_store(self, doem_store):
         code, text = run_cli("explain", "select guide.<add at T>restaurant",
                              "--store", str(doem_store), "--db", "guidehist")
         assert code == 0
-        assert "backend: chorel-indexed" in text
-        assert "rows:    1" in text
+        assert "TimeRangeScan range-scan add over guide.restaurant" in text
 
     def test_store_requires_db(self, doem_store):
         code, _ = run_cli("explain", DEMO_QUERY, "--store", str(doem_store))
         assert code == 1
 
-    def test_profile_parse_error(self):
-        assert run_cli("profile", "select ???")[0] == 1
+    def test_explain_parse_error(self):
+        assert run_cli("explain", "select ???")[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("profile", DEMO_QUERY),
+        ("explain", DEMO_QUERY, "--json", "sidecar.json"),
+    ])
+    def test_profile_surface_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()  # argparse's usage message
 
 
 class TestAnalyze:
@@ -226,7 +208,7 @@ class TestAnalyze:
         assert "-- EXPLAIN ANALYZE (indexed):" in text
         assert "rows" in text and "time" in text  # per-operator stats
         assert "fingerprint:" in text
-        assert "-- 10 row(s)" in text
+        assert "-- 10 row(s); compile " in text and " ms, execute " in text
 
     def test_backends_agree_on_rows(self):
         import re
@@ -257,6 +239,9 @@ class TestAnalyze:
         assert payload["backend"] == "native"
         assert payload["rows"] == 10
         assert payload["fingerprint"]
+        assert payload["compile_seconds"] > 0.0
+        assert payload["execute_seconds"] == \
+            payload["plan"]["execute_seconds"] > 0.0
         ops = payload["plan"]["ops"]
         assert ops and ops[0]["rows_out"] == 10
         assert payload["plan"]["fingerprint"] == payload["fingerprint"]
@@ -265,7 +250,7 @@ class TestAnalyze:
         code, text = run_cli("analyze", "select guide.<add at T>restaurant",
                              "--store", str(doem_store), "--db", "guidehist")
         assert code == 0
-        assert "AnnotationFilter" in text
+        assert "DeltaProject add" in text and "TimeRangeScan" in text
 
     def test_analyze_parse_error(self):
         assert run_cli("analyze", "select ???")[0] == 1
