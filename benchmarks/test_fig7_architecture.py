@@ -2,22 +2,23 @@
 
 One server, multiple clients, multiple subscriptions over two different
 autonomous sources (the guide and the library), with DOEM state persisted
-through the Lore store (the "DOEM Store" box of Figure 7).  Measures a
-week of simulated operation across the whole system.
+through the change-log store (the "DOEM Store" and "Subscription Store"
+boxes of Figure 7).  Measures a week of simulated operation across the
+whole system.
 """
 
 from repro import (
     LibrarySource,
-    LoreStore,
     QSC,
     QSSServer,
     RestaurantGuideSource,
     Wrapper,
 )
+from repro.store import ChangeLogStore, close_store, sanitize_name
 
 
-def build_system():
-    server = QSSServer(start="1Dec96", deliver_empty=False)
+def build_system(store=None):
+    server = QSSServer(start="1Dec96", deliver_empty=False, store=store)
     server.register_wrapper(
         "guide", Wrapper(RestaurantGuideSource(seed=7, events_per_day=3.0),
                          name="guide"))
@@ -52,8 +53,8 @@ def build_system():
     return server, alice, bob
 
 
-def run_week():
-    server, alice, bob = build_system()
+def run_week(store=None):
+    server, alice, bob = build_system(store)
     server.run_until("8Dec96")
     return server, alice, bob
 
@@ -84,18 +85,21 @@ def test_fig7_full_system_week(benchmark, record_artifact):
 
 
 def test_fig7_doem_store_persistence(benchmark, tmp_path):
-    """The DOEM Store: persist and reload every subscription's state."""
-    server, _, _ = run_week()
-    store = LoreStore(tmp_path)
+    """The DOEM Store: a store-backed server's week, reloaded from the
+    change log alone (every subscription's DOEM, no source polled)."""
+    path = tmp_path / "st"
+    server, _, _ = run_week(store=path)
+    server.close()
+    names = [state.subscription.name
+             for state in server.subscriptions.states()]
 
-    def persist_and_reload():
-        for state in server.subscriptions.states():
-            name = state.subscription.name
-            store.put_doem(name, server.doems.doem(name))
-        fresh = LoreStore(tmp_path)
-        return [fresh.get_doem(state.subscription.name)
-                for state in server.subscriptions.states()]
+    def reload():
+        close_store(path)
+        with ChangeLogStore(path, "ro") as store:
+            return [store.get_doem(sanitize_name(name)) for name in names]
 
-    restored = benchmark.pedantic(persist_and_reload, rounds=3, iterations=1)
-    for state, doem in zip(server.subscriptions.states(), restored):
-        assert doem.same_as(server.doems.doem(state.subscription.name))
+    restored = benchmark.pedantic(reload, rounds=3, iterations=1)
+    for name, doem in zip(names, restored):
+        assert doem.same_as(server.doems.doem(name))
+    with ChangeLogStore(path, "ro") as store:
+        assert sorted(store.subscriptions()) == sorted(names)

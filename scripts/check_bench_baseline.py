@@ -4,8 +4,8 @@
 Usage::
 
     python scripts/check_bench_baseline.py \
-        benchmarks/artifacts/BENCH_store.json \
-        benchmarks/baselines/BENCH_store_baseline.json
+        benchmarks/artifacts/BENCH_obs.json \
+        benchmarks/baselines/BENCH_obs_baseline.json
 
 Every key present in the baseline must exist in the artifact with a
 *matching* value -- the baseline deliberately contains only the
@@ -27,17 +27,10 @@ whichever bench families the artifact contains:
   cost less than 5% over a plain run (``overhead.ratio`` < 1.05),
   return identical rows with an internally consistent stats tree
   (``equivalence.*`` == 0), and the sweeps must have landed in the
-  query log (``queries.recorded`` > 0);
-* ``bench_store.*`` -- the checkpointed time-travel gate: resolving
-  ``Ot(D)`` by nearest-checkpoint load + bounded replay must cost less
-  than half of replay-from-origin (``wall.ratio`` < 0.5, i.e. at least
-  a 2x speedup), both postures must agree with the in-memory ground
-  truth (``equivalence.snapshot_mismatches`` == 0), and the fast path
-  must actually have served from checkpoints
-  (``store.snapshots_from_checkpoint`` > 0).
+  query log (``queries.recorded`` > 0).
 
-Exit status: 0 clean, 1 on any divergence (the CI bench-regression,
-telemetry-overhead and analyze-overhead jobs gate on it).
+Exit status: 0 clean, 1 on any divergence (the CI telemetry-overhead
+and analyze-overhead jobs gate on it).
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ from pathlib import Path
 
 OBS_OVERHEAD_LIMIT = 1.05
 ANALYZE_OVERHEAD_LIMIT = 1.05
-STORE_SPEEDUP_LIMIT = 0.5
 
 
 def fail(message: str) -> None:
@@ -112,29 +104,6 @@ def _check_analyze(artifact: dict) -> str:
             f"{recorded} query-log record(s)")
 
 
-def _check_store(artifact: dict) -> str:
-    ratio = artifact.get("bench_store.wall.ratio")
-    if not isinstance(ratio, (int, float)) or ratio <= 0:
-        fail(f"bench_store.wall.ratio is {ratio!r}; the bench did not "
-             f"record the checkpointed/origin-replay wall-clock ratio")
-    if ratio >= STORE_SPEEDUP_LIMIT:
-        fail(f"checkpointed/origin-replay ratio {ratio} >= "
-             f"{STORE_SPEEDUP_LIMIT}; nearest-checkpoint resolution "
-             f"stopped beating full replay by 2x")
-    mismatches = artifact.get("bench_store.equivalence.snapshot_mismatches",
-                              "<missing>")
-    if mismatches != 0:
-        fail(f"bench_store.equivalence.snapshot_mismatches is "
-             f"{mismatches!r}; the checkpoint fast path changed Ot(D)")
-    served = artifact.get("bench_store.store.snapshots_from_checkpoint", 0)
-    if served <= 0:
-        fail(f"bench_store.store.snapshots_from_checkpoint is {served!r}; "
-             f"no probe was served from a checkpoint, so the speedup "
-             f"measurement is vacuous")
-    return (f"checkpointed Ot(D) ratio {ratio} < {STORE_SPEEDUP_LIMIT}, "
-            f"{served} probe(s) served from checkpoints")
-
-
 def main(argv: list[str]) -> None:
     if len(argv) != 3:
         fail(f"usage: {argv[0]} <artifact.json> <baseline.json>")
@@ -161,11 +130,9 @@ def main(argv: list[str]) -> None:
         notes.append(_check_obs(artifact))
     if "bench_analyze.overhead.ratio" in artifact:
         notes.append(_check_analyze(artifact))
-    if "bench_store.wall.ratio" in artifact:
-        notes.append(_check_store(artifact))
     if not notes:
         fail("artifact contains no recognized bench family "
-             "(bench_obs.*, bench_analyze.*, or bench_store.*)")
+             "(bench_obs.* or bench_analyze.*)")
 
     print(f"baseline check OK: {len(baseline)} series match, "
           + "; ".join(notes))

@@ -106,11 +106,8 @@ from .triggers import Activation, Event, Rule, TriggerManager
 from .lore import (
     AnnotationIndex,
     IndexStats,
-    LabelIndex,
-    LoreStore,
     PathIndex,
     TimestampIndex,
-    ValueIndex,
 )
 from .diff import apply_diff, html_diff, html_to_oem, id_diff, match_snapshots, oem_diff
 from .qss import (
@@ -173,8 +170,7 @@ __all__ = [
     # triggers (Section 7 future work)
     "TriggerManager", "Rule", "Event", "Activation",
     # lore
-    "LoreStore", "LabelIndex", "ValueIndex", "AnnotationIndex",
-    "TimestampIndex", "PathIndex", "IndexStats",
+    "AnnotationIndex", "TimestampIndex", "PathIndex", "IndexStats",
     # diff
     "match_snapshots", "oem_diff", "apply_diff", "id_diff",
     "html_to_oem", "html_diff",

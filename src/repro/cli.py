@@ -8,7 +8,7 @@ Subcommands (``python -m repro <cmd> --help`` for details):
 * ``diff OLD NEW``             -- infer the change set between snapshots;
 * ``htmldiff OLD NEW``         -- marked-up HTML diff (Figure 1);
 * ``history STORE NAME``       -- show the encoded history of a stored
-  DOEM database (from a Lore store directory);
+  DOEM database (from a change-log store);
 * ``timeline STORE NAME NODE`` -- one object's full change history;
 * ``chorel STORE NAME QUERY``  -- run a Chorel query over a stored DOEM
   database (native engine; ``--translate`` shows/uses the Lorel
@@ -35,14 +35,13 @@ Subcommands (``python -m repro <cmd> --help`` for details):
   metrics registry, local or scraped from a ``serve-metrics`` URL; the
   table view appends per-fingerprint query-log aggregates when this
   process has executed planner queries, and ``--store PATH`` adds a
-  change-log store section.
+  change-log store section (histories and recorded subscriptions).
 
 ``history``, ``timeline``, ``chorel``, and the ``--store`` flag of
-``explain``/``analyze`` accept either a Lore store directory
-or a change-log store (detected by its ``.doemstore`` marker); a
-change-log store is opened read-only through the process-shared handle,
-so the tools observe the same live history a QSS server in this process
-is serving.
+``explain``/``analyze`` read a change-log store (a directory with a
+``.doemstore`` marker), opened read-only through the process-shared
+handle, so the tools observe the same live history a QSS server in this
+process is serving.
 
 The global ``--events PATH`` flag (or the ``REPRO_EVENTS`` environment
 variable) turns on the structured JSONL event log for any subcommand.
@@ -62,9 +61,8 @@ from .chorel import ChorelEngine, TranslatingChorelEngine
 from .diff import html_diff, oem_diff
 from .doem.extract import encoded_history
 from .errors import ReproError
-from .lore.storage import LoreStore
 from .lorel import LorelEngine
-from .oem.serialize import dumps, loads
+from .oem.serialize import loads
 
 __all__ = ["main", "build_parser"]
 
@@ -116,18 +114,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     history = commands.add_parser(
         "history", help="show the encoded history H(D) of a stored DOEM db")
-    history.add_argument("store", type=Path, help="Lore store directory")
+    history.add_argument("store", type=Path, help="change-log store directory")
     history.add_argument("name", help="stored DOEM database name")
 
     timeline = commands.add_parser(
         "timeline", help="show one object's full change history")
-    timeline.add_argument("store", type=Path, help="Lore store directory")
+    timeline.add_argument("store", type=Path, help="change-log store directory")
     timeline.add_argument("name", help="stored DOEM database name")
     timeline.add_argument("node", help="object identifier")
 
     chorel = commands.add_parser(
         "chorel", help="run a Chorel query over a stored DOEM database")
-    chorel.add_argument("store", type=Path, help="Lore store directory")
+    chorel.add_argument("store", type=Path, help="change-log store directory")
     chorel.add_argument("name", help="stored DOEM database name")
     chorel.add_argument("text", help="the Chorel query")
     chorel.add_argument("--db-name", default=None,
@@ -145,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(command, help=summary)
         sub.add_argument("text", help="the Chorel query")
         sub.add_argument("--store", type=Path, default=None,
-                         help="Lore store directory (default: a built-in "
-                              "demo history)")
+                         help="change-log store directory (default: a "
+                              "built-in demo history)")
         sub.add_argument("--db", default=None,
                          help="stored DOEM database name (with --store)")
         sub.add_argument("--db-name", default=None,
@@ -245,27 +243,23 @@ def _demo_doem():
 
 
 def _open_doem(store_path: Path, name: str | None):
-    """A DOEM database from ``--store``: change-log store or Lore store.
+    """A DOEM database from a change-log store.
 
-    A change-log store (``.doemstore`` marker) is opened read-only
-    through the process-shared handle, so a CLI invocation in the same
-    process as a serving :class:`~repro.qss.server.QSSServer` observes
-    the *served* history rather than constructing an independent copy;
-    the rebuilt DOEM's snapshot cache reads through the store's durable
-    checkpoints.  Any other directory is treated as a Lore store.
+    The store is opened read-only through the process-shared handle, so
+    a CLI invocation in the same process as a serving
+    :class:`~repro.qss.server.QSSServer` observes the *served* history
+    rather than constructing an independent copy; the rebuilt DOEM's
+    snapshot cache reads through the store's durable checkpoints.
     """
-    from .store import is_store, open_store
+    from .doem.snapshot import snapshot_cache
+    from .store import open_store
 
     if name is None:
         raise ReproError("--store requires --db NAME")
-    if is_store(store_path):
-        store = open_store(store_path, "ro")
-        log = store.log(name)
-        doem = log.get_doem()
-        from .doem.snapshot import snapshot_cache
-        snapshot_cache(doem).attach_store(log)
-        return doem
-    return LoreStore(store_path).get_doem(name)
+    log = open_store(store_path, "ro").log(name)
+    doem = log.get_doem()
+    snapshot_cache(doem).attach_store(log)
+    return doem
 
 
 def _load_oem(path: Path):
@@ -423,6 +417,8 @@ def _run(args: argparse.Namespace, out) -> int:
                         print(f"  problem: {problem}", file=out)
                     for fixed in history["repaired"]:
                         print(f"  repaired: {fixed}", file=out)
+                for problem in report["problems"]:
+                    print(f"problem: {problem}", file=out)
                 print("store: ok" if report["ok"]
                       else "store: PROBLEMS FOUND", file=out)
             return 0 if report["ok"] else 1
@@ -524,10 +520,12 @@ def _render_top(snapshot: dict) -> str:
 
 def _render_store(info: dict) -> str:
     """The store section (``repro store info`` / ``repro top --store``):
-    one line per history, durable shape at a glance."""
+    one line per history, durable shape at a glance, then one line per
+    recorded subscription."""
     lines = [f"store {info['path']}: {len(info['histories'])} history(ies), "
              f"{info['change_sets']} change set(s), "
-             f"{info['checkpoints']} checkpoint(s)",
+             f"{info['checkpoints']} checkpoint(s), "
+             f"{len(info['subscriptions'])} subscription(s)",
              f"{'history':<24} {'gen':>4} {'segs':>5} {'sets':>6} "
              f"{'ops':>7} {'ckpts':>5} {'nodes':>7}  span",
              "-" * 78]
@@ -542,6 +540,10 @@ def _render_store(info: dict) -> str:
             lines.append(f"  (recovered torn tail: {h['recovered_tail']})")
     if not info["histories"]:
         lines.append("(no histories)")
+    for name, sub in info["subscriptions"].items():
+        lines.append(f"subscription {name}: wrapper {sub['wrapper']}, "
+                     f"DOEM key {sub['doem_key']!r}, {sub['polls']} "
+                     f"poll(s), last {sub['last_poll']}")
     return "\n".join(lines)
 
 

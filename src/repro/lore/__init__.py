@@ -1,30 +1,22 @@
-"""A miniature Lore: persistent storage and indexes for OEM/DOEM databases.
+"""A miniature Lore: the indexes the query planner reads.
 
 The paper implements DOEM and Chorel "on top of" the Lore DBMS [MAG+97],
-which supplies object storage and query processing for OEM.  This package
-is the corresponding substrate in pure Python:
+which supplies object storage and query processing for OEM.  Storage is
+:mod:`repro.store` (one change-log store for OEM histories, DOEM
+databases and QSS subscriptions); this package is the index half:
 
-* :class:`~repro.lore.storage.LoreStore` -- a named collection of OEM and
-  DOEM databases with file persistence (the QSS "DOEM Store" of Figure 7);
-* :mod:`~repro.lore.indexes` -- label, value, and **annotation** indexes.
-  Annotation indexes (by kind and timestamp) are the paper's Section 7
-  future-work item; the index-ablation benchmark measures what they buy.
+* :class:`~repro.lore.indexes.AnnotationIndex` -- annotations by kind
+  and timestamp, the paper's Section 7 future-work item; the
+  index-ablation benchmark measures what it buys.
   :class:`~repro.lore.indexes.TimestampIndex` is the incrementally
   maintained variant (attached to a DOEM database via its annotation
-  listeners) and :class:`~repro.lore.indexes.PathIndex` memoizes
-  label-path reachability for Lorel/Chorel path evaluation; both carry
-  :class:`~repro.lore.indexes.IndexStats` hit-rate counters.
+  listeners);
+* :class:`~repro.lore.indexes.PathIndex` -- memoized label-path
+  reachability for Lorel/Chorel path evaluation.
+
+Both carry :class:`~repro.lore.indexes.IndexStats` hit-rate counters.
 """
 
-from .storage import LoreStore
-from .indexes import (
-    AnnotationIndex,
-    IndexStats,
-    LabelIndex,
-    PathIndex,
-    TimestampIndex,
-    ValueIndex,
-)
+from .indexes import AnnotationIndex, IndexStats, PathIndex, TimestampIndex
 
-__all__ = ["LoreStore", "LabelIndex", "ValueIndex", "AnnotationIndex",
-           "TimestampIndex", "PathIndex", "IndexStats"]
+__all__ = ["AnnotationIndex", "TimestampIndex", "PathIndex", "IndexStats"]

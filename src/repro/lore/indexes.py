@@ -1,38 +1,30 @@
-"""Indexes over OEM graphs and DOEM annotations.
+"""Indexes over DOEM annotations and label paths.
 
-Lore maintains label and value indexes to accelerate path-expression
-evaluation; the paper's future-work list adds "indexes on annotations
-(based on their types and timestamps) ... to achieve a more efficient
-translation of Chorel queries" (Section 7).  All three are implemented
-here as explicit, rebuildable structures:
+The paper's future-work list asks for "indexes on annotations (based on
+their types and timestamps) ... to achieve a more efficient translation
+of Chorel queries" (Section 7).  These are the indexes the planner
+reads:
 
-* :class:`LabelIndex` -- label -> arcs (parent, child) pairs;
-* :class:`ValueIndex` -- exact-match hash plus a sorted array for range
-  scans over comparable atomic values;
 * :class:`AnnotationIndex` -- (annotation kind, timestamp range) ->
   annotated nodes/arcs, the structure the QSS filter queries (``T >
-  t[-1]``) want.
-
-The indexes are deliberately *not* wired invisibly into the evaluator;
-the benchmarks compare indexed scans against full evaluator scans to
-quantify the ablation.
+  t[-1]``) want; :class:`TimestampIndex` is its incrementally
+  maintained variant;
+* :class:`PathIndex` -- memoized label-path reachability.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..doem.annotations import Add, Annotation, Cre, Rem, Upd
 from ..doem.model import DOEMDatabase
 from ..obs.metrics import CounterField, registry as metrics_registry
-from ..oem.model import Arc, OEMDatabase
-from ..oem.values import COMPLEX, is_atomic_value
+from ..oem.model import OEMDatabase
 from ..timestamps import NEG_INF, POS_INF, Timestamp, parse_timestamp
 
-__all__ = ["LabelIndex", "ValueIndex", "AnnotationIndex", "TimestampIndex",
-           "PathIndex", "IndexStats"]
+__all__ = ["AnnotationIndex", "TimestampIndex", "PathIndex", "IndexStats"]
 
 
 class IndexStats:
@@ -94,120 +86,6 @@ class IndexStats:
                 f"misses={self.misses} hit_rate={self.hit_rate:.2f} "
                 f"visited={self.visited} inserts={self.inserts} "
                 f"rebuilds={self.rebuilds}")
-
-
-class LabelIndex:
-    """An inverted index from arc labels to the arcs bearing them."""
-
-    def __init__(self, db: OEMDatabase | None = None) -> None:
-        self._by_label: dict[str, list[Arc]] = {}
-        if db is not None:
-            self.rebuild(db)
-
-    def rebuild(self, db: OEMDatabase) -> None:
-        """Re-scan the database and rebuild the index from scratch."""
-        self._by_label = {}
-        for arc in db.arcs():
-            self._by_label.setdefault(arc.label, []).append(arc)
-
-    def arcs(self, label: str) -> list[Arc]:
-        """All arcs labeled ``label``."""
-        return list(self._by_label.get(label, ()))
-
-    def labels(self) -> list[str]:
-        """All distinct labels, sorted."""
-        return sorted(self._by_label)
-
-    def parents_of_label(self, label: str) -> set[str]:
-        """Distinct sources of ``label`` arcs."""
-        return {arc.source for arc in self._by_label.get(label, ())}
-
-    def count(self, label: str) -> int:
-        """Number of arcs labeled ``label``."""
-        return len(self._by_label.get(label, ()))
-
-
-class ValueIndex:
-    """Exact and range lookup of atomic node values.
-
-    Values are partitioned by coarse type (number / string / timestamp /
-    bool) so that range scans stay well-ordered; Lorel's coercing
-    comparisons can consult both the number and string partitions when a
-    literal is ambiguous.
-    """
-
-    _NUMBER = "number"
-    _STRING = "string"
-    _TIMESTAMP = "timestamp"
-    _BOOL = "bool"
-
-    def __init__(self, db: OEMDatabase | None = None) -> None:
-        self._exact: dict[tuple[str, object], list[str]] = {}
-        self._sorted: dict[str, list[tuple[object, str]]] = {}
-        if db is not None:
-            self.rebuild(db)
-
-    @classmethod
-    def _partition(cls, value: object) -> str | None:
-        if isinstance(value, bool):
-            return cls._BOOL
-        if isinstance(value, (int, float)):
-            return cls._NUMBER
-        if isinstance(value, Timestamp):
-            return cls._TIMESTAMP
-        if isinstance(value, str):
-            return cls._STRING
-        return None
-
-    def rebuild(self, db: OEMDatabase) -> None:
-        """Re-scan the database and rebuild the index from scratch."""
-        self._exact = {}
-        buckets: dict[str, list[tuple[object, str]]] = {}
-        for node in db.nodes():
-            value = db.value(node)
-            if value is COMPLEX or not is_atomic_value(value):
-                continue
-            partition = self._partition(value)
-            if partition is None:
-                continue
-            self._exact.setdefault((partition, value), []).append(node)
-            sort_key = value.ticks if isinstance(value, Timestamp) else value
-            buckets.setdefault(partition, []).append((sort_key, node))
-        self._sorted = {partition: sorted(items)
-                        for partition, items in buckets.items()}
-
-    def lookup(self, value: object) -> list[str]:
-        """Nodes whose value equals ``value`` exactly (same partition)."""
-        partition = self._partition(value)
-        if partition is None:
-            return []
-        return list(self._exact.get((partition, value), ()))
-
-    def range_scan(self, low: object | None, high: object | None,
-                   *, include_low: bool = True,
-                   include_high: bool = True) -> list[str]:
-        """Nodes with values in the given range (same-partition bounds)."""
-        probe = low if low is not None else high
-        if probe is None:
-            raise ValueError("range_scan needs at least one bound")
-        partition = self._partition(probe)
-        items = self._sorted.get(partition, [])
-        keys = [key for key, _ in items]
-
-        def norm(value: object) -> object:
-            return value.ticks if isinstance(value, Timestamp) else value
-
-        start = 0
-        if low is not None:
-            edge = norm(low)
-            start = bisect.bisect_left(keys, edge) if include_low \
-                else bisect.bisect_right(keys, edge)
-        end = len(items)
-        if high is not None:
-            edge = norm(high)
-            end = bisect.bisect_right(keys, edge) if include_high \
-                else bisect.bisect_left(keys, edge)
-        return [node for _, node in items[start:end]]
 
 
 class AnnotationIndex:

@@ -36,6 +36,11 @@ __all__ = ["SubscriptionManager", "QueryManager", "DOEMManager",
            "SubscriptionState"]
 
 
+# What the Subscription Store keeps of a Subscription, each as text.
+_DEFINITION = ("name", "frequency", "polling_query", "filter_query",
+               "polling_name", "user")
+
+
 @dataclass
 class SubscriptionState:
     """Per-subscription runtime bookkeeping."""
@@ -44,11 +49,26 @@ class SubscriptionState:
     wrapper_name: str
     polling_times: list[Timestamp] = field(default_factory=list)
     next_poll: Timestamp | None = None
+    doem_key: str = ""  # the DOEM it feeds: its own name unless shared
 
     @property
     def poll_count(self) -> int:
         """How many polls have completed."""
         return len(self.polling_times)
+
+    def record(self) -> dict:
+        """What the Subscription Store keeps of this subscription.
+
+        JSON-safe: the definition as text :class:`Subscription` parses
+        back, the wrapper's name, the DOEM it feeds and its polling
+        times as ticks.  Wrappers and delivery callbacks are live
+        objects; whoever subscribes again hands them over again.
+        """
+        record = {name: str(getattr(self.subscription, name))
+                  for name in _DEFINITION}
+        return {**record, "wrapper": self.wrapper_name,
+                "doem_key": self.doem_key,
+                "polling_times": [when.ticks for when in self.polling_times]}
 
 
 class SubscriptionManager:
@@ -58,22 +78,47 @@ class SubscriptionManager:
         self._states: dict[str, SubscriptionState] = {}
 
     def add(self, subscription: Subscription, wrapper_name: str,
-            now: object) -> SubscriptionState:
-        """Register a subscription; its first poll is scheduled after ``now``."""
+            now: object, doem_key: str | None = None,
+            recorded: dict | None = None) -> SubscriptionState:
+        """Register a subscription; its first poll is scheduled after ``now``.
+
+        ``recorded`` is the Subscription Store's record of this name
+        (:meth:`SubscriptionState.record`), if any.  An equal definition
+        resumes it: the polling times carry on and the next poll follows
+        the later of ``now`` and the last one.  An unequal one is refused.
+        """
         if subscription.name in self._states:
             raise SubscriptionError(
                 f"subscription {subscription.name!r} already exists")
         state = SubscriptionState(subscription=subscription,
-                                  wrapper_name=wrapper_name)
-        state.next_poll = subscription.frequency.next_after(parse_timestamp(now))
+                                  wrapper_name=wrapper_name,
+                                  doem_key=doem_key or subscription.name)
+        last = parse_timestamp(now)
+        if recorded is not None:
+            given = state.record()
+            changed = [f"{key}: recorded {recorded.get(key)!r}, "
+                       f"given {value!r}" for key, value in given.items()
+                       if key != "polling_times"
+                       and recorded.get(key) != value]
+            if changed:
+                raise SubscriptionError(
+                    f"subscription {subscription.name!r} is recorded in "
+                    f"the store with a different definition "
+                    f"({'; '.join(changed)}); unsubscribe it first")
+            state.polling_times = [Timestamp(ticks) for ticks
+                                   in recorded.get("polling_times") or ()]
+            last = max([last] + state.polling_times[-1:])
+        state.next_poll = subscription.frequency.next_after(last)
         self._states[subscription.name] = state
         return state
 
-    def remove(self, name: str) -> None:
-        """Drop a subscription."""
-        if name not in self._states:
-            raise SubscriptionError(f"no subscription named {name!r}")
-        del self._states[name]
+    def remove(self, name: str) -> SubscriptionState:
+        """Drop a subscription; returns its final state."""
+        self.get(name)  # raises for an unknown name
+        return self._states.pop(name)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._states
 
     def get(self, name: str) -> SubscriptionState:
         """The state of one subscription."""
@@ -114,10 +159,6 @@ class QueryManager:
             return self._wrappers[name]
         except KeyError:
             raise QSSError(f"no wrapper named {name!r}") from None
-
-    def wrapper_names(self) -> list[str]:
-        """All registered wrapper names."""
-        return sorted(self._wrappers)
 
     def poll(self, state: SubscriptionState, when: object) -> OEMDatabase:
         """Advance the source to ``when`` and run the polling query."""
@@ -170,7 +211,6 @@ class DOEMManager:
         self._previous: dict[str, OEMDatabase] = {}
         # key -> node signatures of R_{i-1}, as the last OEMdiff left them.
         self._signatures: dict[str, dict[str, int]] = {}
-        self._all_ids: dict[str, set[str]] = {}
         self._aliases: dict[str, str] = {}
         self.last_diff_stats: dict[str, DiffStats] = {}
 
@@ -215,15 +255,9 @@ class DOEMManager:
         if key not in self._doems:
             log = self._store_log(key)
             if log is not None and len(log) > 0:
-                doem = log.get_doem()
-                self._doems[key] = doem
-                # Every identifier the history ever used stays reserved
-                # (Section 2.2: identifiers are never reused), including
-                # those of nodes that are now dead.
-                self._all_ids[key] = set(doem.graph.nodes()) | {"answer"}
+                self._doems[key] = log.get_doem()
             else:
                 self._doems[key] = DOEMDatabase(OEMDatabase(root="answer"))
-                self._all_ids[key] = {"answer"}
         return self._doems[key]
 
     def previous_result(self, name: str) -> OEMDatabase:
@@ -244,15 +278,16 @@ class DOEMManager:
 
         Runs OEMdiff between the previous result and ``result``, applies
         the inferred change set with timestamp ``when``, and returns it.
-        Fresh identifiers avoid everything the DOEM database has ever
-        used -- deleted identifiers are never reused (Section 2.2).
+        Fresh identifiers avoid every node of the DOEM graph, dead ones
+        included: deleted identifiers are never reused (Section 2.2)
+        while the history remembers them, and a server restarted over
+        the store mints what an uninterrupted one would.
         """
         from ..doem.build import apply_change_set
 
         key = self._key(name)
         doem = self.doem(name)
         previous = self.previous_result(name)
-        reserved = self._all_ids[key]
         # Out of the table while the poll is in flight: a failed poll must
         # not leave signatures of a state the DOEM never reached.
         signatures = self._signatures.pop(key, {})
@@ -263,7 +298,8 @@ class DOEMManager:
                 else _rename_root(result, previous.root)
             change_set = id_diff(previous, aligned)
         else:
-            change_set = oem_diff(previous, result, reserved_ids=reserved,
+            change_set = oem_diff(previous, result,
+                                  reserved_ids=doem.graph.nodes(),
                                   signatures=signatures)
         timestamp = parse_timestamp(when)
         existing = doem.timestamps()
@@ -276,7 +312,6 @@ class DOEMManager:
                 log = self._store_log(key)
                 if log is not None:
                     log.append(timestamp, change_set)
-        reserved.update(change_set.created_nodes())
         self.last_diff_stats[name] = DiffStats(change_set)
         if self.cache_previous_result:
             updated = previous.copy()
@@ -312,9 +347,8 @@ class DOEMManager:
             # Keep the durable log in step: the same horizon promotes the
             # state at the cutoff to the log's new origin.
             log.compact(before=parse_timestamp(when))
-        # Identifier discipline is preserved: compaction only drops nodes,
-        # and dropped identifiers stay in the reserved set forever.  The
-        # cached previous result is a plain snapshot; unaffected.
+        # The cached previous result is a plain snapshot; unaffected.
+        # Identifiers of nodes dropped here may be minted again.
 
     def filter_engine(self, state: SubscriptionState) -> ChorelEngine:
         """A Chorel engine over the subscription's DOEM database.
@@ -338,7 +372,6 @@ class DOEMManager:
         self._doems.pop(key, None)
         self._previous.pop(key, None)
         self._signatures.pop(key, None)
-        self._all_ids.pop(key, None)
 
     def state_size(self, name: str) -> dict[str, int]:
         """Rough state-size accounting for the space-strategy benchmark."""

@@ -62,10 +62,13 @@ class QSSServer:
     silent, the default here too; tests flip it to observe every poll.
 
     ``store`` (a :class:`~repro.store.ChangeLogStore` or a path) makes
-    the subscription histories durable: every incorporated change set is
-    appended to the store's change log, and a server restarted over the
-    same store rebuilds each subscription's DOEM from disk instead of
-    re-polling its sources (see :class:`~repro.qss.managers.DOEMManager`).
+    the server durable: every incorporated change set is appended to the
+    store's change log (Figure 7's DOEM Store; see
+    :class:`~repro.qss.managers.DOEMManager`), and the subscriptions
+    that have polled are recorded in its manifest (the Subscription
+    Store) before ``run_until`` / ``poll_now`` / ``on_source_signal`` /
+    ``unsubscribe`` / ``close`` return.  A server restarted over the
+    store resumes by subscribing again; docs/qss.md has the contract.
 
     Observability: every poll is wall-timed (``qss.poll_seconds``
     histogram; ``qss.polls`` / ``qss.notifications`` / ``qss.errors``
@@ -176,27 +179,75 @@ class QSSServer:
     def subscribe(self, subscription: Subscription, wrapper_name: str,
                   deliver: Callable[[Notification], None] | None = None
                   ) -> SubscriptionState:
-        """Create a subscription against a registered wrapper.
+        """Create a subscription against a registered wrapper, or resume
+        one the store records.
 
         The first poll is scheduled by the frequency specification,
-        starting from the current simulated clock.
+        starting from the current simulated clock.  A name the store
+        records with an equal definition and wrapper resumes: its polling
+        times carry on (so do ``t[i]``, ``poll_index`` and the DOEM) and
+        the next poll follows the later of the clock and the last one.
+        An unequal one raises :class:`~repro.errors.SubscriptionError`.
         """
         self.queries.wrapper(wrapper_name)  # validate early
-        state = self.subscriptions.add(subscription, wrapper_name, self.clock)
+        key = subscription.name
         if self.share_by_polling_query:
             # Section 6.1's first space idea: subscriptions with the same
             # polling query (against the same wrapper) share one DOEM.
             key = f"{wrapper_name}::{subscription.polling_query}"
-            self.doems.set_alias(subscription.name, key)
+        state = self.subscriptions.add(
+            subscription, wrapper_name, self.clock, doem_key=key,
+            recorded=self._recorded().get(subscription.name))
+        self.doems.set_alias(subscription.name, key)
         if deliver is not None:
             self._subscribers.setdefault(subscription.name, []).append(deliver)
         return state
 
     def unsubscribe(self, name: str) -> None:
-        """Cancel a subscription and drop its DOEM state."""
-        self.subscriptions.remove(name)
-        self.doems.drop(name)
-        self._subscribers.pop(name, None)
+        """Cancel a subscription and drop its state, its record in the
+        store and -- unless another subscription, active or recorded,
+        shares it -- its stored history.  Also cancels a subscription
+        that only the store knows."""
+        recorded = self._recorded()
+        if name in recorded and name not in self.subscriptions:
+            key = recorded[name]["doem_key"]
+        else:
+            key = self.subscriptions.remove(name).doem_key
+            self.doems.drop(name)
+            self._subscribers.pop(name, None)
+        if self.store is None:
+            return
+        from ..store import sanitize_name
+        in_use = {state.doem_key for state in self.subscriptions.states()} \
+            | {record["doem_key"] for other, record in recorded.items()
+               if other != name}
+        if key not in in_use and sanitize_name(key) in self.store:
+            # The history first: a crash in between leaves a record
+            # without a history (resumed over an empty DOEM), never a
+            # history for the next subscriber of this name to inherit.
+            self.store.drop(sanitize_name(key))
+        self._record_subscriptions(forget=name)
+
+    def _recorded(self) -> dict[str, dict]:
+        return {} if self.store is None else self.store.subscriptions()
+
+    def _record_subscriptions(self, forget: str | None = None) -> None:
+        """Bring the Subscription Store up to date; rewrite it if it moved.
+
+        Once per public call, before it returns -- never per poll, and
+        not when it raises (what such a call polled may be reported
+        again).  Records every subscription that has polled; records of
+        names this server has not subscribed again are left alone.
+        """
+        if self.store is None or self.store.closed:
+            return
+        updated = self.store.subscriptions()
+        updated.pop(forget, None)
+        for state in self.subscriptions.states():
+            if state.polling_times:
+                updated[state.subscription.name] = state.record()
+        if updated != self.store.subscriptions():
+            self.store.record_subscriptions(updated)
 
     # ------------------------------------------------------------------
     # The polling loop
@@ -215,21 +266,16 @@ class QSSServer:
         produced: list[Notification] = []
 
         while True:
-            due: list[tuple[Timestamp, SubscriptionState]] = [
-                (state.next_poll, state)
-                for state in self.subscriptions.states()
-                if state.next_poll is not None and state.next_poll <= deadline]
+            due = self.subscriptions.due(deadline)  # name order
             if not due:
                 break
-            due.sort(key=lambda entry: (entry[0], entry[1].subscription.name))
+            poll_time = min(state.next_poll for state in due)
+            batch = [state for state in due if state.next_poll == poll_time]
             if self.max_poll_workers > 1:
                 # All polls due at the earliest timestamp form one batch.
-                poll_time = due[0][0]
-                batch = [state for when_due, state in due
-                         if when_due == poll_time]
                 produced.extend(self._execute_poll_batch(batch, poll_time))
                 continue
-            poll_time, state = due[0]
+            state = batch[0]
             try:
                 notification = self._execute_poll(state, poll_time)
             except Exception as error:
@@ -239,6 +285,7 @@ class QSSServer:
                 produced.append(notification)
 
         self.clock = deadline
+        self._record_subscriptions()
         return produced
 
     def _record_poll_failure(self, state: SubscriptionState,
@@ -346,7 +393,9 @@ class QSSServer:
             raise QSSError(
                 f"cannot poll {name!r} at {self.clock}: a poll at "
                 f"{state.polling_times[-1]} already happened")
-        return self._execute_poll(state, self.clock)
+        notification = self._execute_poll(state, self.clock)
+        self._record_subscriptions()
+        return notification
 
     def on_source_signal(self, wrapper_name: str) -> list[Notification]:
         """React to a source-side trigger firing (the paper's third mode).
@@ -368,6 +417,7 @@ class QSSServer:
             notification = self._execute_poll(state, self.clock)
             if notification is not None:
                 produced.append(notification)
+        self._record_subscriptions()
         return produced
 
     def _execute_poll(self, state: SubscriptionState,
@@ -501,7 +551,8 @@ class QSSServer:
 
         Does not wait for lingering timed-out polls -- a source that
         never returns must not be able to hang shutdown either.  An
-        attached store is flushed but left open: the handle is process
+        attached store is brought up to date and flushed but left open:
+        the handle is process
         shared (``repro explain --store`` against the same path reads
         through it), so the last owner closes it via
         :func:`repro.store.close_store`.
@@ -509,6 +560,7 @@ class QSSServer:
         if self._poll_pool is not None:
             self._poll_pool.shutdown(wait=False, cancel_pending=True)
             self._poll_pool = None
+        self._record_subscriptions()
         if self.store is not None and not self.store.closed:
             self.store.flush()
 

@@ -107,8 +107,7 @@ def checkpoint_path(directory: Path, seq: int) -> Path:
 
 
 def write_checkpoint(directory: Path, seq: int, at: Timestamp,
-                     snapshot: OEMDatabase, *, sync: bool = True
-                     ) -> tuple[CheckpointRef, int]:
+                     snapshot: OEMDatabase) -> tuple[CheckpointRef, int]:
     """Write one checkpoint file; returns its ref and byte size.
 
     The body is written before the file is visible under its final name
@@ -125,8 +124,7 @@ def write_checkpoint(directory: Path, seq: int, at: Timestamp,
     with open(path, "wb") as handle:
         handle.write(header + b"\n" + body)
         handle.flush()
-        if sync:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
     return CheckpointRef(at=at, seq=seq, path=path), len(header) + 1 + len(body)
 
 

@@ -56,7 +56,7 @@ from .checkpoint import CheckpointPolicy, CheckpointRef, read_checkpoint, \
 from .records import decode_record, encode_change_set, encode_origin
 from .segment import FRAME_HEADER, HEADER_SIZE, SegmentScan, SegmentWriter
 
-__all__ = ["HistoryLog", "StoreStats", "fsck_log",
+__all__ = ["HistoryLog", "StoreStats", "fsck_log", "atomic_write",
            "DEFAULT_SEGMENT_BYTES", "FSYNC_POLICIES"]
 
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -104,21 +104,8 @@ class StoreStats:
     def __init__(self) -> None:
         self._metrics = metrics_registry().group("repro.store", self._FIELDS)
 
-    def reset(self) -> None:
-        self._metrics.reset()
-
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._FIELDS}
-
-    def describe(self) -> str:
-        return (f"appends={self.appends} bytes={self.bytes_written} "
-                f"rolls={self.segment_rolls} "
-                f"ckpt_written={self.checkpoints_written} "
-                f"ckpt_loads={self.checkpoint_loads} "
-                f"snapshots={self.snapshot_queries} "
-                f"replayed_sets={self.replayed_sets} "
-                f"compactions={self.compactions} "
-                f"recovered={self.recovered_tails}")
 
 
 def _segment_path(directory: Path, generation: int, index: int) -> Path:
@@ -163,14 +150,27 @@ def _read_current(directory: Path) -> int:
             f"{path}: unreadable CURRENT manifest: {exc}") from exc
 
 
-def _write_current(directory: Path, generation: int) -> None:
-    tmp = directory / (_CURRENT + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"generation": generation}, handle)
+def atomic_write(path: Path, text: str) -> int:
+    """Durably replace ``path`` with ``text``; returns the bytes written.
+
+    tmp + fsync + rename + directory fsync: a crash leaves the old
+    content or the new, never a mixture.  Every small document the
+    store rewrites in place goes through here -- a log's ``CURRENT``
+    and the store's subscription manifest.
+    """
+    data = text.encode("utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(tmp, directory / _CURRENT)
-    _fsync_dir(directory)
+    os.replace(tmp, path)
+    _fsync_dir(path.parent)
+    return len(data)
+
+
+def _write_current(directory: Path, generation: int) -> None:
+    atomic_write(directory / _CURRENT, json.dumps({"generation": generation}))
 
 
 class HistoryLog:
@@ -187,8 +187,7 @@ class HistoryLog:
                  origin: OEMDatabase | None = None,
                  policy: CheckpointPolicy | None = None,
                  fsync_policy: str = "always",
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 stats: StoreStats | None = None) -> None:
+                 segment_bytes: int = DEFAULT_SEGMENT_BYTES) -> None:
         if mode not in ("rw", "ro"):
             raise StoreError(f"unknown log mode {mode!r}")
         if fsync_policy not in FSYNC_POLICIES:
@@ -199,7 +198,7 @@ class HistoryLog:
         self.policy = policy if policy is not None else CheckpointPolicy()
         self.fsync_policy = fsync_policy
         self.segment_bytes = segment_bytes
-        self.stats = stats if stats is not None else StoreStats()
+        self.stats = StoreStats()
         self._writer: SegmentWriter | None = None
         self._entries: list[tuple[Timestamp, ChangeSet]] = []
         self._ckpt_cache: OrderedDict[int, OEMDatabase] = OrderedDict()
@@ -237,7 +236,6 @@ class HistoryLog:
         self._ops_since_ckpt = 0
         self._sets_since_ckpt = 0
         _write_current(self.directory, 1)
-        _fsync_dir(self.directory)
 
     def _load(self) -> None:
         self.generation = _read_current(self.directory)
@@ -426,7 +424,7 @@ class HistoryLog:
     def _roll(self) -> SegmentWriter:
         """Seal the active segment and start the next one."""
         writer = self._require_writer()
-        writer.close(sync=True)
+        writer.close()
         self.stats.fsyncs += 1
         self.stats.segment_rolls += 1
         key = _segment_key(self._segments[-1])
@@ -445,7 +443,7 @@ class HistoryLog:
 
     def close(self) -> None:
         if self._writer is not None:
-            self._writer.close(sync=True)
+            self._writer.close()
             self._writer = None
 
     def __enter__(self) -> "HistoryLog":
@@ -514,26 +512,16 @@ class HistoryLog:
 
     # -- time travel -------------------------------------------------------
 
-    def snapshot_at(self, when: object, *,
-                    use_checkpoints: bool = True) -> OEMDatabase:
-        """``Ot(D)`` by nearest-checkpoint load + bounded delta replay.
-
-        With ``use_checkpoints=False`` the replay starts at the origin
-        (the pre-checkpoint resolution path, kept for the equivalence
-        tests and the benchmark's control arm).
-        """
+    def snapshot_at(self, when: object) -> OEMDatabase:
+        """``Ot(D)`` by nearest-checkpoint load + bounded delta replay."""
         cutoff = parse_timestamp(when)
         self.stats.snapshot_queries += 1
-        base_time: Timestamp = NEG_INF
-        snapshot: OEMDatabase | None = None
-        if use_checkpoints:
-            nearest = self.nearest_checkpoint(cutoff)
-            if nearest is not None:
-                base_time, snapshot = nearest
-        if snapshot is None:
-            snapshot = self._origin.copy()
+        nearest = self.nearest_checkpoint(cutoff)
+        if nearest is None:
+            base_time, snapshot = NEG_INF, self._origin.copy()
             self.stats.snapshots_from_origin += 1
         else:
+            base_time, snapshot = nearest
             self.stats.snapshots_from_checkpoint += 1
         replayed = 0
         for when_i, change_set in self._entries:
@@ -580,7 +568,7 @@ class HistoryLog:
                     if when > base_time]
 
         new_generation = self.generation + 1
-        self._writer.close(sync=True)
+        self._writer.close()
         self._writer = None
 
         # Write the consolidated generation, rolling at segment_bytes.
@@ -591,7 +579,7 @@ class HistoryLog:
         def _next_writer() -> SegmentWriter:
             nonlocal writer, index
             if writer is not None:
-                writer.close(sync=True)
+                writer.close()
             index += 1
             path = _segment_path(self.directory, new_generation, index)
             writer = SegmentWriter(path)
@@ -606,7 +594,7 @@ class HistoryLog:
                     > self.segment_bytes:
                 writer = _next_writer()
             written += writer.append(payload)
-        writer.close(sync=True)
+        writer.close()
         _fsync_dir(self.directory)
         self.stats.bytes_written += written
         self.stats.fsyncs += len(new_segments)

@@ -106,20 +106,13 @@ class SegmentWriter:
         self._file.flush()
         os.fsync(self._file.fileno())
 
-    def close(self, sync: bool = True) -> None:
-        """Flush (optionally fsync) and close the file."""
+    def close(self) -> None:
+        """Flush, fsync and close the file."""
         if self._file.closed:
             return
         self._file.flush()
-        if sync:
-            os.fsync(self._file.fileno())
+        os.fsync(self._file.fileno())
         self._file.close()
-
-    def __enter__(self) -> "SegmentWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class SegmentScan:
@@ -170,7 +163,3 @@ class SegmentScan:
                 self.good_bytes = offset
                 self.records += 1
                 yield payload
-
-    def payloads(self) -> list[bytes]:
-        """Every intact payload (drains the iterator)."""
-        return list(self)

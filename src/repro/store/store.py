@@ -4,6 +4,7 @@ Layout::
 
     <root>/.doemstore            marker ({"format": 1}) -- "this is a store"
     <root>/LOCK                  single-writer pid file (rw opens only)
+    <root>/SUBSCRIPTIONS         the subscription manifest (QSS servers)
     <root>/<name>/               one :class:`~.log.HistoryLog` per history
 
 **Single writer.**  Opening a store ``"rw"`` takes ``LOCK`` with
@@ -28,16 +29,18 @@ import errno
 import json
 import os
 import re
+import shutil
 import threading
 import zlib
 from pathlib import Path
 
 from ..errors import StoreCorruptionError, StoreError, StoreLockedError
-from ..oem.history import ChangeSet, OEMHistory
+from ..oem.history import OEMHistory
 from ..oem.model import OEMDatabase
 from ..timestamps import Timestamp
 from .checkpoint import CheckpointPolicy
-from .log import DEFAULT_SEGMENT_BYTES, HistoryLog, StoreStats, fsck_log
+from .log import DEFAULT_SEGMENT_BYTES, HistoryLog, StoreStats, \
+    atomic_write, fsck_log
 
 __all__ = ["ChangeLogStore", "StoreLock", "open_store", "close_store",
            "is_store", "sanitize_name", "MARKER", "STORE_FORMAT"]
@@ -45,6 +48,8 @@ __all__ = ["ChangeLogStore", "StoreLock", "open_store", "close_store",
 MARKER = ".doemstore"
 STORE_FORMAT = 1
 _LOCK_FILE = "LOCK"
+_SUBSCRIPTIONS = "SUBSCRIPTIONS"
+_DROPPED = ".dropped-"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -145,6 +150,8 @@ class ChangeLogStore:
         self.fsync_policy = fsync_policy
         self.segment_bytes = segment_bytes
         self._logs: dict[str, HistoryLog] = {}
+        self._manifest: dict[str, dict] | None = None
+        self._manifest_stats = StoreStats()
         self._lock = threading.RLock()
         self._closed = False
 
@@ -174,6 +181,8 @@ class ChangeLogStore:
         self._write_lock = StoreLock(self.path / _LOCK_FILE)
         if mode == "rw":
             self._write_lock.acquire()
+            for doomed in self.path.glob(_DROPPED + "*"):
+                shutil.rmtree(doomed)  # a drop() that a crash cut short
 
     # -- naming -----------------------------------------------------------
 
@@ -188,7 +197,8 @@ class ChangeLogStore:
         if not self.path.is_dir():
             return []
         return sorted(entry.name for entry in self.path.iterdir()
-                      if entry.is_dir() and (entry / "CURRENT").exists())
+                      if _NAME_RE.match(entry.name)
+                      and (entry / "CURRENT").exists())
 
     def __contains__(self, name: str) -> bool:
         return (self.path / name / "CURRENT").exists()
@@ -238,16 +248,71 @@ class ChangeLogStore:
         log.extend(history)
         return log
 
+    def drop(self, name: str) -> None:
+        """Delete the named history: its directory and its cached log.
+
+        Renamed aside before it is removed, so a crash leaves the whole
+        history or none of it under ``name``; the next writer sweeps up.
+        """
+        self._require_writer()
+        if self._check_name(name) not in self:
+            raise StoreError(f"{self.path}: no history named {name!r}")
+        with self._lock:
+            log = self._logs.pop(name, None)
+        if log is not None:
+            log.close()
+        doomed = self.path / (_DROPPED + name)
+        os.rename(self.path / name, doomed)
+        shutil.rmtree(doomed)
+
+    # -- the subscription manifest ----------------------------------------
+
+    def subscriptions(self) -> dict[str, dict]:
+        """The recorded subscriptions by name: Figure 7's Subscription Store.
+
+        One JSON document at the store root.  :mod:`repro.qss` defines
+        the record fields and decides when to rewrite it; this layer
+        keeps the file atomic and checked.  The writer holds the lock,
+        so what it last read or wrote is what is on disk; a read-only
+        handle reads the file on every call.
+        """
+        if self._manifest is None or self.mode == "ro":
+            self._manifest = self._read_manifest()
+        return dict(self._manifest)
+
+    def _read_manifest(self) -> dict[str, dict]:
+        path = self.path / _SUBSCRIPTIONS
+        try:
+            records = json.loads(path.read_text("utf-8"))["subscriptions"]
+            if not all(isinstance(record, dict)
+                       for record in records.values()):
+                raise TypeError("a subscription record is not an object")
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
+            raise StoreCorruptionError(
+                f"{path}: unreadable subscription manifest: {exc}") from exc
+        return records
+
+    def record_subscriptions(self, records: dict[str, dict]) -> None:
+        """Durably replace the subscription manifest with ``records``."""
+        self._require_writer()
+        document = {"format": STORE_FORMAT, "subscriptions": records}
+        self._manifest_stats.bytes_written += atomic_write(
+            self.path / _SUBSCRIPTIONS,
+            json.dumps(document, separators=(",", ":")))
+        self._manifest_stats.fsyncs += 2  # the file, then its directory
+        self._manifest = dict(records)
+
+    def _require_writer(self) -> None:
+        if self.mode != "rw":
+            raise StoreError(f"{self.path}: store opened read-only")
+
     # -- convenience pass-throughs ---------------------------------------
 
-    def append(self, name: str, when: object,
-               change_set: ChangeSet) -> Timestamp:
-        return self.log(name).append(when, change_set)
-
-    def snapshot_at(self, name: str, when: object, *,
-                    use_checkpoints: bool = True) -> OEMDatabase:
-        return self.log(name).snapshot_at(
-            when, use_checkpoints=use_checkpoints)
+    def snapshot_at(self, name: str, when: object) -> OEMDatabase:
+        return self.log(name).snapshot_at(when)
 
     def get_doem(self, name: str):
         return self.log(name).get_doem()
@@ -264,10 +329,17 @@ class ChangeLogStore:
         """Verify (optionally repair) every history; see :func:`fsck_log`.
 
         Runs from the on-disk state; open logs are reloaded after a
-        repairing pass so in-memory views stay consistent.
+        repairing pass so in-memory views stay consistent.  An
+        unreadable subscription manifest is a store-level problem; nothing
+        else in the store can rebuild it, so it is never repaired.
         """
         reports = []
-        ok = True
+        problems = []
+        try:
+            self._read_manifest()
+        except StoreCorruptionError as exc:
+            problems.append(str(exc))
+        ok = not problems
         for name in self.names():
             with self._lock:
                 log = self._logs.get(name)
@@ -278,27 +350,37 @@ class ChangeLogStore:
             report["name"] = name
             reports.append(report)
             ok = ok and report["ok"]
-        return {"path": str(self.path), "ok": ok, "histories": reports}
+        return {"path": str(self.path), "ok": ok, "problems": problems,
+                "histories": reports}
 
     def info(self) -> dict:
-        """Per-history descriptions plus store-level totals."""
+        """Per-history descriptions, the recorded subscriptions, totals."""
         histories = {}
         for name in self.names():
             histories[name] = self.log(name).info()
+        subscriptions = {
+            name: {"wrapper": record.get("wrapper"),
+                   "doem_key": record.get("doem_key"),
+                   "polls": len(times := record.get("polling_times") or []),
+                   "last_poll": str(Timestamp(times[-1])) if times else None}
+            for name, record in sorted(self.subscriptions().items())}
         return {"path": str(self.path), "mode": self.mode,
                 "histories": histories,
+                "subscriptions": subscriptions,
                 "change_sets": sum(h["change_sets"]
                                    for h in histories.values()),
                 "checkpoints": sum(h["checkpoints"]
                                    for h in histories.values())}
 
     def stats(self) -> dict:
-        """Summed counters across every open log in this handle."""
+        """Summed counters across every open log in this handle, plus
+        the manifest's own writes."""
         totals = {field: 0 for field in StoreStats._FIELDS}
         with self._lock:
-            logs = list(self._logs.values())
-        for log in logs:
-            for field, value in log.stats.as_dict().items():
+            every = [self._manifest_stats,
+                     *(log.stats for log in self._logs.values())]
+        for stats in every:
+            for field, value in stats.as_dict().items():
                 totals[field] += value
         return totals
 

@@ -1,80 +1,14 @@
-"""Tests for label, value, and annotation indexes."""
+"""Tests for the annotation index."""
 
 import pytest
 
 from repro import (
     AnnotationIndex,
-    LabelIndex,
     NEG_INF,
     POS_INF,
-    ValueIndex,
     parse_timestamp,
 )
 from repro.oem.model import Arc
-
-
-class TestLabelIndex:
-    def test_arcs_by_label(self, guide_db):
-        index = LabelIndex(guide_db)
-        assert index.count("restaurant") == 2
-        assert index.count("nope") == 0
-        assert {arc.target for arc in index.arcs("restaurant")} == \
-            {"r1", "r2"}
-
-    def test_parents_of_label(self, guide_db):
-        index = LabelIndex(guide_db)
-        assert index.parents_of_label("name") == {"r1", "r2"}
-
-    def test_labels_sorted(self, guide_db):
-        labels = LabelIndex(guide_db).labels()
-        assert labels == sorted(labels)
-        assert "parking" in labels
-
-    def test_rebuild_reflects_changes(self, guide_db):
-        index = LabelIndex(guide_db)
-        guide_db.remove_arc("r2", "parking", "n7")
-        index.rebuild(guide_db)
-        assert index.count("parking") == 1
-
-
-class TestValueIndex:
-    def test_exact_lookup(self, guide_db):
-        index = ValueIndex(guide_db)
-        assert index.lookup(10) == ["n1"]
-        assert index.lookup("Janta") == ["nm2"]
-        assert index.lookup("missing") == []
-
-    def test_partitions_separate(self, guide_db):
-        index = ValueIndex(guide_db)
-        # string "10" must not hit the integer 10
-        assert index.lookup("10") == []
-
-    def test_range_scan_numbers(self):
-        from repro import OEMDatabase
-        db = OEMDatabase(root="r")
-        for index, value in enumerate([5, 10, 15, 20, 25]):
-            db.create_node(f"v{index}", value)
-            db.add_arc("r", "v", f"v{index}")
-        vindex = ValueIndex(db)
-        assert vindex.range_scan(10, 20) == ["v1", "v2", "v3"]
-        assert vindex.range_scan(10, 20, include_low=False) == ["v2", "v3"]
-        assert vindex.range_scan(None, 10) == ["v0", "v1"]
-        assert vindex.range_scan(21, None) == ["v4"]
-
-    def test_range_scan_timestamps(self):
-        from repro import OEMDatabase
-        db = OEMDatabase(root="r")
-        for index, text in enumerate(["1Jan97", "5Jan97", "8Jan97"]):
-            db.create_node(f"t{index}", parse_timestamp(text))
-            db.add_arc("r", "t", f"t{index}")
-        vindex = ValueIndex(db)
-        hits = vindex.range_scan(parse_timestamp("2Jan97"),
-                                 parse_timestamp("9Jan97"))
-        assert hits == ["t1", "t2"]
-
-    def test_range_scan_requires_bound(self, guide_db):
-        with pytest.raises(ValueError):
-            ValueIndex(guide_db).range_scan(None, None)
 
 
 class TestAnnotationIndex:

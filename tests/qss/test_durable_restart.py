@@ -12,6 +12,7 @@ from repro import (
     Wrapper,
     parse_timestamp,
 )
+from repro.errors import SubscriptionError
 from repro.store import close_store, is_store, open_store, sanitize_name
 from repro.timestamps import Timestamp
 
@@ -44,9 +45,9 @@ class ScriptedGuideSource:
         return db
 
 
-def example61_subscription():
+def example61_subscription(frequency="every night at 11:30pm"):
     return Subscription.from_definitions(
-        name="Restaurants", frequency="every night at 11:30pm",
+        name="Restaurants", frequency=frequency,
         polling="define polling query Restaurants as "
                 "select guide.restaurant",
         filter_="define filter query NewRestaurants as "
@@ -135,3 +136,112 @@ class TestDurableRestart:
         assert server.store.log(sanitize_name(key)) is log
         assert log.info()["generation"] > generation_before
         server.close()
+
+
+def restart(store_path, start="2Jan97", **kwargs):
+    """A second server over the same store, wrapper handed over again."""
+    close_store(store_path)
+    server = QSSServer(start=start, deliver_empty=True,
+                       store=str(store_path), **kwargs)
+    server.register_wrapper("guide", Wrapper(ScriptedGuideSource(),
+                                             name="guide"))
+    return server
+
+
+class TestResume:
+    """Subscribing a recorded name again *is* the resume (docs/qss.md)."""
+
+    def test_restart_continues_the_polling_timeline(self, store_path):
+        first, before = run_first_server(store_path)
+        assert [len(n.result) for n in before] == [2, 0, 1]
+        times = list(first.subscriptions.get("Restaurants").polling_times)
+        first.close()
+
+        second = restart(store_path)
+        state = second.subscribe(example61_subscription(), "guide")
+        assert state.polling_times == times
+        assert state.next_poll == parse_timestamp("2Jan97 11:30pm")
+        (notification,) = second.run_until("3Jan97")
+        # Nothing was created since the 1Jan97 poll: t[-1] is that poll,
+        # not negative infinity, and the poll is the fourth, not the first.
+        assert notification.polling_time == parse_timestamp("2Jan97 11:30pm")
+        assert len(notification.result) == 0
+        assert notification.poll_index == 4
+        second.close()
+
+    def test_unsubscribe_deletes_the_history(self, store_path):
+        server, _ = run_first_server(store_path)
+        server.unsubscribe("Restaurants")
+        assert server.store.names() == []
+        assert server.store.subscriptions() == {}
+        # A different subscription under the cancelled one's name starts
+        # from an empty DOEM, not from the other query's history.
+        server.subscribe(Subscription(
+            name="Restaurants", frequency="every night at 11:30pm",
+            polling_query="select guide.restaurant.name",
+            filter_query="select Restaurants.name<cre at T> "
+                         "where T > t[-1]"), "guide")
+        assert server.doems.doem("Restaurants").timestamps() == []
+        (notification,) = server.run_until("3Jan97")
+        assert len(notification.result) == 3
+        assert server.doems.doem("Restaurants").timestamps() == \
+            [parse_timestamp("2Jan97 11:30pm")]
+        server.close()
+
+    def test_unsubscribe_of_a_name_only_the_store_knows(self, store_path):
+        first, _ = run_first_server(store_path)
+        first.close()
+        second = restart(store_path)
+        second.unsubscribe("Restaurants")
+        assert second.store.names() == []
+        assert second.store.subscriptions() == {}
+        with pytest.raises(SubscriptionError):
+            second.unsubscribe("Restaurants")
+        second.close()
+
+    def test_unequal_definition_is_refused(self, store_path):
+        first, _ = run_first_server(store_path)
+        first.close()
+        second = restart(store_path)
+        with pytest.raises(SubscriptionError) as refused:
+            second.subscribe(example61_subscription("every 2 hours"),
+                             "guide")
+        assert "every night at 11:30pm" in str(refused.value)
+        assert "every 2 hours" in str(refused.value)
+        assert "Restaurants" not in [
+            s.subscription.name for s in second.subscriptions.states()]
+        # The recorded one is untouched and still resumable.
+        state = second.subscribe(example61_subscription(), "guide")
+        assert state.poll_count == 3
+        second.close()
+
+    def test_sharers_resume_their_own_polling_times(self, store_path):
+        def subscribe_both(server):
+            for name, hour in (("Early", 6), ("Late", 7)):
+                server.subscribe(Subscription(
+                    name=name, frequency=f"every day at {hour}:00am",
+                    polling_query="select guide.restaurant",
+                    filter_query=f"select {name}.restaurant<cre at T> "
+                                 f"where T > t[-1]"), "guide")
+
+        first = restart(store_path, start="30Dec96",
+                        share_by_polling_query=True)
+        subscribe_both(first)
+        first.run_until("2Jan97")
+        recorded = {name: list(first.subscriptions.get(name).polling_times)
+                    for name in ("Early", "Late")}
+        assert recorded["Early"] != recorded["Late"]
+        (history,) = first.store.names()
+        first.close()
+
+        second = restart(store_path, share_by_polling_query=True)
+        subscribe_both(second)
+        for name, times in recorded.items():
+            assert second.subscriptions.get(name).polling_times == times
+        assert second.doems.doem("Early") is second.doems.doem("Late")
+        second.unsubscribe("Early")
+        assert second.store.names() == [history]
+        assert list(second.store.subscriptions()) == ["Late"]
+        second.unsubscribe("Late")
+        assert second.store.names() == []
+        second.close()

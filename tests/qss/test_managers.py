@@ -10,6 +10,7 @@ from repro import (
     Wrapper,
     parse_timestamp,
 )
+from repro.doem.snapshot import current_snapshot
 from repro.qss.managers import DOEMManager, QueryManager, SubscriptionManager
 from repro.errors import QSSError, SubscriptionError
 
@@ -79,27 +80,30 @@ class TestQueryManager:
 class TestDOEMManagerStrategies:
     """Both space strategies must produce identical DOEM histories."""
 
+    @staticmethod
+    def _packaged(snapshot: OEMDatabase) -> OEMDatabase:
+        wrapped = OEMDatabase(root="answer")
+        mapping = {snapshot.root: "answer"}
+        for node in snapshot.nodes():
+            if node != snapshot.root:
+                mapping[node] = wrapped.create_node(node, snapshot.value(node))
+        for arc in snapshot.arcs():
+            wrapped.add_arc(mapping[arc.source], arc.label,
+                            mapping[arc.target])
+        return wrapped
+
     def _run_polls(self, manager: DOEMManager):
         snapshots = [small_db(["Janta"]),
                      small_db(["Janta", "Hakata"]),
                      small_db(["Hakata"])]
         times = ["30Dec96", "31Dec96", "1Jan97"]
         for when, snapshot in zip(times, snapshots):
-            wrapped = OEMDatabase(root="answer")
-            mapping = {snapshot.root: "answer"}
-            for node in snapshot.nodes():
-                if node != snapshot.root:
-                    mapping[node] = wrapped.create_node(node, snapshot.value(node))
-            for arc in snapshot.arcs():
-                wrapped.add_arc(mapping[arc.source], arc.label,
-                                mapping[arc.target])
-            manager.incorporate("S", when, wrapped)
+            manager.incorporate("S", when, self._packaged(snapshot))
         return manager.doem("S")
 
     def test_cached_and_recomputed_agree(self):
         cached = self._run_polls(DOEMManager(cache_previous_result=True))
         recomputed = self._run_polls(DOEMManager(cache_previous_result=False))
-        from repro.doem.snapshot import current_snapshot
         assert current_snapshot(cached).isomorphic_to(
             current_snapshot(recomputed))
         assert cached.annotation_count() == recomputed.annotation_count()
@@ -131,11 +135,14 @@ class TestDOEMManagerStrategies:
 
     def test_identifiers_never_reused(self):
         manager = DOEMManager()
-        self._run_polls(manager)
-        doem = manager.doem("S")
-        # every node id is distinct by construction; the reserved set must
-        # cover every id ever created.
-        assert set(doem.graph.nodes()) <= manager._all_ids["S"]
+        doem = self._run_polls(manager)  # Janta died at the third poll
+        dead = set(doem.graph.nodes()) - set(current_snapshot(doem).nodes())
+        assert dead
+        # The next poll creates objects; none may take a dead identifier.
+        created = manager.incorporate(
+            "S", "2Jan97", self._packaged(small_db(["Hakata", "Zibibbo"]))
+        ).created_nodes()
+        assert created and not set(created) & dead
 
     def test_drop(self):
         manager = DOEMManager()

@@ -75,9 +75,42 @@ class TestHistoryLog:
         for when in sample_times(history):
             expected = history.snapshot_at(db, when)
             assert log.snapshot_at(when).same_as(expected), when
-            # And the replay-from-origin path agrees with itself.
-            assert log.snapshot_at(
-                when, use_checkpoints=False).same_as(expected), when
+        log.close()
+        # And a log that never checkpoints -- every Ot(D) replayed from
+        # the origin -- agrees too.
+        plain = HistoryLog(tmp_path / "plain", origin=db,
+                           policy=CheckpointPolicy.disabled())
+        plain.extend(history)
+        assert not plain.checkpoints()
+        for when in sample_times(history):
+            assert plain.snapshot_at(when).same_as(
+                history.snapshot_at(db, when)), when
+        assert plain.stats.snapshots_from_checkpoint == 0
+        plain.close()
+
+    def test_checkpointed_probes_of_a_long_log(self, tmp_path):
+        """The equivalence half of the retired ``BENCH_store`` gate:
+        240 days of ``demo_world``, a checkpoint every ~12 operations,
+        and every probe across the expensive half equals the in-memory
+        ground truth while actually resolving from checkpoints."""
+        db, history = demo_world(days=240)
+        log = HistoryLog(tmp_path / "h", origin=db,
+                         policy=CheckpointPolicy(replay_budget=12,
+                                                 size_weight=0.0,
+                                                 min_sets=1),
+                         fsync_policy="roll")
+        log.extend(history)
+        assert log.checkpoints()
+        times = history.timestamps()
+        late = times[len(times) // 2:]
+        probes = late[::max(1, len(late) // 8)][:8]
+        for when in probes:
+            assert log.snapshot_at(when).same_as(
+                history.snapshot_at(db, when)), when
+        stats = log.stats.as_dict()
+        assert stats["snapshots_from_checkpoint"] > 0
+        # Bounded replay: far fewer sets than eight folds from the origin.
+        assert stats["replayed_sets"] < len(probes) * len(times) // 2
         log.close()
 
     def test_append_validates_order_and_conflicts(self, tmp_path):

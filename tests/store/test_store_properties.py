@@ -81,8 +81,6 @@ class TestDurableOt:
         reopened = HistoryLog(directory, "ro")
         for when, snapshot in expected.items():
             assert reopened.snapshot_at(when).same_as(snapshot), when
-            assert reopened.snapshot_at(
-                when, use_checkpoints=False).same_as(snapshot), when
         reopened.close()
 
     @relaxed

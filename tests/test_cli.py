@@ -4,8 +4,9 @@ import io
 
 import pytest
 
-from repro import LoreStore, build_doem, dumps
+from repro import dumps
 from repro.cli import main
+from repro.store import ChangeLogStore, close_store
 from tests.conftest import make_guide_db, make_guide_history
 
 
@@ -19,10 +20,10 @@ def guide_file(tmp_path):
 @pytest.fixture
 def doem_store(tmp_path):
     store_dir = tmp_path / "store"
-    store = LoreStore(store_dir)
-    store.put_doem("guidehist",
-                   build_doem(make_guide_db(), make_guide_history()))
-    return store_dir
+    with ChangeLogStore(store_dir) as store:
+        store.put_history("guidehist", make_guide_db(), make_guide_history())
+    yield store_dir
+    close_store(store_dir)  # the CLI's shared read-only handle
 
 
 def run_cli(*argv):
@@ -144,6 +145,13 @@ class TestHistoryAndChorel:
 
     def test_unknown_store_name(self, doem_store):
         assert run_cli("chorel", str(doem_store), "nope", "select x")[0] == 1
+
+    def test_directory_that_is_not_a_store(self, tmp_path, capsys):
+        """No ``.doemstore`` marker: a ReproError message, not a traceback
+        (and not a guess at some other on-disk format)."""
+        (tmp_path / "guidehist.doem.oem").write_text("guide: {}")
+        assert run_cli("history", str(tmp_path), "guidehist")[0] == 1
+        assert "not a change-log store" in capsys.readouterr().err
 
 
 DEMO_QUERY = "select T, X from root.<add at T>item X where T > 20Jan97"

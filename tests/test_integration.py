@@ -2,7 +2,7 @@
 
 Each test exercises a pipeline several modules long, the way a downstream
 user would: evolving sources -> wrappers -> diff -> DOEM -> Chorel -> QSS,
-plus persistence through the Lore store.
+plus persistence through the change-log store.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from repro import (
     COMPLEX,
     ChorelEngine,
     LibrarySource,
-    LoreStore,
     OEMDatabase,
     QSC,
     QSSServer,
@@ -21,12 +20,15 @@ from repro import (
     Wrapper,
     build_doem,
     current_snapshot,
+    encoded_history,
     oem_diff,
+    original_snapshot,
     parse_timestamp,
     plan_update,
 )
 from repro.doem.build import apply_change_set
 from repro.qss.subscription import polling_time_mapping
+from repro.store import ChangeLogStore
 
 
 class TestGuideEndToEnd:
@@ -173,14 +175,17 @@ class TestManualPipeline:
 
 
 class TestPersistenceAcrossRestart:
-    """QSS state survives through the Lore store (DOEM via encoding)."""
+    """A DOEM database survives through the store as ``(O0, H)``."""
 
     def test_store_and_requery(self, tmp_path, guide_doem):
-        store = LoreStore(tmp_path)
-        store.put_doem("Restaurants", guide_doem)
+        with ChangeLogStore(tmp_path / "st") as store:
+            store.put_history("Restaurants", original_snapshot(guide_doem),
+                              encoded_history(guide_doem))
 
-        # "restart": fresh store over the same directory
-        restored = LoreStore(tmp_path).get_doem("Restaurants")
+        # "restart": a fresh handle over the same directory
+        with ChangeLogStore(tmp_path / "st", "ro") as store:
+            restored = store.get_doem("Restaurants")
+        assert restored.same_as(guide_doem)
         engine = ChorelEngine(restored, name="guide")
         engine.set_polling_times(polling_time_mapping(
             [parse_timestamp("31Dec96"), parse_timestamp("6Jan97")]))
