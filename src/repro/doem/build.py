@@ -34,7 +34,7 @@ from typing import Iterable
 from ..errors import InvalidChangeError
 from ..oem.changes import AddArc, ChangeOp, CreNode, RemArc, UpdNode
 from ..oem.history import ChangeSet, OEMHistory
-from ..oem.model import OEMDatabase
+from ..oem.model import OEMDatabase, stranded
 from ..oem.values import COMPLEX
 from ..timestamps import POS_INF, Timestamp
 from .annotations import Add, Cre, Rem, Upd
@@ -44,21 +44,23 @@ __all__ = ["build_doem", "apply_change_set", "DOEMApplier"]
 
 
 class DOEMApplier:
-    """Incrementally folds change sets into a DOEM database.
+    """Folds change sets into a DOEM database, one :meth:`apply` each.
 
-    The QSS DOEM Manager (Section 6.1) keeps one of these per
-    subscription: every polling interval produces one change set, which is
-    incorporated with :meth:`apply`.
+    Which nodes are deleted from the current snapshot is kept on the
+    database with the fingerprint it holds for, so every applier -- each
+    poll's :func:`apply_change_set`, a trigger manager's long-lived one --
+    continues where the last stopped, and a database changed behind their
+    back (by hand, ``decode``, ``compact``) is walked afresh.
     """
 
     def __init__(self, doem: DOEMDatabase) -> None:
         self.doem = doem
-        self._dead_nodes: set[str] = set()
 
     # -- liveness helpers (current conceptual snapshot) -----------------
 
     def _node_is_live(self, node_id: str) -> bool:
-        return self.doem.graph.has_node(node_id) and node_id not in self._dead_nodes
+        return self.doem.graph.has_node(node_id) \
+            and node_id not in self.doem._dead_nodes
 
     def _arc_is_live(self, source: str, label: str, target: str) -> bool:
         if not self.doem.graph.has_arc(source, label, target):
@@ -116,24 +118,41 @@ class DOEMApplier:
         Operations run in the canonical order (cre -> rem -> upd -> add);
         afterwards, nodes unreachable in the *current snapshot* are marked
         dead (Section 2.2's deletion rule), though their history stays in
-        the graph.
+        the graph.  Only what the set's ``remArc`` targets and created
+        nodes reach through live arcs is examined (``stranded``): a dead
+        node never revives, since ``addArc`` to one is refused.
         """
+        doem = self.doem
+        if doem._dead_as_of != doem.fingerprint():
+            self._mark_dead_nodes()
+        dead = doem._dead_nodes
+        suspects = []
         for op in change_set.canonical_order():
             self._apply_op(op, when)
-        self._mark_dead_nodes()
+            if isinstance(op, CreNode):
+                suspects.append(op.node)
+            elif isinstance(op, RemArc):
+                suspects.append(op.target)
+        doomed = stranded(
+            suspects, doem.graph.root,
+            lambda node: (child for _, child
+                          in doem.live_children(node, POS_INF)),
+            lambda node: (arc.source for arc in doem.graph.in_arcs(node)
+                          if arc.source not in dead
+                          and doem.arc_live_at(*arc, POS_INF)),
+            len(doem.graph))
+        if doomed is None:
+            self._mark_dead_nodes()
+        else:
+            dead |= doomed
+            doem._dead_as_of = doem.fingerprint()
 
     def _mark_dead_nodes(self) -> None:
-        """Mark nodes unreachable through live arcs as conceptually deleted."""
-        graph = self.doem.graph
-        live = {graph.root}
-        frontier = [graph.root]
-        while frontier:
-            node = frontier.pop()
-            for _, child in self.doem.live_children(node, POS_INF):
-                if child not in live:
-                    live.add(child)
-                    frontier.append(child)
-        self._dead_nodes = set(graph.nodes()) - live
+        """Mark nodes unreachable through live arcs as conceptually deleted:
+        the full walk, where no liveness was kept or too much is suspect."""
+        doem = self.doem
+        doem._dead_nodes = set(doem.graph.nodes()) - doem.live_nodes()
+        doem._dead_as_of = doem.fingerprint()
 
 
 def apply_change_set(doem: DOEMDatabase, when: object,
@@ -142,9 +161,7 @@ def apply_change_set(doem: DOEMDatabase, when: object,
     from ..timestamps import parse_timestamp
     if not isinstance(change_set, ChangeSet):
         change_set = ChangeSet(change_set)
-    applier = DOEMApplier(doem)
-    applier._mark_dead_nodes()
-    applier.apply(parse_timestamp(when), change_set)
+    DOEMApplier(doem).apply(parse_timestamp(when), change_set)
     return doem
 
 

@@ -53,8 +53,7 @@ def compact(doem: DOEMDatabase, cutoff: object) -> DOEMDatabase:
         if any(isinstance(a, Cre) and a.at > when for a in annotations):
             keep.add(node)
     # Nodes still live *now* must also survive (e.g. linked after cutoff).
-    live_now = _live_nodes(doem)
-    keep |= live_now
+    keep |= doem.live_nodes()
 
     compacted_graph = OEMDatabase(root=graph.root)
     for node in graph.nodes():
@@ -97,18 +96,3 @@ def compact(doem: DOEMDatabase, cutoff: object) -> DOEMDatabase:
                 compacted.annotate_node(node, annotation)
 
     return compacted
-
-
-def _live_nodes(doem: DOEMDatabase) -> set[str]:
-    """Nodes reachable through currently-live arcs."""
-    from ..timestamps import POS_INF
-    graph = doem.graph
-    live = {graph.root}
-    stack = [graph.root]
-    while stack:
-        node = stack.pop()
-        for _, child in doem.live_children(node, POS_INF):
-            if child not in live:
-                live.add(child)
-                stack.append(child)
-    return live

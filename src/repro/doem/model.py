@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from ..errors import DOEMError, UnknownNodeError
 from ..oem.model import Arc, OEMDatabase
-from ..timestamps import Timestamp, parse_timestamp
+from ..timestamps import POS_INF, Timestamp, parse_timestamp
 from .annotations import Add, Annotation, ArcAnnotation, Cre, NodeAnnotation, Rem, Upd, sort_key
 
 __all__ = ["DOEMDatabase"]
@@ -38,6 +38,11 @@ class DOEMDatabase:
         self._arc_annotations: dict[Arc, list[ArcAnnotation]] = {}
         self._generation = 0
         self._listeners: list[weakref.ref] = []
+        self._last_timestamp: Timestamp | None = None
+        # Kept between change sets for repro.doem.build: the nodes deleted
+        # from the current snapshot, as of which fingerprint() (None: never).
+        self._dead_nodes: set[str] = set()
+        self._dead_as_of: tuple[int, int, int] | None = None
 
     # ------------------------------------------------------------------
     # Change tracking (incremental index / cache maintenance)
@@ -127,10 +132,8 @@ class DOEMDatabase:
             raise DOEMError(f"{annotation} is not a node annotation")
         if not self.graph.has_node(node_id):
             raise UnknownNodeError(node_id)
-        annotations = self._node_annotations.setdefault(node_id, [])
-        annotations.append(annotation)
-        annotations.sort(key=sort_key)
-        self._generation += 1
+        self._annotate(self._node_annotations.setdefault(node_id, []),
+                       annotation)
         self._notify("node", node_id, annotation)
 
     def annotate_arc(self, source: str, label: str, target: str,
@@ -141,11 +144,15 @@ class DOEMDatabase:
         arc = Arc(source, label, target)
         if not self.graph.has_arc(*arc):
             raise DOEMError(f"no such arc: {arc}")
-        annotations = self._arc_annotations.setdefault(arc, [])
+        self._annotate(self._arc_annotations.setdefault(arc, []), annotation)
+        self._notify("arc", arc, annotation)
+
+    def _annotate(self, annotations: list, annotation: Annotation) -> None:
         annotations.append(annotation)
         annotations.sort(key=sort_key)
         self._generation += 1
-        self._notify("arc", arc, annotation)
+        if self._last_timestamp is None or self._last_timestamp < annotation.at:
+            self._last_timestamp = annotation.at
 
     # ------------------------------------------------------------------
     # Derived accessors used by Chorel's annotation functions (Sec. 4.2.1)
@@ -257,6 +264,18 @@ class DOEMDatabase:
             if self.arc_live_at(arc.source, arc.label, arc.target, when):
                 yield (arc.label, arc.target)
 
+    def live_nodes(self) -> set[str]:
+        """The nodes of the current snapshot: what the root reaches
+        through arcs live now.  One walk of the whole graph."""
+        live = {self.graph.root}
+        frontier = [self.graph.root]
+        while frontier:
+            for _, child in self.live_children(frontier.pop(), POS_INF):
+                if child not in live:
+                    live.add(child)
+                    frontier.append(child)
+        return live
+
     def timestamps(self) -> list[Timestamp]:
         """Every distinct timestamp occurring in any annotation, sorted."""
         times: set[Timestamp] = set()
@@ -265,6 +284,11 @@ class DOEMDatabase:
         for annotations in self._arc_annotations.values():
             times.update(a.at for a in annotations)
         return sorted(times)
+
+    def last_timestamp(self) -> Timestamp | None:
+        """``timestamps()[-1]`` (``None`` without annotations), kept
+        current by every annotation instead of recomputed from all."""
+        return self._last_timestamp
 
     def annotation_count(self) -> int:
         """Total number of annotations in the database."""
@@ -326,12 +350,14 @@ class DOEMDatabase:
     # ------------------------------------------------------------------
 
     def copy(self) -> "DOEMDatabase":
-        """An independent deep copy."""
+        """An independent copy (annotation lists are copied, the graph as
+        :meth:`OEMDatabase.copy <repro.oem.model.OEMDatabase.copy>` does)."""
         clone = DOEMDatabase(self.graph.copy())
         clone._node_annotations = {k: list(v)
                                    for k, v in self._node_annotations.items()}
         clone._arc_annotations = {k: list(v)
                                   for k, v in self._arc_annotations.items()}
+        clone._last_timestamp = self._last_timestamp
         return clone
 
     def same_as(self, other: "DOEMDatabase") -> bool:

@@ -228,10 +228,11 @@ class SnapshotCache:
             self._fingerprint = fingerprint
 
     def _encoded_history(self):
+        """``H(D)``, as something with ``entries_between(after, until)``."""
         if self._store_log is not None:
             # The log's entries are H(D) of the database it built: no
             # re-deriving it from every annotation after each poll.
-            return self._store_log.entries()
+            return self._store_log
         if self._history is None:
             from .extract import encoded_history
             self._history = encoded_history(self.doem)
@@ -294,23 +295,23 @@ class SnapshotCache:
         if durable is not None:
             self.stats.store_hits += 1
             base_time, snapshot = durable
-            with span("doem.snapshot.replay"):
-                for step_time, change_set in self._encoded_history():
-                    if base_time < step_time <= cutoff:
-                        change_set.apply_to(snapshot)
-                        self.stats.replayed_sets += 1
-        elif base_time is None:
-            self.stats.full += 1
-            snapshot = snapshot_at(self.doem, cutoff)
-        else:
+        elif base_time is not None:
             self.stats.incremental += 1
             self._checkpoints.move_to_end(base_time)
+            snapshot = self._checkpoints[base_time].copy()
+        else:
+            self.stats.full += 1
+            snapshot = snapshot_at(self.doem, cutoff)
+            # Built node by node, so all suspects: collected here once
+            # (which deletes nothing), its copies start clean.
+            snapshot.collect_garbage()
+        if base_time is not None:
             with span("doem.snapshot.replay"):
-                snapshot = self._checkpoints[base_time].copy()
-                for step_time, change_set in self._encoded_history():
-                    if base_time < step_time <= cutoff:
-                        change_set.apply_to(snapshot)
-                        self.stats.replayed_sets += 1
+                replay = self._encoded_history().entries_between(base_time,
+                                                                 cutoff)
+                for _, change_set in replay:
+                    change_set.apply_to(snapshot)
+                self.stats.replayed_sets += len(replay)
         self._store(cutoff, snapshot)
         return snapshot.copy()
 

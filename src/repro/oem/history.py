@@ -13,15 +13,17 @@ remainder of the history must not touch them; identifiers are never reused.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import InvalidChangeError, InvalidHistoryError
-from ..timestamps import Timestamp, parse_timestamp
+from ..timestamps import NEG_INF, Timestamp, parse_timestamp
 from .changes import AddArc, ChangeOp, CreNode, RemArc, UpdNode
 from .model import OEMDatabase
 from .values import COMPLEX
 
-__all__ = ["ChangeSet", "OEMHistory"]
+__all__ = ["ChangeSet", "OEMHistory", "entries_between"]
 
 # Canonical application order within one change set.  creNode must precede
 # arcs to the new node; remArc must precede an updNode that turns a complex
@@ -159,6 +161,16 @@ class ChangeSet:
         return [op for op in self._ops if isinstance(op, kind)]
 
 
+def entries_between(entries: Sequence[tuple[Timestamp, ChangeSet]],
+                    after: Timestamp, until: Timestamp) \
+        -> Sequence[tuple[Timestamp, ChangeSet]]:
+    """The run of time-ordered ``entries`` with ``after < t <= until``:
+    what a replay from the snapshot at ``after`` to time ``until`` applies.
+    Bisected, so a lookup costs the run and not the history."""
+    first = bisect_right(entries, after, key=itemgetter(0))
+    return entries[first:bisect_right(entries, until, first, key=itemgetter(0))]
+
+
 class OEMHistory:
     """A sequence of timestamped change sets (Definition 2.2).
 
@@ -193,6 +205,11 @@ class OEMHistory:
     def entries(self) -> tuple[tuple[Timestamp, ChangeSet], ...]:
         """All ``(timestamp, change_set)`` pairs, oldest first."""
         return tuple(self._entries)
+
+    def entries_between(self, after: Timestamp, until: Timestamp) \
+            -> Sequence[tuple[Timestamp, ChangeSet]]:
+        """The entries with ``after < t <= until`` (:func:`entries_between`)."""
+        return entries_between(self._entries, after, until)
 
     def timestamps(self) -> list[Timestamp]:
         """The timestamps ``t1 < t2 < ... < tn``."""
@@ -247,22 +264,17 @@ class OEMHistory:
 
     def snapshot_at(self, db: OEMDatabase, when: object) -> OEMDatabase:
         """The state of ``db`` after all change sets with timestamp <= ``when``."""
-        cutoff = parse_timestamp(when)
         current = db.copy()
-        for timestamp, change_set in self._entries:
-            if timestamp > cutoff:
-                break
+        for _, change_set in self.entries_between(NEG_INF,
+                                                  parse_timestamp(when)):
             change_set.apply_to(current)
         return current
 
     def prefix(self, when: object) -> "OEMHistory":
         """The sub-history of entries with timestamp <= ``when``."""
-        cutoff = parse_timestamp(when)
         clipped = OEMHistory()
-        for timestamp, change_set in self._entries:
-            if timestamp > cutoff:
-                break
-            clipped.append(timestamp, change_set)
+        clipped._entries = list(
+            self.entries_between(NEG_INF, parse_timestamp(when)))
         return clipped
 
     def operation_count(self) -> int:

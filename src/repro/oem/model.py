@@ -27,7 +27,15 @@ from ..errors import (
 )
 from .values import COMPLEX, Value, check_value, value_repr
 
-__all__ = ["Arc", "OEMDatabase"]
+__all__ = ["Arc", "OEMDatabase", "stranded"]
+
+# stranded() gives up once the suspects' closure passes 1/FULL_WALK_SHARE
+# of the graph, and its caller walks the graph from the root instead.  On
+# the 5,001-node large_database that walk takes 1.9 ms and stranded() 0.6 ms
+# per tenth of the database in the closure (7.9 ms when it is all of it, as
+# on anything built node by node): break-even near 30 %, and giving up at a
+# quarter wastes at most 0.5 ms.
+FULL_WALK_SHARE = 4
 
 
 class Arc(NamedTuple):
@@ -48,6 +56,12 @@ class OEMDatabase:
     The database keeps forward and reverse adjacency so that reachability,
     garbage collection, and diffing are all linear-time.
 
+    A change set costs what it touches (docs/model.md, "What copies and
+    collections cost"): ``_owned`` names the nodes whose adjacency
+    containers are this database's alone to write (``None``: all; after a
+    :meth:`copy`, none on either side), ``_suspects`` what may have become
+    unreachable since the last :meth:`collect_garbage`.
+
     The class deliberately exposes *low-level* mutators that mirror the
     paper's basic change operations (:meth:`create_node`,
     :meth:`update_value`, :meth:`add_arc`, :meth:`remove_arc`); the typed
@@ -61,6 +75,8 @@ class OEMDatabase:
         self._arc_count = 0
         self._counter = itertools.count(1)
         self._root = root
+        self._owned: set[str] | None = None
+        self._suspects: set[str] = set()
         self.create_node(root, root_value)
 
     # ------------------------------------------------------------------
@@ -182,6 +198,16 @@ class OEMDatabase:
     # Mutators (preconditions of Section 2.1)
     # ------------------------------------------------------------------
 
+    def _own(self, *nodes: str) -> None:
+        """Before writing ``nodes``: replace the containers a :meth:`copy`
+        left shared with another database by private copies."""
+        for node_id in nodes:
+            if node_id not in self._owned:
+                self._out[node_id] = {label: dict(targets) for label, targets
+                                      in self._out[node_id].items()}
+                self._in[node_id] = set(self._in[node_id])
+                self._owned.add(node_id)
+
     def create_node(self, node_id: str, value: Value) -> str:
         """``creNode(n, v)``: create a fresh object with the given value.
 
@@ -193,6 +219,9 @@ class OEMDatabase:
         self._values[node_id] = check_value(value)
         self._out[node_id] = {}
         self._in[node_id] = set()
+        if self._owned is not None:
+            self._owned.add(node_id)
+        self._suspects.add(node_id)
         return node_id
 
     def update_value(self, node_id: str, value: Value) -> None:
@@ -224,32 +253,37 @@ class OEMDatabase:
         if not self.is_complex(source):
             raise InvalidChangeError(
                 f"addArc({source}, {label!r}, {target}): parent is atomic")
-        targets = self._out[source].setdefault(label, {})
-        if target in targets:
+        if target in self._out[source].get(label, ()):
             raise InvalidChangeError(
                 f"addArc({source}, {label!r}, {target}): arc already exists")
-        targets[target] = None
+        if self._owned is not None:
+            self._own(source, target)
+        self._out[source].setdefault(label, {})[target] = None
         self._in[target].add(Arc(source, label, target))
         self._arc_count += 1
 
     def remove_arc(self, source: str, label: str, target: str) -> None:
         """``remArc(p, l, c)``: remove a labeled arc.
 
-        Both objects and the arc itself must exist.
+        Both objects and the arc itself must exist.  The target, which
+        may have lost its last path from the root, becomes a suspect.
         """
         if source not in self._values:
             raise UnknownNodeError(source)
         if target not in self._values:
             raise UnknownNodeError(target)
-        targets = self._out.get(source, {}).get(label)
-        if not targets or target not in targets:
+        if target not in self._out[source].get(label, ()):
             raise InvalidChangeError(
                 f"remArc({source}, {label!r}, {target}): no such arc")
-        del targets[target]
-        if not targets:
-            del self._out[source][label]
+        if self._owned is not None:
+            self._own(source, target)
+        by_label = self._out[source]
+        del by_label[label][target]
+        if not by_label[label]:
+            del by_label[label]
         self._in[target].discard(Arc(source, label, target))
         self._arc_count -= 1
+        self._suspects.add(target)
 
     def _delete_node(self, node_id: str) -> None:
         """Physically drop a node and its arcs.  Internal: used by GC only."""
@@ -260,6 +294,7 @@ class OEMDatabase:
         del self._values[node_id]
         del self._out[node_id]
         del self._in[node_id]
+        self._suspects.discard(node_id)
 
     # ------------------------------------------------------------------
     # Reachability (persistence semantics of Section 2.1/2.2)
@@ -282,8 +317,17 @@ class OEMDatabase:
         return seen
 
     def unreachable_nodes(self) -> set[str]:
-        """Nodes not reachable from the root (implicitly deleted objects)."""
-        return set(self._values) - self.reachable()
+        """Nodes not reachable from the root (implicitly deleted objects):
+        found from the suspects since the last collection, or by the full
+        walk where those reach too much of the database (:func:`stranded`).
+        """
+        doomed = stranded(
+            self._suspects, self._root, self.children,
+            lambda node: (arc.source for arc in self._in[node]),
+            len(self._values))
+        if doomed is None:
+            doomed = set(self._values) - self.reachable()
+        return doomed
 
     def collect_garbage(self) -> set[str]:
         """Delete every unreachable node; return the set of deleted ids.
@@ -295,15 +339,8 @@ class OEMDatabase:
         """
         doomed = self.unreachable_nodes()
         for node_id in doomed:
-            # Drop arcs among doomed nodes lazily; arcs into live nodes too.
-            for arc in list(self.out_arcs(node_id)):
-                self.remove_arc(*arc)
-        for node_id in doomed:
-            for arc in list(self.in_arcs(node_id)):
-                self.remove_arc(*arc)
-            del self._values[node_id]
-            del self._out[node_id]
-            del self._in[node_id]
+            self._delete_node(node_id)
+        self._suspects.clear()
         return doomed
 
     def check(self) -> None:
@@ -327,7 +364,8 @@ class OEMDatabase:
         for arc in self.arcs():
             if arc.source not in self._values or arc.target not in self._values:
                 raise OEMError(f"dangling arc {arc}")
-        stranded = self.unreachable_nodes()
+        # The full walk: check() verifies the suspects, it does not trust them.
+        stranded = set(self._values) - self.reachable()
         if stranded:
             sample = ", ".join(sorted(stranded)[:5])
             raise OEMError(
@@ -361,17 +399,24 @@ class OEMDatabase:
         return extracted
 
     def copy(self) -> "OEMDatabase":
-        """An independent deep copy of the database."""
+        """An independent copy, at the cost of the node table: each node's
+        adjacency containers stay shared until either side writes that
+        node (:meth:`_own`), so from here on *neither* owns any."""
         clone = OEMDatabase.__new__(OEMDatabase)
         clone._values = dict(self._values)
-        clone._out = {node: {label: dict(targets)
-                             for label, targets in by_label.items()}
-                      for node, by_label in self._out.items()}
-        clone._in = {node: set(arcs) for node, arcs in self._in.items()}
+        clone._out = dict(self._out)
+        clone._in = dict(self._in)
         clone._arc_count = self._arc_count
         clone._counter = itertools.count(next(_copy.copy(self._counter)))
         clone._root = self._root
+        clone._owned = set()
+        self._owned = set()
+        clone._suspects = set(self._suspects)
         return clone
+
+    def __getstate__(self) -> dict:
+        # A pickled replica shares nothing: it owns every container.
+        return {**self.__dict__, "_owned": None}
 
     def same_as(self, other: "OEMDatabase") -> bool:
         """Exact equality: same root, node ids, values, and arcs."""
@@ -428,6 +473,41 @@ class OEMDatabase:
     def __repr__(self) -> str:
         return (f"<OEMDatabase root={self._root!r} nodes={len(self)} "
                 f"arcs={self.arc_count()}>")
+
+
+def stranded(suspects: Iterable[str], root: str, children, parents,
+             size: int) -> set[str] | None:
+    """The nodes that arc removals and node creations left unreachable.
+
+    ``suspects`` are the removed arcs' targets and the created nodes of a
+    graph whose nodes were all reachable from ``root`` before.  Whatever
+    is unreachable now is forward-reachable from a suspect (its old path
+    from the root, past the last removed arc), so the answer is the
+    suspects' closure under ``children(node)`` minus what the closure's
+    entry points -- ``root``, or a member with one of ``parents(node)``
+    outside, which is therefore still reachable -- reach inside it.
+    Exact with cycles and sharing.  ``None`` once the closure is a large
+    share of the graph's ``size`` nodes: the caller's one walk from the
+    root is cheaper then.
+    """
+    closure = set(suspects)
+    frontier = list(closure)
+    while frontier:
+        if len(closure) * FULL_WALK_SHARE > size:
+            return None
+        for child in children(frontier.pop()):
+            if child not in closure:
+                closure.add(child)
+                frontier.append(child)
+    alive = {node for node in closure if node == root
+             or any(parent not in closure for parent in parents(node))}
+    frontier = list(alive)
+    while frontier:
+        for child in children(frontier.pop()):
+            if child not in alive:
+                alive.add(child)
+                frontier.append(child)
+    return closure - alive
 
 
 def _signature_refinement(db: OEMDatabase, rounds: int = 6) -> dict[str, int]:

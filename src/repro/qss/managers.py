@@ -302,8 +302,8 @@ class DOEMManager:
                                   reserved_ids=doem.graph.nodes(),
                                   signatures=signatures)
         timestamp = parse_timestamp(when)
-        existing = doem.timestamps()
-        if change_set or not existing or existing[-1] < timestamp:
+        newest = doem.last_timestamp()
+        if change_set or newest is None or newest < timestamp:
             apply_change_set(doem, timestamp, change_set)
             if change_set:
                 # Durability follows the in-memory fold: non-empty sets

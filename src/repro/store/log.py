@@ -48,7 +48,7 @@ from ..errors import InvalidChangeError, InvalidHistoryError, \
     StoreCorruptionError, StoreError
 from ..obs.events import emit_event
 from ..obs.metrics import CounterField, registry as metrics_registry
-from ..oem.history import ChangeSet, OEMHistory
+from ..oem.history import ChangeSet, OEMHistory, entries_between
 from ..oem.model import OEMDatabase
 from ..timestamps import NEG_INF, Timestamp, parse_timestamp
 from .checkpoint import CheckpointPolicy, CheckpointRef, read_checkpoint, \
@@ -333,6 +333,10 @@ class HistoryLog:
     def entries(self) -> tuple[tuple[Timestamp, ChangeSet], ...]:
         return tuple(self._entries)
 
+    def entries_between(self, after: Timestamp, until: Timestamp):
+        """The entries with ``after < t <= until``, bisected."""
+        return entries_between(self._entries, after, until)
+
     def timestamps(self) -> list[Timestamp]:
         return [when for when, _ in self._entries]
 
@@ -489,6 +493,9 @@ class HistoryLog:
             self.checkpoint_problems.append(str(exc))
             return None
         self.stats.checkpoint_loads += 1
+        # Decoded node by node, so all suspects: collected here once (which
+        # deletes nothing), its copies start clean.
+        snapshot.collect_garbage()
         self._ckpt_cache[ref.seq] = snapshot
         while len(self._ckpt_cache) > _CKPT_CACHE_SLOTS:
             self._ckpt_cache.popitem(last=False)
@@ -523,14 +530,10 @@ class HistoryLog:
         else:
             base_time, snapshot = nearest
             self.stats.snapshots_from_checkpoint += 1
-        replayed = 0
-        for when_i, change_set in self._entries:
-            if when_i > cutoff:
-                break
-            if when_i > base_time:
-                change_set.apply_to(snapshot)
-                replayed += 1
-        self.stats.replayed_sets += replayed
+        replay = self.entries_between(base_time, cutoff)
+        for _, change_set in replay:
+            change_set.apply_to(snapshot)
+        self.stats.replayed_sets += len(replay)
         return snapshot
 
     # -- compaction --------------------------------------------------------
@@ -553,19 +556,13 @@ class HistoryLog:
             kept = self._entries
             base_time: Timestamp | None = None
         else:
-            horizon = parse_timestamp(before)
-            base_time = None
-            for when, _ in self._entries:
-                if when <= horizon:
-                    base_time = when
-                else:
-                    break
-            if base_time is None:
+            covered = self.entries_between(NEG_INF, parse_timestamp(before))
+            if not covered:
                 return {"generation": self.generation, "dropped_sets": 0,
                         "dropped_segments": 0, "dropped_checkpoints": 0}
+            base_time = covered[-1][0]
             new_origin = self.snapshot_at(base_time)
-            kept = [(when, cs) for when, cs in self._entries
-                    if when > base_time]
+            kept = self._entries[len(covered):]
 
         new_generation = self.generation + 1
         self._writer.close()

@@ -48,7 +48,6 @@ class TriggerManager:
         self.doem = doem
         self.name = name or doem.graph.root
         self._applier = DOEMApplier(doem)
-        self._applier._mark_dead_nodes()
         self._rules: list[Rule] = []
         self.activations: list[Activation] = []
 

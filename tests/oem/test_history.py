@@ -176,6 +176,21 @@ class TestHistory:
         clipped = history.prefix("2Jan97")
         assert len(clipped) == 1
 
+    def test_entries_between(self):
+        """``after < t <= until``, for bounds on, between and beyond the
+        entries -- the run a replay from one snapshot to another applies."""
+        from repro import NEG_INF, POS_INF
+        history = OEMHistory([(f"{day}Jan97", [UpdNode("x", day)])
+                              for day in (1, 3, 5, 7, 9)])
+        entries = list(history.entries())
+        bounds = [NEG_INF, POS_INF] + [parse_timestamp(f"{day}Jan97")
+                                       for day in range(1, 11)]
+        for after in bounds:
+            for until in bounds:
+                assert list(history.entries_between(after, until)) == \
+                    [entry for entry in entries if after < entry[0] <= until]
+        assert OEMHistory().entries_between(NEG_INF, POS_INF) == []
+
     def test_is_valid_for(self, db):
         good = OEMHistory([("1Jan97", [UpdNode("x", 2)])])
         bad = OEMHistory([("1Jan97", [UpdNode("ghost", 2)])])

@@ -133,6 +133,28 @@ class TestDOEMManagerStrategies:
         self._run_polls(aliased)
         assert aliased.state_size("S") == sizes
 
+    def test_redundant_poll_is_folded_only_at_a_later_time(self, monkeypatch):
+        """An empty change set at a time the DOEM already covers is not
+        applied; at a later one it is, and leaves no annotation."""
+        from repro.doem import build
+        manager = DOEMManager()
+        doem = self._run_polls(manager)          # newest annotation: 1Jan97
+        assert doem.last_timestamp() == parse_timestamp("1Jan97")
+        before, fingerprint = doem.copy(), doem.fingerprint()
+        applied = []
+        real = build.apply_change_set
+        monkeypatch.setattr(
+            build, "apply_change_set",
+            lambda *args: applied.append(args[1]) or real(*args))
+        unchanged = self._packaged(small_db(["Hakata"]))
+        assert not manager.incorporate("S", "1Jan97", unchanged)
+        assert not manager.incorporate("S", "31Dec96", unchanged)
+        assert applied == []
+        assert not manager.incorporate("S", "2Jan97", unchanged)
+        assert applied == [parse_timestamp("2Jan97")]
+        assert doem.same_as(before) and doem.fingerprint() == fingerprint
+        assert doem.last_timestamp() == parse_timestamp("1Jan97")
+
     def test_identifiers_never_reused(self):
         manager = DOEMManager()
         doem = self._run_polls(manager)  # Janta died at the third poll

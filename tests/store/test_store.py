@@ -64,6 +64,18 @@ class TestHistoryLog:
         assert reopened.tip().same_as(history.apply_to(db.copy()))
         reopened.close()
 
+    def test_entries_between_is_the_history_s(self, tmp_path):
+        db, history = make_world()
+        with HistoryLog(tmp_path / "h", origin=db) as log:
+            log.extend(history)
+            probes = sample_times(history)
+            for after in probes:
+                for until in probes:
+                    assert log.entries_between(after, until) == \
+                        history.entries_between(after, until) == \
+                        [entry for entry in history.entries()
+                         if after < entry[0] <= until]
+
     def test_snapshot_at_matches_in_memory(self, tmp_path):
         db, history = make_world()
         log = HistoryLog(tmp_path / "h", origin=db,
