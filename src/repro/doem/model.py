@@ -14,7 +14,7 @@ state from this one structure.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import DOEMError, UnknownNodeError
 from ..oem.model import Arc, OEMDatabase
@@ -22,6 +22,19 @@ from ..timestamps import POS_INF, Timestamp, parse_timestamp
 from .annotations import Add, Annotation, ArcAnnotation, Cre, NodeAnnotation, Rem, Upd, sort_key
 
 __all__ = ["DOEMDatabase"]
+
+
+def _live_at(annotations: Sequence[ArcAnnotation], cutoff: Timestamp) -> bool:
+    """:meth:`DOEMDatabase.arc_live_at`'s rule over one arc's annotations."""
+    latest: ArcAnnotation | None = None
+    for annotation in annotations:
+        if annotation.at <= cutoff:
+            latest = annotation
+        else:
+            break
+    if latest is not None:
+        return isinstance(latest, Add)
+    return not annotations or isinstance(annotations[0], Rem)
 
 
 class DOEMDatabase:
@@ -217,16 +230,7 @@ class DOEMDatabase:
         no-earlier-annotation case).
         """
         cutoff = parse_timestamp(when)
-        annotations = self.arc_annotations(source, label, target)
-        latest: ArcAnnotation | None = None
-        for annotation in annotations:
-            if annotation.at <= cutoff:
-                latest = annotation
-            else:
-                break
-        if latest is not None:
-            return isinstance(latest, Add)
-        return not annotations or isinstance(annotations[0], Rem)
+        return _live_at(self.arc_annotations(source, label, target), cutoff)
 
     def value_at(self, node_id: str, when: object) -> object:
         """``v_t(n)``: the node's value at time ``when`` (Section 3.2).
@@ -257,12 +261,17 @@ class DOEMDatabase:
 
     def live_children(self, node_id: str, when: object,
                       label: str | None = None) -> Iterator[tuple[str, str]]:
-        """Iterate ``(label, child)`` over arcs from ``node_id`` live at ``when``."""
-        for arc in self.graph.out_arcs(node_id):
-            if label is not None and arc.label != label:
-                continue
-            if self.arc_live_at(arc.source, arc.label, arc.target, when):
-                yield (arc.label, arc.target)
+        """Iterate ``(label, child)`` over arcs from ``node_id`` live at
+        ``when``, read by label from the graph's adjacency in data order."""
+        labels = (label,) if label is not None \
+            else tuple(self.graph.out_labels(node_id))
+        cutoff = parse_timestamp(when)
+        annotated = self._arc_annotations
+        for name in labels:
+            for target in self.graph.targets(node_id, name):
+                annotations = annotated.get((node_id, name, target))
+                if not annotations or _live_at(annotations, cutoff):
+                    yield name, target
 
     def live_nodes(self) -> set[str]:
         """The nodes of the current snapshot: what the root reaches

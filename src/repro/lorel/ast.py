@@ -162,6 +162,13 @@ class PathStep:
         return "|" in self.label
 
     @property
+    def is_plain(self) -> bool:
+        """True for one hop along one literal label -- no ``#``, pattern,
+        alternation, repetition or start-anchored ``""`` -- annotated or not."""
+        return self.repetition is None and self.label != "" and not (
+            self.is_wildcard or self.is_pattern or self.is_alternation)
+
+    @property
     def alternatives(self) -> tuple[str, ...]:
         """The alternation's labels (a 1-tuple for plain labels)."""
         return tuple(self.label.split("|"))

@@ -41,7 +41,7 @@ from typing import Iterator
 
 from ..errors import EvaluationError
 from ..obs.trace import span
-from ..oem.values import COMPLEX, compare, like
+from ..oem.values import COMPLEX, compare, holds, like
 from ..timestamps import POS_INF, Timestamp, parse_timestamp
 from .ast import (
     And,
@@ -737,17 +737,7 @@ class Evaluator:
                 if self._holds(left_value, condition.op, right_value):
                     yield right_env
 
-    @staticmethod
-    def _holds(left: object, op: str, right: object) -> bool:
-        # Timestamps compare through the coercing comparator too.
-        if isinstance(left, Timestamp) or isinstance(right, Timestamp):
-            try:
-                left_ts = parse_timestamp(left)   # type: ignore[arg-type]
-                right_ts = parse_timestamp(right)  # type: ignore[arg-type]
-            except Exception:
-                return False
-            return compare(left_ts, right_ts, op)
-        return compare(left, op=op, right=right)
+    _holds = staticmethod(holds)  # timestamps coerce here too
 
     # ==================================================================
     # Whole queries

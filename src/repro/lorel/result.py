@@ -151,28 +151,20 @@ class QueryResult:
         ``preserve_ids`` keeps the source node identifiers in the copy
         (handy for joining results back to the database); pass False to
         mint fresh ones, e.g. when simulating an autonomous source that
-        does not expose stable identifiers.
+        does not expose stable identifiers.  With identifiers kept, answer
+        and ``source`` share a copied node's arcs until either writes that
+        node (docs/model.md, "What copies and collections cost").
         """
         answer = OEMDatabase(root=root)
-        copied: dict[str, str] = {}
-
-        def copy_object(node: str) -> str:
-            if node in copied:
-                return copied[node]
-            new_id = node if (preserve_ids and node not in answer) \
-                else answer.new_node_id("a")
-            answer.create_node(new_id, source.value(node))
-            copied[node] = new_id
-            for arc in source.out_arcs(node):
-                answer.add_arc(new_id, arc.label, copy_object(arc.target))
-            return new_id
+        ids: dict[str, str] = {}
 
         def attach(parent: str, label: str, value: object) -> None:
             if isinstance(value, ObjectRef):
-                answer.add_arc(parent, label, copy_object(value.node))
+                node = answer.adopt_closure(source, value.node, ids,
+                                            preserve_ids)
             else:
                 node = answer.create_node(answer.new_node_id("a"), value)
-                answer.add_arc(parent, label, node)
+            answer.add_arc(parent, label, node)
 
         for row in self.rows:
             if len(row.items) == 1:
@@ -183,4 +175,5 @@ class QueryResult:
                 answer.add_arc(answer.root, "row", row_node)
                 for label, value in row.items:
                     attach(row_node, label, value)
+        answer.share_adopted(source, ids if preserve_ids else {})
         return answer

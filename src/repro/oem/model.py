@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy as _copy
 import itertools
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from ..errors import (
     DuplicateNodeError,
@@ -156,16 +156,21 @@ class OEMDatabase:
             raise UnknownNodeError(node_id)
         return iter(self._out.get(node_id, {}))
 
+    def targets(self, node_id: str, label: str) -> Collection[str]:
+        """The ``label`` children of ``node_id`` in data order: the
+        database's own container, to iterate and test, never to write."""
+        try:
+            return self._out[node_id].get(label, ())
+        except KeyError:
+            raise UnknownNodeError(node_id) from None
+
     def children(self, node_id: str, label: str | None = None) -> Iterator[str]:
         """Iterate over children of ``node_id``; restrict to ``label`` if given."""
+        if label is not None:
+            return iter(self.targets(node_id, label))
         if node_id not in self._values:
             raise UnknownNodeError(node_id)
-        by_label = self._out.get(node_id, {})
-        if label is not None:
-            yield from by_label.get(label, {})
-            return
-        for targets in by_label.values():
-            yield from targets
+        return itertools.chain.from_iterable(self._out[node_id].values())
 
     def out_arcs(self, node_id: str) -> Iterator[Arc]:
         """Iterate over all arcs leaving ``node_id``."""
@@ -375,27 +380,76 @@ class OEMDatabase:
     # Copying and comparison
     # ------------------------------------------------------------------
 
+    def adopt_closure(self, source: "OEMDatabase", start: str,
+                      ids: dict[str, str], preserve_ids: bool = True) -> str:
+        """Copy what ``start`` reaches in ``source`` into this database, depth
+        first without recursion (pre-order, arcs in data order); return its
+        identifier here.  ``ids`` (source identifier -> identifier here) holds
+        what earlier calls copied, and grows.  A node keeps its identifier when
+        ``preserve_ids`` and it is free here; one whose children all kept
+        theirs gets ``source``'s ``label -> targets`` container itself.  In-arc
+        sets are built here: the source's hold arcs from outside the closure."""
+        values, out, incoming = source._values, source._out, self._in
+        if start not in ids and start not in values:
+            raise UnknownNodeError(start)
+        parents, stack = [], [start]
+        while stack:  # children pushed in reverse, visited when popped
+            node = stack.pop()
+            if node in ids:
+                continue
+            ids[node] = new_id = node if preserve_ids \
+                and node not in self._values else self.new_node_id("a")
+            self._values[new_id] = values[node]
+            incoming[new_id] = set()
+            by_label = out[node]
+            self._out[new_id] = by_label if preserve_ids else {}
+            if by_label:
+                parents.append(node)
+                for targets in reversed(by_label.values()):
+                    stack.extend(reversed(targets))
+        for node in parents:
+            new_id, by_label, kept = ids[node], out[node], preserve_ids
+            for label, targets in by_label.items():
+                for target in targets:
+                    new_target = ids[target]
+                    kept = kept and new_target == target
+                    incoming[new_target].add(Arc(new_id, label, new_target))
+                self._arc_count += len(targets)
+            if not kept:
+                self._out[new_id] = {
+                    label: {ids[target]: None for target in targets}
+                    for label, targets in by_label.items()}
+        return ids[start]
+
+    def share_adopted(self, source: "OEMDatabase", ids: dict[str, str]) -> None:
+        """Close a run of :meth:`adopt_closure` calls: if they preserved
+        identifiers (``ids`` empty otherwise) neither database owns the copied
+        nodes' containers, as after :meth:`copy`; and none is a suspect."""
+        if ids:
+            for db, nodes in ((self, ids.values()), (source, ids)):
+                if db._owned is None:
+                    db._owned = set(db._values)
+                db._owned.difference_update(nodes)
+        self._suspects.clear()
+
     def subgraph(self, node_id: str, new_root: str | None = None) -> "OEMDatabase":
         """The reachable closure of ``node_id``, as a standalone database.
 
         Node identifiers are preserved; ``new_root`` renames the entry
         point when ``node_id``'s identifier would be confusing as a root.
-        Cycles and sharing within the closure are preserved.
+        Cycles and sharing within the closure are preserved; so are its
+        containers (:meth:`adopt_closure`): the cost is the closure's.
         """
-        if node_id not in self._values:
-            raise UnknownNodeError(node_id)
-        members = self.reachable(node_id)
         root_id = new_root or node_id
-        extracted = OEMDatabase(root=root_id,
-                                root_value=self.value(node_id))
-        for member in members:
-            if member != node_id:
-                extracted.create_node(member, self.value(member))
-        for arc in self.arcs():
-            if arc.source in members and arc.target in members:
-                source = root_id if arc.source == node_id else arc.source
-                target = root_id if arc.target == node_id else arc.target
-                extracted.add_arc(source, arc.label, target)
+        extracted = OEMDatabase(root=root_id, root_value=self.value(node_id))
+        ids = {node_id: root_id}
+        for _, label, target in self.out_arcs(node_id):
+            extracted.add_arc(root_id, label,
+                              extracted.adopt_closure(self, target, ids))
+        del ids[node_id]
+        if any(new_id != node for node, new_id in ids.items()):
+            raise DuplicateNodeError(root_id)
+        extracted.share_adopted(self, ids)
         return extracted
 
     def copy(self) -> "OEMDatabase":

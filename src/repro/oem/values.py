@@ -16,7 +16,7 @@ Lorel's ``like`` operator.
 from __future__ import annotations
 
 import re
-from typing import Union
+from typing import Callable, Union
 
 from ..errors import ValueError_
 from ..timestamps import Timestamp, parse_timestamp
@@ -32,7 +32,10 @@ __all__ = [
     "value_repr",
     "coerce_pair",
     "compare",
+    "holds",
+    "comparator",
     "like",
+    "like_matcher",
 ]
 
 
@@ -175,14 +178,26 @@ _OPERATORS = {
 }
 
 
+# No coercion needed (``bool`` is absent: it compares as a number).
+_COMPARABLE_AS_IS = {(int, int), (int, float), (float, int), (float, float),
+                     (Timestamp, Timestamp)}
+
+
+def _operator(op: str):
+    if op not in _OPERATORS:
+        raise ValueError_(f"unknown comparison operator: {op!r}")
+    return _OPERATORS[op]
+
+
 def compare(left: object, right: object, op: str = "=") -> bool:
     """Lorel's forgiving comparison (Example 4.1).
 
     Complex values and failed coercions make the comparison return
     ``False`` -- never an error.  ``op`` is one of ``= == != <> < <= > >=``.
     """
-    if op not in _OPERATORS:
-        raise ValueError_(f"unknown comparison operator: {op!r}")
+    operator = _operator(op)
+    if (type(left), type(right)) in _COMPARABLE_AS_IS:
+        return operator(left, right)
     if left is COMPLEX or right is COMPLEX or left is None or right is None:
         return False
     if not (is_atomic_value(left) and is_atomic_value(right)):
@@ -191,7 +206,53 @@ def compare(left: object, right: object, op: str = "=") -> bool:
     if pair is None:
         return False
     coerced_left, coerced_right = pair
-    return _OPERATORS[op](coerced_left, coerced_right)
+    return operator(coerced_left, coerced_right)
+
+
+def holds(left: object, op: str, right: object) -> bool:
+    """:func:`compare` as ``where`` applies it: beside a timestamp the other
+    side is read by :func:`parse_timestamp` (an ``int``: raw ticks) or fails."""
+    if isinstance(left, Timestamp) or isinstance(right, Timestamp):
+        try:
+            left, right = parse_timestamp(left), parse_timestamp(right)
+        except Exception:
+            return False
+    return compare(left, right, op)
+
+
+def comparator(op: str, literal: object) -> Callable[[object], bool]:
+    """``value -> holds(value, op, literal)``, the coercion decided once:
+    a string literal that reads as neither timestamp nor number meets a
+    string as a string, a number literal a number as a number -- one
+    operator call.  Any other value or literal takes :func:`holds`."""
+    operator = _operator(op)
+    as_is: tuple = ()
+    if type(literal) in (int, float):
+        as_is = (int, float)
+    elif type(literal) is str and not (_is_ts_literal(literal)
+                                       or _NUMERIC_RE.match(literal)):
+        as_is = (str,)
+
+    def test(value: object) -> bool:
+        if type(value) in as_is:
+            return operator(value, literal)
+        return holds(value, op, literal)
+    return test
+
+
+def like_matcher(pattern: str) -> Callable[[object], bool]:
+    """``value -> like(value, pattern)``, the pattern compiled once."""
+    fullmatch = re.compile(
+        "".join(".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+                for ch in pattern), flags=re.DOTALL).fullmatch
+
+    def matches(value: object) -> bool:
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, (int, float, Timestamp)):
+            value = str(value)
+        return isinstance(value, str) and fullmatch(value) is not None
+    return matches
 
 
 def like(value: object, pattern: str) -> bool:
@@ -200,19 +261,4 @@ def like(value: object, pattern: str) -> bool:
     Non-string values are coerced to their textual form first, in keeping
     with Lorel's forgiving style; complex values never match.
     """
-    if value is COMPLEX or value is None:
-        return False
-    if isinstance(value, Timestamp):
-        text = str(value)
-    elif isinstance(value, bool):
-        text = "true" if value else "false"
-    elif isinstance(value, (int, float)):
-        text = str(value)
-    elif isinstance(value, str):
-        text = value
-    else:
-        return False
-    regex = "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-        for ch in pattern)
-    return re.fullmatch(regex, text, flags=re.DOTALL) is not None
+    return like_matcher(pattern)(value)

@@ -37,9 +37,10 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from ..lorel.ast import And, Comparison, Condition, LikeCond, Literal, \
-    Not, Or, TimeVar, VarRef
+    Not, Or, PathExpr, TimeVar, VarRef
+from ..lorel.eval import NodeBinding
 from ..obs.metrics import registry as metrics_registry
-from ..oem.values import like
+from ..oem.values import COMPLEX, comparator, like_matcher
 from ..parallel.sharding import chunk_fixed
 
 __all__ = ["EnvBatch", "DEFAULT_BATCH_SIZE", "BATCH_ROWS_METRIC",
@@ -128,12 +129,13 @@ class EnvBatch:
 #
 # ``Predicate`` only asks *does the condition have a solution?* -- it never
 # keeps bindings the condition introduces.  For conditions built purely
-# from literals, polling-time variables, and already-bound variables,
-# solving cannot extend the environment, so the existential check
-# decomposes into ordinary boolean evaluation: And = conjunction, Or =
-# disjunction, Not = negation, Comparison/LikeCond = one value comparison.
-# compile_predicate turns such a condition into a closure once; anything
-# that walks paths (or the `= None` existence-test encoding, whose
+# from literals, polling-time variables, already-bound variables and paths
+# of plain steps from them (a plain step binds nothing), solving cannot
+# extend the environment, so the existential check decomposes into ordinary
+# boolean evaluation: And = conjunction, Or = disjunction, Not = negation,
+# Comparison/LikeCond = *exists* over the values either side reads.
+# compile_predicate turns such a condition into a closure once; a path with
+# any other step (and the `= None` existence-test encoding, whose
 # semantics hang on match multiplicity) stays on the general solver.
 
 class _NotVectorizable(Exception):
@@ -174,28 +176,68 @@ def _compile_condition(condition, evaluator):
             # multiplicity, which only the general solver models.
             raise _NotVectorizable
         left = _compile_operand(condition.left, evaluator)
-        right = _compile_operand(condition.right, evaluator)
         op = condition.op
+        if isinstance(condition.right, Literal):
+            test = comparator(op, condition.right.value)
+            return lambda env: any(map(test, left(env)))
+        right = _compile_operand(condition.right, evaluator)
         holds = evaluator._holds
-        return lambda env: holds(left(env), op, right(env))
+
+        def exists(env):
+            lefts = left(env)
+            # As the solver: without a left value the right is never read.
+            rights = right(env) if lefts else ()
+            return any(holds(one, op, other)
+                       for one in lefts for other in rights)
+        return exists
     if isinstance(condition, LikeCond):
         operand = _compile_operand(condition.expr, evaluator)
-        pattern = condition.pattern
-        return lambda env: like(operand(env), pattern)
+        matches = like_matcher(condition.pattern)
+        return lambda env: any(map(matches, operand(env)))
     raise _NotVectorizable
 
 
 def _compile_operand(expr, evaluator):
+    """``env -> the values the expression reads`` (a path: all it reaches)."""
     if isinstance(expr, Literal):
-        value = expr.value
-        return lambda env: value
+        values = (expr.value,)
+        return lambda env: values
     if isinstance(expr, TimeVar):
-        return lambda env: evaluator._polling_time(expr, env)
+        return lambda env: (evaluator._polling_time(expr, env),)
     if isinstance(expr, VarRef):
         name = expr.name
         value_of = evaluator._value_of
-        return lambda env: value_of(env[name])  # KeyError -> row fallback
-    raise _NotVectorizable  # PathExpr walks data
+        return lambda env: (value_of(env[name]),)  # KeyError -> row fallback
+    if isinstance(expr, PathExpr) and all(
+            step.is_plain and step.arc_annotation is None
+            and step.node_annotation is None for step in expr.steps):
+        return _compile_path(expr, evaluator.view)
+    raise _NotVectorizable
+
+
+def _compile_path(path: PathExpr, view):
+    """A frontier walk as ``Evaluator._step_matches`` takes plain steps: no
+    children below an atom; ``<at T>`` on the start governs the first hop."""
+    start = path.start
+    labels = tuple(step.label for step in path.steps)
+    value, children = view.value, view.children
+
+    def reach(env):
+        binding = env[start]  # KeyError (a database name) -> row fallback
+        if not isinstance(binding, NodeBinding):
+            raise KeyError(start)  # a scalar starts no path: the solver says so
+        nodes, at = (binding.node,), binding.at
+        for label in labels:
+            reached: list = []
+            for node in nodes:
+                if value(node) is COMPLEX:
+                    reached.extend(children(node, label) if at is None
+                                   else view.children_at(node, label, at))
+            nodes, at = reached, None
+        if at is not None:
+            return [view.value_at(node, at) for node in nodes]
+        return [value(node) for node in nodes]
+    return reach
 
 
 def filter_rows(evaluator, condition: Condition, rows: list,

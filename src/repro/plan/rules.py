@@ -278,8 +278,7 @@ def _chain_labels_annotation(items, ctx):
         for step in item.path.steps:
             seen += 1
             is_last = seen == total
-            if step.is_wildcard or step.is_pattern or step.label == "" \
-                    or step.is_alternation or step.repetition is not None:
+            if not step.is_plain:
                 return None
             if step.arc_annotation is not None:
                 if not is_last or step.node_annotation is not None:

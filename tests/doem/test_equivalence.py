@@ -8,8 +8,10 @@ oracle-built one; (b) whatever moves the database behind the applier's
 back -- an annotation from outside, ``compact``, ``decode``, a copy, a
 failed set -- makes the next set start from the full walk and agree
 again; (c) the newest annotation time the database keeps is
-``timestamps()[-1]``.  (a) and (b) run with the production
-``FULL_WALK_SHARE`` and with 1, where only the suspect rule is left.
+``timestamps()[-1]``; (d) ``live_children`` read by label from the
+adjacency yields the pairs, in the order, of the per-arc loop the oracle
+keeps.  (a) and (b) run with the production ``FULL_WALK_SHARE`` and with
+1, where only the suspect rule is left.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from repro import (
     COMPLEX, AddArc, ChangeSet, CreNode, DOEMDatabase, OEMDatabase, RemArc,
     UpdNode, build_doem, compact, current_snapshot, decode_doem, encode_doem,
     parse_timestamp)
-from repro.doem.annotations import Add
+from repro.doem.annotations import Add, Rem
 from repro.doem.build import DOEMApplier, apply_change_set
-from repro.errors import InvalidChangeError
+from repro.errors import InvalidChangeError, ReproError
 from repro.oem import model
 from repro.sources.generators import (
     large_database, large_history, random_change_set, random_database,
     random_history)
 from repro.store import ChangeLogStore
+from repro.timestamps import NEG_INF, POS_INF
 
 from . import oracle_build as oracle
 
@@ -234,3 +237,61 @@ def test_last_timestamp_of_out_of_order_annotations():
     doem.annotate_arc("r", "k", "a", Add(parse_timestamp("2Jan97")))
     assert doem.last_timestamp() == parse_timestamp("5Jan97")
     assert_last_timestamp(doem)
+
+
+# ---------------------------------------------------------------------------
+# (d) live_children, read by label
+# ---------------------------------------------------------------------------
+
+def flickering(seed: int) -> DOEMDatabase:
+    """A random cyclic graph whose arcs were removed and re-added at will:
+    original arcs (first annotation a ``rem``, or none at all) and arcs
+    added later (first an ``add``), one to four annotations each."""
+    rng = random.Random(seed)
+    doem = DOEMDatabase(random_database(seed=seed, nodes=25,
+                                        extra_arc_ratio=0.8))
+    for arc in sorted(doem.graph.arcs()):
+        if rng.random() < 0.4:
+            continue
+        kinds = [Add, Rem] if rng.random() < 0.5 else [Rem, Add]
+        day = rng.randrange(1, 4)
+        for index in range(rng.randrange(1, 5)):
+            doem.annotate_arc(*arc, kinds[index % 2](f"{day}Jan97"))
+            day += rng.randrange(1, 3)
+    return doem
+
+
+def listed(children, *args):
+    try:
+        return list(children(*args))
+    except ReproError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_live_children_is_the_per_arc_loop(seed):
+    doem = flickering(seed)
+    times = [NEG_INF, POS_INF, "2Jan97", parse_timestamp("1Jan97").ticks]
+    for when in doem.timestamps():     # before, at and after every one
+        times += [when.plus(seconds=-1), when, when.plus(seconds=1)]
+    labels = [None, "zz", *sorted({arc.label for arc in doem.graph.arcs()})]
+    for node in [*sorted(doem.graph.nodes()), "no-such-node"]:
+        for label in labels:
+            for when in times:
+                assert listed(doem.live_children, node, when, label) == \
+                    listed(oracle.live_children, doem, node, when, label), \
+                    (node, when, label)
+
+
+def test_live_children_on_a_folded_history():
+    """... and on what the applier builds, dead arcs on atomic nodes and all."""
+    origin, history, doem = world(7)
+    assert any(first and isinstance(first[0], Rem)
+               for _, first in doem.annotated_arcs())
+    for node in doem.graph.nodes():
+        for when in [*doem.timestamps(), POS_INF, NEG_INF]:
+            assert list(doem.live_children(node, when)) == \
+                list(oracle.live_children(doem, node, when))
+    assert listed(doem.live_children, "root", "not a time") is \
+        listed(oracle.live_children, doem, "root", "not a time")

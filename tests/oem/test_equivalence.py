@@ -1,10 +1,14 @@
 """Shared-structure copies and suspect-driven collection change nothing.
 
 ``oracle_model.py`` holds the deep copy and the full walk that
-``OEMDatabase.copy()`` and ``unreachable_nodes()`` replaced.  Two parts:
-(a) *aliasing* -- a family of databases copied from one another at
-random points, each shadowed by a twin that shares nothing with anybody,
-stays equal to its twins whatever is written to whichever member;
+``OEMDatabase.copy()`` and ``unreachable_nodes()`` replaced, and the
+arc-scanning ``subgraph`` and node-by-node ``as_oem`` that adopting a
+closure's containers replaced.  Two parts:
+(a) *aliasing* -- a family of databases copied, extracted and packaged
+from one another at random points, each shadowed by a twin that shares
+nothing with anybody, stays equal to its twins whatever is written to
+whichever member (the answer, the export it was selected from, or that
+export's source);
 (b) *collection* -- ``unreachable_nodes()`` is the oracle's answer after
 arbitrary mutation sequences, on the shapes the suspect rule has to get
 right.  Both run twice: with the production ``FULL_WALK_SHARE`` and with
@@ -32,9 +36,11 @@ from repro import (
     COMPLEX, AddArc, ChangeSet, CreNode, OEMDatabase, RemArc, UpdNode)
 from repro.doem.model import DOEMDatabase
 from repro.errors import OEMError
+from repro.lorel.result import ObjectRef, QueryResult, Row
 from repro.oem import model
 from repro.sources.generators import random_change_set, random_database
 
+from . import oracle_model
 from .oracle_model import deep_copy, unreachable
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -141,8 +147,36 @@ class Family(RuleBasedStateMachine):
         db, twin = self.pick(index)
         node = random.Random(seed).choice(sorted(db.nodes()))
         root = self.fresh()
-        self.members.append((db.subgraph(node, new_root=root),
-                             twin.subgraph(node, new_root=root)))
+        extracted = db.subgraph(node, new_root=root)
+        assert extracted.same_as(oracle_model.subgraph(twin, node, root))
+        assert extracted._suspects == set()
+        self.members.append((extracted, deep_copy(extracted)))
+
+    @precondition(lambda self: len(self.members) < 6)
+    @rule(index=SEEDS, seed=SEEDS, preserve_ids=st.booleans())
+    def package(self, index, seed, preserve_ids):
+        """An answer selected from a member joins the family: identifiers
+        kept or minted, its root sometimes named like a node it copies."""
+        db, twin = self.pick(index)
+        rng = random.Random(seed)
+        nodes = sorted(db.nodes())
+        rows = [Row(tuple(
+            (rng.choice(LABELS),
+             ObjectRef(rng.choice(nodes)) if rng.random() < 0.7
+             else rng.randrange(5))
+            for _ in range(rng.choice([1, 1, 2, 3]))))
+            for _ in range(rng.randrange(4))]
+        result = QueryResult(rows)
+        root = rng.choice(["answer", self.fresh(), rng.choice(nodes)])
+        answer = outcome(lambda source: result.as_oem(
+            source, root=root, preserve_ids=preserve_ids), db)
+        reference = outcome(lambda source: oracle_model.as_oem(
+            result, source, root=root, preserve_ids=preserve_ids), twin)
+        if isinstance(reference, type):
+            assert answer is reference
+            return
+        assert answer._suspects == set()
+        self.members.append((answer, reference))
 
     # -- writing one member -------------------------------------------------
 

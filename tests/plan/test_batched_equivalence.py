@@ -215,9 +215,42 @@ class TestCompilePredicate:
         with pytest.raises(KeyError):
             pred({})
 
-    def test_path_condition_rejected(self):
-        assert compile_predicate(self.condition("root.item.price < 5"),
-                                 self.evaluator()) is None
+    # What compiles and what stays with the solver (the table of
+    # docs/batched-execution.md): a path compiles when every step is a
+    # plain label, because such a step can bind nothing.
+    COMPILED = [
+        "X.price < 5", "X.item.name = \"n03\"", "5 < X.price",
+        "X.price = Y.price", "X.a.b.c like \"%x%\"", "X.price = t[0]",
+        "not (X.price < 5) and (X.name = \"a\" or Y = 3)",
+        "root.item.price < 5",   # unbound start: KeyError per row
+    ]
+    REFUSED = [
+        "X.<add at T>price < 5", "X.price<upd at T> = 5",
+        "X.price<at 1Jan97> = 5", "X.# = 5", "X.pri% = 5",
+        "X.(price|cost) = 5", "X.next* = 5", "X.next+.name = 5",
+        "X<cre at T> = 5",       # the start-anchored "" step
+        "X.price",               # the `!= None` existence encoding
+        "X.price < 5 and X.<add at T>name = \"a\"",
+        "exists Y in X.item : Y.price < 5",
+    ]
+
+    def test_compiled_and_refused_shapes(self):
+        evaluator = self.evaluator()
+        for text in self.COMPILED:
+            assert compile_predicate(self.condition(text),
+                                     evaluator) is not None, text
+        for text in self.REFUSED:
+            assert compile_predicate(self.condition(text),
+                                     evaluator) is None, text
+
+    def test_path_condition_unbound_start_raises_keyerror(self):
+        """A start that is no bound object (a database name, a scalar)
+        defers the row to the solver, which resolves or rejects it."""
+        pred = compile_predicate(self.condition("root.item.price < 5"),
+                                 self.evaluator())
+        for env in ({}, {"root": 3}):
+            with pytest.raises(KeyError):
+                pred(env)
 
     def test_existence_encoding_rejected(self):
         """`path = None` semantics hang on multiplicity -- solver only."""
