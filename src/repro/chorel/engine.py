@@ -28,7 +28,6 @@ from ..plan import (
     compile_query,
     run_compiled,
 )
-from ..plan.batch import resolve_batch_size
 from ..timestamps import Timestamp, parse_timestamp
 
 __all__ = ["ChorelEngine"]
@@ -48,23 +47,17 @@ class ChorelEngine:
 
     ``use_planner=False`` routes ``run`` through the legacy single-pass
     evaluator (the differential oracle; identical rows, identical order).
-
-    ``batch_size`` is the physical operators' batch width (default
-    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows); it must be
-    positive.  Rows and order are identical for every width.
     """
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
                  polling_times: dict[int, Timestamp] | None = None, *,
-                 use_planner: bool = True,
-                 batch_size: int | None = None) -> None:
+                 use_planner: bool = True) -> None:
         self.doem = doem
         names = {name or doem.graph.root: doem.graph.root}
         self.view = DOEMView(doem, names)
         self._evaluator = Evaluator(self.view)
         self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
         self.use_planner = use_planner
-        self.batch_size = resolve_batch_size(batch_size)
         self.last_compiled: CompiledPlan | None = None
 
     def register_name(self, name: str, node_id: str) -> None:
@@ -135,7 +128,6 @@ class ChorelEngine:
 
     def execute(self, compiled: CompiledPlan,
                 bindings: dict[str, str] | None = None, *, pool=None,
-                min_shard_size: int = 1,
                 parallel_metrics=None,
                 analyze: bool = False) -> QueryResult:
         """Run a compiled plan through the physical operators.
@@ -146,7 +138,6 @@ class ChorelEngine:
         (identical rows) and leaves the stats on ``compiled.runtime``.
         """
         ctx = self._execution_context(bindings, pool=pool,
-                                      min_shard_size=min_shard_size,
                                       parallel_metrics=parallel_metrics)
         if pool is not None:
             return run_compiled(compiled, ctx, self, analyze=analyze)
@@ -154,14 +145,11 @@ class ChorelEngine:
             return run_compiled(compiled, ctx, self, analyze=analyze)
 
     def _execution_context(self, bindings=None, *, pool=None,
-                           min_shard_size: int = 1,
                            parallel_metrics=None) -> ExecutionContext:
         return ExecutionContext(evaluator=self._evaluator,
                                 base_env=self._base_env(bindings),
                                 doem=self.doem, pool=pool,
-                                min_shard_size=min_shard_size,
-                                parallel_metrics=parallel_metrics,
-                                batch_size=self.batch_size)
+                                parallel_metrics=parallel_metrics)
 
     # -- entry points ----------------------------------------------------
 

@@ -403,14 +403,11 @@ class TranslatingChorelEngine:
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
                  polling_times: dict[int, Timestamp] | None = None, *,
-                 use_planner: bool = True,
-                 batch_size: int | None = None) -> None:
+                 use_planner: bool = True) -> None:
         self.doem = doem
         self.encoded: EncodedDOEM = encode_doem(doem)
         entry = name or doem.graph.root
-        self.lorel = LorelEngine(self.encoded.oem, name=entry,
-                                 batch_size=batch_size)
-        self.batch_size = self.lorel.batch_size
+        self.lorel = LorelEngine(self.encoded.oem, name=entry)
         # The native normalizer is reused so both backends agree.
         self._normalizer = Evaluator(OEMView(self.encoded.oem,
                                              {entry: self.encoded.oem.root}))
@@ -494,8 +491,7 @@ class TranslatingChorelEngine:
         compiled.translation = translation
         return compiled
 
-    def execute(self, compiled, *, pool=None, min_shard_size: int = 1,
-                parallel_metrics=None,
+    def execute(self, compiled, *, pool=None, parallel_metrics=None,
                 analyze: bool = False) -> QueryResult:
         """Run a compiled translation through the physical operators.
 
@@ -505,9 +501,7 @@ class TranslatingChorelEngine:
         from ..plan import ExecutionContext, run_compiled
         ctx = ExecutionContext(evaluator=self.lorel._evaluator,
                                base_env=self._base_env(), pool=pool,
-                               min_shard_size=min_shard_size,
-                               parallel_metrics=parallel_metrics,
-                               batch_size=self.batch_size)
+                               parallel_metrics=parallel_metrics)
         if pool is not None:
             raw = run_compiled(compiled, ctx, self, analyze=analyze)
         else:

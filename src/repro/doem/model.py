@@ -103,10 +103,9 @@ class DOEMDatabase:
                            if ref() is not None and ref() is not listener]
 
     def __getstate__(self) -> dict:
-        # Listeners are weakly-held process-local structures (attached
-        # indexes, caches); a pickled replica -- e.g. an evaluator shipped
-        # to a process-pool worker -- starts with none and re-attaches
-        # its own if it needs them.
+        # Listeners are weakly-held structures (attached indexes,
+        # caches); a pickled replica starts with none and re-attaches its
+        # own if it needs them.
         state = dict(self.__dict__)
         state["_listeners"] = []
         return state

@@ -23,7 +23,6 @@ from ..plan import (
     compile_query,
     run_compiled,
 )
-from ..plan.batch import resolve_batch_size
 from .ast import Query
 from .eval import Evaluator
 from .parser import parse_query
@@ -44,21 +43,15 @@ class LorelEngine:
     ``use_planner=False`` routes ``run`` through the legacy single-pass
     evaluator instead of the compile/execute pipeline (the differential
     oracle; identical rows, in identical order).
-
-    ``batch_size`` is the physical operators' batch width (default
-    :data:`repro.plan.batch.DEFAULT_BATCH_SIZE` rows); it must be
-    positive.  Rows and order are identical for every width.
     """
 
     def __init__(self, db: OEMDatabase, name: str | None = None, *,
-                 use_planner: bool = True,
-                 batch_size: int | None = None) -> None:
+                 use_planner: bool = True) -> None:
         self.db = db
         names = {name or db.root: db.root}
         self.view = OEMView(db, names)
         self._evaluator = Evaluator(self.view)
         self.use_planner = use_planner
-        self.batch_size = resolve_batch_size(batch_size)
         self.last_compiled: CompiledPlan | None = None
 
     def register_name(self, name: str, node_id: str) -> None:
@@ -85,7 +78,6 @@ class LorelEngine:
         return compile_query(query, self._evaluator, context=context)
 
     def execute(self, compiled: CompiledPlan, *, pool=None,
-                min_shard_size: int = 1,
                 parallel_metrics=None,
                 analyze: bool = False) -> QueryResult:
         """Run a compiled plan through the physical operators.
@@ -97,9 +89,7 @@ class LorelEngine:
         """
         ctx = ExecutionContext(evaluator=self._evaluator,
                                base_env=self._base_env(), pool=pool,
-                               min_shard_size=min_shard_size,
-                               parallel_metrics=parallel_metrics,
-                               batch_size=self.batch_size)
+                               parallel_metrics=parallel_metrics)
         if pool is not None:
             return run_compiled(compiled, ctx, self, analyze=analyze)
         with span("lorel.eval"):

@@ -167,20 +167,6 @@ class DOEMView(DataView):
         self._metrics = metrics_registry().group("repro.view",
                                                  ("annotation_visits",))
 
-    def __getstate__(self) -> dict:
-        # The metrics group holds locked counters and must stay
-        # per-process anyway; a process-pool worker re-registers its own
-        # replica on unpickle (its visits then count in that process's
-        # registry, not the coordinator's).
-        state = dict(self.__dict__)
-        del state["_metrics"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._metrics = metrics_registry().group("repro.view",
-                                                 ("annotation_visits",))
-
     def children(self, node: str, label: str) -> Iterator[str]:
         for _, child in self.doem.live_children(node, POS_INF, label):
             yield child

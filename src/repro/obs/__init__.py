@@ -46,7 +46,6 @@ from .events import (
     event_log,
     events_enabled,
 )
-from .propagation import capture_task_telemetry, merge_task_telemetry
 from .http import MetricsHTTPServer, serve_metrics
 
 __all__ = [
@@ -56,6 +55,5 @@ __all__ = [
     "MetricsRegistry", "metrics_registry",
     "EventLog", "configure_events", "configure_events_from_env",
     "disable_events", "emit_event", "event_log", "events_enabled",
-    "capture_task_telemetry", "merge_task_telemetry",
     "MetricsHTTPServer", "serve_metrics",
 ]

@@ -14,11 +14,10 @@ type                      level    emitted by
                                    executed query: fingerprint, rows, wall
                                    seconds, engine)
 ``rule_fired``            debug    :class:`repro.plan.rules.PassManager`
-``shard_dispatched``      debug    the ``Exchange`` operator (thread or process)
+``shard_dispatched``      debug    the ``Exchange`` operator
 ``poll_timeout``          warning  :class:`repro.qss.server.QSSServer`
 ``slow_poll``             warning  :class:`repro.qss.server.QSSServer`
 ``cache_eviction``        info     :class:`repro.doem.snapshot.SnapshotCache`
-``worker_crash``          error    :class:`repro.parallel.pool.WorkerPool`
 ``checkpoint_written``    info     :class:`repro.store.HistoryLog` (one per
                                    materialized snapshot checkpoint)
 ``store_recovered``       warning  :class:`repro.store.HistoryLog` (torn tail
@@ -42,11 +41,11 @@ dropped).  **Sampling** is deterministic and per event type: ``N`` keeps
 every N-th event of that type (``0`` drops the type entirely), so two
 runs of the same workload log the same lines.
 
-Worker processes forked by a process pool inherit the configured sink;
-each line is written in one append-mode ``write`` call, so concurrent
-lines from shard workers interleave whole, never torn.  Rotation is left
-to the parent process (workers write, but only the configuring process
-rotates) to keep the rename race-free.
+A forked child process inherits the configured sink; each line is
+written in one append-mode ``write`` call, so concurrent lines
+interleave whole, never torn.  Rotation is left to the configuring
+process (children write, but never rotate) to keep the rename
+race-free.
 """
 
 from __future__ import annotations

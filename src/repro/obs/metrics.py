@@ -85,15 +85,6 @@ class Gauge:
             if value > self.value:
                 self.value = value
 
-    def merge(self, value) -> None:
-        """Fold a foreign (worker-side) reading in: gauges merge by max.
-
-        A gauge is a point-in-time reading, so summing across processes
-        is meaningless; the high-water mark is the one aggregate that is
-        always safe (peak active workers, peak lag, peak queue depth).
-        """
-        self.set_max(value)
-
     def reset(self) -> None:
         with self._lock:
             self.value = 0
@@ -135,36 +126,14 @@ class Histogram:
         """Bucket counts, sum, count, plus the bucket *bounds*.
 
         The bounds make exported artifacts self-describing: a consumer
-        (or :meth:`MetricsRegistry.merge_delta` on the parent side of a
-        process pool) can rebuild an identically-bucketed histogram from
-        the snapshot alone.
+        can rebuild an identically-bucketed histogram from the snapshot
+        alone.
         """
         labels = [f"le_{bound:g}" for bound in self.buckets] + ["le_inf"]
         with self._lock:
             return {"buckets": dict(zip(labels, self.counts)),
                     "sum": self.total, "count": self.count,
                     "bounds": list(self.buckets)}
-
-    def merge(self, other) -> None:
-        """Fold another histogram (or a snapshot dict) into this one.
-
-        Bucket counts add elementwise, ``sum`` and ``count`` accumulate.
-        The bucket bounds must match -- merging differently-bucketed
-        histograms would silently mislabel observations.
-        """
-        if isinstance(other, Histogram):
-            other = other.snapshot()
-        bounds = tuple(other.get("bounds", ()))
-        if bounds != self.buckets:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds "
-                f"{bounds} != {self.buckets}")
-        counts = list(other["buckets"].values())
-        with self._lock:
-            for index, extra in enumerate(counts):
-                self.counts[index] += extra
-            self.total += other["sum"]
-            self.count += other["count"]
 
 
 class MetricsGroup:
@@ -240,20 +209,6 @@ def _merge(a, b):
     return a + b
 
 
-def _diff_histogram(after: dict, before: dict | None) -> dict | None:
-    """``after - before`` for histogram snapshots (None when no change)."""
-    if before is None:
-        before = {"buckets": {}, "sum": 0.0, "count": 0}
-    count = after["count"] - before["count"]
-    if count == 0:
-        return None
-    return {"buckets": {label: value - before["buckets"].get(label, 0)
-                        for label, value in after["buckets"].items()},
-            "sum": after["sum"] - before["sum"],
-            "count": count,
-            "bounds": list(after.get("bounds", ()))}
-
-
 class MetricsRegistry:
     """Named instruments plus weakly-held instrument groups.
 
@@ -318,10 +273,7 @@ class MetricsRegistry:
         """Merged name -> value view: family sums + direct instruments.
 
         A name that exists both as a family sum and as a direct
-        instrument *adds up* -- that is how counters merged back from
-        worker processes (held as direct instruments, see
-        :meth:`merge_delta`) combine with the parent's own group
-        instances of the same family.
+        instrument *adds up*.
         """
         merged: dict = {}
         for group in self._live_groups():
@@ -340,10 +292,9 @@ class MetricsRegistry:
                       if name.startswith(prefix)}
         return dict(sorted(merged.items()))
 
-    # -- cross-process propagation ---------------------------------------
-
     def typed_snapshot(self) -> dict:
-        """The snapshot split by instrument kind (the delta baseline).
+        """The snapshot split by instrument kind (what :meth:`render_text`
+        types its families by).
 
         Returns ``{"counters": {...}, "gauges": {...}, "histograms":
         {...}}``; group instruments contribute under ``counters`` /
@@ -377,56 +328,6 @@ class MetricsRegistry:
                 counters[name] = counters.get(name, 0) + instrument.value
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-    def delta_since(self, baseline: dict) -> dict:
-        """What changed since ``baseline`` (a :meth:`typed_snapshot`).
-
-        The result is a plain, picklable dict -- the payload a process
-        shard ships back beside its rows: counter *increments*,
-        histogram bucket/sum/count increments (bounds included so the
-        parent can rebuild identical buckets), and current gauge
-        readings (merged by max on the parent).  Zero-change series are
-        omitted, so an idle worker ships an empty delta.
-        """
-        current = self.typed_snapshot()
-        base_counters = baseline.get("counters", {})
-        counters = {}
-        for name, value in current["counters"].items():
-            diff = value - base_counters.get(name, 0)
-            if diff:
-                counters[name] = diff
-        base_hists = baseline.get("histograms", {})
-        histograms = {}
-        for name, snap in current["histograms"].items():
-            diff = _diff_histogram(snap, base_hists.get(name))
-            if diff is not None:
-                histograms[name] = diff
-        base_gauges = baseline.get("gauges", {})
-        gauges = {name: value
-                  for name, value in current["gauges"].items()
-                  if value != base_gauges.get(name)}
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
-
-    def merge_delta(self, delta: dict | None) -> None:
-        """Fold a worker-captured :meth:`delta_since` into this registry.
-
-        Counter increments sum into direct counters of the same name
-        (family sums then combine group + merged values, see
-        :meth:`snapshot`), histogram deltas bucket-merge via
-        :meth:`Histogram.merge`, and gauges merge by max
-        (:meth:`Gauge.merge`).  Safe to call with ``None`` or an empty
-        delta -- a crashed worker that shipped nothing merges nothing.
-        """
-        if not delta:
-            return
-        for name, diff in delta.get("counters", {}).items():
-            self.counter(name).inc(diff)
-        for name, snap in delta.get("histograms", {}).items():
-            bounds = tuple(snap.get("bounds", DEFAULT_BUCKETS))
-            self.histogram(name, buckets=bounds).merge(snap)
-        for name, value in delta.get("gauges", {}).items():
-            self.gauge(name).merge(value)
 
     def export_json(self, prefix: str | None = None,
                     indent: int | None = 2) -> str:

@@ -17,9 +17,8 @@ Typical use::
         ...
     print(get_tracer().export_json())
 
-Worker-task telemetry (:mod:`repro.obs.propagation`) uses
-:meth:`Tracer.capture` to collect the spans of a single task without
-leaving tracing enabled.
+:meth:`Tracer.capture` collects the spans of one block without leaving
+tracing enabled.
 """
 
 from __future__ import annotations
@@ -79,14 +78,6 @@ class Span:
         if self.children:
             payload["children"] = [c.to_dict() for c in self.children]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        """Rebuild a span tree from :meth:`to_dict` output (round-trips)."""
-        node = cls(payload["name"], dict(payload.get("attrs", {})) or None)
-        node.end = float(payload.get("duration", 0.0))
-        node.children = [cls.from_dict(c) for c in payload.get("children", ())]
-        return node
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, {self.duration * 1000:.3f}ms, "
@@ -211,18 +202,6 @@ class Tracer:
         finally:
             if stack and stack[-1] is parent:
                 stack.pop()
-
-    def adopt(self, children, parent: Span | None = None) -> None:
-        """Attach already-built spans (e.g. deserialized from a worker
-        process) under ``parent``, the current span, or ``roots``."""
-        children = list(children)
-        if not children:
-            return
-        target = parent if parent is not None else self.current_span()
-        if target is not None:
-            target.children.extend(children)
-        else:
-            self.roots.extend(children)
 
     def clear(self) -> None:
         """Drop every recorded span (open spans are abandoned too)."""

@@ -5,17 +5,14 @@ changing what they compute: :class:`ParallelExecutor` shards a single
 query along its first path-expression step and batches many queries over
 one shared acquisition (``engine.run_many``), both with deterministic
 merges that keep results row- and order-identical to serial evaluation.
-:class:`WorkerPool` is the shared bounded pool (also used by the QSS
-server's concurrent polling) -- threads by default, or
-``kind="process"`` / ``ParallelExecutor(processes=True)`` for CPU-bound
-shards that must overlap on real cores; :mod:`repro.parallel.sharding`
-holds the contiguous-chunk partitioner the determinism argument rests
-on.  See ``docs/parallel.md`` for the thread-safety contract.
+:class:`WorkerPool` is the shared bounded thread pool (also used by the
+QSS server's concurrent polling); :mod:`repro.parallel.sharding` holds
+the contiguous-chunk partitioner the determinism argument rests on.
+See ``docs/parallel.md`` for the thread-safety contract.
 """
 
 from .executor import ParallelExecutor, parallel_run, run_many
-from .pool import WorkerPool, default_pool, default_worker_count, \
-    worker_evaluator
+from .pool import WorkerPool, default_pool, default_worker_count
 from .sharding import chunk_evenly, chunk_fixed, shard_count
 
 __all__ = [
@@ -25,7 +22,6 @@ __all__ = [
     "WorkerPool",
     "default_pool",
     "default_worker_count",
-    "worker_evaluator",
     "chunk_evenly",
     "chunk_fixed",
     "shard_count",

@@ -48,18 +48,6 @@ __all__ = ["ParallelExecutor", "parallel_run", "run_many"]
 _metrics_group = None
 
 
-def _engine_evaluator(engine):
-    """The evaluator a shard worker needs to replicate ``engine``'s walk.
-
-    Native engines own one directly; the translation backend evaluates
-    through its inner Lorel engine.
-    """
-    evaluator = getattr(engine, "_evaluator", None)
-    if evaluator is None:
-        evaluator = engine.lorel._evaluator
-    return evaluator
-
-
 def _parallel_metrics():
     # The registry holds groups weakly; keep one strong module-level
     # reference so repro.parallel counters accumulate across executors
@@ -79,38 +67,13 @@ class ParallelExecutor:
     ``pool`` shares an existing :class:`~repro.parallel.pool.WorkerPool`;
     ``max_workers`` creates a private pool instead (shut down by
     :meth:`close` / the context manager); with neither, the process-wide
-    default pool is used.  ``min_shard_size`` tunes how many first-step
-    bindings a shard must carry before sharding is worth it.
-
-    ``processes=True`` creates a private *process* pool whose workers
-    carry a replica of the engine's evaluator (installed once per worker
-    by the pool initializer) -- the mode that lets CPU-bound pure-Python
-    shards overlap on real cores instead of serializing on the GIL.
-    Intra-query sharding (:meth:`run`) supports it; :meth:`run_many`
-    requires a thread pool, since its unit of work is a bound engine
-    method.
+    default pool is used.
     """
 
     def __init__(self, engine, *, pool: WorkerPool | None = None,
-                 max_workers: int | None = None,
-                 min_shard_size: int = 1,
-                 processes: bool = False) -> None:
-        if min_shard_size < 1:
-            raise ValueError("min_shard_size must be >= 1")
+                 max_workers: int | None = None) -> None:
         self.engine = engine
-        self.min_shard_size = min_shard_size
-        if processes:
-            if pool is not None:
-                raise ValueError(
-                    "processes=True creates its own pool; pass a "
-                    "WorkerPool(kind='process') as pool= instead")
-            from .pool import _install_worker_evaluator
-            self.pool = WorkerPool(
-                max_workers, kind="process",
-                initializer=_install_worker_evaluator,
-                initargs=(_engine_evaluator(engine),))
-            self._owns_pool = True
-        elif pool is not None:
+        if pool is not None:
             self.pool = pool
             self._owns_pool = False
         elif max_workers is not None:
@@ -158,7 +121,6 @@ class ParallelExecutor:
         engine.last_compiled = compiled
         with span("parallel.query"):
             result = engine.execute(compiled, pool=self.pool,
-                                    min_shard_size=self.min_shard_size,
                                     parallel_metrics=self._metrics,
                                     analyze=analyze)
         if getattr(engine, "stats", None) is not None:
@@ -177,11 +139,6 @@ class ParallelExecutor:
         each query then compiles and executes on a pool worker.
         """
         engine = self.engine
-        if getattr(self.pool, "kind", "thread") == "process":
-            raise ValueError(
-                "run_many needs a thread pool (its unit of work is a "
-                "bound engine method); use processes=True with run() "
-                "for intra-query process sharding")
         with span("parallel.batch"):
             parsed = [engine.parse(query) if isinstance(query, str)
                       else query for query in queries]
@@ -230,11 +187,10 @@ class ParallelExecutor:
 
 
 def parallel_run(engine, query, *, pool: WorkerPool | None = None,
-                 max_workers: int | None = None,
-                 min_shard_size: int = 1) -> QueryResult:
+                 max_workers: int | None = None) -> QueryResult:
     """One-shot sharded evaluation: ``engine.run(query)``, in parallel."""
-    with ParallelExecutor(engine, pool=pool, max_workers=max_workers,
-                          min_shard_size=min_shard_size) as executor:
+    with ParallelExecutor(engine, pool=pool,
+                          max_workers=max_workers) as executor:
         return executor.run(query)
 
 

@@ -14,35 +14,23 @@ with the accounting the rest of the system wants:
 * **bounded shutdown** -- :meth:`shutdown` drains or cancels pending
   work; a shut-down pool rejects new submissions instead of hanging.
 
-Threads by default, processes on request: thread pools share the large
-in-memory databases for free, and the thread-safety contract of the
-underlying modules (see ``docs/parallel.md``) makes that correct -- but
-pure-Python graph walks hold the GIL, so threads cannot overlap
-CPU-bound shards.  ``WorkerPool(kind="process")`` wraps
-:class:`concurrent.futures.ProcessPoolExecutor` instead: submitted
-callables and arguments must be picklable, per-worker state (the shard
-evaluator) is installed once per worker via ``initializer``/
-``initargs`` (see :func:`worker_evaluator`), and accounting moves to
-done-callbacks because the metrics closure cannot cross the process
-boundary -- in process mode ``task_seconds`` therefore measures
-submit-to-completion latency and ``wait_seconds`` is not observed.
+Threads share the large in-memory databases for free, and the
+thread-safety contract of the underlying modules (see
+``docs/parallel.md``) makes that correct.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import BrokenExecutor, Future, \
-    ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from time import perf_counter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
-from ..obs.events import emit_event
 from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import get_tracer
 
-__all__ = ["WorkerPool", "default_worker_count", "default_pool",
-           "worker_evaluator"]
+__all__ = ["WorkerPool", "default_worker_count", "default_pool"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -60,40 +48,8 @@ def default_worker_count() -> int:
     return max(1, min(_MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
 
 
-_WORKER_EVALUATOR = None
-
-
-def _install_worker_evaluator(evaluator) -> None:
-    """Process-pool initializer: pin this worker's evaluator replica.
-
-    Runs once per worker process (and, trivially, works for thread pools
-    too).  Shard tasks then reach the evaluator through
-    :func:`worker_evaluator` instead of carrying it in every pickled
-    task.
-    """
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = evaluator
-
-
-def worker_evaluator():
-    """The evaluator installed in this worker by the pool initializer."""
-    if _WORKER_EVALUATOR is None:
-        raise RuntimeError(
-            "no worker evaluator installed; create the pool with "
-            "initializer=_install_worker_evaluator (ParallelExecutor's "
-            "processes=True does this)")
-    return _WORKER_EVALUATOR
-
-
 class WorkerPool:
-    """A bounded worker pool with registry-backed utilization metrics.
-
-    ``kind`` selects the executor: ``"thread"`` (the default) shares
-    memory and suits workloads that release the GIL or shard I/O;
-    ``"process"`` forks worker processes for CPU-bound pure-Python
-    shards -- callables and arguments must then be picklable, and
-    ``initializer``/``initargs`` seed per-worker state (the sharded
-    Exchange installs the shard evaluator this way).
+    """A bounded thread pool with registry-backed utilization metrics.
 
     ``metrics_prefix`` names the counter family -- the query layer uses
     the default ``repro.pool``; the QSS server's poll pool reports under
@@ -101,29 +57,16 @@ class WorkerPool:
     """
 
     def __init__(self, max_workers: int | None = None, *,
-                 kind: str = "thread",
                  metrics_prefix: str = "repro.pool",
-                 thread_name_prefix: str = "repro-worker",
-                 initializer: Callable | None = None,
-                 initargs: tuple = ()) -> None:
+                 thread_name_prefix: str = "repro-worker") -> None:
         if max_workers is None:
             max_workers = default_worker_count()
         if max_workers < 1:
             raise ValueError("WorkerPool needs max_workers >= 1")
-        if kind not in ("thread", "process"):
-            raise ValueError(f"unknown pool kind {kind!r}")
         self.max_workers = max_workers
-        self.kind = kind
         self.metrics_prefix = metrics_prefix
-        if kind == "process":
-            self._executor = ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=initializer, initargs=initargs)
-        else:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix=thread_name_prefix,
-                initializer=initializer, initargs=initargs)
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix=thread_name_prefix)
         self._metrics = metrics_registry().group(
             metrics_prefix, ("submitted", "completed", "errors", "cancelled"),
             histograms=("task_seconds", "wait_seconds"))
@@ -148,9 +91,6 @@ class WorkerPool:
         if self._shut_down:
             raise RuntimeError("cannot submit to a shut-down WorkerPool")
         submitted_at = perf_counter()
-        if self.kind == "process":
-            return self._submit_process(fn, args, kwargs, submitted_at)
-
         # Capture the submitting thread's open span so spans the task
         # opens on a worker thread nest under it instead of orphaning as
         # their own trace roots (the tracer's span stack is thread-local).
@@ -181,45 +121,6 @@ class WorkerPool:
         except RuntimeError:
             self._metrics["cancelled"].inc()
             raise
-
-    def _submit_process(self, fn, args, kwargs, submitted_at) -> Future:
-        """Submit to the process executor; account via a done-callback.
-
-        The thread pool's metrics closure cannot cross the process
-        boundary, so the bare callable ships and the callback settles the
-        books on completion: ``task_seconds`` here is submit-to-done
-        latency, ``active`` counts in-flight (queued + running) tasks.
-        """
-        self._metrics["submitted"].inc()
-        try:
-            future = self._executor.submit(fn, *args, **kwargs)
-        except RuntimeError:
-            self._metrics["cancelled"].inc()
-            raise
-        self._enter()
-        future.add_done_callback(
-            lambda f: self._settle_process_task(f, submitted_at))
-        return future
-
-    def _settle_process_task(self, future: Future, submitted_at) -> None:
-        self._leave()
-        self._metrics.histogram("task_seconds").observe(
-            perf_counter() - submitted_at)
-        if future.cancelled():
-            self._metrics["cancelled"].inc()
-            return
-        exc = future.exception()
-        if exc is not None:
-            self._metrics["errors"].inc()
-            if isinstance(exc, BrokenExecutor):
-                # The worker process died (segfault, os._exit, OOM kill)
-                # rather than raising -- its telemetry delta is lost and
-                # the whole executor is broken, so record the loss.
-                emit_event("worker_crash", level="error",
-                           pool=self.metrics_prefix,
-                           error=type(exc).__name__, detail=str(exc))
-        else:
-            self._metrics["completed"].inc()
 
     def map_ordered(self, fn: Callable[[T], R],
                     items: Iterable[T]) -> list[R]:
@@ -285,9 +186,7 @@ class WorkerPool:
         self._shut_down = True
         if cancel_pending:
             # Count the futures the executor will cancel.
-            queue = getattr(self._executor, "_work_queue", None)
-            if queue is not None:
-                self._metrics["cancelled"].inc(queue.qsize())
+            self._metrics["cancelled"].inc(self._executor._work_queue.qsize())
         self._executor.shutdown(wait=wait, cancel_futures=cancel_pending)
 
     def __enter__(self) -> "WorkerPool":

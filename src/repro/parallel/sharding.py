@@ -63,17 +63,10 @@ def chunk_evenly(items: Sequence[T], shards: int) -> list[list[T]]:
     return chunks
 
 
-def shard_count(n_items: int, max_workers: int, *,
-                min_shard_size: int = 1) -> int:
+def shard_count(n_items: int, max_workers: int) -> int:
     """How many shards to cut ``n_items`` first-step bindings into.
 
-    Never more than ``max_workers`` (extra shards would only queue) and
-    never so many that a shard falls below ``min_shard_size`` bindings
-    (tiny shards pay more in submission overhead than they recover in
-    overlap).
+    One binding per shard at least, and never more than ``max_workers``
+    shards (extra shards would only queue).
     """
-    if n_items <= 0:
-        return 0
-    if min_shard_size < 1:
-        raise ValueError("min_shard_size must be >= 1")
-    return max(1, min(max_workers, n_items // min_shard_size or 1))
+    return min(max_workers, max(n_items, 0))

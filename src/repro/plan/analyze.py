@@ -17,10 +17,9 @@ physical operators wrap their streams so every node accounts:
   compiled closure judged versus how many fell back to the general
   solver (:func:`~repro.plan.batch.filter_rows` reports the split);
 * **Exchange shard stats** -- detached stage nodes run on pool workers;
-  each shard fills a :class:`StageRecorder` whose payload rides back
-  beside the rows (through the :mod:`repro.obs.propagation` telemetry
-  payload for process pools) and merges into the coordinator's tree, so
-  a sharded ANALYZE shows the same per-operator row totals as serial.
+  each shard fills a :class:`StageRecorder` that returns beside the rows
+  and merges into the coordinator's tree, so a sharded ANALYZE shows the
+  same per-operator row totals as serial.
 
 **Cardinality feedback** closes the loop: every node carries an
 ``est_rows`` estimate -- a deterministic heuristic on first sight, the
@@ -134,10 +133,8 @@ class OpStats:
 class StageRecorder:
     """Per-shard accounting for detached Exchange stages.
 
-    One plain dict per stage index -- picklable, so a process-pool shard
-    ships it back inside the telemetry payload
-    (:func:`repro.obs.propagation.attach_stage_stats`).  The coordinator
-    folds every shard's recorder into the stage nodes' :class:`OpStats`
+    One plain dict per stage index.  The coordinator folds every shard's
+    recorder into the stage nodes' :class:`OpStats`
     (:meth:`PlanStats.merge_stage_payload`); row counts sum across
     shards, wall seconds sum to *CPU* seconds (shards overlap, so stage
     time can exceed the Exchange's wall clock).
@@ -329,17 +326,15 @@ class PlanStats:
     # -- shard merging ----------------------------------------------------
 
     def merge_stage_payload(self, exchange: Exchange,
-                            payload: list[dict] | None) -> None:
+                            payload: list[dict]) -> None:
         """Fold one shard's :class:`StageRecorder` payload into the tree."""
-        if not payload:
-            return
         for stage, rec in zip(exchange.stages, payload):
             op = self._by_node[id(stage)]
-            op.rows_in += rec.get("rows_in", 0)
-            op.rows_out += rec.get("rows_out", 0)
-            op.wall_seconds += rec.get("wall_seconds", 0.0)
-            op.pred_counts["vectorized"] += rec.get("vectorized", 0)
-            op.pred_counts["fallback"] += rec.get("fallback", 0)
+            op.rows_in += rec["rows_in"]
+            op.rows_out += rec["rows_out"]
+            op.wall_seconds += rec["wall_seconds"]
+            op.pred_counts["vectorized"] += rec["vectorized"]
+            op.pred_counts["fallback"] += rec["fallback"]
 
     # -- finishing --------------------------------------------------------
 

@@ -17,11 +17,10 @@ instead:
   falling back to the evaluator's general ``solve`` only for rows (or
   condition shapes) the closure cannot serve;
 * ``Exchange`` ships whole batches to pool workers, so each submitted
-  task amortizes its scheduling (and, for process pools, pickling) cost
-  over hundreds of rows.
+  task amortizes its scheduling cost over hundreds of rows.
 
 Batches are sized by ``ExecutionContext.batch_size``
-(:data:`DEFAULT_BATCH_SIZE` rows unless the engine overrides it); every
+(:data:`DEFAULT_BATCH_SIZE` rows; the equivalence suite varies it); every
 batch an operator emits is observed in the ``repro.plan.batch_rows``
 histogram so a metrics dump shows the actual batch-size distribution.
 
@@ -44,27 +43,15 @@ from ..oem.values import COMPLEX, comparator, like_matcher
 from ..parallel.sharding import chunk_fixed
 
 __all__ = ["EnvBatch", "DEFAULT_BATCH_SIZE", "BATCH_ROWS_METRIC",
-           "resolve_batch_size", "batch_rows_histogram",
-           "compile_predicate", "filter_rows"]
+           "batch_rows_histogram", "compile_predicate", "filter_rows"]
 
 DEFAULT_BATCH_SIZE = 256
-"""Default operator batch width (rows).
+"""The operator batch width (rows) every engine executes at.
 
 Large enough that per-batch overhead (one histogram observation, one
 pool submission under Exchange) is noise against per-row work; small
 enough that pipelined memory stays bounded and shards split evenly.
-``docs/batched-execution.md`` discusses tuning.
 """
-
-
-def resolve_batch_size(batch_size: int | None) -> int:
-    """An engine's ``batch_size`` argument as a positive batch width."""
-    if batch_size is None:
-        return DEFAULT_BATCH_SIZE
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    return batch_size
-
 
 BATCH_ROWS_METRIC = "repro.plan.batch_rows"
 

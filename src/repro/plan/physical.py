@@ -6,8 +6,8 @@ over :class:`~repro.plan.batch.EnvBatch` lists of environment dicts.
 kernel (:meth:`~repro.lorel.eval.Evaluator.bind_from_item_batch`),
 ``Predicate`` compiles its condition once and filters vectorized
 (:func:`~repro.plan.batch.compile_predicate`), and ``Exchange`` ships
-whole row lists to pool workers -- thread or process -- so sharding
-amortizes per-task overhead over hundreds of rows.
+whole row lists to pool threads, so sharding amortizes per-task
+overhead over hundreds of rows.
 
 A batched frontier expands its rows in frontier order, producing the
 concatenation of the per-row depth-first enumerations the legacy
@@ -29,11 +29,7 @@ Two operators do more than plumb:
   path verification.
 * the ``Exchange`` operator -- binds its source chain serially,
   shards the environments contiguously, runs the detached stages on
-  pool workers, and concatenates in shard order.  Under a process pool
-  the shard task is the module-level :func:`run_stages_on_rows` driven by
-  the worker-global evaluator installed by the pool initializer
-  (:func:`repro.parallel.pool.worker_evaluator`), so nothing unpicklable
-  crosses the process boundary.
+  pool workers, and concatenates in shard order.
 """
 
 from __future__ import annotations
@@ -45,13 +41,7 @@ from typing import Iterator, Optional
 from ..lorel.ast import PathExpr
 from ..lorel.result import ObjectRef, QueryResult, Row
 from ..obs.events import emit_event
-from ..obs.propagation import (
-    attach_stage_stats,
-    capture_task_telemetry,
-    merge_task_telemetry,
-    pop_stage_stats,
-)
-from ..obs.trace import Span, get_tracer, span
+from ..obs.trace import span
 from ..timestamps import POS_INF, Timestamp
 from .analyze import StageRecorder
 from .batch import (
@@ -84,10 +74,11 @@ class ExecutionContext:
     """Everything the operators need from the engine at execution time.
 
     ``index``/``paths``/``doem`` are only set by the indexed engine (the
-    index kernel needs them); ``pool`` and the parallel
-    knobs are only set when the :class:`~repro.parallel.executor.
-    ParallelExecutor` drives execution.  ``batch_size`` is the batch
-    width the operators re-establish after each expansion (positive).
+    index kernel needs them); ``pool`` and ``parallel_metrics`` are only
+    set when the :class:`~repro.parallel.executor.ParallelExecutor`
+    drives execution.  ``batch_size`` is the batch width the operators
+    re-establish after each expansion (positive; the engines leave it at
+    :data:`~repro.plan.batch.DEFAULT_BATCH_SIZE`, tests vary it).
     ``stats`` is an optional :class:`~repro.plan.analyze.PlanStats`
     collector (EXPLAIN ANALYZE); when ``None`` -- the default -- every
     operator takes its uninstrumented path.  ``observed`` collects
@@ -101,7 +92,6 @@ class ExecutionContext:
     paths: object = None
     doem: object = None
     pool: object = None
-    min_shard_size: int = 1
     parallel_metrics: object = None
     batch_size: int = DEFAULT_BATCH_SIZE
     stats: object = None
@@ -170,11 +160,6 @@ def run_stages_on_rows(stages, rows: list, evaluator,
                        recorder: StageRecorder | None = None) -> list:
     """Run detached Exchange stages over one shard's rows, in order.
 
-    Module-level and driven by explicit arguments so a process-pool
-    worker can execute it by reference: ``stages`` are frozen AST-bearing
-    dataclasses and ``rows`` plain environment dicts, both picklable; the
-    evaluator is the worker-global replica, never shipped per task.
-
     ``recorder`` (ANALYZE only) tallies one dict per stage -- rows
     in/out, wall seconds, predicate vectorized/fallback split -- that the
     coordinator folds into the stage nodes' :class:`~repro.plan.analyze.
@@ -199,31 +184,6 @@ def run_stages_on_rows(stages, rows: list, evaluator,
     return rows
 
 
-def _stage_task(task):
-    """Process-pool entry point: one ``(stages, rows, trace, collect)``
-    shard.
-
-    Returns ``(rows, telemetry)``: the worker's registry delta (and,
-    when the parent had tracing on at dispatch, its span subtree) ride
-    back beside the result so the parent can merge them -- the counters
-    a forked worker bumps would otherwise die with the fork.  With
-    ``collect`` (the parent is running ANALYZE) the per-stage row/time
-    recorder rides in the same payload
-    (:func:`~repro.obs.propagation.attach_stage_stats`).
-    """
-    from ..parallel.pool import worker_evaluator
-    stages, rows, trace, collect = task
-    telemetry: dict = {}
-    recorder = StageRecorder(len(stages)) if collect else None
-    with capture_task_telemetry(telemetry, trace=trace):
-        with span("parallel.shard", rows=len(rows)):
-            rows = run_stages_on_rows(stages, rows, worker_evaluator(),
-                                      recorder)
-    if recorder is not None:
-        attach_stage_stats(telemetry, recorder.stages)
-    return rows, telemetry
-
-
 def _exchange_batches(node: Exchange,
                       ctx: ExecutionContext) -> Iterator[EnvBatch]:
     """Bind the source serially, shard whole batches out, merge in order."""
@@ -235,11 +195,8 @@ def _exchange_batches(node: Exchange,
         for batch in _child_batches(node, ctx):
             first_rows.extend(batch.rows)
     metrics = ctx.parallel_metrics
-    pool = ctx.pool
-    workers = pool.max_workers if pool is not None else 1
-    shards = shard_count(len(first_rows), workers,
-                         min_shard_size=ctx.min_shard_size)
-    if pool is None or shards <= 1:
+    shards = shard_count(len(first_rows), ctx.pool.max_workers)
+    if shards <= 1:
         if metrics is not None:
             metrics["serial_queries"].inc()
         recorder = StageRecorder(len(node.stages)) if stats is not None \
@@ -257,46 +214,22 @@ def _exchange_batches(node: Exchange,
     ctx.observed["shards"] = shards
     if stats is not None:
         stats.op_for(node).shards = shards
-    chunks = chunk_evenly(first_rows, shards)
-    process_pool = getattr(pool, "kind", "thread") == "process"
     emit_event("shard_dispatched", level="debug",
-               mode="process" if process_pool else "thread",
                shards=shards, rows=len(first_rows))
-    with span("parallel.fanout", shards=shards) as fanout:
-        if process_pool:
-            trace = get_tracer().enabled
-            collect = stats is not None
-            outcomes = pool.map_ordered(
-                _stage_task,
-                [(node.stages, chunk, trace, collect) for chunk in chunks])
-            # Merge each shard's telemetry before yielding its rows:
-            # counters sum, histograms bucket-merge, worker span
-            # subtrees re-parent under this dispatching fanout span,
-            # and (ANALYZE) stage recorders fold into the plan tree.
-            row_lists = []
-            for rows, telemetry in outcomes:
-                if stats is not None:
-                    stats.merge_stage_payload(node,
-                                              pop_stage_stats(telemetry))
-                merge_task_telemetry(
-                    telemetry,
-                    parent_span=fanout if isinstance(fanout, Span) else None)
-                row_lists.append(rows)
-        else:
-            evaluator = ctx.evaluator
+    stages, evaluator = node.stages, ctx.evaluator
 
-            def task(chunk, stages=node.stages):
-                recorder = StageRecorder(len(stages)) if stats is not None \
-                    else None
-                return (run_stages_on_rows(stages, chunk, evaluator,
-                                           recorder),
-                        recorder)
-            row_lists = []
-            for rows, recorder in pool.map_ordered(task, chunks):
-                if recorder is not None:
-                    stats.merge_stage_payload(node, recorder.stages)
-                row_lists.append(rows)
-    for rows in row_lists:
+    def task(chunk):
+        recorder = StageRecorder(len(stages)) if stats is not None else None
+        with span("parallel.shard", rows=len(chunk)):
+            rows = run_stages_on_rows(stages, chunk, evaluator, recorder)
+        return rows, recorder
+
+    with span("parallel.fanout", shards=shards):
+        outcomes = ctx.pool.map_ordered(task,
+                                        chunk_evenly(first_rows, shards))
+    for rows, recorder in outcomes:
+        if recorder is not None:
+            stats.merge_stage_payload(node, recorder.stages)
         if rows:
             yield EnvBatch(rows)
 

@@ -51,10 +51,10 @@ class TestEventLog:
         assert not log.emit("rule_fired", level="debug")
         assert not log.emit("query_compiled", level="info")
         assert log.emit("poll_timeout", level="warning")
-        assert log.emit("worker_crash", level="error")
+        assert log.emit("custom_error", level="error")
         log.close()
         assert [line["type"] for line in read_lines(path)] == \
-            ["poll_timeout", "worker_crash"]
+            ["poll_timeout", "custom_error"]
 
     def test_unknown_level_raises(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
@@ -101,11 +101,11 @@ class TestEventLog:
 
     def test_stderr_sink_never_rotates(self, capsys):
         log = EventLog("-", max_bytes=1)
-        log.emit("worker_crash", level="error", detail="x")
-        log.emit("worker_crash", level="error", detail="y")
+        log.emit("custom_error", level="error", detail="x")
+        log.emit("custom_error", level="error", detail="y")
         log.close()  # must not close the real stderr
         captured = capsys.readouterr()
-        assert captured.err.count("worker_crash") == 2
+        assert captured.err.count("custom_error") == 2
         assert sys.stderr.writable()
 
 

@@ -42,6 +42,10 @@ class TestInstruments:
         histogram.reset()
         assert histogram.snapshot()["count"] == 0
 
+    def test_histogram_snapshot_includes_bounds(self):
+        snap = Histogram("h", buckets=(0.25, 2.0)).snapshot()
+        assert snap["bounds"] == [0.25, 2.0]
+
 
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
@@ -78,6 +82,15 @@ class TestRegistry:
         gc.collect()
         assert reg.snapshot()["fam.hits"] == 1
 
+    def test_snapshot_adds_direct_counter_to_family_sum(self):
+        """A direct instrument named like a family adds to the family
+        sum of the live group instances."""
+        reg = MetricsRegistry()
+        group = reg.group("fam", ("hits",))
+        group["hits"].inc(5)
+        reg.counter("fam.hits").inc(2)
+        assert reg.snapshot()["fam.hits"] == 7
+
     def test_snapshot_prefix_filter(self):
         reg = MetricsRegistry()
         reg.counter("qss.polls").inc()
@@ -96,6 +109,13 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("a.b").inc(2)
         assert json.loads(reg.export_json()) == {"a.b": 2}
+
+    def test_export_json_carries_histogram_bounds(self):
+        reg = MetricsRegistry()
+        reg.histogram("h", buckets=(0.1,)).observe(0.05)
+        payload = json.loads(reg.export_json())
+        assert payload["h"]["bounds"] == [0.1]
+        assert payload["h"]["count"] == 1
 
     def test_render_text(self):
         reg = MetricsRegistry()

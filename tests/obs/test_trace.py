@@ -1,4 +1,5 @@
-"""The tracing layer: spans, the no-op fast path, capture, round trips."""
+"""The tracing layer: spans, the no-op fast path, capture, attachment,
+JSON export."""
 
 import json
 import time
@@ -159,6 +160,25 @@ class TestCapture:
         assert cap.find("absent") is None
 
 
+class TestAttachment:
+    def test_attach_to_nests_spans_under_parent(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("parent") as parent:
+            with tracer.attach_to(parent):
+                with tracer.span("child"):
+                    pass
+        assert [c.name for c in parent.children] == ["child"]
+        assert tracer.current_span() is None
+
+    def test_attach_to_disabled_or_none_is_noop(self):
+        tracer = Tracer(enabled=False)
+        with tracer.attach_to(None):
+            pass
+        with tracer.attach_to(Span("x")):
+            pass
+        assert tracer.roots == []
+
+
 class TestEngineSpans:
     """The per-engine span trees docs/observability.md documents."""
 
@@ -212,14 +232,16 @@ class TestSerialization:
             with span("child"):
                 time.sleep(0.001)
         original = get_tracer().roots[0]
-        rebuilt = Span.from_dict(original.to_dict())
-        assert rebuilt.name == original.name
-        assert rebuilt.attrs == original.attrs
-        assert rebuilt.duration == pytest.approx(original.duration)
-        assert [c.name for c in rebuilt.children] == ["child"]
-        # idempotent: a second round trip is byte-identical
-        assert Span.from_dict(rebuilt.to_dict()).to_dict() == \
-            rebuilt.to_dict()
+        payload = original.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["name"] == original.name
+        assert payload["attrs"] == original.attrs
+        assert payload["duration"] == pytest.approx(original.duration)
+        [child] = payload["children"]
+        assert child["name"] == "child"
+        assert child["duration"] == pytest.approx(
+            original.children[0].duration)
+        assert "children" not in child and "attrs" not in child
 
     def test_export_json_parses(self):
         enable_tracing()

@@ -2,11 +2,11 @@
 
 Two :func:`repro.sources.generators.large_world` worlds of ~20k nodes
 each (several hundred times the property-test worlds), big enough that
-process-pool sharding really fans out.  Three loops, no timings:
+every shard carries hundreds of rows.  Three loops, no timings:
 
 * every rewrite pass in ``RULE_NAMES`` fires on the rule probes, and the
   planned engine agrees with the legacy evaluator row for row;
-* process-sharded ``ParallelExecutor.run`` == serial, in order;
+* thread-sharded ``ParallelExecutor.run`` == serial, in order;
 * ``run_many`` on a shared thread pool == serial, in order.
 
 ``slow``-marked: tier-1 skips it, CI's bench-regression job runs it with
@@ -84,7 +84,7 @@ def test_bench_scale_equivalence():
                 for engine in engines]
 
     for engine, rows in zip(engines, expected):
-        with ParallelExecutor(engine, processes=True,
+        with ParallelExecutor(engine,
                               max_workers=SHARD_WORKERS) as executor:
             for query, serial_rows in zip(HEAVY_QUERIES, rows):
                 assert exact_rows(executor.run(query)) == serial_rows, query

@@ -138,6 +138,57 @@ class TestEndToEnd:
         assert observed[0][1]["pushdown_rate"] == 1.0
         assert observed[0][4] is True
 
+    def test_sharded_counters_equal_serial(self):
+        """Sharding changes where work happens, never how much of it is
+        counted: the planner/evaluator counter totals of a sharded run
+        equal a serial run's."""
+        from repro.obs.metrics import registry as metrics_registry
+
+        def counted(fn) -> dict[str, int]:
+            def families() -> dict[str, int]:
+                counters = metrics_registry().typed_snapshot()["counters"]
+                return {name: value for name, value in counters.items()
+                        if name.startswith(("repro.plan.", "repro.view."))}
+            before = families()
+            fn()
+            return {name: value - before.get(name, 0)
+                    for name, value in families().items()
+                    if value != before.get(name, 0)}
+
+        _, history, doem = make_world(9)
+        queries = world_queries(history)
+        serial_engine = ChorelEngine(doem, name="root")
+        serial = counted(lambda: [serial_engine.run(q) for q in queries])
+        sharded_engine = ChorelEngine(doem, name="root")
+        sharded_before = metrics_registry().snapshot().get(
+            "repro.parallel.sharded_queries", 0)
+        with ParallelExecutor(sharded_engine, max_workers=2) as executor:
+            sharded = counted(lambda: [executor.run(q) for q in queries])
+        assert metrics_registry().snapshot()[
+            "repro.parallel.sharded_queries"] > sharded_before, \
+            "workload never fanned out; the property was not exercised"
+        assert sharded == serial
+        assert sharded, "no planner/evaluator counters moved"
+
+    def test_shard_spans_nest_under_fanout(self):
+        """Each shard's ``parallel.shard`` span nests under the
+        dispatching ``parallel.fanout`` span."""
+        from repro.obs.trace import get_tracer
+        _, history, doem = make_world(9)
+        engine = ChorelEngine(doem, name="root")
+        fanout = None
+        with ParallelExecutor(engine, max_workers=2) as executor:
+            for query in world_queries(history):
+                with get_tracer().capture() as cap:
+                    executor.run(query)
+                fanout = cap.find("parallel.fanout")
+                if fanout is not None:
+                    break
+        assert fanout is not None, "no query in the workload fanned out"
+        assert [child.name for child in fanout.children] == \
+            ["parallel.shard"] * fanout.attrs["shards"]
+        assert all("rows" in child.attrs for child in fanout.children)
+
     def test_shared_pool_reused_across_executors(self):
         from repro.parallel import WorkerPool
         _, history, doem = make_world(2)

@@ -1,23 +1,40 @@
-"""WorkerPool behaviour: ordering, accounting, shutdown under load."""
+"""WorkerPool behaviour: ordering, accounting, tracing, shutdown."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
-import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.obs.trace import get_tracer, span
 from repro.parallel import WorkerPool, chunk_evenly, default_pool, shard_count
 
 
 class TestMapOrdered:
     def test_results_in_submission_order(self):
-        with WorkerPool(4) as pool:
-            # Reverse sleep times so later submissions finish first.
-            out = pool.map_ordered(
-                lambda pair: (time.sleep(pair[1]), pair[0])[1],
-                [(i, 0.02 * (4 - i)) for i in range(5)])
-        assert out == [0, 1, 2, 3, 4]
+        """Completion order is forced to be the reverse of submission
+        order (task i waits for task i+1 to finish); the results still
+        come back in submission order."""
+        count = 4
+        done = [threading.Event() for _ in range(count)]
+        finished: list[int] = []
+
+        def chained(i):
+            if i + 1 < count:
+                assert done[i + 1].wait(timeout=5)
+            finished.append(i)
+            done[i].set()
+            return i
+
+        with WorkerPool(count) as pool:  # every task holds a worker
+            out = pool.map_ordered(chained, range(count))
+        assert finished == [3, 2, 1, 0]
+        assert out == [0, 1, 2, 3]
 
     def test_exception_propagates(self):
         def boom(x):
@@ -55,6 +72,21 @@ class TestAccounting:
             stats = pool.stats()
         assert stats["test.pool.b.errors"] == 1
         assert stats["test.pool.b.completed"] == 0
+
+    def test_mixed_outcomes_counted(self):
+        def boom(x):
+            raise ValueError(x)
+
+        with WorkerPool(2, metrics_prefix="test.pool.d") as pool:
+            assert pool.map_ordered(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
+            with pytest.raises(ValueError):
+                pool.submit(boom, 0).result()
+            stats = pool.stats()
+        assert stats["test.pool.d.submitted"] == 4
+        assert stats["test.pool.d.completed"] == 3
+        assert stats["test.pool.d.errors"] == 1
+        assert stats["test.pool.d.task_seconds"]["count"] == 4
+        assert pool.active == 0
 
     def test_active_returns_to_zero(self):
         with WorkerPool(2) as pool:
@@ -95,11 +127,46 @@ class TestShutdown:
             pool.shutdown(wait=False, cancel_pending=True)
 
     def test_shutdown_waits_for_running_task(self):
+        started, release = threading.Event(), threading.Event()
         results = []
-        with WorkerPool(1) as pool:
-            pool.submit(lambda: (time.sleep(0.05), results.append("done")))
-        # The context manager shutdown(wait=True) joins the worker.
+
+        def held():
+            started.set()
+            assert release.wait(timeout=5)
+            results.append("done")
+
+        pool = WorkerPool(1)
+        pool.submit(held)
+        assert started.wait(timeout=5)
+        assert results == []  # running, held on the event
+        releaser = threading.Thread(target=release.set)
+        releaser.start()
+        pool.shutdown(wait=True)
+        releaser.join(timeout=5)
+        assert not releaser.is_alive()
+        # shutdown(wait=True) joined the worker: the held task finished.
         assert results == ["done"]
+
+
+class TestTracing:
+    def test_task_spans_nest_under_submitting_span(self):
+        """Tasks attach to the submitter's open span instead of becoming
+        orphaned trace roots."""
+        def traced(n):
+            with span(f"task.{n}"):
+                return n * n
+
+        tracer = get_tracer()
+        with WorkerPool(2) as pool:
+            with tracer.capture() as cap:
+                with tracer.span("parent.batch"):
+                    futures = [pool.submit(traced, n) for n in range(3)]
+                    assert sorted(f.result() for f in futures) == [0, 1, 4]
+        parent = cap.find("parent.batch")
+        assert parent is not None
+        assert sorted(c.name for c in parent.children) == \
+            ["task.0", "task.1", "task.2"]
+        assert not any(root.name.startswith("task.") for root in cap.spans)
 
 
 class TestDefaults:
@@ -114,6 +181,20 @@ class TestDefaults:
     def test_invalid_widths_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
+
+    def test_import_loads_no_process_machinery(self):
+        """Workers are threads: a fresh ``import repro`` loads neither
+        ``concurrent.futures.process`` nor ``multiprocessing``."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, repro; print(sorted(name for name in "
+                 "('concurrent.futures.process', 'multiprocessing') "
+                 "if name in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestSharding:
@@ -132,7 +213,6 @@ class TestSharding:
         assert shard_count(0, 4) == 0
         assert shard_count(10, 4) == 4
         assert shard_count(3, 8) == 3
-        assert shard_count(100, 4, min_shard_size=50) == 2
-        assert shard_count(10, 4, min_shard_size=100) == 1
+        assert shard_count(1, 4) == 1
         with pytest.raises(ValueError):
             chunk_evenly([1], 0)

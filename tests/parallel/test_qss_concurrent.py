@@ -194,14 +194,18 @@ class TestHungSubscriptionTimeout:
             QSSServer(max_poll_workers=0)
 
     def test_timeouts_counted_in_metrics(self):
-        from repro import metrics_registry
+        """Read this server's own counter group: the registry's
+        ``qss.timeouts`` sums every live server, and another test's
+        server can be collected between two reads of it."""
         release = threading.Event()
         try:
-            before = metrics_registry().snapshot("qss").get("qss.timeouts", 0)
             with build_server({"hung": HangingSource(release)},
                               max_workers=2, poll_timeout=0.2) as server:
                 server.run_until("4Dec96")
-                after = metrics_registry().snapshot("qss")["qss.timeouts"]
-            assert after > before
+                timeouts = server._metrics["timeouts"].value
+                logged = sum(1 for entry in server.error_log
+                             if isinstance(entry[2], PollTimeout))
+            assert timeouts >= 1
+            assert timeouts == logged
         finally:
             release.set()

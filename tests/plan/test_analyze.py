@@ -51,6 +51,16 @@ def analyzed_stats(engine, query):
     return result, engine.last_compiled.runtime
 
 
+def rows_by_op(stats) -> dict[str, int]:
+    """``rows_out`` summed per operator label, ``Scan`` and ``Exchange``
+    left out: the operators a serial and a sharded tree share."""
+    totals: dict[str, int] = {}
+    for op in stats.ops:
+        if not op.op.startswith(("Scan", "Exchange")):
+            totals[op.op] = totals.get(op.op, 0) + op.rows_out
+    return totals
+
+
 def children_of(stats):
     """(parent, child) OpStats pairs along the attached (non-detached)
     spine: each parent's direct child is the next op one level deeper."""
@@ -231,24 +241,17 @@ class TestCardinalityFeedback:
 
 
 class TestShardedAnalyze:
-    @pytest.mark.parametrize("processes", [False, True])
-    def test_merged_totals_match_serial(self, doem, processes):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_merged_totals_match_serial(self, doem, workers):
         serial = ChorelEngine(doem, name="guide")
         expected, serial_stats = analyzed_stats(serial, CHAIN_QUERY)
         engine = ChorelEngine(doem, name="guide")
-        with ParallelExecutor(engine, max_workers=2,
-                              processes=processes,
-                              min_shard_size=1) as executor:
+        with ParallelExecutor(engine, max_workers=workers) as executor:
             result = executor.run(CHAIN_QUERY, analyze=True)
         assert [str(r) for r in result] == [str(r) for r in expected]
         stats = engine.last_compiled.runtime
         assert stats is not None
-        serial_by: dict[str, int] = {}
-        for op in serial_stats.ops:
-            serial_by[op.op] = serial_by.get(op.op, 0) + op.rows_out
-        for op in stats.ops:
-            if op.op in serial_by and not op.op.startswith("Scan"):
-                assert op.rows_out == serial_by[op.op], op.op
+        assert rows_by_op(stats) == rows_by_op(serial_stats)
         exchanges = [op for op in stats.ops
                      if op.op.startswith("Exchange")]
         if exchanges:  # sharding engaged: stage stats were merged
@@ -258,8 +261,7 @@ class TestShardedAnalyze:
 
     def test_sharded_to_dict_round_trips(self, doem):
         engine = ChorelEngine(doem, name="guide")
-        with ParallelExecutor(engine, max_workers=2,
-                              min_shard_size=1) as executor:
+        with ParallelExecutor(engine, max_workers=2) as executor:
             executor.run(CHAIN_QUERY, analyze=True)
         payload = engine.last_compiled.runtime.to_dict()
         assert payload["fingerprint"] == engine.last_compiled.fingerprint

@@ -1,7 +1,7 @@
 """ANALYZE observes; it must not perturb.
 
 The property this suite pins: for every engine, serial or sharded
-(threads and processes), ``run(query, analyze=True)`` returns rows
+on a thread pool, ``run(query, analyze=True)`` returns rows
 **identical and identically ordered** to the uninstrumented run -- and
 the collected stats tree is internally consistent (each attached
 parent's ``rows_in`` equals its child's ``rows_out``, predicate tallies
@@ -22,7 +22,7 @@ from repro import (
     ParallelExecutor,
     TranslatingChorelEngine,
 )
-from tests.plan.test_analyze import children_of
+from tests.plan.test_analyze import children_of, rows_by_op
 from tests.plan.test_planner_equivalence import (
     LOREL_QUERIES,
     RELAXED,
@@ -116,19 +116,23 @@ class TestShardedAnalyzeEquivalence:
                     assert stats is not None
 
     @pytest.mark.parametrize("seed", [1, 8])
-    def test_chorel_process_sharded(self, seed):
-        """Stage stats shipped back through the telemetry payload keep
-        the rows identical and the merged tree populated."""
+    def test_chorel_4_workers(self, seed):
+        """Stage stats returned beside each shard's rows keep the rows
+        identical and the merged tree populated."""
         _, history, doem = make_world(seed)
         plain = ChorelEngine(doem, name="root")
         engine = ChorelEngine(doem, name="root")
         queries = world_queries(history)
-        with ParallelExecutor(engine, processes=True,
-                              max_workers=2) as executor:
+        fanned_out = False
+        with ParallelExecutor(engine, max_workers=4) as executor:
             for query in queries:
-                expected = texts(plain.run(query))
+                expected = texts(plain.run(query, analyze=True))
+                serial_stats = plain.last_compiled.runtime
                 assert texts(executor.run(query, analyze=True)) == \
                     expected, query
                 stats = engine.last_compiled.runtime
                 assert stats is not None
                 assert stats.ops[0].rows_out == len(expected), query
+                assert rows_by_op(stats) == rows_by_op(serial_stats), query
+                fanned_out |= any(op.shards > 1 for op in stats.ops)
+        assert fanned_out, "no query in the world was sharded"
