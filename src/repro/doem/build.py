@@ -19,12 +19,17 @@ raw DOEM graph.
 
 Index and cache maintenance: every operation the applier folds in ends in
 an ``annotate_node``/``annotate_arc`` call, which bumps the database's
-generation counter and notifies attached annotation listeners -- this is
-how a :class:`~repro.lore.indexes.TimestampIndex` stays current without
-rebuilds and how :class:`~repro.doem.snapshot.SnapshotCache` and
-:class:`~repro.lore.indexes.PathIndex` detect staleness.  Raw graph
-mutations additionally call :meth:`~repro.doem.model.DOEMDatabase.touch`
-so the fingerprint moves even mid-operation.
+generation counter and notifies attached listeners -- this is how a
+:class:`~repro.lore.indexes.TimestampIndex` stays current without
+rebuilds.  Raw graph mutations additionally call
+:meth:`~repro.doem.model.DOEMDatabase.touch` so the fingerprint moves even
+mid-operation.  A change set later than every annotation ends in one
+append notice carrying the fingerprints before and after it:
+:class:`~repro.doem.snapshot.SnapshotCache` then drops only checkpoints
+at or after the append and :class:`~repro.lore.indexes.PathIndex` only
+paths through a label the set adds or removes.  Anything else that moves
+the fingerprint (``touch``, raw edits, out-of-order sets) leaves them
+stale, and they drop everything at their next lookup.
 """
 
 from __future__ import annotations
@@ -121,9 +126,15 @@ class DOEMApplier:
         the graph.  Only what the set's ``remArc`` targets and created
         nodes reach through live arcs is examined (``stranded``): a dead
         node never revives, since ``addArc`` to one is refused.
+
+        A set later than every annotation held ends in an append notice
+        to the database's listeners (``_on_append``, with the fingerprint
+        before and after): nothing at an earlier time changed.
         """
         doem = self.doem
-        if doem._dead_as_of != doem.fingerprint():
+        before = doem.fingerprint()
+        newest = doem.last_timestamp()
+        if doem._dead_as_of != before:
             self._mark_dead_nodes()
         dead = doem._dead_nodes
         suspects = []
@@ -146,6 +157,9 @@ class DOEMApplier:
         else:
             dead |= doomed
             doem._dead_as_of = doem.fingerprint()
+        if newest is None or newest < when:
+            doem._notify("_on_append", before, doem.fingerprint(), when,
+                         change_set)
 
     def _mark_dead_nodes(self) -> None:
         """Mark nodes unreachable through live arcs as conceptually deleted:

@@ -86,14 +86,21 @@ class DOEMDatabase:
         self._generation += 1
 
     def add_annotation_listener(self, listener: object) -> None:
-        """Register ``listener`` for incremental annotation maintenance.
+        """Register ``listener`` (held weakly) for incremental maintenance.
 
-        The listener (held weakly) must implement
-        ``_on_annotation(subject_kind, subject, annotation)`` where
-        ``subject_kind`` is ``"node"`` or ``"arc"``; it is invoked after
-        every :meth:`annotate_node` / :meth:`annotate_arc`.
-        :class:`~repro.lore.indexes.TimestampIndex` uses this to stay in
-        sync as histories are folded in, without rebuild calls.
+        A listener implements the hooks it needs:
+
+        * ``_on_annotation(subject_kind, subject, annotation)``, with
+          ``subject_kind`` ``"node"`` or ``"arc"``, after every
+          :meth:`annotate_node` / :meth:`annotate_arc` --
+          :class:`~repro.lore.indexes.TimestampIndex` stays in sync this
+          way, without rebuild calls;
+        * ``_on_append(before, after, when, change_set)`` after
+          :class:`~repro.doem.build.DOEMApplier` folds in a change set
+          later than every annotation held, with the :meth:`fingerprint`
+          before and after it -- :class:`~repro.doem.snapshot.SnapshotCache`
+          and :class:`~repro.lore.indexes.PathIndex` keep what the append
+          cannot reach.
         """
         self._listeners.append(weakref.ref(listener))
 
@@ -110,15 +117,17 @@ class DOEMDatabase:
         state["_listeners"] = []
         return state
 
-    def _notify(self, subject_kind: str, subject: object,
-                annotation: Annotation) -> None:
+    def _notify(self, hook: str, *args: object) -> None:
+        """Call ``hook(*args)`` on every live listener implementing it."""
         live: list[weakref.ref] = []
         for ref in self._listeners:
             listener = ref()
             if listener is None:
                 continue
             live.append(ref)
-            listener._on_annotation(subject_kind, subject, annotation)
+            method = getattr(listener, hook, None)
+            if method is not None:
+                method(*args)
         self._listeners = live
 
     # ------------------------------------------------------------------
@@ -146,7 +155,7 @@ class DOEMDatabase:
             raise UnknownNodeError(node_id)
         self._annotate(self._node_annotations.setdefault(node_id, []),
                        annotation)
-        self._notify("node", node_id, annotation)
+        self._notify("_on_annotation", "node", node_id, annotation)
 
     def annotate_arc(self, source: str, label: str, target: str,
                      annotation: ArcAnnotation) -> None:
@@ -157,7 +166,7 @@ class DOEMDatabase:
         if not self.graph.has_arc(*arc):
             raise DOEMError(f"no such arc: {arc}")
         self._annotate(self._arc_annotations.setdefault(arc, []), annotation)
-        self._notify("arc", arc, annotation)
+        self._notify("_on_annotation", "arc", arc, annotation)
 
     def _annotate(self, annotations: list, annotation: Annotation) -> None:
         annotations.append(annotation)

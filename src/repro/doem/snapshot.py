@@ -27,13 +27,12 @@ import threading
 import weakref
 from collections import OrderedDict
 
+from ..errors import DOEMError
 from ..obs.events import emit_event
 from ..obs.metrics import CounterField, registry as metrics_registry
 from ..obs.trace import span
 from ..oem.model import OEMDatabase
-from ..oem.values import COMPLEX
 from ..timestamps import NEG_INF, POS_INF, Timestamp, parse_timestamp
-from .annotations import Rem, Upd
 from .model import DOEMDatabase
 
 __all__ = ["snapshot_at", "original_snapshot", "current_snapshot",
@@ -179,9 +178,12 @@ class SnapshotCache:
        walk of :func:`snapshot_at`.
 
     Results of 2 and 3 are themselves cached (LRU eviction).  The cache
-    watches the database's fingerprint and drops everything when the
-    underlying DOEM database changes, so it is always safe to keep one
-    around while folding new history in.
+    listens for the append notice of :class:`~repro.doem.build.DOEMApplier`:
+    a change set at ``ta`` later than all history cannot change any
+    ``Ot(D)`` with ``t < ta`` (Section 3.2), so only checkpoints at
+    ``t >= ta`` are dropped.  Any other change of the database's
+    fingerprint drops everything at the next lookup, so it is always safe
+    to keep one around while folding new history in.
 
     Thread safety: every lookup/maintenance path runs under one reentrant
     lock, so concurrent ``snapshot_at`` calls from the parallel query
@@ -192,7 +194,7 @@ class SnapshotCache:
 
     def __init__(self, doem: DOEMDatabase, capacity: int = 8) -> None:
         if capacity < 1:
-            raise ValueError("SnapshotCache capacity must be >= 1")
+            raise DOEMError("SnapshotCache capacity must be >= 1")
         self.doem = doem
         self.capacity = capacity
         self.stats = SnapshotCacheStats()
@@ -201,6 +203,7 @@ class SnapshotCache:
         self._fingerprint: object = None
         self._store_log = None  # durable checkpoints (attach_store)
         self._lock = threading.RLock()
+        doem.add_annotation_listener(self)
 
     def attach_store(self, log) -> None:
         """Serve misses through a durable log's checkpoints.
@@ -221,11 +224,28 @@ class SnapshotCache:
     def _ensure_fresh(self) -> None:
         fingerprint = self.doem.fingerprint()
         if fingerprint != self._fingerprint:
-            if self._fingerprint is not None:
-                self.stats.invalidations += 1
+            self.stats.invalidations += len(self._checkpoints)
             self._checkpoints.clear()
             self._history = None
             self._fingerprint = fingerprint
+
+    def _on_append(self, before: object, after: object, when: Timestamp,
+                   change_set) -> None:
+        # DOEMDatabase listener hook: a change set at `when`, later than
+        # all history, moved the fingerprint from `before` to `after`.
+        with self._lock:
+            if self._fingerprint != before:
+                return  # already stale: the next lookup drops everything
+            stale = [t for t in self._checkpoints if t >= when]
+            for t in stale:
+                del self._checkpoints[t]
+            self.stats.invalidations += len(stale)
+            if change_set and self._history is not None:
+                if when.is_finite:
+                    self._history.append(when, change_set)
+                else:  # OEMHistory holds finite times only: re-derive
+                    self._history = None
+            self._fingerprint = after
 
     def _encoded_history(self):
         """``H(D)``, as something with ``entries_between(after, until)``."""
@@ -243,16 +263,6 @@ class SnapshotCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._checkpoints)
-
-    def checkpoints(self) -> list[Timestamp]:
-        """The cached checkpoint times, least- to most-recently used."""
-        with self._lock:
-            return list(self._checkpoints)
-
-    def clear(self) -> None:
-        """Drop every checkpoint (counters are kept)."""
-        with self._lock:
-            self._checkpoints.clear()
 
     def _store(self, when: Timestamp, snapshot: OEMDatabase) -> None:
         self._checkpoints[when] = snapshot
@@ -314,11 +324,6 @@ class SnapshotCache:
                 self.stats.replayed_sets += len(replay)
         self._store(cutoff, snapshot)
         return snapshot.copy()
-
-    def warm(self, times: object) -> None:
-        """Precompute checkpoints at each of ``times`` (e.g. poll times)."""
-        for when in times:
-            self.snapshot_at(when)
 
 
 _CACHES: "weakref.WeakKeyDictionary[DOEMDatabase, SnapshotCache]" = \

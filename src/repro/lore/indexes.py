@@ -21,6 +21,7 @@ from typing import Iterable
 from ..doem.annotations import Add, Annotation, Cre, Rem, Upd
 from ..doem.model import DOEMDatabase
 from ..obs.metrics import CounterField, registry as metrics_registry
+from ..oem.changes import AddArc, RemArc
 from ..oem.model import OEMDatabase
 from ..timestamps import NEG_INF, POS_INF, Timestamp, parse_timestamp
 
@@ -313,9 +314,14 @@ class PathIndex:
     from the root via a live ``l1 ... ln`` arc path -- the reachability
     question Lorel path evaluation and the indexed Chorel engine's hit
     verification both ask.  Path sets are computed on first use (one
-    breadth-first layer per label) and memoized; the memo is dropped
-    whenever the underlying database's fingerprint changes, so results
-    stay exact across incremental history folding.
+    breadth-first layer per label) and memoized.  Over a DOEM database
+    the index listens for the append notice of
+    :class:`~repro.doem.build.DOEMApplier`: a path set over live arcs
+    depends only on arcs with its own labels, so an appended change set
+    drops just the paths through a label one of its ``addArc``/``remArc``
+    operations names (``creNode``/``updNode`` cannot change a path set).
+    Any other fingerprint change drops the whole memo at the next lookup,
+    so results stay exact across incremental history folding.
 
     Lookups serialize on one reentrant lock per index (memoization
     mutates on reads), so concurrent hit verification from the parallel
@@ -328,6 +334,8 @@ class PathIndex:
         self._memo: dict[tuple[str, ...], frozenset[str]] = {}
         self._fingerprint: object = None
         self._lock = threading.RLock()
+        if isinstance(source, DOEMDatabase):
+            source.add_annotation_listener(self)
 
     # -- source adaptation ----------------------------------------------
 
@@ -353,6 +361,20 @@ class PathIndex:
             self._memo.clear()
             self._fingerprint = fingerprint
             self.stats.rebuilds += 1
+
+    def _on_append(self, before: object, after: object, when: Timestamp,
+                   change_set) -> None:
+        # DOEMDatabase listener hook (see DOEMApplier.apply).
+        with self._lock:
+            if self._fingerprint != before:
+                return  # already stale: the next lookup drops everything
+            touched = {op.label for op in change_set
+                       if isinstance(op, (AddArc, RemArc))}
+            if touched:
+                self._memo = {path: nodes
+                              for path, nodes in self._memo.items()
+                              if touched.isdisjoint(path)}
+            self._fingerprint = after
 
     # -- lookups ---------------------------------------------------------
 

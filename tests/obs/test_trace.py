@@ -2,10 +2,10 @@
 JSON export."""
 
 import json
-import time
 
 import pytest
 
+from repro.obs import trace
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -15,6 +15,24 @@ from repro.obs.trace import (
     get_tracer,
     span,
 )
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A span clock that moves only when the test advances it."""
+
+    class Clock:
+        now = 100.0
+
+        def __call__(self):
+            return self.now
+
+        def advance(self, seconds):
+            self.now += seconds
+
+    fake = Clock()
+    monkeypatch.setattr(trace, "perf_counter", fake)
+    return fake
 
 
 @pytest.fixture(autouse=True)
@@ -82,16 +100,17 @@ class TestRecording:
             pass
         assert [r.name for r in get_tracer().roots] == ["first", "second"]
 
-    def test_durations_nest(self):
+    def test_durations_nest(self, clock):
         enable_tracing()
         with span("outer"):
+            clock.advance(0.001)
             with span("inner"):
-                time.sleep(0.002)
+                clock.advance(0.002)
         root = get_tracer().roots[0]
         inner = root.children[0]
-        assert inner.duration >= 0.002
-        assert root.duration >= inner.duration
-        assert root.self_time <= root.duration
+        assert inner.duration == pytest.approx(0.002)
+        assert root.duration == pytest.approx(0.003)
+        assert root.self_time == pytest.approx(0.001)
 
     def test_exception_still_closes_the_span(self):
         enable_tracing()
@@ -226,11 +245,11 @@ class TestEngineSpans:
 
 
 class TestSerialization:
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, clock):
         enable_tracing()
         with span("root", kind="test"):
             with span("child"):
-                time.sleep(0.001)
+                clock.advance(0.001)
         original = get_tracer().roots[0]
         payload = original.to_dict()
         assert json.loads(json.dumps(payload)) == payload

@@ -280,28 +280,41 @@ class TestAnalyze:
 
 
 class TestServeMetrics:
-    def test_endpoints_on_ephemeral_port(self):
+    def test_endpoints_on_ephemeral_port(self, monkeypatch):
         import json
         import re
         import threading
-        import time
+        from types import SimpleNamespace
         from urllib.request import urlopen
 
-        out = io.StringIO()
+        import repro.cli
+
+        class Printed(io.StringIO):
+            """Output that signals once the server has printed its URL."""
+
+            def __init__(self):
+                super().__init__()
+                self.url_ready = threading.Event()
+
+            def write(self, text):
+                written = super().write(text)
+                if re.search(r"http://[\d.]+:\d+", self.getvalue()):
+                    self.url_ready.set()
+                return written
+
+        # The server stays up until the test is done with it, instead of
+        # for a wall-clock --duration.
+        done = threading.Event()
+        monkeypatch.setattr(repro.cli, "time",
+                            SimpleNamespace(sleep=lambda _: done.wait(10)))
+        out = Printed()
         thread = threading.Thread(
             target=main,
             args=(["serve-metrics", "--port", "0", "--duration", "2"], out),
             daemon=True)
         thread.start()
-        deadline = time.monotonic() + 5
-        url = None
-        while time.monotonic() < deadline:
-            match = re.search(r"http://[\d.]+:\d+", out.getvalue())
-            if match:
-                url = match.group(0)
-                break
-            time.sleep(0.02)
-        assert url is not None, "serve-metrics never printed its URL"
+        assert out.url_ready.wait(5), "serve-metrics never printed its URL"
+        url = re.search(r"http://[\d.]+:\d+", out.getvalue()).group(0)
 
         with urlopen(url + "/metrics") as response:
             assert response.status == 200
@@ -317,6 +330,7 @@ class TestServeMetrics:
         code, text = run_cli("top", "--once", "--json", "--url", url)
         assert code == 0
         assert isinstance(json.loads(text), dict)
+        done.set()
         thread.join(timeout=10)
         assert not thread.is_alive()
 

@@ -17,7 +17,8 @@ via :mod:`repro.sources.generators`) and asserts, pair by pair:
   orders and a small capacity that forces evictions;
 * both equivalences survive *incremental* growth: folding more change
   sets into a live DOEM database must keep the attached index and the
-  invalidated cache in agreement with the naive paths.
+  cache (which drops only what the append can reach) in agreement with
+  the naive paths.
 """
 
 from __future__ import annotations
@@ -180,19 +181,26 @@ class TestSnapshotCacheDifferential:
 
     @pytest.mark.parametrize("seed", [1, 8, 15])
     def test_cache_invalidates_on_growth(self, seed):
+        """Growth at ``when`` invalidates the checkpoints at or after it
+        and keeps the earlier ones (Ot(D) for t < when cannot change)."""
         _, history, doem = make_world(seed)
         cache = SnapshotCache(doem, capacity=4)
         last = history.timestamps()[-1]
-        assert cache.snapshot_at(last).same_as(snapshot_at(doem, last))
+        for probe in (last, POS_INF):
+            assert cache.snapshot_at(probe).same_as(snapshot_at(doem, probe))
         from repro import current_snapshot
         change_set = random_change_set(current_snapshot(doem),
                                       seed=seed + 5, size=4, id_prefix="z_",
                                       reserved_ids=set(doem.graph.nodes()))
+        assert change_set
         when = last.plus(days=1)
         apply_change_set(doem, when, change_set)
+        assert cache.stats.invalidations == 1  # the POS_INF checkpoint
+        exact_hits = cache.stats.exact_hits
         for probe in (last, when, POS_INF):
             assert cache.snapshot_at(probe).same_as(
                 snapshot_at(doem, probe)), (seed, probe)
+        assert cache.stats.exact_hits == exact_hits + 1  # `last` survived
         assert cache.stats.invalidations == 1
 
     def test_returned_snapshots_are_isolated(self):
