@@ -69,13 +69,13 @@ class ChorelEngine:
         """Annotations touched while answering queries so far.
 
         For the naive engine this is the view's scan counter; the indexed
-        subclass adds the entries its index lookups returned.  The
-        ``index_hits_*`` benchmarks compare the two.
+        subclass adds the entries its index lookups returned.
+        ``tests/paper/test_index.py`` compares the two.
         """
         return self.view.annotation_visits
 
     def reset_counters(self) -> None:
-        """Zero the annotation-visit accounting (benchmarks do this)."""
+        """Zero the annotation-visit accounting."""
         self.view.annotation_visits = 0
 
     def reset_stats(self) -> None:

@@ -19,11 +19,10 @@ Subcommands (``python -m repro <cmd> --help`` for details):
   point at a stored DOEM database;
 * ``analyze QUERY``            -- EXPLAIN ANALYZE: execute the query and
   print the physical plan tree with per-operator runtime stats (rows
-  in/out, batches, wall time, estimated-vs-actual cardinality, shard
-  fan-out, vectorized/fallback predicate counts) and the compile /
-  execute split; ``--json PATH`` also writes the observation as JSON
-  (dashboards, CI artifacts); same ``--store`` / ``--db`` / ``--backend``
-  selection as ``explain``;
+  in/out, batches, wall time, shard fan-out, vectorized/fallback
+  predicate counts) and the compile / execute split; ``--json PATH``
+  also writes the observation as JSON (dashboards, CI artifacts); same
+  ``--store`` / ``--db`` / ``--backend`` selection as ``explain``;
 * ``store init|demo|info|fsck|checkpoint|compact`` -- manage a durable
   change-log store (:mod:`repro.store`): create one, persist the demo
   history, describe it, verify/repair segment and checkpoint integrity,

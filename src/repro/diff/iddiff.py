@@ -9,8 +9,8 @@ no similarity scoring, strictly linear.
 :func:`id_diff` computes ``U`` with ``U(old) == new`` **exactly** (same
 identifiers, not just isomorphic), under the assumption that equal ids
 denote the same object.  The QSS :class:`~repro.qss.managers.DOEMManager`
-accepts ``differ="ids"`` to use it; the diff-scaling benchmark quantifies
-what identifier stability buys.
+accepts ``differ="ids"`` to use it; ``tests/paper/test_diff.py`` counts
+its operations against the matcher's.
 """
 
 from __future__ import annotations

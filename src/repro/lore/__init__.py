@@ -6,8 +6,8 @@ which supplies object storage and query processing for OEM.  Storage is
 databases and QSS subscriptions); this package is the index half:
 
 * :class:`~repro.lore.indexes.AnnotationIndex` -- annotations by kind
-  and timestamp, the paper's Section 7 future-work item; the
-  index-ablation benchmark measures what it buys.
+  and timestamp, the paper's Section 7 future-work item;
+  ``tests/paper/test_index.py`` counts what it buys.
   :class:`~repro.lore.indexes.TimestampIndex` is the incrementally
   maintained variant (attached to a DOEM database via its annotation
   listeners);

@@ -35,8 +35,8 @@ class IndexStats:
     * ``hits`` -- lookups that found at least one entry (``misses`` is the
       complement);
     * ``visited`` -- entries the index actually touched to answer its
-      lookups -- the number the ablation benchmark compares against the
-      naive engine's full annotation scans;
+      lookups -- the number ``tests/paper/test_index.py`` compares
+      against the naive engine's full annotation scans;
     * ``inserts`` -- incremental maintenance events;
     * ``rebuilds`` -- full from-scratch (re)constructions.
 
@@ -182,7 +182,8 @@ class TimestampIndex(AnnotationIndex):
       additionally bucketed by arc label, so ``<add at T>item`` predicates
       scan only the ``item`` entries (pass ``label=`` to :meth:`between`);
     * **hit-rate counters** -- :attr:`stats` records lookups, hits, and
-      entries visited, the numbers the ``index_hits_*`` benchmarks emit.
+      entries visited, the numbers the ``index_hits_*`` paper goldens
+      pin (``tests/paper/test_index.py``).
 
     ``TimestampIndex(doem)`` rebuilds *and* attaches; pass
     ``attach=False`` for a detached snapshot-in-time index.

@@ -150,10 +150,10 @@ class DOEMView(DataView):
 
     ``annotation_visits`` counts annotations handed to the evaluator by
     the four annotation functions -- the work an annotation index avoids.
-    The index-ablation benchmark compares this counter between the naive
-    and indexed engines.  The counter is registered in the global metrics
-    registry (family ``repro.view``); the attribute stays a plain int
-    view, writable as before.
+    ``tests/paper/test_index.py`` compares this counter between the
+    naive and indexed engines.  The counter is registered in the global
+    metrics registry (family ``repro.view``); the attribute stays a plain
+    int view, writable as before.
     """
 
     annotation_visits = CounterField()

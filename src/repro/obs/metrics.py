@@ -331,7 +331,7 @@ class MetricsRegistry:
 
     def export_json(self, prefix: str | None = None,
                     indent: int | None = 2) -> str:
-        """The snapshot as a JSON document (the benchmark artifact shape)."""
+        """The snapshot as a JSON document."""
         return json.dumps(self.snapshot(prefix), indent=indent)
 
     def render_text(self, prefix: str | None = None) -> str:

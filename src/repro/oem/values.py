@@ -121,7 +121,11 @@ def _as_number(value: AtomicValue) -> float | int | None:
         try:
             return int(value)
         except ValueError:
+            pass
+        try:
             return float(value)
+        except ValueError:  # ``\s`` matches separators float() refuses
+            return None
     return None
 
 

@@ -20,13 +20,7 @@ Engines call :func:`compile_query` then :func:`execute_plan`; the
 :class:`CompiledPlan` in between is what ``repro explain`` renders.
 """
 
-from .analyze import (
-    CardinalityFeedback,
-    OpStats,
-    PlanStats,
-    cardinality_feedback,
-    plan_fingerprint,
-)
+from .analyze import OpStats, PlanStats, plan_fingerprint
 from .batch import DEFAULT_BATCH_SIZE, EnvBatch, compile_predicate
 from .compiler import CompiledPlan, compile_query
 from .ir import (
@@ -62,7 +56,6 @@ from .rules import (
 from .stats import EngineStats, RangePlan
 
 __all__ = [
-    "CardinalityFeedback",
     "CompileContext",
     "CompiledPlan",
     "DeltaProject",
@@ -88,7 +81,6 @@ __all__ = [
     "TimeRangeScan",
     "VersionJoin",
     "VirtualAtExpansion",
-    "cardinality_feedback",
     "compile_query",
     "default_rules",
     "execute_plan",

@@ -1,4 +1,4 @@
-"""EXPLAIN ANALYZE: per-operator runtime stats and cardinality feedback.
+"""EXPLAIN ANALYZE: per-operator runtime stats.
 
 EXPLAIN renders the *static* plan; this module is the dynamic half.
 When an engine executes with ``analyze=True`` it attaches a
@@ -21,45 +21,21 @@ physical operators wrap their streams so every node accounts:
   and merges into the coordinator's tree, so a sharded ANALYZE shows the
   same per-operator row totals as serial.
 
-**Cardinality feedback** closes the loop: every node carries an
-``est_rows`` estimate -- a deterministic heuristic on first sight, the
-*recorded actuals* once the same plan fingerprint has been analyzed
-before (:class:`CardinalityFeedback`) -- and :meth:`PlanStats.render`
-surfaces the worst estimated-vs-actual misses.  When no stats collector
-is attached (``ctx.stats is None``) the operators take their original
-uninstrumented paths; analyze overhead is bounded by the
-``BENCH_analyze`` gate (<5%, ``scripts/check_bench_baseline.py``).
+When no stats collector is attached (``ctx.stats is None``) the
+operators take their original uninstrumented paths;
+``tests/plan/test_analyze_equivalence.py`` pins that an analyzed run
+returns the same rows.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .ir import (
-    DeltaProject,
-    Exchange,
-    LogicalNode,
-    PathExpand,
-    Predicate,
-    Project,
-    Scan,
-    TimeRangeScan,
-    VersionJoin,
-)
+from .ir import Exchange, LogicalNode
 
-__all__ = ["OpStats", "PlanStats", "StageRecorder", "CardinalityFeedback",
-           "cardinality_feedback", "estimate_rows", "plan_fingerprint"]
-
-# Deterministic first-sight heuristics: a path step fans out, a
-# predicate keeps a third.  Deliberately crude -- the point of the
-# feedback loop is that the *second* analyzed run of a fingerprint uses
-# recorded actuals instead.
-PATH_FANOUT = 8
-PREDICATE_KEEP = 3  # keep 1 in 3
+__all__ = ["OpStats", "PlanStats", "StageRecorder", "plan_fingerprint"]
 
 
 def plan_fingerprint(root: LogicalNode) -> str:
@@ -68,7 +44,7 @@ def plan_fingerprint(root: LogicalNode) -> str:
     Computed over the deterministic EXPLAIN render of the *lowered*
     (pre-optimization) tree, so the fingerprint identifies the query
     shape after normalization but independent of which rewrite passes
-    fire -- the key the query log and the feedback store share.
+    fire -- the key of the query log.
     """
     import hashlib
 
@@ -89,8 +65,6 @@ class OpStats:
     batches_in: int = 0
     batches_out: int = 0
     wall_seconds: float = 0.0
-    est_rows: Optional[int] = None
-    est_source: str = "heuristic"
     shards: int = 0
     detached: bool = False  # an Exchange stage, fed by shard payloads
     pred_counts: dict = field(
@@ -104,14 +78,6 @@ class OpStats:
     def fallback_rows(self) -> int:
         return self.pred_counts["fallback"]
 
-    def misestimate_factor(self) -> float:
-        """How far off the estimate was (>= 1.0; 1.0 = exact)."""
-        if self.est_rows is None:
-            return 1.0
-        est = max(1, self.est_rows)
-        actual = max(1, self.rows_out)
-        return max(est, actual) / min(est, actual)
-
     def to_dict(self) -> dict:
         return {
             "op": self.op,
@@ -121,8 +87,6 @@ class OpStats:
             "batches_in": self.batches_in,
             "batches_out": self.batches_out,
             "wall_seconds": round(self.wall_seconds, 6),
-            "est_rows": self.est_rows,
-            "est_source": self.est_source,
             "shards": self.shards,
             "detached": self.detached,
             "vectorized_rows": self.vectorized_rows,
@@ -148,102 +112,14 @@ class StageRecorder:
                        for _ in range(count)]
 
 
-def estimate_rows(root: LogicalNode) -> dict[int, int]:
-    """Deterministic bottom-up cardinality estimates, by ``id(node)``."""
-    assign: dict[int, int] = {}
-    _estimate(root, assign)
-    return assign
-
-
-def _estimate(node: LogicalNode, assign: dict[int, int]) -> int:
-    if isinstance(node, Scan):
-        est = 1
-    elif isinstance(node, PathExpand):
-        child = _estimate(node.child, assign) if node.child is not None else 1
-        est = child * PATH_FANOUT
-    elif isinstance(node, Predicate):
-        child = _estimate(node.child, assign) if node.child is not None else 1
-        est = max(1, child // PREDICATE_KEEP)
-    elif isinstance(node, Project):
-        est = _estimate(node.child, assign) if node.child is not None else 1
-    elif isinstance(node, TimeRangeScan):
-        est = PATH_FANOUT * len(node.plan.kinds)
-    elif isinstance(node, (DeltaProject, VersionJoin)):
-        child = _estimate(node.child, assign) if node.child is not None else 1
-        est = max(1, child // PREDICATE_KEEP)
-    elif isinstance(node, Exchange):
-        est = _estimate(node.child, assign)
-        for stage in node.stages:
-            if isinstance(stage, PathExpand):
-                est = est * PATH_FANOUT
-            elif isinstance(stage, Predicate):
-                est = max(1, est // PREDICATE_KEEP)
-            assign[id(stage)] = est
-    else:  # pragma: no cover - lowering only builds the nodes above
-        est = 1
-    assign[id(node)] = est
-    return est
-
-
-class CardinalityFeedback:
-    """Actual per-operator row counts, keyed by (fingerprint, shape).
-
-    ``record`` stores the preorder ``rows_out`` vector of an analyzed
-    execution; ``lookup`` returns it for the next compile of the same
-    fingerprint *and* executed tree shape (serial and Exchange-rewritten
-    trees are distinct shapes, so a sharded run never mis-seeds a serial
-    estimate).  Bounded LRU -- old fingerprints age out.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._store: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def record(self, fingerprint: str, shape: tuple[str, ...],
-               actuals: tuple[int, ...]) -> None:
-        key = (fingerprint, shape)
-        with self._lock:
-            self._store[key] = actuals
-            self._store.move_to_end(key)
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-
-    def lookup(self, fingerprint: str,
-               shape: tuple[str, ...]) -> tuple[int, ...] | None:
-        with self._lock:
-            actuals = self._store.get((fingerprint, shape))
-            if actuals is not None:
-                self._store.move_to_end((fingerprint, shape))
-            return actuals
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._store.clear()
-
-
-_FEEDBACK = CardinalityFeedback()
-
-
-def cardinality_feedback() -> CardinalityFeedback:
-    """The process-global feedback store."""
-    return _FEEDBACK
-
-
 class PlanStats:
     """The runtime stats tree for one analyzed execution.
 
     Built over the *executed* root (after any ``insert_exchange``
     rewrite), with one :class:`OpStats` per node in preorder; the
     physical operators call the ``observe_*`` wrappers when
-    ``ctx.stats`` is set.  ``finalize`` records the actuals into the
-    feedback store; ``render`` is the annotated ANALYZE tree.
+    ``ctx.stats`` is set.  ``finalize`` seals the totals; ``render`` is
+    the annotated ANALYZE tree.
     """
 
     def __init__(self, root: LogicalNode, *,
@@ -255,18 +131,6 @@ class PlanStats:
         self.ops: list[OpStats] = []
         self._by_node: dict[int, OpStats] = {}
         self._build(root, 0)
-        feedback = None
-        if fingerprint:
-            feedback = cardinality_feedback().lookup(fingerprint,
-                                                     self.shape())
-        if feedback is not None and len(feedback) == len(self.ops):
-            for op, est in zip(self.ops, feedback):
-                op.est_rows = est
-                op.est_source = "feedback"
-        else:
-            estimates = estimate_rows(root)
-            for op in self.ops:
-                op.est_rows = estimates.get(op.node_id)
 
     def _build(self, node: LogicalNode, depth: int) -> None:
         op = OpStats(node_id=id(node), op=node.describe(), depth=depth)
@@ -282,10 +146,6 @@ class PlanStats:
 
     def op_for(self, node: LogicalNode) -> OpStats:
         return self._by_node[id(node)]
-
-    def shape(self) -> tuple[str, ...]:
-        """The preorder operator signature (the feedback-store key)."""
-        return tuple(op.op for op in self.ops)
 
     # -- stream wrappers (called by the physical operators) --------------
 
@@ -339,24 +199,9 @@ class PlanStats:
     # -- finishing --------------------------------------------------------
 
     def finalize(self, result_rows: int, execute_seconds: float) -> None:
-        """Seal the collection and feed the actuals back to the estimator."""
+        """Seal the collection."""
         self.result_rows = result_rows
         self.execute_seconds = execute_seconds
-        if self.fingerprint:
-            cardinality_feedback().record(
-                self.fingerprint, self.shape(),
-                tuple(op.rows_out for op in self.ops))
-
-    def misestimates(self, limit: int = 3,
-                     threshold: float = 2.0) -> list[OpStats]:
-        """The operators whose estimates missed worst (factor >= threshold)."""
-        order = {id(op): position for position, op in enumerate(self.ops)}
-        missed = [op for op in self.ops
-                  if op.est_rows is not None
-                  and op.misestimate_factor() >= threshold]
-        missed.sort(key=lambda op: (-op.misestimate_factor(),
-                                    order[id(op)]))
-        return missed[:limit]
 
     # -- export -----------------------------------------------------------
 
@@ -369,21 +214,12 @@ class PlanStats:
             if op.batches_out or op.batches_in:
                 parts.append(f"batches {op.batches_in} -> {op.batches_out}")
             parts.append(f"time {op.wall_seconds * 1000:.3f}ms")
-            if op.est_rows is not None:
-                tag = "est" if op.est_source == "heuristic" else "est*"
-                parts.append(f"{tag} {op.est_rows}")
             if op.shards:
                 parts.append(f"shards {op.shards}")
             if op.vectorized_rows or op.fallback_rows:
                 parts.append(f"vectorized {op.vectorized_rows}"
                              f"/fallback {op.fallback_rows}")
             lines.append(f"{indent}{op.op}  ({', '.join(parts)})")
-        missed = self.misestimates()
-        if missed:
-            lines.append("misestimates:")
-            for op in missed:
-                lines.append(f"  {op.op}: est {op.est_rows} vs actual "
-                             f"{op.rows_out} (x{op.misestimate_factor():.1f})")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -392,9 +228,4 @@ class PlanStats:
             "rows": self.result_rows,
             "execute_seconds": round(self.execute_seconds, 6),
             "ops": [op.to_dict() for op in self.ops],
-            "misestimates": [
-                {"op": op.op, "est_rows": op.est_rows,
-                 "rows_out": op.rows_out,
-                 "factor": round(op.misestimate_factor(), 3)}
-                for op in self.misestimates()],
         }

@@ -10,8 +10,7 @@ the per-pass firing report (what ``repro explain`` prints), and -- when
 index selection fired -- the :class:`~repro.plan.stats.RangePlan` the
 ``TimeRangeScan`` will scan.  Compilation cost is observable: a
 ``plan.compile`` trace span, the ``repro.plan.compiled`` counter, and the
-``repro.plan.compile_seconds`` histogram (both gated by the bench
-baseline).
+``repro.plan.compile_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ class CompiledPlan:
         """The optimized plan tree plus the pass-by-pass firing report.
 
         With ``analyze=True`` the tree is the *runtime* one instead --
-        every operator annotated with rows in/out, wall time, estimate,
-        and shard fan-out -- which requires the plan to have been
+        every operator annotated with rows in/out, wall time and shard
+        fan-out -- which requires the plan to have been
         executed with ``analyze=True`` first (``engine.run(q,
         analyze=True)`` or ``engine.execute(compiled, analyze=True)``).
         """

@@ -374,7 +374,7 @@ class DOEMManager:
         self._signatures.pop(key, None)
 
     def state_size(self, name: str) -> dict[str, int]:
-        """Rough state-size accounting for the space-strategy benchmark."""
+        """Rough state-size accounting (``tests/paper/test_qss_space.py``)."""
         doem = self.doem(name)
         sizes = {
             "doem_nodes": len(doem.graph),

@@ -3,9 +3,8 @@
 One golden per annotation form -- ``<cre at T>``, ``<upd at T from OV to
 NV>``, ``<add at T>``, ``<rem at T>`` -- pinned so a translator change
 that rewrites the emitted Lorel shows up as a reviewable diff, not a
-silent behavior shift.  The Example 5.1 artifact
-(``benchmarks/artifacts/ex5_1_translation.txt``) is checked the same way:
-the committed artifact must match what the live translator emits today.
+silent behavior shift.  The Example 5.1 translation is pinned the same
+way, as a paper golden (``tests/paper/test_ex5_1.py``).
 
 To update a golden intentionally, delete it and re-run with
 ``REGEN_GOLDENS=1``.
@@ -13,17 +12,15 @@ To update a golden intentionally, delete it and re-run with
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 from repro import ChorelEngine, TranslatingChorelEngine, build_doem
 from tests.conftest import make_guide_db, make_guide_history
+from tests.goldens import assert_golden
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
-ARTIFACTS = Path(__file__).resolve().parent.parent.parent \
-    / "benchmarks" / "artifacts"
 
 # One query per annotation form of Section 4.2.1 / 5.2.
 FORM_QUERIES = {
@@ -34,9 +31,6 @@ FORM_QUERIES = {
     "rem_at": "select P, T from guide.restaurant.<rem at T>parking P "
               "where T > 5Jan97",
 }
-
-EX51_QUERY = ('select N from guide.restaurant R, R.name N '
-              'where R.<add at T>price = "moderate" and T >= 1Jan97')
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +46,8 @@ def render(chorel: str, engine: TranslatingChorelEngine) -> str:
 @pytest.mark.parametrize("form", sorted(FORM_QUERIES))
 def test_translation_matches_golden(form, doem):
     engine = TranslatingChorelEngine(doem, name="guide")
-    actual = render(FORM_QUERIES[form], engine)
-    path = GOLDENS / f"{form}.txt"
-    if os.environ.get("REGEN_GOLDENS") and not path.exists():
-        path.write_text(actual, encoding="utf-8")
-    expected = path.read_text(encoding="utf-8")
-    assert actual == expected, \
-        f"translation drift for <{form}>; diff against {path}"
+    assert_golden(GOLDENS / f"{form}.txt",
+                  render(FORM_QUERIES[form], engine))
 
 
 @pytest.mark.parametrize("form", sorted(FORM_QUERIES))
@@ -69,17 +58,6 @@ def test_golden_queries_evaluate_identically(form, doem):
     query = FORM_QUERIES[form]
     assert sorted(map(str, native.run(query))) == \
         sorted(map(str, translating.run(query)))
-
-
-def test_ex51_artifact_matches_live_translation(doem):
-    """The committed benchmark artifact equals today's translator output."""
-    engine = TranslatingChorelEngine(doem, name="guide")
-    translation = engine.translate(EX51_QUERY)
-    expected = (f"Chorel:\n{EX51_QUERY}\n\n"
-                f"Lorel translation:\n{translation.text()}\n")
-    artifact = (ARTIFACTS / "ex5_1_translation.txt").read_text(
-        encoding="utf-8")
-    assert artifact == expected
 
 
 def test_every_annotation_form_has_a_golden():

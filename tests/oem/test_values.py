@@ -66,6 +66,9 @@ class TestCoercion:
         assert not compare("moderate", 20.5, "<")
         assert not compare("moderate", 20.5, ">")
         assert not compare("moderate", 20.5, "=")
+        # A unit separator matches the pattern's \s but no number parser.
+        assert not compare("0\x1f", 0, "=")
+        assert not compare(0, "0\x1f", "=")
 
     def test_complex_never_compares(self):
         assert not compare(COMPLEX, COMPLEX, "=")

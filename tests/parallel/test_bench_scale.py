@@ -9,7 +9,7 @@ every shard carries hundreds of rows.  Three loops, no timings:
 * thread-sharded ``ParallelExecutor.run`` == serial, in order;
 * ``run_many`` on a shared thread pool == serial, in order.
 
-``slow``-marked: tier-1 skips it, CI's bench-regression job runs it with
+``slow``-marked: tier-1 skips it, CI's ``slow`` job runs it with
 ``-m "slow or not slow"``.
 """
 

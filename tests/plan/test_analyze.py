@@ -1,12 +1,11 @@
-"""EXPLAIN ANALYZE: per-operator stats, fingerprints, cardinality feedback.
+"""EXPLAIN ANALYZE: per-operator stats and fingerprints.
 
 The collector (:mod:`repro.plan.analyze`) claims that an analyzed
 execution returns identical rows while accounting every operator -- rows
 and batches in/out, wall time, vectorized-vs-fallback predicate rows --
 and that the stats tree is *internally consistent*: what a parent pulls
-in is exactly what its child emitted.  This suite pins those claims, the
-fingerprint's stability, and the feedback loop (second analyzed run of a
-fingerprint estimates from recorded actuals, rendered ``est*``).
+in is exactly what its child emitted.  This suite pins those claims and
+the fingerprint's stability.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ from repro import (
     TranslatingChorelEngine,
     build_doem,
 )
-from repro.plan.analyze import (
-    CardinalityFeedback,
-    cardinality_feedback,
-    estimate_rows,
-    plan_fingerprint,
-)
+from repro.plan.analyze import plan_fingerprint
 from tests.conftest import make_guide_db, make_guide_history
 
 CHAIN_QUERY = ("select T, R from guide.<add at T>restaurant R "
@@ -37,13 +31,6 @@ INDEXED_QUERY = "select guide.<add at T>restaurant where T < 4Jan97"
 @pytest.fixture()
 def doem():
     return build_doem(make_guide_db(), make_guide_history())
-
-
-@pytest.fixture(autouse=True)
-def _fresh_feedback():
-    cardinality_feedback().reset()
-    yield
-    cardinality_feedback().reset()
 
 
 def analyzed_stats(engine, query):
@@ -194,50 +181,6 @@ class TestFingerprint:
         engine = ChorelEngine(doem, name="guide")
         compiled = engine.compile(CHAIN_QUERY)
         assert plan_fingerprint(compiled.root) != ""
-
-
-class TestCardinalityFeedback:
-    def test_second_run_estimates_from_actuals(self, doem):
-        engine = ChorelEngine(doem, name="guide")
-        _, first = analyzed_stats(engine, CHAIN_QUERY)
-        assert all(op.est_source == "heuristic" for op in first.ops)
-        _, second = analyzed_stats(engine, CHAIN_QUERY)
-        assert all(op.est_source == "feedback" for op in second.ops)
-        for op in second.ops:
-            by_op = {o.op: o.rows_out for o in first.ops}
-            assert op.est_rows == by_op[op.op]
-        assert "est*" in second.render()
-        assert "est*" not in first.render()
-
-    def test_feedback_keyed_by_shape(self):
-        store = CardinalityFeedback(capacity=2)
-        store.record("f1", ("Scan",), (5,))
-        assert store.lookup("f1", ("Scan",)) == (5,)
-        assert store.lookup("f1", ("Scan", "Predicate x")) is None
-        assert store.lookup("f2", ("Scan",)) is None
-
-    def test_lru_eviction(self):
-        store = CardinalityFeedback(capacity=2)
-        store.record("a", ("Scan",), (1,))
-        store.record("b", ("Scan",), (2,))
-        store.lookup("a", ("Scan",))  # refresh a
-        store.record("c", ("Scan",), (3,))
-        assert store.lookup("b", ("Scan",)) is None
-        assert store.lookup("a", ("Scan",)) == (1,)
-        with pytest.raises(ValueError):
-            CardinalityFeedback(capacity=0)
-
-    def test_misestimates_are_surfaced(self, doem):
-        engine = ChorelEngine(doem, name="guide")
-        _, stats = analyzed_stats(engine, CHAIN_QUERY)
-        for op in stats.misestimates(threshold=1.0):
-            assert op.misestimate_factor() >= 1.0
-
-    def test_estimate_rows_heuristics(self, doem):
-        engine = ChorelEngine(doem, name="guide")
-        compiled = engine.compile(CHAIN_QUERY)
-        estimates = estimate_rows(compiled.root)
-        assert all(value >= 1 for value in estimates.values())
 
 
 class TestShardedAnalyze:

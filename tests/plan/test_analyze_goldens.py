@@ -1,8 +1,8 @@
 """Golden-file tests for the EXPLAIN ANALYZE rendering.
 
 Wall times vary run to run, so the goldens mask them (``time ---ms``);
-everything else -- operator tree, rows/batches in and out, heuristic
-estimates, shard counts, vectorized/fallback splits, the fingerprint --
+everything else -- operator tree, rows/batches in and out, shard
+counts, vectorized/fallback splits, the fingerprint --
 is deterministic and pinned.  A change to operator accounting or the
 render format shows up as a reviewable diff.
 
@@ -12,15 +12,14 @@ To update a golden intentionally, delete it and re-run with
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 
 import pytest
 
 from repro import ChorelEngine, IndexedChorelEngine, build_doem
-from repro.plan.analyze import cardinality_feedback
 from tests.conftest import make_guide_db, make_guide_history
+from tests.goldens import assert_golden
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -60,7 +59,6 @@ def doem():
 
 def analyze(name: str, doem) -> str:
     engine_cls, query = CASES[name]
-    cardinality_feedback().reset()  # heuristic estimates, not feedback
     engine = engine_cls(doem, name="guide")
     engine.run(query, analyze=True)
     compiled = engine.last_compiled
@@ -70,20 +68,14 @@ def analyze(name: str, doem) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_analyze_matches_golden(name, doem):
-    actual = analyze(name, doem)
-    path = GOLDENS / f"{name}.txt"
-    if os.environ.get("REGEN_GOLDENS") and not path.exists():
-        path.write_text(actual, encoding="utf-8")
-    expected = path.read_text(encoding="utf-8")
-    assert actual == expected, \
-        f"analyze drift for <{name}>; diff against {path}"
+    assert_golden(GOLDENS / f"{name}.txt", analyze(name, doem))
 
 
 def test_masking_only_hides_times(doem):
-    """The mask leaves rows/batches/estimates intact."""
+    """The mask leaves rows/batches intact."""
     raw = analyze("analyze_native_chain", doem)
     assert "time ---ms" in raw
-    assert "rows" in raw and "est" in raw
+    assert "rows" in raw and "batches" in raw
     assert not TIME_PATTERN.search(raw)
 
 

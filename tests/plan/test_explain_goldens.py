@@ -16,13 +16,13 @@ To update a golden intentionally, delete it and re-run with
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 from repro import ChorelEngine, IndexedChorelEngine, build_doem
 from tests.conftest import make_guide_db, make_guide_history
+from tests.goldens import assert_golden
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -74,13 +74,7 @@ def explain(name: str, doem) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_explain_matches_golden(name, doem):
-    actual = explain(name, doem)
-    path = GOLDENS / f"{name}.txt"
-    if os.environ.get("REGEN_GOLDENS") and not path.exists():
-        path.write_text(actual, encoding="utf-8")
-    expected = path.read_text(encoding="utf-8")
-    assert actual == expected, \
-        f"plan drift for <{name}>; diff against {path}"
+    assert_golden(GOLDENS / f"{name}.txt", explain(name, doem))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
