@@ -23,6 +23,7 @@ both backends.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from ..doem.encoding import EncodedDOEM, encode_doem, history_label
@@ -393,31 +394,44 @@ def _rename_var(binders: list[tuple[str, PathExpr]], old: str,
 class TranslatingChorelEngine:
     """The translation-based Chorel backend (Section 5).
 
-    Encodes the DOEM database in OEM once, then serves each Chorel query
-    by translating it to Lorel and evaluating over the encoding.  Results
-    are post-processed so rows are directly comparable with the native
-    engine's: auxiliary atoms (timestamps, old/new values) unwrap to their
-    scalar values, and encoding objects keep the DOEM node identifiers
-    (the encoding is identifier-preserving).
+    Encodes the DOEM database in OEM, then serves each Chorel query by
+    translating it to Lorel and evaluating over the encoding; the
+    encoding is rebuilt before the next query whenever the DOEM database
+    has moved, and its time columns serve time-bounded annotation
+    queries (``time-column-selection``).  Results are post-processed so
+    rows are directly comparable with the native engine's: auxiliary
+    atoms (timestamps, old/new values) unwrap to their scalar values,
+    and encoding objects keep the DOEM node identifiers (the encoding is
+    identifier-preserving).
     """
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
                  polling_times: dict[int, Timestamp] | None = None, *,
                  use_planner: bool = True) -> None:
         self.doem = doem
-        self.encoded: EncodedDOEM = encode_doem(doem)
-        entry = name or doem.graph.root
-        self.lorel = LorelEngine(self.encoded.oem, name=entry)
-        # The native normalizer is reused so both backends agree.
-        self._normalizer = Evaluator(OEMView(self.encoded.oem,
-                                             {entry: self.encoded.oem.root}))
+        self._entry = name or doem.graph.root
+        self._names: dict[str, str] = {}
+        self._encoding_lock = threading.Lock()
+        self._encode()
         self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
         self.use_planner = use_planner
         self.last_translation: TranslationResult | None = None
         self.last_compiled = None
 
+    def _encode(self) -> None:
+        """Encode the DOEM database; rebuild what reads the encoding."""
+        self._encoded_at = self.doem.fingerprint()
+        self.encoded: EncodedDOEM = encode_doem(self.doem)
+        oem = self.encoded.oem
+        self.lorel = LorelEngine(oem, name=self._entry)
+        # The native normalizer is reused so both backends agree.
+        self._normalizer = Evaluator(OEMView(oem, {self._entry: oem.root}))
+        for name, node_id in self._names.items():
+            self.register_name(name, node_id)
+
     def register_name(self, name: str, node_id: str) -> None:
         """Expose an entry point under ``name`` (mirrors the native engine)."""
+        self._names[name] = node_id
         self.lorel.register_name(name, node_id)
         self._normalizer.view._names[name] = node_id
 
@@ -427,7 +441,14 @@ class TranslatingChorelEngine:
                                for index, when in times.items()}
 
     def translate(self, query: str | Query) -> TranslationResult:
-        """Translate Chorel text/AST to Lorel over the encoding."""
+        """Translate Chorel text/AST to Lorel over the encoding.
+
+        Re-encodes first when the DOEM database's fingerprint has moved
+        since the encoding was made, so no query reads a stale one.
+        """
+        with self._encoding_lock:
+            if self._encoded_at != self.doem.fingerprint():
+                self._encode()
         from ..lorel.parser import parse_query
         if isinstance(query, str):
             with span("chorel.parse"):
@@ -485,7 +506,8 @@ class TranslatingChorelEngine:
         translation = self.translate(query)
         evaluator = self.lorel._evaluator
         context = CompileContext(evaluator=evaluator, view=self.lorel.view,
-                                 polling_times=dict(self._polling_times))
+                                 polling_times=dict(self._polling_times),
+                                 time_columns=self.encoded.time_columns)
         compiled = compile_query(translation.query, evaluator,
                                  context=context)
         compiled.translation = translation
@@ -498,16 +520,22 @@ class TranslatingChorelEngine:
         ``analyze=True`` instruments the translated Lorel plan (identical
         rows) and leaves the stats on ``compiled.runtime``.
         """
-        from ..plan import ExecutionContext, run_compiled
-        ctx = ExecutionContext(evaluator=self.lorel._evaluator,
-                               base_env=self._base_env(), pool=pool,
-                               parallel_metrics=parallel_metrics)
+        from ..plan import run_compiled
+        ctx = self._execution_context(pool=pool,
+                                      parallel_metrics=parallel_metrics)
         if pool is not None:
             raw = run_compiled(compiled, ctx, self, analyze=analyze)
         else:
             with span("lorel.eval"):
                 raw = run_compiled(compiled, ctx, self, analyze=analyze)
         return self._postprocess(raw, compiled.translation)
+
+    def _execution_context(self, *, pool=None, parallel_metrics=None):
+        from ..plan import ExecutionContext
+        return ExecutionContext(evaluator=self.lorel._evaluator,
+                                base_env=self._base_env(),
+                                time_columns=self.encoded.time_columns,
+                                pool=pool, parallel_metrics=parallel_metrics)
 
     def _base_env(self) -> dict:
         env: dict = {}

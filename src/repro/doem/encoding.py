@@ -24,6 +24,12 @@ are encoded as childless complex nodes.  Objects left with no incoming
 arcs (conceptually deleted but historically relevant) hang off the root
 via ``&orphan`` arcs so the encoding is a *legal* OEM database.
 
+Beside the encoding sits Lore's value index over its time atoms: one
+time-ordered column per reserved time label (``&cre``, ``&time``,
+``&add``, ``&rem``) holding each atom's timestamp and identifier, filled
+as the atoms are emitted.  The translating engine's planner bisects a
+column instead of visiting every annotation subobject.
+
 User labels must not start with ``&`` -- the paper reserves that prefix
 for the encoding.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import EncodingError
+from ..lore.indexes import _Column, _tick
 from ..oem.model import Arc, OEMDatabase
 from ..oem.values import COMPLEX
 from ..timestamps import POS_INF, Timestamp
@@ -52,6 +59,9 @@ TARGET = "&target"
 ADD = "&add"
 REM = "&rem"
 ORPHAN = "&orphan"
+
+# The reserved labels whose atoms are annotation timestamps.
+TIME_LABELS = (CRE, TIME, ADD, REM)
 
 
 def history_label(label: str) -> str:
@@ -73,10 +83,15 @@ class EncodedDOEM:
     ``oem`` is the encoding itself; ``object_ids`` is the set of encoding
     objects ``o'`` (one per DOEM object, same identifiers), distinguishing
     them from auxiliary nodes (values, update records, history objects).
+    ``time_columns`` maps each reserved time label to the
+    :class:`~repro.lore.indexes._Column` of its atoms (ticks, the atoms'
+    own timestamp values, atom ids), in time order and, within one
+    time, in emission order.
     """
 
     oem: OEMDatabase
     object_ids: set[str] = field(default_factory=set)
+    time_columns: dict[str, _Column] = field(default_factory=dict)
 
     def is_encoding_object(self, node_id: str) -> bool:
         """True when ``node_id`` encodes a DOEM object (not an auxiliary)."""
@@ -114,6 +129,13 @@ def encode_doem(doem: DOEMDatabase) -> EncodedDOEM:
             encoded.create_node(node, value)  # type: ignore[arg-type]
         return node
 
+    timed: dict[str, list] = {label: [] for label in TIME_LABELS}
+
+    def time_atom(label: str, prefix: str, when: Timestamp) -> str:
+        node = atom(prefix, when)
+        timed[label].append((_tick(when), when, node))
+        return node
+
     # Pass 2: values and node annotations.
     for node_id in source.nodes():
         value = source.value(node_id)
@@ -123,11 +145,13 @@ def encode_doem(doem: DOEMDatabase) -> EncodedDOEM:
             encoded.add_arc(node_id, VAL, atom("v", value))
         for annotation in doem.node_annotations(node_id):
             if isinstance(annotation, Cre):
-                encoded.add_arc(node_id, CRE, atom("c", annotation.at))
+                encoded.add_arc(node_id, CRE,
+                                time_atom(CRE, "c", annotation.at))
             else:
                 record = fresh("u")
                 encoded.add_arc(node_id, UPD, record)
-                encoded.add_arc(record, TIME, atom("t", annotation.at))
+                encoded.add_arc(record, TIME,
+                                time_atom(TIME, "t", annotation.at))
                 encoded.add_arc(record, OV, atom("o", annotation.old_value))
         # The redundant &nv subobjects, chained from the upd triples.
         for when, _old, new in doem.upd_triples(node_id):
@@ -145,7 +169,7 @@ def encode_doem(doem: DOEMDatabase) -> EncodedDOEM:
         encoded.add_arc(record, TARGET, arc.target)
         for annotation in annotations:
             kind = ADD if isinstance(annotation, Add) else REM
-            encoded.add_arc(record, kind, atom("a", annotation.at))
+            encoded.add_arc(record, kind, time_atom(kind, "a", annotation.at))
 
     # Pass 4: keep conceptually-deleted objects reachable.  One global
     # reachability pass, then incremental closure per attached orphan
@@ -165,7 +189,11 @@ def encode_doem(doem: DOEMDatabase) -> EncodedDOEM:
                     stack.append(child)
 
     encoded.check()
-    return EncodedDOEM(oem=encoded, object_ids=object_ids)
+    # A stable sort: the atoms of one time stay in emission order.
+    columns = {label: _Column(sorted(entries, key=lambda entry: entry[0]))
+               for label, entries in timed.items()}
+    return EncodedDOEM(oem=encoded, object_ids=object_ids,
+                       time_columns=columns)
 
 
 def _find_upd_record(encoded: OEMDatabase, node_id: str,

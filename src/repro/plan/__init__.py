@@ -4,12 +4,13 @@ Three stages (see ``docs/query-planner.md``):
 
 1. **Logical IR** (:mod:`repro.plan.ir`): ``Scan`` / ``PathExpand`` /
    ``Predicate`` / ``Project`` / ``Exchange`` plus the index trio
-   ``TimeRangeScan`` / ``DeltaProject`` / ``VersionJoin``, lowered from
-   the normalized Lorel/Chorel AST (:mod:`repro.plan.lowering`).
+   ``TimeRangeScan`` / ``DeltaProject`` / ``VersionJoin`` and the
+   translating backend's ``TimeColumnScan``, lowered from the normalized
+   Lorel/Chorel AST (:mod:`repro.plan.lowering`).
 2. **Rewrite passes** (:mod:`repro.plan.rules`): a rule-based
    :class:`PassManager` running virtual-``<at T>`` expansion, index
-   selection, and predicate reordering -- each with its own trace span
-   and fired counter.
+   selection, time-column selection and predicate reordering -- each
+   with its own trace span and fired counter.
 3. **Physical operators** (:mod:`repro.plan.physical`): one batched
    operator model (:mod:`repro.plan.batch`) whose kernels are the
    evaluator's staged methods, plus the index kernel (merged
@@ -31,6 +32,7 @@ from .ir import (
     Predicate,
     Project,
     Scan,
+    TimeColumnScan,
     TimeRangeScan,
     VersionJoin,
     render,
@@ -50,6 +52,7 @@ from .rules import (
     PassReport,
     PredicateReorder,
     RewriteRule,
+    TimeColumnSelection,
     VirtualAtExpansion,
     default_rules,
 )
@@ -78,6 +81,8 @@ __all__ = [
     "RangePlan",
     "RewriteRule",
     "Scan",
+    "TimeColumnScan",
+    "TimeColumnSelection",
     "TimeRangeScan",
     "VersionJoin",
     "VirtualAtExpansion",

@@ -1,6 +1,6 @@
 """The logical plan IR: a small algebra lowered from the Lorel/Chorel AST.
 
-Eight node kinds cover every query the engines accept:
+Nine node kinds cover every query the engines accept:
 
 * :class:`Scan` -- the ambient environment (database names, polling
   times, trigger pre-bindings); the leaf every chain starts from.
@@ -25,6 +25,9 @@ Eight node kinds cover every query the engines accept:
   enumeration (``<at [a..b]>``): join the live path's node set against
   the scanned events, anchoring each node's in-range version sequence
   at the range's lower bound.
+* :class:`TimeColumnScan` -- the translating engine's source leaf: a
+  from-chain ending in one time atom of the OEM encoding, bound
+  backward from the encoding's time column for an interval.
 
 Nodes are frozen dataclasses; rewrite passes build new trees rather than
 mutating.  ``render(root)`` is the EXPLAIN tree dump -- deterministic for
@@ -41,8 +44,8 @@ from ..lorel.ast import Condition, FromItem, Literal, SelectItem, TimeVar, VarRe
 from .stats import RangePlan
 
 __all__ = ["LogicalNode", "Scan", "PathExpand", "Predicate", "Project",
-           "TimeRangeScan", "DeltaProject", "VersionJoin", "Exchange",
-           "render"]
+           "TimeRangeScan", "DeltaProject", "VersionJoin", "TimeColumnScan",
+           "Exchange", "render"]
 
 
 class LogicalNode:
@@ -178,6 +181,27 @@ class VersionJoin(LogicalNode):
     def describe(self) -> str:
         path = ".".join((self.plan.root_name,) + self.plan.labels)
         return f"VersionJoin {path}"
+
+
+@dataclass(frozen=True)
+class TimeColumnScan(LogicalNode):
+    """Bind a translated from-chain backward from an encoding time column.
+
+    ``items`` run from a database name down to one time atom of the OEM
+    encoding (``U.&time T``); the atoms of that label's column in
+    ``plan``'s interval are bound back along the chain exactly as the
+    forward ``PathExpand`` walk would bind them.  Whatever sits above
+    the leaf (later from-items, the whole where clause) re-checks every
+    row.
+    """
+
+    items: tuple[FromItem, ...]
+    plan: RangePlan
+
+    def describe(self) -> str:
+        chain = ", ".join(str(item) for item in self.items)
+        return (f"TimeColumnScan {self.plan.labels[-1]} in "
+                f"{self.plan.interval()}: {chain}")
 
 
 @dataclass(frozen=True)

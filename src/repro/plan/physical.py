@@ -22,11 +22,14 @@ The operators delegate single-binding work to the evaluator's staged API
 :meth:`~repro.lorel.eval.Evaluator.project_row`) -- those staging steps
 *are* the physical kernels; this module is the plumbing between them.
 
-Two operators do more than plumb:
+Three operators do more than plumb:
 
 * :func:`execute_range_plan` -- the index kernel behind ``DeltaProject``
   and ``VersionJoin``: a merged timestamp-index range scan with backward
   path verification.
+* the ``TimeColumnScan`` leaf -- bisects a time column of the OEM
+  encoding and binds each atom's from-chain backward, in the order the
+  forward walk would bind it.
 * the ``Exchange`` operator -- binds its source chain serially,
   shards the environments contiguously, runs the detached stages on
   pool workers, and concatenates in shard order.
@@ -39,6 +42,7 @@ from time import perf_counter
 from typing import Iterator, Optional
 
 from ..lorel.ast import PathExpr
+from ..lorel.eval import NodeBinding
 from ..lorel.result import ObjectRef, QueryResult, Row
 from ..obs.events import emit_event
 from ..obs.trace import span
@@ -59,6 +63,7 @@ from .ir import (
     Predicate,
     Project,
     Scan,
+    TimeColumnScan,
     TimeRangeScan,
     VersionJoin,
 )
@@ -74,8 +79,10 @@ class ExecutionContext:
     """Everything the operators need from the engine at execution time.
 
     ``index``/``paths``/``doem`` are only set by the indexed engine (the
-    index kernel needs them); ``pool`` and ``parallel_metrics`` are only
-    set when the :class:`~repro.parallel.executor.ParallelExecutor`
+    index kernel needs them), ``time_columns`` only by the translating
+    engine (``TimeColumnScan`` reads them); ``pool`` and
+    ``parallel_metrics`` are only set when the
+    :class:`~repro.parallel.executor.ParallelExecutor`
     drives execution.  ``batch_size`` is the batch width the operators
     re-establish after each expansion (positive; the engines leave it at
     :data:`~repro.plan.batch.DEFAULT_BATCH_SIZE`, tests vary it).
@@ -91,6 +98,7 @@ class ExecutionContext:
     index: object = None
     paths: object = None
     doem: object = None
+    time_columns: dict = field(default_factory=dict)
     pool: object = None
     parallel_metrics: object = None
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -150,10 +158,56 @@ def _node_batches(node: LogicalNode,
                                counts=counts)
             if kept:
                 yield EnvBatch(kept)
+    elif isinstance(node, TimeColumnScan):
+        rows = _time_column_rows(node, ctx)
+        if rows:
+            yield from EnvBatch(rows).split(size)
     elif isinstance(node, Exchange):
         yield from _exchange_batches(node, ctx)
     else:  # pragma: no cover - lowering only builds the nodes above
         raise TypeError(f"cannot stream batches from {node!r}")
+
+
+def _time_column_rows(node: TimeColumnScan, ctx: ExecutionContext) -> list:
+    """The environments a :class:`TimeColumnScan` binds.
+
+    Each atom of the column's interval is walked back through its
+    in-arcs, one chain label at a time, to the chain's start object.
+    The paths found are then sorted by each child's position among its
+    parent's children -- the order the forward ``PathExpand`` walk meets
+    them -- so the leaf replays the chain it replaced, order included.
+    """
+    plan = node.plan
+    view = ctx.evaluator.view
+    graph, labels = view.db, plan.labels
+    start = view.resolve_name(plan.root_name)
+    paths = []
+    for _, atom in ctx.time_columns[labels[-1]].between(
+            plan.low, plan.high, plan.include_low, plan.include_high):
+        found = [(atom,)]
+        for label in reversed(labels):
+            found = [(arc.source,) + path for path in found
+                     for arc in graph.in_arcs(path[0]) if arc.label == label]
+        paths.extend(path for path in found if path[0] == start)
+    ranks: dict = {}
+
+    def rank(parent: str, label: str, child: str) -> int:
+        table = ranks.get((parent, label))
+        if table is None:
+            table = ranks[parent, label] = {
+                target: position for position, target
+                in enumerate(graph.targets(parent, label))}
+        return table[child]
+
+    paths.sort(key=lambda path: [rank(*step)
+                                 for step in zip(path, labels, path[1:])])
+    names = [item.var for item in node.items]
+    rows = []
+    for path in paths:
+        env = dict(ctx.base_env)
+        env.update(zip(names, map(NodeBinding, path[1:])))
+        rows.append(env)
+    return rows
 
 
 def run_stages_on_rows(stages, rows: list, evaluator,

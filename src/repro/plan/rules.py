@@ -22,7 +22,13 @@ The default pipeline, in order:
    :class:`~repro.plan.ir.VersionJoin` for ``<at [a..b]>``) over a
    :class:`~repro.plan.ir.TimeRangeScan` carrying the resolved
    :class:`~repro.plan.stats.RangePlan`.
-3. ``predicate-reorder`` -- hoist cheap, pure filter conjuncts (operands
+3. ``time-column-selection`` -- when the engine has the OEM encoding's
+   time columns (the translating backend), serve a from-chain ending in
+   one reserved time atom (``U.&time T``) from that atom label's column:
+   the chain and its ``Scan`` become a
+   :class:`~repro.plan.ir.TimeColumnScan` over the interval the where
+   clause's top-level conjuncts put on ``T``.
+4. ``predicate-reorder`` -- hoist cheap, pure filter conjuncts (operands
    are literals, time variables, or from-bound variables only) ahead of
    conjuncts that walk paths, preserving the relative order within each
    class.
@@ -60,18 +66,19 @@ from .ir import (
     Predicate,
     Project,
     Scan,
+    TimeColumnScan,
     TimeRangeScan,
     VersionJoin,
 )
 from .stats import TIME_LABELS, RangePlan
 
 __all__ = ["CompileContext", "PassReport", "RewriteRule", "PassManager",
-           "VirtualAtExpansion", "IndexSelection", "PredicateReorder",
-           "default_rules", "RULE_NAMES", "plan_metrics", "fold_interval",
-           "literal_time"]
+           "VirtualAtExpansion", "IndexSelection", "TimeColumnSelection",
+           "PredicateReorder", "default_rules", "RULE_NAMES", "plan_metrics",
+           "fold_interval", "literal_time"]
 
 RULE_NAMES = ("virtual-at-expansion", "index-selection",
-              "predicate-reorder")
+              "time-column-selection", "predicate-reorder")
 
 # Default result labels for an annotation's bound time variable, real
 # kinds and cross-time kinds alike (mirrors the evaluator's
@@ -102,12 +109,15 @@ class CompileContext:
     ``allow_index`` is cleared when trigger pre-bindings are in play (the
     index scan cannot honor them); ``bound_names`` carries those
     pre-bound variable names for the predicate-reorder purity check.
+    ``time_columns`` (translating engine only) maps each reserved time
+    label of the OEM encoding to its time column.
     """
 
     evaluator: object
     view: object = None
     root_node: Optional[str] = None
     polling_times: dict = field(default_factory=dict)
+    time_columns: dict = field(default_factory=dict)
     has_index: bool = False
     allow_index: bool = True
     bound_names: frozenset = frozenset()
@@ -159,7 +169,8 @@ class PassManager:
 
 def default_rules() -> list[RewriteRule]:
     """The standard pipeline, in its required order."""
-    return [VirtualAtExpansion(), IndexSelection(), PredicateReorder()]
+    return [VirtualAtExpansion(), IndexSelection(), TimeColumnSelection(),
+            PredicateReorder()]
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,46 @@ def _select_supported(plan: RangePlan) -> bool:
             continue
         return False
     return True
+
+
+def _conjuncts(condition) -> list:
+    """The top-level ``and`` conjuncts of a condition, in order."""
+    if isinstance(condition, And):
+        return _conjuncts(condition.left) + _conjuncts(condition.right)
+    return [condition]
+
+
+def _names_unknown_time(node, polling_times: dict) -> bool:
+    """Does a condition mention a ``t[i]`` the polling table lacks?"""
+    if isinstance(node, TimeVar):
+        return node.index not in polling_times
+    parts = ("left", "right", "operand", "condition", "expr")
+    return any(_names_unknown_time(getattr(node, part), polling_times)
+               for part in parts if hasattr(node, part))
+
+
+def _plain_chain(items, view) -> tuple[str, ...] | None:
+    """The labels of a linear chain of one-plain-label from-items.
+
+    ``None`` unless the first item starts at a registered database name
+    and each later item starts at the fresh variable its predecessor
+    binds.
+    """
+    previous = items[0].path.start
+    if view is None or view.resolve_name(previous) is None:
+        return None
+    labels, bound = [], {previous}
+    for item in items:
+        steps = item.path.steps
+        if item.path.start != previous or not item.var \
+                or item.var in bound or len(steps) != 1 \
+                or not steps[0].is_plain or steps[0].arc_annotation \
+                or steps[0].node_annotation:
+            return None
+        labels.append(steps[0].label)
+        previous = item.var
+        bound.add(previous)
+    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +567,65 @@ class IndexSelection(RewriteRule):
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: predicate reordering
+# Pass 3: time-column selection (the translating backend)
+# ---------------------------------------------------------------------------
+
+class TimeColumnSelection(RewriteRule):
+    """Serve a translated from-chain from an OEM-encoding time column.
+
+    Over the Section 5.1 encoding an annotation time is an atom under a
+    reserved label (``&cre``, ``&time``, ``&add``, ``&rem``), and the
+    encoding keeps each label's atoms in a time-ordered column -- Lore's
+    value index.  The pass fires when exactly one from-item binds such
+    an atom (``U.&time T``), the items before it are a linear chain of
+    plain labels from a database name, and at least one top-level
+    ``and`` conjunct bounds ``T`` by a literal or a resolvable ``t[i]``
+    (``or``/``not`` never fold).  ``Scan`` plus the chain become one
+    :class:`~repro.plan.ir.TimeColumnScan`; later from-items and the
+    *whole* where clause stay above it and re-check every row, so the
+    folded interval only has to contain the answer.
+
+    Requires the engine's time columns, no trigger pre-bindings, and no
+    unresolvable ``t[i]`` anywhere in the where clause (an evaluation
+    that raises for it keeps raising).
+    """
+
+    name = "time-column-selection"
+
+    def apply(self, root, ctx):
+        if not (ctx.time_columns and ctx.allow_index) or ctx.bound_names:
+            return root, False
+        chain = linear_chain(root)
+        if chain is None or chain[2] is None:
+            return root, False
+        project, items, condition = chain
+        binders = [position for position, item in enumerate(items)
+                   if len(item.path.steps) == 1
+                   and item.path.steps[0].label in ctx.time_columns]
+        if len(binders) != 1 or \
+                _names_unknown_time(condition, ctx.polling_times):
+            return root, False
+        cut = binders[0] + 1
+        labels = _plain_chain(items[:cut], ctx.view)
+        if labels is None:
+            return root, False
+        plan = RangePlan(kinds=(labels[-1],), labels=labels,
+                         root_name=items[0].path.start,
+                         at_var=items[cut - 1].var)
+        folded = [fold_interval(conjunct, plan, ctx.polling_times)
+                  for conjunct in _conjuncts(condition)]
+        if not any(folded):
+            return root, False
+        node: LogicalNode = TimeColumnScan(items[:cut], plan)
+        for item in items[cut:]:
+            node = PathExpand(item=item, child=node)
+        ctx.notes[self.name] = (f"{labels[-1]} column in {plan.interval()} "
+                                f"binds {cut} from-item(s)")
+        return replace(project, child=Predicate(condition, node)), True
+
+
+# ---------------------------------------------------------------------------
+# Pass 4: predicate reordering
 # ---------------------------------------------------------------------------
 
 class PredicateReorder(RewriteRule):
@@ -540,7 +649,7 @@ class PredicateReorder(RewriteRule):
         if condition is None:
             return root, False
         bound = self._bound_names(items) | set(ctx.bound_names)
-        conjuncts = self._conjuncts(condition)
+        conjuncts = _conjuncts(condition)
         if len(conjuncts) < 2:
             return root, False
         pure = [c for c in conjuncts if self._is_pure(c, bound)]
@@ -572,12 +681,6 @@ class PredicateReorder(RewriteRule):
                         if name:
                             bound.add(name)
         return bound
-
-    def _conjuncts(self, condition) -> list:
-        if isinstance(condition, And):
-            return self._conjuncts(condition.left) + \
-                self._conjuncts(condition.right)
-        return [condition]
 
     def _is_pure(self, condition, bound: set[str]) -> bool:
         if isinstance(condition, Comparison):

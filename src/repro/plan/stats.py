@@ -55,14 +55,17 @@ class RangePlan:
     object_label: str = "answer"
     time_label: str = "change-time"
 
-    def describe(self) -> str:
-        """Human-readable plan summary (for EXPLAIN and the goldens)."""
+    def interval(self) -> str:
+        """The scanned interval; brackets mark the closed bounds."""
         lo = "[" if self.include_low else "("
         hi = "]" if self.include_high else ")"
+        return f"{lo}{self.low}, {self.high}{hi}"
+
+    def describe(self) -> str:
+        """Human-readable plan summary (for EXPLAIN and the goldens)."""
         text = (f"range-scan {'+'.join(self.kinds)} over "
                 f"{'.'.join((self.root_name,) + self.labels)} "
-                f"in {lo}{self.low}, {self.high}{hi} "
-                f"strategy={self.strategy}")
+                f"in {self.interval()} strategy={self.strategy}")
         if self.last_only:
             text += " last-only"
         return text

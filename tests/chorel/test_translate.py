@@ -162,3 +162,20 @@ class TestTimeVariables:
         result = translating.run(
             "select guide.restaurant.comment<cre at T> where T > t[-1]")
         assert len(result) == 1
+
+
+def test_engine_follows_a_doem_that_moved():
+    """Folding a change set in after the engine was built re-encodes
+    before the next query (the guide's 8Jan97 parking removal)."""
+    from repro.doem.build import apply_change_set
+    from tests.conftest import make_guide_db, make_guide_history
+    history = make_guide_history()
+    doem = build_doem(make_guide_db(), history.prefix("5Jan97"))
+    translating = TranslatingChorelEngine(doem, name="guide")
+    when, change_set = history.entries()[-1]
+    apply_change_set(doem, when, change_set)
+    query = "select R, T from guide.restaurant.<rem at T>parking R"
+    expected = sorted(str(row) for row in
+                      ChorelEngine(doem, name="guide").run(query))
+    assert expected
+    assert sorted(str(row) for row in translating.run(query)) == expected

@@ -54,12 +54,10 @@ def run_at_width(engine, query, size, pool=None):
     ``run_compiled`` every engine executes with."""
     compiled = engine.compile(query)
     translating = isinstance(engine, TranslatingChorelEngine)
-    if isinstance(engine, ChorelEngine):
+    if isinstance(engine, (ChorelEngine, TranslatingChorelEngine)):
         ctx = engine._execution_context(pool=pool)
     else:
-        evaluator = engine.lorel._evaluator if translating \
-            else engine._evaluator
-        ctx = ExecutionContext(evaluator=evaluator,
+        ctx = ExecutionContext(evaluator=engine._evaluator,
                                base_env=engine._base_env(), pool=pool)
     ctx.batch_size = size
     result = run_compiled(compiled, ctx, engine)

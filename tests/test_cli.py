@@ -176,14 +176,17 @@ class TestExplainAndProfile:
         assert not log.recent()  # nothing was executed
 
     def test_explain_backends(self):
-        for backend, first_step in (("native", "root.<add at T>item X"),
-                                    ("translate", "root.&item-history")):
+        # The translated chain is served from the encoding's &add column.
+        for backend, source in (
+                ("native", "PathExpand root.<add at T>item X"),
+                ("translate", "TimeColumnScan &add in (20Jan97, POS_INF]: "
+                              "root.&item-history")):
             code, text = run_cli("explain", DEMO_QUERY,
                                  "--backend", backend)
             assert code == 0
             assert f"-- EXPLAIN ({backend}):" in text
             assert "Project [add-time, item]" in text
-            assert f"PathExpand {first_step}" in text
+            assert source in text
 
     def test_explain_against_store(self, doem_store):
         code, text = run_cli("explain", "select guide.<add at T>restaurant",
