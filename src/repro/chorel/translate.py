@@ -70,11 +70,13 @@ class TranslationResult:
     is the set of range variables bound to *encoding objects* (as opposed
     to auxiliary atoms such as ``&time`` values); ``scalar_selects`` maps
     select positions whose values must be unwrapped from auxiliary nodes.
+    ``encoding`` is the engine's encoding the query was translated over.
     """
 
     query: Query
     object_vars: set[str]
     scalar_select_labels: set[str]
+    encoding: object = field(default=None, repr=False, compare=False)
 
     def text(self) -> str:
         """The translated query as re-parseable Lorel text."""
@@ -391,18 +393,25 @@ def _rename_var(binders: list[tuple[str, PathExpr]], old: str,
     return renamed
 
 
+@dataclass(frozen=True)
+class _Encoding:
+    """An encoding and its readers, swapped in one assignment."""
+
+    fingerprint: object
+    encoded: EncodedDOEM
+    lorel: LorelEngine
+    normalizer: Evaluator
+
+
 class TranslatingChorelEngine:
     """The translation-based Chorel backend (Section 5).
 
-    Encodes the DOEM database in OEM, then serves each Chorel query by
-    translating it to Lorel and evaluating over the encoding; the
-    encoding is rebuilt before the next query whenever the DOEM database
-    has moved, and its time columns serve time-bounded annotation
-    queries (``time-column-selection``).  Results are post-processed so
-    rows are directly comparable with the native engine's: auxiliary
-    atoms (timestamps, old/new values) unwrap to their scalar values,
-    and encoding objects keep the DOEM node identifiers (the encoding is
-    identifier-preserving).
+    Encodes the DOEM database in OEM (again whenever it has moved), then
+    serves each Chorel query by translating it to Lorel and evaluating
+    over the encoding.  Results are post-processed so rows are directly
+    comparable with the native engine's: auxiliary atoms (timestamps,
+    old/new values) unwrap to their scalar values, and encoding objects
+    keep the DOEM node identifiers (the encoding is identifier-preserving).
     """
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
@@ -412,28 +421,42 @@ class TranslatingChorelEngine:
         self._entry = name or doem.graph.root
         self._names: dict[str, str] = {}
         self._encoding_lock = threading.Lock()
-        self._encode()
+        self._encoding = self._encode()
         self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
         self.use_planner = use_planner
         self.last_translation: TranslationResult | None = None
         self.last_compiled = None
 
-    def _encode(self) -> None:
-        """Encode the DOEM database; rebuild what reads the encoding."""
-        self._encoded_at = self.doem.fingerprint()
-        self.encoded: EncodedDOEM = encode_doem(self.doem)
-        oem = self.encoded.oem
-        self.lorel = LorelEngine(oem, name=self._entry)
+    # The latest encoding, and the Lorel engine over it.
+    encoded = property(lambda self: self._encoding.encoded)
+    lorel = property(lambda self: self._encoding.lorel)
+
+    def _encode(self) -> _Encoding:
+        """Encode the DOEM database and build what reads the encoding."""
+        fingerprint = self.doem.fingerprint()
+        encoded = encode_doem(self.doem)
+        oem = encoded.oem
+        lorel = LorelEngine(oem, name=self._entry)
         # The native normalizer is reused so both backends agree.
-        self._normalizer = Evaluator(OEMView(oem, {self._entry: oem.root}))
+        normalizer = Evaluator(OEMView(oem, {self._entry: oem.root}))
         for name, node_id in self._names.items():
-            self.register_name(name, node_id)
+            lorel.register_name(name, node_id)
+            normalizer.view._names[name] = node_id
+        return _Encoding(fingerprint, encoded, lorel, normalizer)
+
+    def _current(self) -> _Encoding:
+        """The encoding, re-made first if the DOEM database has moved."""
+        with self._encoding_lock:
+            if self._encoding.fingerprint != self.doem.fingerprint():
+                self._encoding = self._encode()
+            return self._encoding
 
     def register_name(self, name: str, node_id: str) -> None:
         """Expose an entry point under ``name`` (mirrors the native engine)."""
-        self._names[name] = node_id
-        self.lorel.register_name(name, node_id)
-        self._normalizer.view._names[name] = node_id
+        with self._encoding_lock:
+            self._names[name] = node_id
+            self._encoding.lorel.register_name(name, node_id)
+            self._encoding.normalizer.view._names[name] = node_id
 
     def set_polling_times(self, times: dict[int, object]) -> None:
         """Set the ``t[i]`` mapping for QSS filter queries."""
@@ -441,20 +464,15 @@ class TranslatingChorelEngine:
                                for index, when in times.items()}
 
     def translate(self, query: str | Query) -> TranslationResult:
-        """Translate Chorel text/AST to Lorel over the encoding.
-
-        Re-encodes first when the DOEM database's fingerprint has moved
-        since the encoding was made, so no query reads a stale one.
-        """
-        with self._encoding_lock:
-            if self._encoded_at != self.doem.fingerprint():
-                self._encode()
+        """Translate Chorel text/AST to Lorel over the current encoding."""
+        encoding = self._current()
         from ..lorel.parser import parse_query
         if isinstance(query, str):
             with span("chorel.parse"):
                 query = parse_query(query, allow_annotations=True)
         with span("chorel.translate"):
-            translation = translate_query(query, self._normalizer)
+            translation = translate_query(query, encoding.normalizer)
+        translation.encoding = encoding
         self.last_translation = translation
         return translation
 
@@ -476,8 +494,8 @@ class TranslatingChorelEngine:
                 raise ValueError("analyze=True requires the planner "
                                  "(use_planner=False has no plan tree)")
             translation = self.translate(query)
-            raw = self.lorel._evaluator.run(translation.query,
-                                            self._base_env())
+            raw = translation.encoding.lorel._evaluator.run(
+                translation.query, self._base_env())
             return self._postprocess(raw, translation)
         compiled = self.compile(query)
         return self.execute(compiled, analyze=analyze)
@@ -504,10 +522,11 @@ class TranslatingChorelEngine:
         """Compile without touching ``last_compiled`` (worker-thread safe)."""
         from ..plan import CompileContext, compile_query
         translation = self.translate(query)
-        evaluator = self.lorel._evaluator
-        context = CompileContext(evaluator=evaluator, view=self.lorel.view,
+        encoding = translation.encoding
+        evaluator = encoding.lorel._evaluator
+        context = CompileContext(evaluator=evaluator, view=encoding.lorel.view,
                                  polling_times=dict(self._polling_times),
-                                 time_columns=self.encoded.time_columns)
+                                 time_columns=encoding.encoded.time_columns)
         compiled = compile_query(translation.query, evaluator,
                                  context=context)
         compiled.translation = translation
@@ -520,22 +539,18 @@ class TranslatingChorelEngine:
         ``analyze=True`` instruments the translated Lorel plan (identical
         rows) and leaves the stats on ``compiled.runtime``.
         """
-        from ..plan import run_compiled
-        ctx = self._execution_context(pool=pool,
-                                      parallel_metrics=parallel_metrics)
+        from ..plan import ExecutionContext, run_compiled
+        encoding = compiled.translation.encoding
+        ctx = ExecutionContext(evaluator=encoding.lorel._evaluator,
+                               base_env=self._base_env(),
+                               time_columns=encoding.encoded.time_columns,
+                               pool=pool, parallel_metrics=parallel_metrics)
         if pool is not None:
             raw = run_compiled(compiled, ctx, self, analyze=analyze)
         else:
             with span("lorel.eval"):
                 raw = run_compiled(compiled, ctx, self, analyze=analyze)
         return self._postprocess(raw, compiled.translation)
-
-    def _execution_context(self, *, pool=None, parallel_metrics=None):
-        from ..plan import ExecutionContext
-        return ExecutionContext(evaluator=self.lorel._evaluator,
-                                base_env=self._base_env(),
-                                time_columns=self.encoded.time_columns,
-                                pool=pool, parallel_metrics=parallel_metrics)
 
     def _base_env(self) -> dict:
         env: dict = {}
@@ -546,13 +561,14 @@ class TranslatingChorelEngine:
     def _postprocess(self, raw: QueryResult,
                      translation: TranslationResult) -> QueryResult:
         """Unwrap auxiliary atoms so rows match the native engine's."""
+        oem = translation.encoding.encoded.oem
         result = QueryResult()
         for row in raw:
             items = []
             for label, value in row.items:
                 if label in translation.scalar_select_labels and \
                         isinstance(value, ObjectRef):
-                    items.append((label, self.encoded.oem.value(value.node)))
+                    items.append((label, oem.value(value.node)))
                 else:
                     items.append((label, value))
             result.add(Row(tuple(items)))

@@ -24,11 +24,8 @@ are encoded as childless complex nodes.  Objects left with no incoming
 arcs (conceptually deleted but historically relevant) hang off the root
 via ``&orphan`` arcs so the encoding is a *legal* OEM database.
 
-Beside the encoding sits Lore's value index over its time atoms: one
-time-ordered column per reserved time label (``&cre``, ``&time``,
-``&add``, ``&rem``) holding each atom's timestamp and identifier, filled
-as the atoms are emitted.  The translating engine's planner bisects a
-column instead of visiting every annotation subobject.
+Beside it sits Lore's value index over the time atoms: one time-ordered
+column per reserved time label, filled as the atoms are emitted.
 
 User labels must not start with ``&`` -- the paper reserves that prefix
 for the encoding.
@@ -60,9 +57,6 @@ ADD = "&add"
 REM = "&rem"
 ORPHAN = "&orphan"
 
-# The reserved labels whose atoms are annotation timestamps.
-TIME_LABELS = (CRE, TIME, ADD, REM)
-
 
 def history_label(label: str) -> str:
     """The ``&l-history`` label for a user label ``l``."""
@@ -83,10 +77,8 @@ class EncodedDOEM:
     ``oem`` is the encoding itself; ``object_ids`` is the set of encoding
     objects ``o'`` (one per DOEM object, same identifiers), distinguishing
     them from auxiliary nodes (values, update records, history objects).
-    ``time_columns`` maps each reserved time label to the
-    :class:`~repro.lore.indexes._Column` of its atoms (ticks, the atoms'
-    own timestamp values, atom ids), in time order and, within one
-    time, in emission order.
+    ``time_columns`` maps each time label to the ``lore.indexes._Column``
+    of its atoms, in time order (emission order within one time).
     """
 
     oem: OEMDatabase
@@ -129,7 +121,7 @@ def encode_doem(doem: DOEMDatabase) -> EncodedDOEM:
             encoded.create_node(node, value)  # type: ignore[arg-type]
         return node
 
-    timed: dict[str, list] = {label: [] for label in TIME_LABELS}
+    timed: dict[str, list] = {label: [] for label in (CRE, TIME, ADD, REM)}
 
     def time_atom(label: str, prefix: str, when: Timestamp) -> str:
         node = atom(prefix, when)

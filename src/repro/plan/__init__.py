@@ -4,9 +4,9 @@ Three stages (see ``docs/query-planner.md``):
 
 1. **Logical IR** (:mod:`repro.plan.ir`): ``Scan`` / ``PathExpand`` /
    ``Predicate`` / ``Project`` / ``Exchange`` plus the index trio
-   ``TimeRangeScan`` / ``DeltaProject`` / ``VersionJoin`` and the
-   translating backend's ``TimeColumnScan``, lowered from the normalized
-   Lorel/Chorel AST (:mod:`repro.plan.lowering`).
+   ``TimeRangeScan`` / ``DeltaProject`` / ``VersionJoin`` /
+   ``TimeColumnScan``, lowered from the normalized Lorel/Chorel AST
+   (:mod:`repro.plan.lowering`).
 2. **Rewrite passes** (:mod:`repro.plan.rules`): a rule-based
    :class:`PassManager` running virtual-``<at T>`` expansion, index
    selection, time-column selection and predicate reordering -- each
@@ -32,7 +32,6 @@ from .ir import (
     Predicate,
     Project,
     Scan,
-    TimeColumnScan,
     TimeRangeScan,
     VersionJoin,
     render,
@@ -52,7 +51,6 @@ from .rules import (
     PassReport,
     PredicateReorder,
     RewriteRule,
-    TimeColumnSelection,
     VirtualAtExpansion,
     default_rules,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "RangePlan",
     "RewriteRule",
     "Scan",
-    "TimeColumnScan",
-    "TimeColumnSelection",
     "TimeRangeScan",
     "VersionJoin",
     "VirtualAtExpansion",

@@ -25,9 +25,8 @@ Nine node kinds cover every query the engines accept:
   enumeration (``<at [a..b]>``): join the live path's node set against
   the scanned events, anchoring each node's in-range version sequence
   at the range's lower bound.
-* :class:`TimeColumnScan` -- the translating engine's source leaf: a
-  from-chain ending in one time atom of the OEM encoding, bound
-  backward from the encoding's time column for an interval.
+* :class:`TimeColumnScan` -- a translated from-chain ending in one time
+  atom of the OEM encoding, bound from that label's time column.
 
 Nodes are frozen dataclasses; rewrite passes build new trees rather than
 mutating.  ``render(root)`` is the EXPLAIN tree dump -- deterministic for
@@ -185,15 +184,8 @@ class VersionJoin(LogicalNode):
 
 @dataclass(frozen=True)
 class TimeColumnScan(LogicalNode):
-    """Bind a translated from-chain backward from an encoding time column.
-
-    ``items`` run from a database name down to one time atom of the OEM
-    encoding (``U.&time T``); the atoms of that label's column in
-    ``plan``'s interval are bound back along the chain exactly as the
-    forward ``PathExpand`` walk would bind them.  Whatever sits above
-    the leaf (later from-items, the whole where clause) re-checks every
-    row.
-    """
+    """``items`` (a database name down to ``U.&time T``), bound from the
+    time atoms of ``plan``'s interval as the ``PathExpand`` walk would."""
 
     items: tuple[FromItem, ...]
     plan: RangePlan

@@ -28,8 +28,7 @@ Three operators do more than plumb:
   and ``VersionJoin``: a merged timestamp-index range scan with backward
   path verification.
 * the ``TimeColumnScan`` leaf -- bisects a time column of the OEM
-  encoding and binds each atom's from-chain backward, in the order the
-  forward walk would bind it.
+  encoding and binds the from-chain above each atom it finds.
 * the ``Exchange`` operator -- binds its source chain serially,
   shards the environments contiguously, runs the detached stages on
   pool workers, and concatenates in shard order.
@@ -78,12 +77,11 @@ __all__ = ["ExecutionContext", "execute_plan", "execute_range_plan",
 class ExecutionContext:
     """Everything the operators need from the engine at execution time.
 
-    ``index``/``paths``/``doem`` are only set by the indexed engine (the
-    index kernel needs them), ``time_columns`` only by the translating
-    engine (``TimeColumnScan`` reads them); ``pool`` and
+    ``index``/``paths``/``doem`` are only set by the indexed engine,
+    ``time_columns`` by the translating one; ``pool`` and
     ``parallel_metrics`` are only set when the
-    :class:`~repro.parallel.executor.ParallelExecutor`
-    drives execution.  ``batch_size`` is the batch width the operators
+    :class:`~repro.parallel.executor.ParallelExecutor` drives execution.
+    ``batch_size`` is the batch width the operators
     re-establish after each expansion (positive; the engines leave it at
     :data:`~repro.plan.batch.DEFAULT_BATCH_SIZE`, tests vary it).
     ``stats`` is an optional :class:`~repro.plan.analyze.PlanStats`
@@ -169,45 +167,25 @@ def _node_batches(node: LogicalNode,
 
 
 def _time_column_rows(node: TimeColumnScan, ctx: ExecutionContext) -> list:
-    """The environments a :class:`TimeColumnScan` binds.
-
-    Each atom of the column's interval is walked back through its
-    in-arcs, one chain label at a time, to the chain's start object.
-    The paths found are then sorted by each child's position among its
-    parent's children -- the order the forward ``PathExpand`` walk meets
-    them -- so the leaf replays the chain it replaced, order included.
-    """
+    """Walk in-arcs back from the interval's atoms, then the chain forward
+    through the nodes found only (the replaced walk's row order)."""
     plan = node.plan
     view = ctx.evaluator.view
     graph, labels = view.db, plan.labels
-    start = view.resolve_name(plan.root_name)
-    paths = []
-    for _, atom in ctx.time_columns[labels[-1]].between(
-            plan.low, plan.high, plan.include_low, plan.include_high):
-        found = [(atom,)]
-        for label in reversed(labels):
-            found = [(arc.source,) + path for path in found
-                     for arc in graph.in_arcs(path[0]) if arc.label == label]
-        paths.extend(path for path in found if path[0] == start)
-    ranks: dict = {}
-
-    def rank(parent: str, label: str, child: str) -> int:
-        table = ranks.get((parent, label))
-        if table is None:
-            table = ranks[parent, label] = {
-                target: position for position, target
-                in enumerate(graph.targets(parent, label))}
-        return table[child]
-
-    paths.sort(key=lambda path: [rank(*step)
-                                 for step in zip(path, labels, path[1:])])
+    level = {atom for _, atom in ctx.time_columns[labels[-1]].between(
+        plan.low, plan.high, plan.include_low, plan.include_high)}
+    allowed = [level]
+    for label in reversed(labels[1:]):
+        level = {arc.source for child in level
+                 for arc in graph.in_arcs(child) if arc.label == label}
+        allowed.insert(0, level)
+    paths = [(view.resolve_name(plan.root_name),)] if level else []
+    for label, keep in zip(labels, allowed):
+        paths = [path + (child,) for path in paths
+                 for child in graph.targets(path[-1], label) if child in keep]
     names = [item.var for item in node.items]
-    rows = []
-    for path in paths:
-        env = dict(ctx.base_env)
-        env.update(zip(names, map(NodeBinding, path[1:])))
-        rows.append(env)
-    return rows
+    return [{**ctx.base_env, **dict(zip(names, map(NodeBinding, path[1:])))}
+            for path in paths]
 
 
 def run_stages_on_rows(stages, rows: list, evaluator,

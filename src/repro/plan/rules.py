@@ -22,12 +22,8 @@ The default pipeline, in order:
    :class:`~repro.plan.ir.VersionJoin` for ``<at [a..b]>``) over a
    :class:`~repro.plan.ir.TimeRangeScan` carrying the resolved
    :class:`~repro.plan.stats.RangePlan`.
-3. ``time-column-selection`` -- when the engine has the OEM encoding's
-   time columns (the translating backend), serve a from-chain ending in
-   one reserved time atom (``U.&time T``) from that atom label's column:
-   the chain and its ``Scan`` become a
-   :class:`~repro.plan.ir.TimeColumnScan` over the interval the where
-   clause's top-level conjuncts put on ``T``.
+3. ``time-column-selection`` -- translating backend only: a from-chain
+   ending in a time atom becomes a :class:`~repro.plan.ir.TimeColumnScan`.
 4. ``predicate-reorder`` -- hoist cheap, pure filter conjuncts (operands
    are literals, time variables, or from-bound variables only) ahead of
    conjuncts that walk paths, preserving the relative order within each
@@ -108,9 +104,8 @@ class CompileContext:
 
     ``allow_index`` is cleared when trigger pre-bindings are in play (the
     index scan cannot honor them); ``bound_names`` carries those
-    pre-bound variable names for the predicate-reorder purity check.
-    ``time_columns`` (translating engine only) maps each reserved time
-    label of the OEM encoding to its time column.
+    pre-bound variable names for the predicate-reorder purity check;
+    ``time_columns`` are the translating engine's encoding time columns.
     """
 
     evaluator: object
@@ -335,20 +330,15 @@ def _names_unknown_time(node, polling_times: dict) -> bool:
     """Does a condition mention a ``t[i]`` the polling table lacks?"""
     if isinstance(node, TimeVar):
         return node.index not in polling_times
-    parts = ("left", "right", "operand", "condition", "expr")
     return any(_names_unknown_time(getattr(node, part), polling_times)
-               for part in parts if hasattr(node, part))
+               for part in ("left", "right", "operand", "condition", "expr")
+               if hasattr(node, part))
 
 
 def _plain_chain(items, view) -> tuple[str, ...] | None:
-    """The labels of a linear chain of one-plain-label from-items.
-
-    ``None`` unless the first item starts at a registered database name
-    and each later item starts at the fresh variable its predecessor
-    binds.
-    """
+    """Labels of fresh-variable one-plain-label from-items from a name."""
     previous = items[0].path.start
-    if view is None or view.resolve_name(previous) is None:
+    if view.resolve_name(previous) is None:
         return None
     labels, bound = [], {previous}
     for item in items:
@@ -573,21 +563,10 @@ class IndexSelection(RewriteRule):
 class TimeColumnSelection(RewriteRule):
     """Serve a translated from-chain from an OEM-encoding time column.
 
-    Over the Section 5.1 encoding an annotation time is an atom under a
-    reserved label (``&cre``, ``&time``, ``&add``, ``&rem``), and the
-    encoding keeps each label's atoms in a time-ordered column -- Lore's
-    value index.  The pass fires when exactly one from-item binds such
-    an atom (``U.&time T``), the items before it are a linear chain of
-    plain labels from a database name, and at least one top-level
-    ``and`` conjunct bounds ``T`` by a literal or a resolvable ``t[i]``
-    (``or``/``not`` never fold).  ``Scan`` plus the chain become one
-    :class:`~repro.plan.ir.TimeColumnScan`; later from-items and the
-    *whole* where clause stay above it and re-check every row, so the
-    folded interval only has to contain the answer.
-
-    Requires the engine's time columns, no trigger pre-bindings, and no
-    unresolvable ``t[i]`` anywhere in the where clause (an evaluation
-    that raises for it keeps raising).
+    Fires when one from-item binds a time atom (``U.&time T``) after a
+    plain-label chain from a name, and a top-level conjunct bounds ``T``
+    by a literal or a known ``t[i]``; never with pre-bindings or an
+    unknown ``t[i]``.  The where clause stays above the new leaf.
     """
 
     name = "time-column-selection"
@@ -602,12 +581,9 @@ class TimeColumnSelection(RewriteRule):
         binders = [position for position, item in enumerate(items)
                    if len(item.path.steps) == 1
                    and item.path.steps[0].label in ctx.time_columns]
-        if len(binders) != 1 or \
-                _names_unknown_time(condition, ctx.polling_times):
-            return root, False
-        cut = binders[0] + 1
-        labels = _plain_chain(items[:cut], ctx.view)
-        if labels is None:
+        cut = binders[0] + 1 if len(binders) == 1 else 0
+        labels = cut and _plain_chain(items[:cut], ctx.view)
+        if not labels or _names_unknown_time(condition, ctx.polling_times):
             return root, False
         plan = RangePlan(kinds=(labels[-1],), labels=labels,
                          root_name=items[0].path.start,

@@ -179,3 +179,24 @@ def test_engine_follows_a_doem_that_moved():
                       ChorelEngine(doem, name="guide").run(query))
     assert expected
     assert sorted(str(row) for row in translating.run(query)) == expected
+
+
+def test_a_compiled_query_keeps_the_encoding_it_was_made_over():
+    """A plan compiled before a re-encode still reads its own graph and
+    time columns, never the new encoding's."""
+    from repro.doem.build import apply_change_set
+    from tests.conftest import make_guide_db, make_guide_history
+    history = make_guide_history()
+    doem = build_doem(make_guide_db(), history.prefix("5Jan97"))
+    translating = TranslatingChorelEngine(doem, name="guide")
+    query = "select R, T from guide.restaurant.<rem at T>parking R " \
+        "where T >= 1Jan97"
+    compiled = translating.compile(query)
+    assert not list(translating.execute(compiled))
+    when, change_set = history.entries()[-1]
+    apply_change_set(doem, when, change_set)
+    fresh = [str(row) for row in translating.run(query)]  # re-encodes
+    assert fresh == [str(row) for row in
+                     ChorelEngine(doem, name="guide").run(query)]
+    assert fresh
+    assert not list(translating.execute(compiled))

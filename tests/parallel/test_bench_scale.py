@@ -4,8 +4,9 @@ Two :func:`repro.sources.generators.large_world` worlds of ~20k nodes
 each (several hundred times the property-test worlds), big enough that
 every shard carries hundreds of rows.  Three loops, no timings:
 
-* every rewrite pass in ``RULE_NAMES`` fires on the rule probes, and the
-  planned engine agrees with the legacy evaluator row for row;
+* every rewrite pass in ``RULE_NAMES`` fires on the rule probes (the
+  translating backend's on its own probes), and the planned engine
+  agrees with the legacy evaluator row for row;
 * thread-sharded ``ParallelExecutor.run`` == serial, in order;
 * ``run_many`` on a shared thread pool == serial, in order.
 
@@ -17,7 +18,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ChorelEngine, IndexedChorelEngine, ParallelExecutor
+from repro import (
+    ChorelEngine,
+    IndexedChorelEngine,
+    ParallelExecutor,
+    TranslatingChorelEngine,
+)
 from repro.parallel import WorkerPool
 from repro.plan.rules import RULE_NAMES, plan_metrics
 from repro.sources import large_world
@@ -40,6 +46,13 @@ RULE_QUERIES = (
     "select R, T from root.item R, R.price<upd at T> P "
     "where R.info.a < 50 and T >= 3Jan97",
     "select X, T from root.item.price<changed at T in [2Jan97..5Jan97]> X",
+)
+
+# The translating backend: one day of updates and a polling-time bound
+#   -> time-column-selection (the &time and &add columns)
+TRANSLATED_RULE_QUERIES = (
+    "select root.item.price<upd at T> where T > 3Jan97 and T <= 4Jan97",
+    "select X, T from root.<add at T>item X where T > t[0]",
 )
 
 # First from-item binds cheaply (one label lookup), the predicate walks
@@ -75,6 +88,14 @@ def test_bench_scale_equivalence():
         for query in RULE_QUERIES:
             assert exact_rows(indexed.run(query)) == \
                 exact_rows(legacy.run(query)), query
+        translated = TranslatingChorelEngine(doem, name="root")
+        untranslated = TranslatingChorelEngine(doem, name="root",
+                                               use_planner=False)
+        for engine in (translated, untranslated):
+            engine.set_polling_times(POLLING)
+        for query in TRANSLATED_RULE_QUERIES:
+            assert exact_rows(translated.run(query)) == \
+                exact_rows(untranslated.run(query)), query
     for name in RULE_NAMES:
         assert metrics[f"rules_fired.{name}"].value > fired_before[name], \
             f"rule {name} never fired on the probe workload"

@@ -17,7 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import ChorelEngine, IndexedChorelEngine, build_doem
+from repro import (
+    ChorelEngine,
+    IndexedChorelEngine,
+    TranslatingChorelEngine,
+    build_doem,
+)
 from tests.conftest import make_guide_db, make_guide_history
 from tests.goldens import assert_golden
 
@@ -43,6 +48,11 @@ CASES = {
         IndexedChorelEngine,
         "select X, T from guide.restaurant"
         "<changed at T in [1Jan97..1Mar97]> X"),
+    # The translated pipeline-benchmark shape over the time column.
+    "analyze_translated_time_column": (
+        TranslatingChorelEngine,
+        "select guide.restaurant.price<upd at T> "
+        "where T > 31Dec96 and T <= 1Jan97"),
 }
 
 TIME_PATTERN = re.compile(r"time \d+(?:\.\d+)?ms")

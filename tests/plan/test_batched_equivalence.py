@@ -54,8 +54,13 @@ def run_at_width(engine, query, size, pool=None):
     ``run_compiled`` every engine executes with."""
     compiled = engine.compile(query)
     translating = isinstance(engine, TranslatingChorelEngine)
-    if isinstance(engine, (ChorelEngine, TranslatingChorelEngine)):
+    if isinstance(engine, ChorelEngine):
         ctx = engine._execution_context(pool=pool)
+    elif translating:
+        encoding = compiled.translation.encoding
+        ctx = ExecutionContext(evaluator=encoding.lorel._evaluator,
+                               base_env=engine._base_env(), pool=pool,
+                               time_columns=encoding.encoded.time_columns)
     else:
         ctx = ExecutionContext(evaluator=engine._evaluator,
                                base_env=engine._base_env(), pool=pool)

@@ -6,7 +6,8 @@ degenerate literal-pin interval, predicate reordering, the wildcard
 fallback that must *not* select the index, virtual ``<at t[0]>``
 expansion against the polling table, and the cross-time range rewrite
 (a narrow, a wide and an open-ended range, all index scans, plus the
-``VersionJoin`` terminal for ``<at [a..b]>``).  A rule change that
+``VersionJoin`` terminal for ``<at [a..b]>``), and the translating
+backend's time-column scan (``translated_*``).  A rule change that
 alters the optimized tree or the pass-firing report shows up as a
 reviewable diff, not a silent plan shift.
 
@@ -20,7 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import ChorelEngine, IndexedChorelEngine, build_doem
+from repro import (
+    ChorelEngine,
+    IndexedChorelEngine,
+    TranslatingChorelEngine,
+    build_doem,
+)
 from tests.conftest import make_guide_db, make_guide_history
 from tests.goldens import assert_golden
 
@@ -55,6 +61,10 @@ CASES = {
     "range_versions_join": (
         "select X from guide.restaurant.price <at [1Jan97..9Jan97]> X",
         None),
+    # The translated pipeline-benchmark shape: one day of updates.
+    "translated_time_column": (
+        "select guide.restaurant.price<upd at T> "
+        "where T > 31Dec96 and T <= 1Jan97", None),
 }
 
 
@@ -63,9 +73,15 @@ def doem():
     return build_doem(make_guide_db(), make_guide_history())
 
 
+def planned_engine(name: str, doem):
+    if name.startswith("translated_"):
+        return TranslatingChorelEngine(doem, name="guide")
+    return IndexedChorelEngine(doem, name="guide")
+
+
 def explain(name: str, doem) -> str:
     query, polling = CASES[name]
-    engine = IndexedChorelEngine(doem, name="guide")
+    engine = planned_engine(name, doem)
     if polling:
         engine.set_polling_times(polling)
     compiled = engine.compile(query)
@@ -82,7 +98,7 @@ def test_golden_queries_still_evaluate(name, doem):
     """The pinned plans are executable, and agree with the naive engine."""
     query, polling = CASES[name]
     naive = ChorelEngine(doem, name="guide")
-    indexed = IndexedChorelEngine(doem, name="guide")
+    indexed = planned_engine(name, doem)
     if polling:
         naive.set_polling_times(polling)
         indexed.set_polling_times(polling)
