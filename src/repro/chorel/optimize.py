@@ -6,7 +6,7 @@ translation of Chorel queries" -- :class:`IndexedChorelEngine` is that
 study's implementation half.  The engine is a thin facade: recognition
 of the index-servable shape lives in the ``index-selection`` rewrite
 pass (:mod:`repro.plan.rules`), and the index-scan kernel -- a
-timestamp-range scan with backward path verification -- is
+timestamp-range scan checked against the path's prefix set -- is
 :func:`repro.plan.physical.execute_range_plan`.
 
 What remains here is index/path-index ownership, the
@@ -34,9 +34,9 @@ class IndexedChorelEngine(ChorelEngine):
     eligible queries are served from a :class:`TimestampIndex` that is
     *attached* to the DOEM database, so annotations folded in after
     engine construction (QSS polling, ``apply_change_set``) enter the
-    index incrementally -- no :meth:`refresh_index` calls needed.  Hit
-    verification walks a memoized :class:`PathIndex` over the current
-    snapshot instead of a per-hit backward BFS.
+    index incrementally -- no :meth:`refresh_index` calls needed.  Hits
+    are checked against one memoized :class:`PathIndex` prefix set per
+    query instead of a per-hit backward BFS.
 
     Accounting: ``engine.stats`` says how many queries took the indexed
     vs. fallback path, ``engine.index.stats`` / ``engine.paths.stats``
@@ -102,8 +102,9 @@ class IndexedChorelEngine(ChorelEngine):
         if plan is None:
             return super().execute(compiled, bindings, analyze=analyze,
                                    **parallel)
-        # The index scan is never sharded: one merged timestamp-index
-        # scan plus backward verification, already sublinear.
+        # The index scan is never sharded: per-kind timestamp-index
+        # scans plus one prefix-set check per kept event, already
+        # sublinear.
         ctx = self._execution_context(bindings)
         with span("chorel.index_scan", plan=plan.describe()):
             return run_compiled(compiled, ctx, self, analyze=analyze)

@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import EncodingError
-from ..lore.indexes import _Column, _tick
+from ..lore.indexes import _Column
 from ..oem.model import Arc, OEMDatabase
 from ..oem.values import COMPLEX
-from ..timestamps import POS_INF, Timestamp
+from ..timestamps import POS_INF, Timestamp, order_tick
 from .annotations import Add, Cre, Rem, Upd
 from .model import DOEMDatabase
 
@@ -125,7 +125,7 @@ def encode_doem(doem: DOEMDatabase) -> EncodedDOEM:
 
     def time_atom(label: str, prefix: str, when: Timestamp) -> str:
         node = atom(prefix, when)
-        timed[label].append((_tick(when), when, node))
+        timed[label].append((order_tick(when), when, node))
         return node
 
     # Pass 2: values and node annotations.

@@ -202,6 +202,22 @@ class DOEMDatabase:
             triples.append((annotation.at, annotation.old_value, new_value))
         return triples
 
+    def upd_pair(self, node_id: str,
+                 when: Timestamp) -> tuple[object, object] | None:
+        """The node's :meth:`upd_triples` pair at ``when`` (or ``None``),
+        walking back from the newest update: a recent one costs a step."""
+        new_value = self.graph.value(node_id)
+        pair = None
+        for annotation in reversed(self._node_annotations.get(node_id, ())):
+            if not isinstance(annotation, Upd):
+                continue
+            if annotation.at == when:
+                pair = (annotation.old_value, new_value)
+            elif pair is not None:
+                break
+            new_value = annotation.old_value
+        return pair
+
     def add_pairs(self, source: str, label: str) -> list[tuple[Timestamp, str]]:
         """``addFun(n, l)``: ``(time, child)`` pairs for ``add`` annotations."""
         pairs: list[tuple[Timestamp, str]] = []
@@ -280,6 +296,16 @@ class DOEMDatabase:
                 annotations = annotated.get((node_id, name, target))
                 if not annotations or _live_at(annotations, cutoff):
                     yield name, target
+
+    def live_parents(self, node_id: str, label: str) -> Iterator[str]:
+        """Sources of the ``label`` arcs into ``node_id`` that are live
+        now: :meth:`live_children` read backward, at ``POS_INF``."""
+        annotated = self._arc_annotations
+        for arc in self.graph.in_arcs(node_id):
+            if arc.label == label:
+                annotations = annotated.get(arc)
+                if not annotations or _live_at(annotations, POS_INF):
+                    yield arc.source
 
     def live_nodes(self) -> set[str]:
         """The nodes of the current snapshot: what the root reaches

@@ -24,7 +24,8 @@ from ..doem.model import DOEMDatabase
 from ..obs.metrics import CounterField, registry as metrics_registry
 from ..oem.changes import AddArc, RemArc
 from ..oem.model import OEMDatabase
-from ..timestamps import NEG_INF, POS_INF, Timestamp, parse_timestamp
+from ..timestamps import (NEG_INF, POS_INF, Timestamp, order_tick,
+                          parse_timestamp)
 
 __all__ = ["AnnotationIndex", "TimestampIndex", "PathIndex", "IndexStats"]
 
@@ -92,15 +93,6 @@ class IndexStats:
 
 _KINDS = ("cre", "upd", "add", "rem")
 
-# The infinities as ticks: below and above every finite timestamp.
-_NEG_TICK, _POS_TICK = -(1 << 63), (1 << 63) - 1
-
-
-def _tick(when: Timestamp) -> int:
-    """``when`` as one signed 64-bit integer, in the time domain's order."""
-    sign, ticks = when._order_key()
-    return ticks if sign == 0 else (_NEG_TICK if sign < 0 else _POS_TICK)
-
 
 class _Column:
     """One time-ordered run of index entries, stored by column.
@@ -125,7 +117,7 @@ class _Column:
 
     def insert(self, when: Timestamp, subject: object) -> None:
         """Add one entry after every entry with the same time."""
-        tick = _tick(when)
+        tick = order_tick(when)
         ticks = self.ticks
         if not ticks or ticks[-1] <= tick:
             ticks.append(tick)
@@ -140,8 +132,8 @@ class _Column:
     def between(self, low: object, high: object, include_low: bool,
                 include_high: bool) -> list[tuple[Timestamp, object]]:
         ticks = self.ticks
-        low_tick = _tick(parse_timestamp(low))
-        high_tick = _tick(parse_timestamp(high))
+        low_tick = order_tick(parse_timestamp(low))
+        high_tick = order_tick(parse_timestamp(high))
         start = bisect.bisect_left(ticks, low_tick) if include_low \
             else bisect.bisect_right(ticks, low_tick)
         end = bisect.bisect_right(ticks, high_tick) if include_high \
@@ -170,11 +162,11 @@ class AnnotationIndex:
         for node, annotations in doem.annotated_nodes():
             for annotation in annotations:
                 kind = "cre" if isinstance(annotation, Cre) else "upd"
-                found[kind].append((_tick(annotation.at), annotation.at, node))
+                found[kind].append((order_tick(annotation.at), annotation.at, node))
         for arc, annotations in doem.annotated_arcs():
             for annotation in annotations:
                 kind = "add" if isinstance(annotation, Add) else "rem"
-                found[kind].append((_tick(annotation.at), annotation.at, arc))
+                found[kind].append((order_tick(annotation.at), annotation.at, arc))
         self._columns = {
             kind: _Column(sorted(entries, key=lambda e: (e[0], str(e[2]))))
             for kind, entries in found.items()}

@@ -99,8 +99,8 @@ def compile_query(query: Query, evaluator, *,
         root = lower(normalized, labels)
         # Fingerprint the *lowered* tree, before optimization: the hash
         # identifies the normalized query shape, so the query log and
-        # the cardinality-feedback store key the same query the same way
-        # regardless of which rewrite passes fire for a given engine.
+        # EXPLAIN ANALYZE key the same query the same way regardless of
+        # which rewrite passes fire for a given engine.
         fingerprint = plan_fingerprint(root)
         root, reports = PassManager(rules).run(root, ctx)
         elapsed = time.perf_counter() - started

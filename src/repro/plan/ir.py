@@ -14,13 +14,13 @@ Nine node kinds cover every query the engines accept:
   chain's environments, cut them into contiguous shards, and run the
   detached ``stages`` on pool workers, concatenating in shard order (the
   merge discipline that keeps sharded results order-identical to serial).
-* :class:`TimeRangeScan` -- the index source leaf: enumerate the
-  change events of a :class:`~repro.plan.stats.RangePlan`'s interval
-  by merged timestamp-index scans, in one global deterministic order.
+* :class:`TimeRangeScan` -- the index source leaf: read the change
+  events of a :class:`~repro.plan.stats.RangePlan`'s interval, one
+  timestamp-index scan per kind.
 * :class:`DeltaProject` -- index selection's terminal for event queries
   (real annotations pinned, ranged or free, ``<changed>``,
-  ``<last-change>``): verify each scanned event backward along the
-  plan's path and project it into a result row.
+  ``<last-change>``): keep the scanned events the plan's path reaches
+  and project them into rows, in one global deterministic order.
 * :class:`VersionJoin` -- index selection's terminal for version
   enumeration (``<at [a..b]>``): join the live path's node set against
   the scanned events, anchoring each node's in-range version sequence
@@ -142,12 +142,13 @@ class TimeRangeScan(LogicalNode):
 
 @dataclass(frozen=True)
 class DeltaProject(LogicalNode):
-    """Verify and project scanned change events into result rows.
+    """Keep and project scanned change events into result rows.
 
-    Index selection's terminal for event queries: each event from the
-    child :class:`TimeRangeScan` is verified backward along the plan's
-    path and built into a row; ``last-only`` plans keep the newest
-    in-range event per subject first.
+    Index selection's terminal for event queries: ``last-only`` plans
+    first keep the newest in-range event per subject; an event from the
+    child :class:`TimeRangeScan` is kept when its subject is on the
+    plan's live path (checked against the path's prefix set, looked up
+    once), and the kept events are ordered and built into rows.
     """
 
     plan: RangePlan

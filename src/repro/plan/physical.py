@@ -25,8 +25,8 @@ The operators delegate single-binding work to the evaluator's staged API
 Three operators do more than plumb:
 
 * :func:`execute_range_plan` -- the index kernel behind ``DeltaProject``
-  and ``VersionJoin``: a merged timestamp-index range scan with backward
-  path verification.
+  and ``VersionJoin``: per-kind timestamp-index range scans, checked
+  against the path's prefix set looked up once per query.
 * the ``TimeColumnScan`` leaf -- bisects a time column of the OEM
   encoding and binds the from-chain above each atom it finds.
 * the ``Exchange`` operator -- binds its source chain serially,
@@ -45,7 +45,7 @@ from ..lorel.eval import NodeBinding
 from ..lorel.result import ObjectRef, QueryResult, Row
 from ..obs.events import emit_event
 from ..obs.trace import span
-from ..timestamps import POS_INF, Timestamp
+from ..timestamps import Timestamp, order_tick
 from .analyze import StageRecorder
 from .batch import (
     DEFAULT_BATCH_SIZE,
@@ -337,10 +337,9 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
     With a worker pool on the context the plan is rewritten for sharding
     (:func:`insert_exchange`); unshardable plans run serially.  With
     ``analyze=True`` a :class:`~repro.plan.analyze.PlanStats` collector
-    is attached over the *executed* tree, finalized into
-    ``compiled.runtime``, and its actuals fed to the cardinality
-    feedback store; either way the execution lands one record in the
-    :mod:`repro.obs.querylog`.
+    is attached over the *executed* tree and finalized into
+    ``compiled.runtime``; either way the execution lands one record in
+    the :mod:`repro.obs.querylog`.
     """
     from ..obs.querylog import record_engine_query
     from .analyze import PlanStats
@@ -372,11 +371,15 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
 # The range kernel (TimeRangeScan + DeltaProject / VersionJoin)
 # ---------------------------------------------------------------------------
 #
-# One executor serves every index-served shape.  A *scan* enumerates
-# `(when, kind, subject)` change events -- merged per-kind
-# timestamp-index range scans -- in one global deterministic order, and
-# the terminal verifies each event backward along the plan's path before
-# building its row.  A single-time annotation is the one-kind case, its
+# One executor serves every index-served shape.  A *scan* reads the
+# in-range `(when, kind, subject)` change events -- one timestamp-index
+# range scan per kind -- and the terminal keeps the events the plan's
+# path reaches: the path's prefix set is looked up once per execution,
+# so an arc event costs one set membership and a node event one more
+# read, the liveness of its final-label in-arcs.  `<last-change>` keeps
+# the newest event per subject before verifying.  Only the kept events
+# are put in the global order: time, then kind (cre, upd, add, rem),
+# then subject.  A single-time annotation is the one-kind case, its
 # interval usually pinned to `[t, t]`.
 
 _KIND_RANK = {"cre": 0, "upd": 1, "add": 2, "rem": 3}
@@ -385,12 +388,12 @@ _KIND_RANK = {"cre": 0, "upd": 1, "add": 2, "rem": 3}
 def execute_range_plan(plan: RangePlan, ctx: ExecutionContext,
                        node: LogicalNode | None = None, *,
                        versions: bool = False) -> QueryResult:
-    """Run a range plan: scan events, verify backward, build rows.
+    """Run a range plan: scan events, keep those on the path, build rows.
 
     ``node`` (the terminal IR node, when executing a compiled tree)
-    routes ANALYZE accounting: the terminal counts events in and rows
-    out, and its ``TimeRangeScan`` child -- when present -- counts the
-    events the scan emitted.
+    routes ANALYZE accounting: the terminal counts candidate events in
+    (after last-only grouping) and rows out, and its ``TimeRangeScan``
+    child -- when present -- counts the index entries the scan read.
     """
     op = scan_op = None
     if ctx.stats is not None and node is not None:
@@ -405,16 +408,18 @@ def execute_range_plan(plan: RangePlan, ctx: ExecutionContext,
         scan_op.wall_seconds += perf_counter() - started
     result = QueryResult()
     if versions:
-        _version_join(plan, events, ctx, result, op)
+        _version_join(plan, _ordered(events), ctx, result, op)
     else:
         if plan.last_only:
-            events = _last_events(events)
-        for when, kind, subject in events:
-            if op is not None:
-                op.rows_in += 1  # one candidate event verified per row
-            row = _verify_and_build(plan, kind, when, subject, ctx)
-            if row is not None:
-                result.add(row)
+            events = _newest_per_subject(events)
+        if op is not None:
+            op.rows_in += len(events)
+        for _, rank, subject, when in _ordered(_on_path(plan, events, ctx)):
+            pair = ctx.doem.upd_pair(subject, when) if rank == 1 else None
+            if rank != 1 or pair is not None:
+                # An arc event's object is the arc's target.
+                node = subject.target if rank >= 2 else subject
+                result.add(_build_row(plan, when, node, pair))
     if op is not None:
         op.wall_seconds += perf_counter() - started
         op.rows_out = len(result)
@@ -422,48 +427,59 @@ def execute_range_plan(plan: RangePlan, ctx: ExecutionContext,
 
 
 def _range_events(plan: RangePlan, ctx: ExecutionContext) -> list:
-    """All in-range ``(when, kind, subject)`` events, globally ordered.
-
-    One timestamp-index range scan per event kind, merged into the
-    order time, then kind (cre, upd, add, rem), then subject.
-    """
+    """All in-range ``(when, kind rank, subject)`` events, unordered:
+    kind by kind in rank order, each kind in time order."""
     events = []
     for kind in plan.kinds:
+        rank = _KIND_RANK[kind]
         # Arc kinds narrow the scan to the final step's label via the
         # index's label partition; node kinds scan the kind list.
-        label = plan.labels[-1] if kind in ("add", "rem") else None
-        for when, subject in ctx.index.between(
-                kind, plan.low, plan.high,
-                include_low=plan.include_low,
-                include_high=plan.include_high,
-                label=label):
-            events.append((when, kind, subject))
-    events.sort(key=_event_key)
+        label = plan.labels[-1] if rank >= 2 else None
+        events.extend((when, rank, subject) for when, subject
+                      in ctx.index.between(
+                          kind, plan.low, plan.high,
+                          include_low=plan.include_low,
+                          include_high=plan.include_high, label=label))
     return events
 
 
-def _event_key(event) -> tuple:
-    when, kind, subject = event
-    return (when._order_key(), _KIND_RANK[kind], _subject_key(subject))
-
-
-def _subject_key(subject) -> tuple[str, str, str]:
-    if isinstance(subject, str):
-        return ("", "", subject)
-    return (subject.source, subject.label, subject.target)
-
-
-def _last_events(events: list) -> list:
+def _newest_per_subject(events: list) -> list:
     """Keep the newest event per subject (``<last-change>`` semantics).
 
     Node events group per node across ``cre``/``upd``; arc events group
     per ``(source, label, target)`` arc, matching the evaluator's
-    per-child latest-event selection.
+    per-child latest-event selection.  Within one kind the events arrive
+    in time order, so only a change of kind needs a time comparison; a
+    tie in time goes to the later kind, as the global order has it.
     """
-    latest: dict = {}
-    for event in events:  # already globally ordered ascending
-        latest[_subject_key(event[2])] = event
-    return sorted(latest.values(), key=_event_key)
+    newest: dict = {}
+    for event in events:
+        previous = newest.get(event[2])
+        if previous is None or previous[1] == event[1] \
+                or previous[0] <= event[0]:
+            newest[event[2]] = event
+    return list(newest.values())
+
+
+def _on_path(plan: RangePlan, events: list, ctx: ExecutionContext):
+    """The events whose subject the plan's live path reaches.
+
+    An arc event is on the path when its source is in the prefix set
+    (the scan read only the final label's arcs); a node event when one
+    of its live final-label in-arcs comes from the prefix set.
+    """
+    prefix = ctx.paths.nodes(plan.labels[:-1])
+    if plan.kinds[0] in ("add", "rem"):
+        return [event for event in events if event[2].source in prefix]
+    live_parents, final = ctx.doem.live_parents, plan.labels[-1]
+    return [event for event in events
+            if not prefix.isdisjoint(live_parents(event[2], final))]
+
+
+def _ordered(events: list) -> list:
+    """``events`` as ``(tick, kind rank, subject, when)``, sorted."""
+    return sorted((order_tick(when), rank, subject, when)
+                  for when, rank, subject in events)
 
 
 def _version_join(plan: RangePlan, events: list, ctx: ExecutionContext,
@@ -479,7 +495,7 @@ def _version_join(plan: RangePlan, events: list, ctx: ExecutionContext,
     """
     view = getattr(ctx.evaluator, "view", None)
     times_by_node: dict[str, list] = {}
-    for when, _kind, subject in events:
+    for _, _rank, subject, when in events:
         bucket = times_by_node.setdefault(subject, [])
         if bucket and bucket[-1] == when:
             continue  # cre and upd at the same instant are one version
@@ -498,57 +514,11 @@ def _version_join(plan: RangePlan, events: list, ctx: ExecutionContext,
                 continue  # the anchor coincides with the first event
             times.append(when)
         for when in times:
-            result.add(_build_row(plan, "at", when, node, None, at=when))
+            result.add(_build_row(plan, when, node, None, at=when))
 
 
-def _verify_and_build(plan: RangePlan, kind: str, when: Timestamp,
-                      subject, ctx: ExecutionContext) -> Row | None:
-    graph = ctx.doem.graph
-    if kind in ("add", "rem"):
-        arc = subject
-        if arc.label != plan.labels[-1]:
-            return None
-        if not _connects_backward(arc.source, plan.labels[:-1], ctx):
-            return None
-        return _build_row(plan, kind, when, arc.target, None)
-    # cre / upd: subject is a node; the final arc must be live now.
-    node = subject
-    final_label = plan.labels[-1]
-    for in_arc in graph.in_arcs(node):
-        if in_arc.label != final_label:
-            continue
-        if not ctx.doem.arc_live_at(*in_arc, POS_INF):
-            continue
-        if _connects_backward(in_arc.source, plan.labels[:-1], ctx):
-            if kind == "upd":
-                triple = _upd_triple_at(node, when, ctx)
-                if triple is None:
-                    return None
-                return _build_row(plan, kind, when, node, triple)
-            return _build_row(plan, kind, when, node, None)
-    return None
-
-
-def _connects_backward(node: str, labels: tuple[str, ...],
-                       ctx: ExecutionContext) -> bool:
-    """Is there a live path root -labels-> node?
-
-    Served by the memoized :class:`~repro.lore.indexes.PathIndex`: one
-    forward expansion per distinct label prefix instead of a backward
-    BFS per hit.
-    """
-    return ctx.paths.contains(node, labels)
-
-
-def _upd_triple_at(node: str, when: Timestamp, ctx: ExecutionContext):
-    for at, old, new in ctx.doem.upd_triples(node):
-        if at == when:
-            return (old, new)
-    return None
-
-
-def _build_row(plan: RangePlan, kind: str, when: Timestamp, node: str,
-               upd_values, at: Timestamp | None = None) -> Row:
+def _build_row(plan: RangePlan, when: Timestamp, node: str, upd_values,
+               at: Timestamp | None = None) -> Row:
     items: list[tuple[str, object]] = []
     for item in plan.select:
         expr = item.expr

@@ -29,6 +29,7 @@ __all__ = [
     "Timestamp",
     "NEG_INF",
     "POS_INF",
+    "order_tick",
     "parse_timestamp",
     "is_timestamp_literal",
 ]
@@ -193,6 +194,15 @@ NEG_INF: Timestamp = _Infinity(-1, "NEG_INF")
 
 POS_INF: Timestamp = _Infinity(+1, "POS_INF")
 """A timestamp larger than every finite timestamp ("now" for snapshots)."""
+
+# The infinities as ticks: below and above every finite timestamp.
+_NEG_TICK, _POS_TICK = -(1 << 63), (1 << 63) - 1
+
+
+def order_tick(when: Timestamp) -> int:
+    """``when`` as one signed 64-bit integer, in the time domain's order."""
+    sign, ticks = when._order_key()
+    return ticks if sign == 0 else (_NEG_TICK if sign < 0 else _POS_TICK)
 
 
 def parse_timestamp(text: object) -> Timestamp:
