@@ -51,6 +51,8 @@ RANGE_TEMPLATES = [
 EXTRA_TEMPLATES = [
     "select X from root.{label}.name <at [{a}..{b}]> X",
     "select X, T from root.{label}.name <last-change at T> X",
+    "select X, T from root.<last-change at T>{label} X",
+    "select X, T from root.{label}.name<last-change at T in [{a}..{b}]> X",
     "select T from root.item.price<changed since {m} at T>",
 ]
 
