@@ -160,6 +160,7 @@ def text_bags(db: OEMDatabase) -> dict[str, list[str]]:
 
     for node in values:
         collect(node)
+    del collect  # the closure holds itself through its cell: no cycle left
     return bags
 
 

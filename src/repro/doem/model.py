@@ -24,8 +24,16 @@ from .annotations import Add, Annotation, ArcAnnotation, Cre, NodeAnnotation, Re
 __all__ = ["DOEMDatabase"]
 
 
+def live_now(annotations: Sequence[ArcAnnotation] | None) -> bool:
+    """:func:`_live_at` at ``POS_INF`` in one read: every annotation is at
+    or before it, so the last one decides."""
+    return not annotations or isinstance(annotations[-1], Add)
+
+
 def _live_at(annotations: Sequence[ArcAnnotation], cutoff: Timestamp) -> bool:
     """:meth:`DOEMDatabase.arc_live_at`'s rule over one arc's annotations."""
+    if cutoff is POS_INF:
+        return live_now(annotations)
     latest: ArcAnnotation | None = None
     for annotation in annotations:
         if annotation.at <= cutoff:
@@ -303,8 +311,7 @@ class DOEMDatabase:
         annotated = self._arc_annotations
         for arc in self.graph.in_arcs(node_id):
             if arc.label == label:
-                annotations = annotated.get(arc)
-                if not annotations or _live_at(annotations, POS_INF):
+                if live_now(annotated.get(arc)):
                     yield arc.source
 
     def live_nodes(self) -> set[str]:

@@ -158,6 +158,7 @@ def default_labels(query: Query) -> dict[str, str]:
                 scan_path(condition.expr)
 
     scan_condition(query.where)
+    del scan_condition  # recursive closures hold themselves: break the cycle
     return labels
 
 
@@ -271,6 +272,7 @@ class Evaluator:
             raise EvaluationError(f"unknown condition: {condition!r}")
 
         where = rewrite_cond(query.where) if query.where is not None else None
+        del var_for, rewrite_cond  # recursive closures: break their cycles
         return Query(tuple(select), tuple(new_from), where)
 
     # ==================================================================
@@ -779,8 +781,8 @@ class Evaluator:
                 scoped[item.var] = binding
             yield scoped
 
-    def bind_from_item_batch(self, item: FromItem,
-                             envs: list) -> list:
+    def bind_from_item_batch(self, item: FromItem, envs: list,
+                             keep=None, counts: dict | None = None) -> list:
         """One from-item's bindings for a whole environment batch.
 
         Frontier traversal: instead of recursing depth-first per
@@ -789,22 +791,38 @@ class Evaluator:
         matches append in frontier order, so the final frontier is
         exactly the concatenation of the per-environment depth-first
         enumerations :meth:`bind_from_item` would produce.  One list
-        append per match replaces a chain of nested generator frames,
+        extend per expansion replaces a chain of nested generator frames,
         which is where the batched operators win their constant factor.
+
+        ``keep`` is a fused ``where`` test for an item whose last step is
+        a plain label: that hop reaches node ids, ``keep`` takes and
+        returns ``(node, env)`` pairs, and only the kept nodes get a
+        binding and an environment.  ``counts`` (EXPLAIN ANALYZE only)
+        tallies the candidates ``"tested"`` and ``"kept"``.
         """
         path = item.path
+        steps = path.steps[:-1] if keep is not None else path.steps
         frontier = []
         append = frontier.append
         for env in envs:
             append((self.resolve_start(path, env), env))
         expand = self.expand_step
-        for step in path.steps:
+        for step in steps:
             next_frontier: list = []
-            append = next_frontier.append
+            extend = next_frontier.extend
             for binding, env in frontier:
-                for pair in expand(binding, step, env):
-                    append(pair)
+                extend(expand(binding, step, env))
             frontier = next_frontier
+        if keep is not None:
+            label, value = path.steps[-1].label, self.view.value
+            candidates = [(child, env) for binding, env in frontier
+                          if value(binding.node) is COMPLEX
+                          for child in self._plain_children(binding, label)]
+            kept = keep(candidates)
+            if counts is not None:
+                counts["tested"] += len(candidates)
+                counts["kept"] += len(kept)
+            frontier = [(NodeBinding(child), env) for child, env in kept]
         out: list = []
         var = item.var
         emit = out.append

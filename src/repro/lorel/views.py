@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..doem.model import DOEMDatabase
+from ..doem.model import DOEMDatabase, live_now
 from ..obs.metrics import CounterField, registry as metrics_registry
 from ..oem.model import OEMDatabase
-from ..oem.values import like
+from ..oem.values import COMPLEX, like
 from ..timestamps import POS_INF, Timestamp
 
 __all__ = ["DataView", "OEMView", "DOEMView"]
@@ -81,6 +81,12 @@ class DataView:
         """The node's current value (atomic value or COMPLEX)."""
         raise NotImplementedError
 
+    def child_values(self, nodes: list, label: str) -> list[tuple]:
+        """``(position, value)`` for each ``label`` child of each of
+        ``nodes`` in the current snapshot, in node then data order (none
+        below an atom): the one value read of plain steps."""
+        raise NotImplementedError
+
     def has_node(self, node: str) -> bool:
         """Does the node exist in the underlying database?"""
         raise NotImplementedError
@@ -133,6 +139,13 @@ class OEMView(DataView):
     def value(self, node: str) -> object:
         return self.db.value(node)
 
+    def child_values(self, nodes: list, label: str) -> list[tuple]:
+        # Straight off the maps: only complex objects have outgoing arcs.
+        values, out = self.db._values, self.db._out
+        return [(position, values[child])
+                for position, node in enumerate(nodes)
+                for child in out[node].get(label, ())]
+
     def has_node(self, node: str) -> bool:
         return self.db.has_node(node)
 
@@ -183,6 +196,17 @@ class DOEMView(DataView):
 
     def value(self, node: str) -> object:
         return self.doem.graph.value(node)
+
+    def child_values(self, nodes: list, label: str) -> list[tuple]:
+        # The graph keeps removed arcs (and an updated atom its old arcs):
+        # read the maps, with the O(1) current-liveness test per arc.
+        graph, annotated = self.doem.graph, self.doem._arc_annotations
+        values, out = graph._values, graph._out
+        return [(position, values[child])
+                for position, node in enumerate(nodes)
+                if values[node] is COMPLEX
+                for child in out[node].get(label, ())
+                if live_now(annotated.get((node, label, child)))]
 
     def has_node(self, node: str) -> bool:
         return self.doem.graph.has_node(node)

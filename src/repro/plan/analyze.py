@@ -16,6 +16,9 @@ physical operators wrap their streams so every node accounts:
 * **vectorized vs. fallback predicate rows** -- how many rows the
   compiled closure judged versus how many fell back to the general
   solver (:func:`~repro.plan.batch.filter_rows` reports the split);
+* **tested vs. kept nodes** -- on a ``PathExpand`` carrying a fused
+  ``where`` test, how many nodes its last hop reached and how many
+  passed;
 * **Exchange shard stats** -- detached stage nodes run on pool workers;
   each shard fills a :class:`StageRecorder` that returns beside the rows
   and merges into the coordinator's tree, so a sharded ANALYZE shows the
@@ -67,8 +70,8 @@ class OpStats:
     wall_seconds: float = 0.0
     shards: int = 0
     detached: bool = False  # an Exchange stage, fed by shard payloads
-    pred_counts: dict = field(
-        default_factory=lambda: {"vectorized": 0, "fallback": 0})
+    pred_counts: dict = field(default_factory=lambda: dict.fromkeys(
+        ("vectorized", "fallback", "tested", "kept"), 0))
 
     @property
     def vectorized_rows(self) -> int:
@@ -91,6 +94,8 @@ class OpStats:
             "detached": self.detached,
             "vectorized_rows": self.vectorized_rows,
             "fallback_rows": self.fallback_rows,
+            "tested_rows": self.pred_counts["tested"],
+            "kept_rows": self.pred_counts["kept"],
         }
 
 
@@ -108,7 +113,8 @@ class StageRecorder:
 
     def __init__(self, count: int) -> None:
         self.stages = [{"rows_in": 0, "rows_out": 0, "wall_seconds": 0.0,
-                        "vectorized": 0, "fallback": 0}
+                        "vectorized": 0, "fallback": 0, "tested": 0,
+                        "kept": 0}
                        for _ in range(count)]
 
 
@@ -180,7 +186,8 @@ class PlanStats:
         return wrapped()
 
     def predicate_counts(self, node: LogicalNode) -> dict:
-        """The mutable vectorized/fallback tally ``filter_rows`` fills."""
+        """The mutable tally ``filter_rows`` (vectorized/fallback) and a
+        fused test (tested/kept) fill."""
         return self._by_node[id(node)].pred_counts
 
     # -- shard merging ----------------------------------------------------
@@ -193,8 +200,8 @@ class PlanStats:
             op.rows_in += rec["rows_in"]
             op.rows_out += rec["rows_out"]
             op.wall_seconds += rec["wall_seconds"]
-            op.pred_counts["vectorized"] += rec["vectorized"]
-            op.pred_counts["fallback"] += rec["fallback"]
+            for key in op.pred_counts:
+                op.pred_counts[key] += rec[key]
 
     # -- finishing --------------------------------------------------------
 
@@ -219,6 +226,9 @@ class PlanStats:
             if op.vectorized_rows or op.fallback_rows:
                 parts.append(f"vectorized {op.vectorized_rows}"
                              f"/fallback {op.fallback_rows}")
+            if op.pred_counts["tested"]:
+                parts.append(f"tested {op.pred_counts['tested']}"
+                             f"/kept {op.pred_counts['kept']}")
             lines.append(f"{indent}{op.op}  ({', '.join(parts)})")
         return "\n".join(lines)
 

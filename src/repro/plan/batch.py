@@ -9,8 +9,9 @@ instead:
 
 * ``PathExpand`` advances an entire batch through its path with a
   frontier traversal (:meth:`repro.lorel.eval.Evaluator.
-  bind_from_item_batch`) -- one list append per match, no generator
-  frames;
+  bind_from_item_batch`) -- one list extend per expansion, no generator
+  frames -- testing a fused ``where`` (:func:`compile_node_test`) on the
+  nodes its last hop reaches;
 * ``Predicate`` evaluates **vectorized** over the batch: the condition is
   compiled once per operator into a plain-Python closure
   (:func:`compile_predicate`) and applied row by row in a single loop,
@@ -43,7 +44,8 @@ from ..oem.values import COMPLEX, comparator, like_matcher
 from ..parallel.sharding import chunk_fixed
 
 __all__ = ["EnvBatch", "DEFAULT_BATCH_SIZE", "BATCH_ROWS_METRIC",
-           "batch_rows_histogram", "compile_predicate", "filter_rows"]
+           "batch_rows_histogram", "compile_predicate", "compile_node_test",
+           "filter_rows"]
 
 DEFAULT_BATCH_SIZE = 256
 """The operator batch width (rows) every engine executes at.
@@ -203,28 +205,78 @@ def _compile_operand(expr, evaluator):
 
 
 def _compile_path(path: PathExpr, view):
-    """A frontier walk as ``Evaluator._step_matches`` takes plain steps: no
-    children below an atom; ``<at T>`` on the start governs the first hop."""
+    """``env -> the values the path reads`` from its start's binding."""
     start = path.start
-    labels = tuple(step.label for step in path.steps)
-    value, children = view.value, view.children
+    read = plain_reader(tuple(step.label for step in path.steps), view)
 
     def reach(env):
         binding = env[start]  # KeyError (a database name) -> row fallback
         if not isinstance(binding, NodeBinding):
             raise KeyError(start)  # a scalar starts no path: the solver says so
-        nodes, at = (binding.node,), binding.at
-        for label in labels:
-            reached: list = []
-            for node in nodes:
-                if value(node) is COMPLEX:
-                    reached.extend(children(node, label) if at is None
-                                   else view.children_at(node, label, at))
-            nodes, at = reached, None
-        if at is not None:
-            return [view.value_at(node, at) for node in nodes]
-        return [value(node) for node in nodes]
+        return [one for _, one in read((binding.node,), binding.at)]
     return reach
+
+
+def plain_reader(labels: tuple[str, ...], view):
+    """``(nodes, at=None) -> (position, value)`` for every value a node's
+    ``.l1...lk`` reads, in node then data order.
+
+    Plain steps as ``Evaluator._step_matches`` takes them: no children
+    below an atom, and an ``<at T>`` context governs the first hop only
+    (a zero-step read: the value as of then).  The last current-time hop
+    is one :meth:`~repro.lorel.views.DataView.child_values` call for all
+    the nodes: a read of the backend's own maps.
+    """
+    value, children = view.value, view.children
+
+    def hop(owners, nodes, label, at=None):
+        reached = [(owner, child) for owner, node in zip(owners, nodes)
+                   if value(node) is COMPLEX
+                   for child in (children(node, label) if at is None
+                                 else view.children_at(node, label, at))]
+        return [owner for owner, _ in reached], [child for _, child in reached]
+
+    def read(nodes, at=None):
+        owners, rest = range(len(nodes)), labels
+        if at is not None and rest:
+            owners, nodes = hop(owners, nodes, rest[0], at)
+            rest, at = rest[1:], None
+        if not rest:
+            return [(owner, value(node) if at is None
+                     else view.value_at(node, at))
+                    for owner, node in zip(owners, nodes)]
+        for label in rest[:-1]:
+            owners, nodes = hop(owners, nodes, label)
+        found = view.child_values(nodes, rest[-1])
+        if isinstance(owners, range):
+            return found
+        return [(owners[index], one) for index, one in found]
+    return read
+
+
+def compile_node_test(conjuncts: tuple[Comparison, ...], view):
+    """The ``where`` conjuncts the ``filter-fusion`` rule moved into a
+    ``PathExpand``, as ``pairs -> the (node, env) pairs kept``.
+
+    Each conjunct is ``X.l1...lk op literal`` over plain steps, judged as
+    the compiled predicate judges it -- *exists* a value the path reads
+    that ``comparator(op, literal)`` accepts -- for all the candidate
+    nodes at once; a later conjunct reads only what the earlier ones kept.
+    ``None`` for no conjuncts.
+    """
+    if not conjuncts:
+        return None
+    checks = [(plain_reader(tuple(step.label for step in c.left.steps), view),
+               comparator(c.op, c.right.value)) for c in conjuncts]
+
+    def keep(pairs: list) -> list:
+        for read, test in checks:
+            passed = {position for position, one
+                      in read([node for node, _ in pairs]) if test(one)}
+            pairs = [pair for position, pair in enumerate(pairs)
+                     if position in passed]
+        return pairs
+    return keep
 
 
 def filter_rows(evaluator, condition: Condition, rows: list,

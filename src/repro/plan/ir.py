@@ -5,7 +5,8 @@ Nine node kinds cover every query the engines accept:
 * :class:`Scan` -- the ambient environment (database names, polling
   times, trigger pre-bindings); the leaf every chain starts from.
 * :class:`PathExpand` -- one normalized from-item: extend each incoming
-  environment with every data-ordered binding of the item's path.
+  environment with every data-ordered binding of the item's path that
+  passes the node's fused ``where`` test, if it carries one.
 * :class:`Predicate` -- the where clause: keep the environments with at
   least one solution.
 * :class:`Project` -- the select clause: emit one labeled row per
@@ -39,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..lorel.ast import Condition, FromItem, Literal, SelectItem, TimeVar, VarRef
+from ..lorel.ast import Comparison, Condition, FromItem, Literal, SelectItem, \
+    TimeVar, VarRef
 from .stats import RangePlan
 
 __all__ = ["LogicalNode", "Scan", "PathExpand", "Predicate", "Project",
@@ -70,16 +72,23 @@ class PathExpand(LogicalNode):
     """Extend each incoming environment along one from-item's path.
 
     ``child`` is ``None`` when the node rides inside an
-    :class:`Exchange` as a detached shard stage.
+    :class:`Exchange` as a detached shard stage.  ``test`` holds the
+    ``where`` conjuncts the ``filter-fusion`` rule moved here (the item's
+    last step is then a plain label): each node that hop reaches must
+    pass them before a binding and an environment are built for it.
     """
 
     item: FromItem
     child: Optional[LogicalNode] = None
+    test: tuple[Comparison, ...] = ()
 
     def children(self) -> tuple[LogicalNode, ...]:
         return (self.child,) if self.child is not None else ()
 
     def describe(self) -> str:
+        if self.test:
+            return (f"PathExpand {self.item} test "
+                    + " and ".join(map(str, self.test)))
         return f"PathExpand {self.item}"
 
 

@@ -36,7 +36,7 @@ Three operators do more than plumb:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterator, Optional
 
@@ -51,6 +51,7 @@ from .batch import (
     DEFAULT_BATCH_SIZE,
     EnvBatch,
     batch_rows_histogram,
+    compile_node_test,
     compile_predicate,
     filter_rows,
 )
@@ -142,8 +143,11 @@ def _node_batches(node: LogicalNode,
         yield EnvBatch([dict(ctx.base_env)])
     elif isinstance(node, PathExpand):
         kernel = ctx.evaluator.bind_from_item_batch
+        keep = compile_node_test(node.test, ctx.evaluator.view)
+        counts = (ctx.stats.predicate_counts(node)
+                  if ctx.stats is not None else None)
         for batch in _child_batches(node, ctx):
-            rows = kernel(node.item, batch.rows)
+            rows = kernel(node.item, batch.rows, keep, counts)
             if rows:
                 yield from EnvBatch(rows).split(size)
     elif isinstance(node, Predicate):
@@ -203,7 +207,9 @@ def run_stages_on_rows(stages, rows: list, evaluator,
             rec["rows_in"] += len(rows)
             started = perf_counter()
         if isinstance(stage, PathExpand):
-            rows = evaluator.bind_from_item_batch(stage.item, rows)
+            keep = compile_node_test(stage.test, evaluator.view)
+            rows = evaluator.bind_from_item_batch(stage.item, rows, keep,
+                                                  rec)
         elif isinstance(stage, Predicate):
             pred = compile_predicate(stage.condition, evaluator)
             rows = filter_rows(evaluator, stage.condition, rows, pred,
@@ -288,11 +294,9 @@ def insert_exchange(root: LogicalNode) -> Optional[LogicalNode]:
     if not expands:
         return None
     first = expands[-1]  # innermost = the first from-item
-    source = PathExpand(item=first.item, child=Scan())
-    stages = tuple(
-        PathExpand(item=n.item) if isinstance(n, PathExpand)
-        else Predicate(condition=n.condition)
-        for n in reversed(chain[:-1]))  # application order, minus the source
+    source = replace(first, child=Scan())
+    stages = tuple(replace(n, child=None)
+                   for n in reversed(chain[:-1]))  # application order
     exchange = Exchange(child=source, stages=stages)
     return Project(select=root.select, labels=root.labels, child=exchange)
 

@@ -28,6 +28,9 @@ The default pipeline, in order:
    are literals, time variables, or from-bound variables only) ahead of
    conjuncts that walk paths, preserving the relative order within each
    class.
+5. ``filter-fusion`` -- move each top-level conjunct ``X.l1...lk op
+   literal`` over plain steps into the ``PathExpand`` that binds ``X``,
+   as a per-binding test applied before any environment is built.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ from .stats import TIME_LABELS, RangePlan
 
 __all__ = ["CompileContext", "PassReport", "RewriteRule", "PassManager",
            "VirtualAtExpansion", "IndexSelection", "TimeColumnSelection",
-           "PredicateReorder", "default_rules", "RULE_NAMES", "plan_metrics",
-           "fold_interval", "literal_time"]
+           "PredicateReorder", "FilterFusion", "default_rules", "RULE_NAMES",
+           "plan_metrics", "fold_interval", "literal_time"]
 
 RULE_NAMES = ("virtual-at-expansion", "index-selection",
-              "time-column-selection", "predicate-reorder")
+              "time-column-selection", "predicate-reorder", "filter-fusion")
 
 # Default result labels for an annotation's bound time variable, real
 # kinds and cross-time kinds alike (mirrors the evaluator's
@@ -165,7 +168,7 @@ class PassManager:
 def default_rules() -> list[RewriteRule]:
     """The standard pipeline, in its required order."""
     return [VirtualAtExpansion(), IndexSelection(), TimeColumnSelection(),
-            PredicateReorder()]
+            PredicateReorder(), FilterFusion()]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +327,14 @@ def _conjuncts(condition) -> list:
     if isinstance(condition, And):
         return _conjuncts(condition.left) + _conjuncts(condition.right)
     return [condition]
+
+
+def _conjoin(conjuncts: list):
+    """``conjuncts`` as one left-nested ``and``, in order."""
+    rebuilt = conjuncts[0]
+    for part in conjuncts[1:]:
+        rebuilt = And(rebuilt, part)
+    return rebuilt
 
 
 def _names_unknown_time(node, polling_times: dict) -> bool:
@@ -633,12 +644,9 @@ class PredicateReorder(RewriteRule):
         reordered = pure + rest
         if reordered == conjuncts:
             return root, False
-        rebuilt = reordered[0]
-        for part in reordered[1:]:
-            rebuilt = And(rebuilt, part)
         predicate = root.child
-        new_root = replace(project,
-                           child=replace(predicate, condition=rebuilt))
+        new_root = replace(project, child=replace(
+            predicate, condition=_conjoin(reordered)))
         ctx.notes[self.name] = f"hoisted {len(pure)} pure filter(s)"
         return new_root, True
 
@@ -676,3 +684,65 @@ class PredicateReorder(RewriteRule):
         if isinstance(expr, VarRef):
             return expr.name in bound
         return isinstance(expr, (Literal, TimeVar))
+
+
+# ---------------------------------------------------------------------------
+# Pass 5: filter fusion
+# ---------------------------------------------------------------------------
+
+class FilterFusion(RewriteRule):
+    """Test selective conjuncts inside the walk that binds their variable.
+
+    A top-level conjunct ``X.l1...lk op literal`` (plain steps, not the
+    ``= None`` existence encoding) binds nothing and reads only ``X``'s
+    object.  So it moves onto the first ``PathExpand`` binding ``X`` by a
+    plain last step -- unless a trigger pre-binds ``X`` -- which drops a
+    failing node before building its binding and environment: what the
+    ``Predicate`` would have dropped, the survivors in order.
+    """
+
+    name = "filter-fusion"
+
+    def apply(self, root, ctx):
+        chain = linear_chain(root)
+        if chain is None or chain[2] is None:
+            return root, False
+        project, items, condition = chain
+        binder: dict[str, int] = {}
+        for position, item in enumerate(items):
+            if item.var and item.var not in ctx.bound_names \
+                    and _bare(item.path.steps[-1:]):
+                binder.setdefault(item.var, position)
+        tests: list[list] = [[] for _ in items]
+        rest = []
+        for conjunct in _conjuncts(condition):
+            position = binder.get(_tested_var(conjunct))
+            (rest if position is None else tests[position]).append(conjunct)
+        if not any(tests):
+            return root, False
+        node: LogicalNode = Scan()
+        for item, test in zip(items, tests):
+            node = PathExpand(item, node, tuple(test))
+        if rest:
+            node = Predicate(_conjoin(rest), node)
+        ctx.notes[self.name] = (f"{sum(map(len, tests))} conjunct(s) tested "
+                                f"in {sum(map(bool, tests))} PathExpand(s)")
+        return replace(project, child=node), True
+
+
+def _tested_var(conjunct) -> str | None:
+    """``X`` of a conjunct ``X.l1...lk op literal`` over plain steps."""
+    if isinstance(conjunct, Comparison) \
+            and isinstance(conjunct.left, PathExpr) \
+            and isinstance(conjunct.right, Literal) \
+            and conjunct.right.value is not None \
+            and _bare(conjunct.left.steps):
+        return conjunct.left.start
+    return None
+
+
+def _bare(steps) -> bool:
+    """At least one step, each a plain label without annotations."""
+    return bool(steps) and all(
+        step.is_plain and step.arc_annotation is None
+        and step.node_annotation is None for step in steps)

@@ -2,7 +2,8 @@
 
 Wall times vary run to run, so the goldens mask them (``time ---ms``);
 everything else -- operator tree, rows/batches in and out, shard
-counts, vectorized/fallback splits, the fingerprint --
+counts, vectorized/fallback splits, tested/kept bindings, the
+fingerprint --
 is deterministic and pinned.  A change to operator accounting or the
 render format shows up as a reviewable diff.
 
@@ -39,6 +40,10 @@ CASES = {
     "analyze_projection_only": (
         ChorelEngine,
         "select guide.restaurant.name"),
+    # The QSS polling-query shape: candidates tested and kept in the walk.
+    "analyze_filter_fusion": (
+        ChorelEngine,
+        'select guide.restaurant where guide.restaurant.name = "Janta"'),
     # Cross-time terminals over a narrow and a wide range.
     "analyze_range_index": (
         IndexedChorelEngine,

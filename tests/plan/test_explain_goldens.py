@@ -2,7 +2,8 @@
 
 One golden per planner behavior worth pinning -- index selection over a
 bounded interval, the ``<upd ... from ... to ...>`` row shape, the
-degenerate literal-pin interval, predicate reordering, the wildcard
+degenerate literal-pin interval, predicate reordering, filter fusion
+(the polling query's selective ``where`` tested inside its walk), the wildcard
 fallback that must *not* select the index, virtual ``<at t[0]>``
 expansion against the polling table, and the cross-time range rewrite
 (a narrow, a wide and an open-ended range, all index scans, plus the
@@ -44,6 +45,10 @@ CASES = {
     "predicate_reorder": (
         'select N from guide.restaurant R, R.name N '
         'where guide.restaurant.price < 20.5 and N = "Janta"', None),
+    # The QSS polling-query shape: the name test rides on the walk.
+    "filter_fusion": (
+        'select guide.restaurant where guide.restaurant.name = "Janta"',
+        None),
     "wildcard_fallback": (
         "select guide.#.comment<cre at T>", None),
     "virtual_at_polling": (

@@ -255,9 +255,14 @@ class TestFoldInterval:
 
 class TestPredicateReorder:
     def test_pure_filter_hoisted(self, chorel):
-        compiled = chorel._compile(chorel.parse(
-            'select N from guide.restaurant R, R.name N '
-            'where guide.restaurant.price < 20.5 and N = "Janta"'))
+        # Without filter-fusion, which moves the price test into the walk.
+        compiled = compile_query(
+            chorel.parse('select N from guide.restaurant R, R.name N '
+                         'where guide.restaurant.price < 20.5 '
+                         'and N = "Janta"'),
+            chorel._evaluator, context=chorel._compile_context(None),
+            rules=[rule for rule in default_rules()
+                   if rule.name != "filter-fusion"])
         report = {r.name: r for r in compiled.passes}["predicate-reorder"]
         assert report.fired
         assert report.note == "hoisted 1 pure filter(s)"

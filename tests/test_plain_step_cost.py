@@ -1,7 +1,10 @@
 """A plain path step costs a dictionary lookup: counted guards, no clock.
 
 On the pipeline benchmark's 5,001-node world: a ``where`` over plain
-paths never reaches the solver, a plain step over a DOEM builds no
+paths never reaches the solver, a selective one is tested inside the
+walk that binds its variable (one ``expand_step`` call per from-step at
+most, and an environment only for a kept row), a plain step over a DOEM
+builds no
 ``Arc`` and asks ``arc_live_at`` nothing for the arcs that bear no
 annotation, an answer adopts its closure's containers instead of
 re-adding them arc by arc, and ``subgraph`` costs the closure it
@@ -18,7 +21,9 @@ from repro import (
     Subscription, Wrapper, build_doem)
 from repro.doem import model as doem_model
 from repro.doem.model import DOEMDatabase
+from repro.lorel import eval as eval_module
 from repro.lorel.eval import Evaluator
+from repro.plan import physical as physical_module
 from repro.lorel.result import ObjectRef, QueryResult, Row
 from repro.sources.generators import _WORDS, large_database, large_history
 from repro.timestamps import POS_INF
@@ -44,11 +49,32 @@ def forbid_solver(monkeypatch):
     monkeypatch.setattr(Evaluator, "solve", refuse)
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """``Evaluator.expand_step`` calls, and environment dicts built by the
+    evaluator and the operators (their ``dict(...)`` calls)."""
+    calls = {"expand_step": 0, "envs": 0}
+
+    def expand_step(self, *args, _real=Evaluator.expand_step):
+        calls["expand_step"] += 1
+        return _real(self, *args)
+    monkeypatch.setattr(Evaluator, "expand_step", expand_step)
+
+    class Env(dict):
+        def __init__(self, *args, **kwargs):
+            calls["envs"] += 1
+            super().__init__(*args, **kwargs)
+    for module in (eval_module, physical_module):
+        monkeypatch.setattr(module, "dict", Env, raising=False)
+    return calls
+
+
 def analyzed(engine, query: str):
+    """The ``where`` is tested in the walk: no ``Predicate`` is left."""
     result = engine.run(query, analyze=True)
     report = engine.last_compiled.explain(analyze=True)
-    assert "/fallback 0" in report, report
-    assert "vectorized 1000" in report, report
+    assert "Predicate" not in report, report
+    assert f"tested 1000/kept {len(result)})" in report, report
     return result
 
 
@@ -64,9 +90,31 @@ def test_the_value_scan_never_solves(world, forbid_solver):
     doem = build_doem(world, large_history(world, seed=0, steps=3,
                                            churn=100))
     engine = ChorelEngine(doem, name="root")
-    engine.run(SCAN, analyze=True)
+    result = engine.run(SCAN, analyze=True)
     report = engine.last_compiled.explain(analyze=True)
-    assert "/fallback 0" in report and "vectorized" in report, report
+    assert "Predicate" not in report, report
+    assert f"/kept {len(result)})" in report, report
+
+
+@pytest.mark.parametrize("query", [POLLING.format(_WORDS[3]), SCAN])
+def test_a_selective_where_costs_a_test_per_candidate(world, counted, query):
+    """One from-step: at most one ``expand_step`` call, and environments
+    for the base row and the kept rows only -- none for the ~900 items
+    the test drops."""
+    result = LorelEngine(world, name="root").run(query)
+    assert 0 < len(result) < 1000
+    assert counted["expand_step"] <= 1, counted
+    assert counted["envs"] <= len(result) + 1, counted
+
+
+def test_a_selective_where_over_a_doem_costs_the_same(world, counted):
+    doem = build_doem(world, large_history(world, seed=0, steps=3,
+                                           churn=100))
+    counted.update(expand_step=0, envs=0)
+    result = ChorelEngine(doem, name="root").run(SCAN)
+    assert 0 < len(result) < 1000
+    assert counted["expand_step"] <= 1, counted
+    assert counted["envs"] <= len(result) + 1, counted
 
 
 def test_a_fan_out_tick_never_solves(world, forbid_solver):
