@@ -11,7 +11,8 @@ of what ``DOEMDatabase._dead_nodes`` must hold after a set.
 sets.  ``live_children`` is the per-arc loop ``DOEMDatabase.
 live_children`` ran until it read its label's targets from the adjacency:
 an ``Arc`` per out-arc of every label, and per arc the annotation tuple
-copied and ``when`` parsed again.  Do not optimise this file.
+copied, ``when`` parsed again and (``arc_live_at``) every annotation
+walked, ``POS_INF`` included.  Do not optimise this file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,21 @@ from repro.timestamps import POS_INF, Timestamp, parse_timestamp
 
 from tests.oem.oracle_model import deep_copy
 
-__all__ = ["dead_nodes", "FullWalkApplier", "build_doem", "live_children"]
+__all__ = ["dead_nodes", "FullWalkApplier", "build_doem", "live_children",
+           "arc_live_at"]
+
+
+def arc_live_at(annotations, cutoff: Timestamp) -> bool:
+    """The liveness rule walked over one arc's whole annotation list."""
+    latest = None
+    for annotation in annotations:
+        if annotation.at <= cutoff:
+            latest = annotation
+        else:
+            break
+    if latest is not None:
+        return isinstance(latest, Add)
+    return not annotations or isinstance(annotations[0], Rem)
 
 
 def live_children(doem: DOEMDatabase, node_id: str, when: object,
@@ -36,17 +51,7 @@ def live_children(doem: DOEMDatabase, node_id: str, when: object,
             continue
         cutoff = parse_timestamp(when)
         annotations = doem.arc_annotations(arc.source, arc.label, arc.target)
-        latest = None
-        for annotation in annotations:
-            if annotation.at <= cutoff:
-                latest = annotation
-            else:
-                break
-        if latest is not None:
-            live = isinstance(latest, Add)
-        else:
-            live = not annotations or isinstance(annotations[0], Rem)
-        if live:
+        if arc_live_at(annotations, cutoff):
             yield (arc.label, arc.target)
 
 

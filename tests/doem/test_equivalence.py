@@ -25,9 +25,11 @@ from repro import (
     COMPLEX, AddArc, ChangeSet, CreNode, DOEMDatabase, OEMDatabase, RemArc,
     UpdNode, build_doem, compact, current_snapshot, decode_doem, encode_doem,
     parse_timestamp)
-from repro.doem.annotations import Add, Rem
+from repro.doem import model as doem_model
+from repro.doem.annotations import Add, Rem, sort_key
 from repro.doem.build import DOEMApplier, apply_change_set
 from repro.errors import InvalidChangeError, ReproError
+from repro.lorel.views import DOEMView
 from repro.oem import model
 from repro.sources.generators import (
     large_database, large_history, random_change_set, random_database,
@@ -295,3 +297,59 @@ def test_live_children_on_a_folded_history():
                 list(oracle.live_children(doem, node, when))
     assert listed(doem.live_children, "root", "not a time") is \
         listed(oracle.live_children, doem, "root", "not a time")
+
+
+# ---------------------------------------------------------------------------
+# (e) the current view's O(1) liveness read
+# ---------------------------------------------------------------------------
+
+DRAWN_ARCS = st.lists(st.tuples(st.sampled_from([Add, Rem]),
+                                st.integers(0, 5)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DRAWN_ARCS)
+def test_the_current_liveness_read_is_the_walk(drawn):
+    """At ``POS_INF`` only the last annotation decides, so the one-read
+    test equals the full walk there; every finite cutoff still walks."""
+    first = parse_timestamp("1Jan97")
+    annotations = sorted((kind(first.plus(days=day)) for kind, day in drawn),
+                         key=sort_key)
+    assert doem_model.live_now(annotations) is \
+        oracle.arc_live_at(annotations, POS_INF)
+    cutoffs = [NEG_INF, POS_INF, first.plus(days=-1)]
+    for annotation in annotations:
+        cutoffs += [annotation.at.plus(seconds=-1), annotation.at,
+                    annotation.at.plus(seconds=1)]
+    for cutoff in cutoffs:
+        assert doem_model._live_at(annotations, cutoff) is \
+            oracle.arc_live_at(annotations, cutoff), cutoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_current_readers_are_the_walk(seed):
+    """``live_parents``, ``live_nodes`` and the view's ``child_values``
+    read liveness at ``POS_INF`` as the per-arc loop does."""
+    doem = flickering(seed)
+    nodes = sorted(doem.graph.nodes())
+    now = {node: list(oracle.live_children(doem, node, POS_INF))
+           for node in nodes}
+    reached, frontier = {doem.graph.root}, [doem.graph.root]
+    while frontier:
+        for _, child in now[frontier.pop()]:
+            if child not in reached:
+                reached.add(child)
+                frontier.append(child)
+    assert doem.live_nodes() == reached
+    view = DOEMView(doem)
+    for label in sorted({arc.label for arc in doem.graph.arcs()}):
+        for node in nodes:
+            assert sorted(doem.live_parents(node, label)) == sorted(
+                parent for parent in nodes
+                if (label, node) in now[parent])
+        expected = [(position, doem.graph.value(child))
+                    for position, node in enumerate(nodes)
+                    if doem.graph.value(node) is COMPLEX
+                    for name, child in now[node] if name == label]
+        assert view.child_values(nodes, label) == expected
