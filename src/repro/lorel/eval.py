@@ -791,7 +791,7 @@ class Evaluator:
         matches append in frontier order, so the final frontier is
         exactly the concatenation of the per-environment depth-first
         enumerations :meth:`bind_from_item` would produce.  One list
-        extend per expansion replaces a chain of nested generator frames,
+        append per match replaces a chain of nested generator frames,
         which is where the batched operators win their constant factor.
 
         ``keep`` is a fused ``where`` test for an item whose last step is
@@ -809,9 +809,10 @@ class Evaluator:
         expand = self.expand_step
         for step in steps:
             next_frontier: list = []
-            extend = next_frontier.extend
+            append = next_frontier.append
             for binding, env in frontier:
-                extend(expand(binding, step, env))
+                for pair in expand(binding, step, env):
+                    append(pair)
             frontier = next_frontier
         if keep is not None:
             label, value = path.steps[-1].label, self.view.value

@@ -9,7 +9,7 @@ instead:
 
 * ``PathExpand`` advances an entire batch through its path with a
   frontier traversal (:meth:`repro.lorel.eval.Evaluator.
-  bind_from_item_batch`) -- one list extend per expansion, no generator
+  bind_from_item_batch`) -- one list append per match, no generator
   frames -- testing a fused ``where`` (:func:`compile_node_test`) on the
   nodes its last hop reaches;
 * ``Predicate`` evaluates **vectorized** over the batch: the condition is
@@ -223,34 +223,28 @@ def plain_reader(labels: tuple[str, ...], view):
 
     Plain steps as ``Evaluator._step_matches`` takes them: no children
     below an atom, and an ``<at T>`` context governs the first hop only
-    (a zero-step read: the value as of then).  The last current-time hop
-    is one :meth:`~repro.lorel.views.DataView.child_values` call for all
-    the nodes: a read of the backend's own maps.
+    (a zero-step read: the value as of then).  A one-hop current-time
+    read is one :meth:`~repro.lorel.views.DataView.child_values` call for
+    all the nodes: a read of the backend's own maps.
     """
     value, children = view.value, view.children
 
-    def hop(owners, nodes, label, at=None):
-        reached = [(owner, child) for owner, node in zip(owners, nodes)
-                   if value(node) is COMPLEX
-                   for child in (children(node, label) if at is None
-                                 else view.children_at(node, label, at))]
-        return [owner for owner, _ in reached], [child for _, child in reached]
+    def walk(node, at):
+        nodes = (node,)
+        for label in labels:
+            nodes = [child for node in nodes if value(node) is COMPLEX
+                     for child in (children(node, label) if at is None
+                                   else view.children_at(node, label, at))]
+            at = None
+        if at is not None:
+            return [view.value_at(node, at) for node in nodes]
+        return [value(node) for node in nodes]
 
     def read(nodes, at=None):
-        owners, rest = range(len(nodes)), labels
-        if at is not None and rest:
-            owners, nodes = hop(owners, nodes, rest[0], at)
-            rest, at = rest[1:], None
-        if not rest:
-            return [(owner, value(node) if at is None
-                     else view.value_at(node, at))
-                    for owner, node in zip(owners, nodes)]
-        for label in rest[:-1]:
-            owners, nodes = hop(owners, nodes, label)
-        found = view.child_values(nodes, rest[-1])
-        if isinstance(owners, range):
-            return found
-        return [(owners[index], one) for index, one in found]
+        if at is None and len(labels) == 1:
+            return view.child_values(nodes, labels[0])
+        return [(position, one) for position, node in enumerate(nodes)
+                for one in walk(node, at)]
     return read
 
 
