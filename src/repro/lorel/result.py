@@ -82,9 +82,18 @@ class QueryResult:
 
     def __init__(self, rows: Sequence[Row] = ()) -> None:
         self.rows: list[Row] = []
-        self._seen: set[tuple] = set()
+        self._seen: set[tuple] | None = set()
         for row in rows:
             self.add(row)
+
+    @classmethod
+    def of_distinct(cls, rows: list[Row]) -> "QueryResult":
+        """A result over ``rows`` as they are, which the caller knows to
+        be pairwise distinct: none is hashed until a later :meth:`add`."""
+        result = cls.__new__(cls)
+        result.rows = rows
+        result._seen = None
+        return result
 
     def add(self, row: Row) -> None:
         """Append ``row`` unless an identical row is already present.
@@ -92,6 +101,8 @@ class QueryResult:
         Lorel results have set semantics; duplicates arise naturally from
         multiple derivations of the same binding.
         """
+        if self._seen is None:
+            self._seen = {present.items for present in self.rows}
         key = row.items
         if key not in self._seen:
             self._seen.add(key)

@@ -40,12 +40,11 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterator, Optional
 
-from ..lorel.ast import PathExpr
 from ..lorel.eval import NodeBinding
 from ..lorel.result import ObjectRef, QueryResult, Row
 from ..obs.events import emit_event
 from ..obs.trace import span
-from ..timestamps import Timestamp, order_tick
+from ..timestamps import POS_INF, order_tick
 from .analyze import StageRecorder
 from .batch import (
     DEFAULT_BATCH_SIZE,
@@ -384,7 +383,8 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
 # the newest event per subject before verifying.  Only the kept events
 # are put in the global order: time, then kind (cre, upd, add, rem),
 # then subject.  A single-time annotation is the one-kind case, its
-# interval usually pinned to `[t, t]`.
+# interval usually pinned to `[t, t]`.  Each row is built once; only a
+# plan whose rows are not distinct by construction deduplicates them.
 
 _KIND_RANK = {"cre": 0, "upd": 1, "add": 2, "rem": 3}
 
@@ -410,20 +410,21 @@ def execute_range_plan(plan: RangePlan, ctx: ExecutionContext,
     if scan_op is not None:
         scan_op.rows_out = len(events)
         scan_op.wall_seconds += perf_counter() - started
-    result = QueryResult()
+    slots = plan.row_slots()
     if versions:
-        _version_join(plan, _ordered(events), ctx, result, op)
+        columns = _version_join(plan, _ordered(events), ctx, op)
     else:
         if plan.last_only:
             events = _newest_per_subject(events)
         if op is not None:
             op.rows_in += len(events)
-        for _, rank, subject, when in _ordered(_on_path(plan, events, ctx)):
-            pair = ctx.doem.upd_pair(subject, when) if rank == 1 else None
-            if rank != 1 or pair is not None:
-                # An arc event's object is the arc's target.
-                node = subject.target if rank >= 2 else subject
-                result.add(_build_row(plan, when, node, pair))
+        columns = _event_columns(plan, events, slots, ctx)
+    # The one row builder: a row holds its select list's slots, read
+    # column-wise from the (object, time, old, new) columns.
+    rows = list(map(Row, zip(*[[(label, value) for value in columns[slot]]
+                               for label, slot in slots])))
+    result = QueryResult.of_distinct(rows) if plan.distinct_rows \
+        else QueryResult(rows)
     if op is not None:
         op.wall_seconds += perf_counter() - started
         op.rows_out = len(result)
@@ -486,58 +487,62 @@ def _ordered(events: list) -> list:
                   for when, rank, subject in events)
 
 
+def _event_columns(plan: RangePlan, events: list, slots,
+                   ctx: ExecutionContext) -> tuple[list, ...]:
+    """The kept events' ``(object, time, old, new)`` row columns, in the
+    global order.  An ``upd`` reads its old/new pair only when the select
+    list names it; otherwise the index entry is its own witness."""
+    objects: list = []
+    times: list = []
+    olds: list = []
+    news: list = []
+    upd_pair = ctx.doem.upd_pair if any(slot >= 2 for _, slot in slots) \
+        else None
+    for _, rank, subject, when in _ordered(_on_path(plan, events, ctx)):
+        if upd_pair is not None:  # only <upd> names them: an upd event
+            pair = upd_pair(subject, when)
+            if pair is None:
+                continue
+            olds.append(pair[0])
+            news.append(pair[1])
+        # An arc event's object is the arc's target.
+        objects.append(ObjectRef(subject.target if rank >= 2 else subject))
+        times.append(when)
+    return objects, times, olds, news
+
+
 def _version_join(plan: RangePlan, events: list, ctx: ExecutionContext,
-                  result: QueryResult, op) -> None:
+                  op) -> tuple[list, ...]:
     """Enumerate versions of the live path's nodes over the range.
 
     Mirrors the evaluator's ``<at [a..b]>`` semantics: every node on the
     live label path contributes one anchor version at the range's lower
-    bound when it already existed there (no creation, or created at or
-    before the bound), plus one version per in-range ``cre``/``upd``
-    event.  The bound time context rides on the :class:`ObjectRef`, so
-    value reads happen "as of" each version.
+    bound when it already existed there (it has no ``cre`` after the
+    bound: one index scan per query), plus one version per in-range
+    ``cre``/``upd`` event.  The bound time context rides on the
+    :class:`ObjectRef`, so value reads happen "as of" each version.
+    Returns the ``(object, time)`` row columns, node by node.
     """
-    view = getattr(ctx.evaluator, "view", None)
-    times_by_node: dict[str, list] = {}
+    on_path = ctx.paths.nodes(plan.labels)
+    if op is not None:
+        op.rows_in += len(on_path)
+    versions: dict[str, list] = {node: [] for node in sorted(on_path)}
+    if plan.low.is_finite:
+        low = plan.low
+        created_after = {node for _, node in ctx.index.between(
+            "cre", low, POS_INF, include_low=False)}
+        for node, bucket in versions.items():
+            if node not in created_after:
+                bucket.append(low)
     for _, _rank, subject, when in events:
-        bucket = times_by_node.setdefault(subject, [])
-        if bucket and bucket[-1] == when:
-            continue  # cre and upd at the same instant are one version
-        bucket.append(when)
-    low = plan.low if plan.low.is_finite else None
-    for node in sorted(ctx.paths.nodes(plan.labels)):
-        if op is not None:
-            op.rows_in += 1
-        times: list = []
-        if low is not None:
-            creations = list(view.cre_fun(node)) if view is not None else []
-            if not creations or min(creations) <= low:
-                times.append(low)
-        for when in times_by_node.get(node, ()):
-            if times and when == times[-1]:
-                continue  # the anchor coincides with the first event
-            times.append(when)
-        for when in times:
-            result.add(_build_row(plan, when, node, None, at=when))
-
-
-def _build_row(plan: RangePlan, when: Timestamp, node: str, upd_values,
-               at: Timestamp | None = None) -> Row:
-    items: list[tuple[str, object]] = []
-    for item in plan.select:
-        expr = item.expr
-        if isinstance(expr, PathExpr) and expr.steps:
-            label = item.label or plan.object_label
-            items.append((label, ObjectRef(node, at)))
-            continue
-        name = expr.start if isinstance(expr, PathExpr) else expr.name
-        if name == plan.object_var:
-            items.append((item.label or plan.object_label,
-                          ObjectRef(node, at)))
-        elif name == plan.at_var:
-            items.append((item.label or plan.time_label, when))
-        elif name == plan.from_var:
-            items.append((item.label or "old-value", upd_values[0]))
-        elif name == plan.to_var:
-            items.append((item.label or "new-value", upd_values[1]))
-    return Row(tuple(items))
+        bucket = versions.get(subject)
+        # cre and upd at one instant, or an event at the anchor, are
+        # one version.
+        if bucket is not None and not (bucket and bucket[-1] == when):
+            bucket.append(when)
+    nodes: list = []
+    times: list = []
+    for node, bucket in versions.items():
+        nodes += [node] * len(bucket)
+        times += bucket
+    return list(map(ObjectRef, nodes, times)), times

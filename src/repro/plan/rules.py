@@ -306,22 +306,6 @@ def _chain_labels_annotation(items, ctx):
     return tuple(labels), annotation, on_arc
 
 
-def _select_supported(plan: RangePlan) -> bool:
-    """Only the subject object and annotation variables may be selected."""
-    allowed = {plan.at_var, plan.from_var, plan.to_var} - {None}
-    for item in plan.select:
-        expr = item.expr
-        if isinstance(expr, PathExpr) and expr.steps:
-            continue  # the hoisted subject path itself (raw-query plans)
-        if isinstance(expr, PathExpr):
-            expr = VarRef(expr.start)
-        if isinstance(expr, VarRef) and (
-                expr.name in allowed or expr.name == plan.object_var):
-            continue
-        return False
-    return True
-
-
 def _conjuncts(condition) -> list:
     """The top-level ``and`` conjuncts of a condition, in order."""
     if isinstance(condition, And):
@@ -477,7 +461,10 @@ class IndexSelection(RewriteRule):
 
     Requires an attached annotation index, no trigger pre-bindings, and
     a select list the row builder supports; every other shape keeps the
-    general evaluator, which serves every annotation form directly.
+    general evaluator, which serves every annotation form directly.  The
+    rule also decides whether the rows are distinct by construction
+    (``RangePlan.distinct_rows``): a version join, or a node-kind
+    ``<last-change>``, whose select list holds the subject.
     """
 
     name = "index-selection"
@@ -529,8 +516,13 @@ class IndexSelection(RewriteRule):
         if condition is not None and \
                 not fold_interval(condition, plan, ctx.polling_times):
             return root, False
-        if not _select_supported(plan):
+        slots = plan.row_slots()
+        if slots is None:
             return root, False
+        # One row per (node, version), or per node for node-kind
+        # <last-change>: rows carrying the subject cannot repeat.
+        plan.distinct_rows = any(slot == 0 for _, slot in slots) and (
+            versions or (plan.last_only and kinds[0] == "cre"))
         scan = TimeRangeScan(plan)
         terminal = VersionJoin(plan, scan) if versions \
             else DeltaProject(plan, scan)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..lorel.ast import SelectItem
+from ..lorel.ast import PathExpr, SelectItem, VarRef
 from ..obs.metrics import CounterField, registry as metrics_registry
 from ..timestamps import NEG_INF, POS_INF, Timestamp
 
@@ -54,6 +54,32 @@ class RangePlan:
     select: tuple[SelectItem, ...] = ()
     object_label: str = "answer"
     time_label: str = "change-time"
+    distinct_rows: bool = False
+
+    def row_slots(self) -> tuple[tuple[str, int], ...] | None:
+        """The select list as ``(label, slot)`` pairs, or ``None`` when
+        it names anything but the subject and the annotation variables.
+
+        A kernel row's values sit in four slots: 0 the subject object,
+        1 the event time, 2 and 3 an ``upd``'s old and new value.
+        """
+        names = [self.object_var, self.at_var, self.from_var, self.to_var]
+        labels = [self.object_label, self.time_label, "old-value", "new-value"]
+        slots = []
+        for item in self.select:
+            expr = item.expr
+            if isinstance(expr, PathExpr):
+                # A path with steps is the hoisted subject path itself.
+                name = self.object_var if expr.steps else expr.start
+            elif isinstance(expr, VarRef):
+                name = expr.name
+            else:
+                return None
+            if name not in names:
+                return None
+            slot = names.index(name)
+            slots.append((item.label or labels[slot], slot))
+        return tuple(slots)
 
     def interval(self) -> str:
         """The scanned interval; brackets mark the closed bounds."""

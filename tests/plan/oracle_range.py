@@ -8,18 +8,22 @@ from ``Timestamp._order_key()``, and -- for ``<last-change>`` -- keeps the
 newest per subject and sorts again.  It then verifies each survivor on
 its own: one ``PathIndex`` lookup per event, ``arc_live_at`` over the
 copied annotation tuple for every final-label in-arc, and the ``upd``
-pair found by building all of the node's ``upd_triples``.  The row
-builder and the version join are the production ones fed the globally
-ordered events; only the selection and the order are under test.  Do not
-optimise this file.
+pair found by building all of the node's ``upd_triples`` -- for every
+``upd`` event, whether or not the select list names the pair.  The row
+builder and the version join are the production ones the kernel ran
+before it resolved its select list once per execution and read the
+version anchor from the index: ``_build_row`` interprets the select list
+per row, ``_version_join`` reads each live node's ``cre`` times, and
+every row goes through ``QueryResult.add``.  Do not optimise this file.
 """
 
 from __future__ import annotations
 
-from repro.lorel.result import QueryResult
+from repro.lorel.ast import PathExpr
+from repro.lorel.result import ObjectRef, QueryResult, Row
 from repro.plan.ir import VersionJoin
-from repro.plan.physical import _build_row, _version_join
-from repro.timestamps import POS_INF, order_tick
+from repro.plan.stats import RangePlan
+from repro.timestamps import POS_INF, Timestamp, order_tick
 
 __all__ = ["range_rows"]
 
@@ -35,7 +39,7 @@ def range_rows(engine, query) -> QueryResult:
     events = _range_events(plan, ctx)
     result = QueryResult()
     if isinstance(compiled.root, VersionJoin):
-        # The production join reads (tick, rank, subject, when) events.
+        # The join reads (tick, rank, subject, when) events.
         _version_join(plan, [(order_tick(when), _KIND_RANK[kind], subject,
                               when) for when, kind, subject in events],
                       ctx, result, None)
@@ -116,3 +120,60 @@ def _upd_triple_at(node, when, ctx):
         if at == when:
             return (old, new)
     return None
+
+
+def _version_join(plan: RangePlan, events: list, ctx,
+                  result: QueryResult, op) -> None:
+    """Enumerate versions of the live path's nodes over the range.
+
+    Mirrors the evaluator's ``<at [a..b]>`` semantics: every node on the
+    live label path contributes one anchor version at the range's lower
+    bound when it already existed there (no creation, or created at or
+    before the bound), plus one version per in-range ``cre``/``upd``
+    event.  The bound time context rides on the :class:`ObjectRef`, so
+    value reads happen "as of" each version.
+    """
+    view = getattr(ctx.evaluator, "view", None)
+    times_by_node: dict[str, list] = {}
+    for _, _rank, subject, when in events:
+        bucket = times_by_node.setdefault(subject, [])
+        if bucket and bucket[-1] == when:
+            continue  # cre and upd at the same instant are one version
+        bucket.append(when)
+    low = plan.low if plan.low.is_finite else None
+    for node in sorted(ctx.paths.nodes(plan.labels)):
+        if op is not None:
+            op.rows_in += 1
+        times: list = []
+        if low is not None:
+            creations = list(view.cre_fun(node)) if view is not None else []
+            if not creations or min(creations) <= low:
+                times.append(low)
+        for when in times_by_node.get(node, ()):
+            if times and when == times[-1]:
+                continue  # the anchor coincides with the first event
+            times.append(when)
+        for when in times:
+            result.add(_build_row(plan, when, node, None, at=when))
+
+
+def _build_row(plan: RangePlan, when: Timestamp, node: str, upd_values,
+               at: Timestamp | None = None) -> Row:
+    items: list[tuple[str, object]] = []
+    for item in plan.select:
+        expr = item.expr
+        if isinstance(expr, PathExpr) and expr.steps:
+            label = item.label or plan.object_label
+            items.append((label, ObjectRef(node, at)))
+            continue
+        name = expr.start if isinstance(expr, PathExpr) else expr.name
+        if name == plan.object_var:
+            items.append((item.label or plan.object_label,
+                          ObjectRef(node, at)))
+        elif name == plan.at_var:
+            items.append((item.label or plan.time_label, when))
+        elif name == plan.from_var:
+            items.append((item.label or "old-value", upd_values[0]))
+        elif name == plan.to_var:
+            items.append((item.label or "new-value", upd_values[1]))
+    return Row(tuple(items))

@@ -6,7 +6,10 @@ one 31-day ``<changed ... in [a..b]>`` execution each make at most two
 per-event verifier makes one per candidate event), and build no
 ``upd_triples`` list and no ``arc_annotations`` tuple: an event is checked
 by one set membership and a direct liveness read, and an ``upd`` reads its
-old/new pair from the node's annotation list.
+old/new pair from the node's annotation list -- only when the select list
+names it.  A bench-shaped 10-day version query reads no node's ``cre``
+times (the anchor is one index scan) and hashes no ``Timestamp``: its
+rows are distinct by construction, so no dedup set is built.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from repro import IndexedChorelEngine, build_doem
 from repro.doem.model import DOEMDatabase
 from repro.lore.indexes import PathIndex
 from repro.sources import large_database, large_history
+from repro.timestamps import Timestamp
 
 COUNTED = ((PathIndex, "nodes"), (DOEMDatabase, "upd_triples"),
-           (DOEMDatabase, "arc_annotations"))
+           (DOEMDatabase, "arc_annotations"), (DOEMDatabase, "cre_times"),
+           (DOEMDatabase, "upd_pair"), (Timestamp, "__hash__"))
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +65,25 @@ def test_range_execution_costs_its_answer(engine, text, monkeypatch):
     assert calls["nodes"] <= 2, calls
     assert calls["upd_triples"] == 0, calls
     assert calls["arc_annotations"] == 0, calls
+
+
+def test_version_query_reads_no_cre_and_hashes_no_timestamp(engine,
+                                                            monkeypatch):
+    text = "select X, T from root.item.price<at T in [20Jan97..29Jan97]> X"
+    rows, calls = counted_run(engine, text, monkeypatch)
+    assert rows > 500, rows
+    assert calls["nodes"] <= 2, calls
+    assert calls["cre_times"] == 0, calls
+    assert calls["__hash__"] == 0, calls
+
+
+def test_upd_pair_is_read_only_when_selected(engine, monkeypatch):
+    _, calls = counted_run(
+        engine, "select X, T from root.item.price<last-change at T> X",
+        monkeypatch)
+    assert calls["upd_pair"] == 0, calls
+    rows, calls = counted_run(
+        engine, "select X, T, OV, NV from root.item.price"
+        "<upd at T from OV to NV> X where T > 20Jan97", monkeypatch)
+    assert rows > 500, rows
+    assert calls["upd_pair"] == rows, calls  # one per kept event

@@ -7,7 +7,11 @@ per-event verifier it replaced.  Every ``RangePlan`` shape index selection
 builds must give the same rows *in the same order* from both: over
 ``make_world`` seeds, over one bench-scale world, and after change sets
 are folded into a live DOEM (the path index then drops only some of its
-memo, and the QSS filter reads the new tick).
+memo, and the QSS filter reads the new tick).  The kernel skips the
+dedup set when index selection marks the rows distinct by construction
+(``RangePlan.distinct_rows``); the select lists without the subject and
+the hand-built worlds below are the shapes where that decision could
+drop or keep a row the oracle does not.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from repro import IndexedChorelEngine, build_doem, parse_timestamp
 from repro.doem.annotations import Add, Cre, Rem, Upd
 from repro.doem.build import apply_change_set
 from repro.doem.model import DOEMDatabase
-from repro.oem.history import OEMHistory
+from repro.oem.changes import AddArc, CreNode, UpdNode
+from repro.oem.history import ChangeSet, OEMHistory
 from repro.oem.model import OEMDatabase
 from repro.oem.values import COMPLEX
 from repro.sources import large_database, large_history
@@ -56,6 +61,20 @@ TEMPLATES = {
     "last-change arc in": "select X, T from root.{ap}."
                           "<last-change at T in [{m}..{b}]>{al} X",
     "versions": "select X, T from root.{np}.{nl}<at T in [{a}..{b}]> X",
+    # Select lists that decide whether rows are distinct by construction:
+    # without the subject, rows repeat and must be deduplicated.
+    "versions T": "select T from root.{np}.{nl}<at T in [{a}..{b}]>",
+    "versions X": "select X from root.{np}.{nl}<at T in [{a}..{b}]> X",
+    "versions T, X": "select T, X from root.{np}.{nl}<at T in [{a}..{b}]> X",
+    "versions from middle": "select X, T from root.{np}.{nl}"
+                            "<at T in [{m}..{b}]> X",
+    "versions no low": "select X, T from root.{np}.{nl}<at T in [..{m}]> X",
+    "last-change T": "select T from root.{np}.{nl}<last-change at T>",
+    "last-change X": "select X from root.{np}.{nl}<last-change at T> X",
+    "last-change T, X": "select T, X from root.{np}.{nl}<last-change at T> X",
+    "last-change arc X": "select X from root.{ap}.<last-change at T>{al} X",
+    "upd X from/to": "select X, T, OV, NV from root.{np}.{nl}"
+                     "<upd at T from OV to NV> X where T > {a}",
 }
 BENCH_LABELS = {"np": "item", "nl": "price", "ap": "item", "al": "link",
                 "rl": "item"}
@@ -177,3 +196,64 @@ def test_last_change_keeps_the_newest_event_of_either_kind():
         assert check(engine, text) == 1, text
         assert engine.run(text).first()["last-change-time"] == \
             parse_timestamp(newest), text
+
+
+def edge_world():
+    """Three prices: ``p0`` in the origin, ``p1`` created at 3Jan97 (the
+    low bound below), ``p2`` created after it; and one node ``t`` that
+    two items link in one change set."""
+    db = OEMDatabase(root="root")
+    for item in ("a", "b"):
+        db.create_node(item, COMPLEX)
+        db.add_arc("root", "item", item)
+    db.create_node("p0", 1)
+    db.add_arc("a", "price", "p0")
+    history = OEMHistory()
+    for when, ops in (
+            ("1Jan97", [UpdNode("p0", 2)]),
+            ("3Jan97", [CreNode("p1", 10), AddArc("a", "price", "p1"),
+                        UpdNode("p0", 3)]),
+            ("5Jan97", [CreNode("p2", 20), AddArc("b", "price", "p2"),
+                        CreNode("t", 7), AddArc("a", "link", "t"),
+                        AddArc("b", "link", "t")]),
+            ("7Jan97", [UpdNode("p1", 11)])):
+        history.append(parse_timestamp(when), ChangeSet(ops))
+    return IndexedChorelEngine(build_doem(db, history), name="root")
+
+
+def versions_of(engine, text) -> list[tuple[str, str]]:
+    return [(str(row["price"]), str(row["at-time"])) for row in
+            engine.run(text)]
+
+
+@pytest.mark.parametrize("interval, expected", [
+    # p0 existed at the bound (its upd there is the same version), p1
+    # was created exactly at it, p2 after it.
+    ("[3Jan97..7Jan97]", [("&p0", "3Jan97"), ("&p1", "3Jan97"),
+                          ("&p1", "7Jan97"), ("&p2", "5Jan97")]),
+    # No low bound: no anchor, one version per event.
+    ("[..7Jan97]", [("&p0", "1Jan97"), ("&p0", "3Jan97"),
+                    ("&p1", "3Jan97"), ("&p1", "7Jan97"),
+                    ("&p2", "5Jan97")]),
+])
+def test_version_anchor_at_and_after_the_low_bound(interval, expected):
+    engine = edge_world()
+    text = f"select X, T from root.item.price<at T {interval}> X"
+    assert check(engine, text) == len(expected)
+    assert engine.last_plan.distinct_rows
+    assert versions_of(engine, text) == expected
+    # Without the subject the versions' times repeat and are deduplicated
+    # in first-seen order.
+    text = f"select T from root.item.price<at T {interval}>"
+    assert not engine.compile(text).index_plan.distinct_rows
+    assert check(engine, text) == len(dict.fromkeys(t for _, t in expected))
+
+
+def test_arc_last_change_of_two_sources_linking_one_target():
+    """``a -link-> t`` and ``b -link-> t`` are two subjects with one row."""
+    engine = edge_world()
+    for text in ("select X, T from root.item.<last-change at T>link X",
+                 "select X from root.item.<last-change at T>link X"):
+        assert not engine.compile(text).index_plan.distinct_rows, text
+        assert check(engine, text) == 1, text
+        assert engine.run(text).objects() == ["t"], text
