@@ -36,12 +36,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..oem.model import OEMDatabase
+from ..oem.model import OEMDatabase, node_signatures
 from ..oem.values import COMPLEX
 
 __all__ = ["Matching", "match_snapshots", "node_signatures"]
-
-_REFINEMENT_ROUNDS = 8
 
 # The least score at which two unmatched siblings are paired.
 _MATCH_THRESHOLD = 0.3
@@ -51,34 +49,6 @@ _MATCH_THRESHOLD = 0.3
 # children: the value part (<= 0.5) plus the label Jaccard part (<= 0.1),
 # the 0.4 structural/textual part being exactly zero.
 _UNINDEXED_BOUND = 0.5 + 0.1
-
-
-def node_signatures(db: OEMDatabase,
-                    rounds: int = _REFINEMENT_ROUNDS) -> dict[str, int]:
-    """Iterated structural hashes for every node of ``db``.
-
-    Atomic nodes hash their value; complex nodes hash the multiset of
-    ``(label, child signature)`` pairs.  ``rounds`` bounds the refinement
-    so cyclic graphs terminate; two nodes with equal signatures are
-    structurally indistinguishable to depth ``rounds``.
-    """
-    complex_seed = hash("complex")
-    sig = {node: complex_seed if value is COMPLEX else hash(("atom", value))
-           for node, value in db._values.items()}
-    # Atoms never change after the seed round; only complex nodes are
-    # rehashed, straight off the adjacency map (no Arc per child).
-    complex_nodes = [(node, by_label) for node, by_label in db._out.items()
-                     if db._values[node] is COMPLEX]
-    for _ in range(rounds):
-        updated = {
-            node: hash((tuple(sorted([(label, sig[target])
-                                      for label, targets in by_label.items()
-                                      for target in targets])),))
-            for node, by_label in complex_nodes}
-        if all(sig[node] == value for node, value in updated.items()):
-            break
-        sig.update(updated)
-    return sig
 
 
 @dataclass

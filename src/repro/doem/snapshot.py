@@ -28,7 +28,6 @@ import weakref
 from collections import OrderedDict
 
 from ..errors import DOEMError
-from ..obs.events import emit_event
 from ..obs.metrics import CounterField, registry as metrics_registry
 from ..obs.trace import span
 from ..oem.model import OEMDatabase
@@ -268,11 +267,8 @@ class SnapshotCache:
         self._checkpoints[when] = snapshot
         self._checkpoints.move_to_end(when)
         while len(self._checkpoints) > self.capacity:
-            evicted, _ = self._checkpoints.popitem(last=False)
+            self._checkpoints.popitem(last=False)
             self.stats.evictions += 1
-            emit_event("cache_eviction", level="info",
-                       cache="snapshot", checkpoint=str(evicted),
-                       capacity=self.capacity)
 
     def snapshot_at(self, when: object) -> OEMDatabase:
         """``Ot(D)`` via the cache; equal to :func:`snapshot_at`'s answer."""

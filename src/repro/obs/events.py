@@ -1,23 +1,20 @@
-"""A leveled, sampled, rotating JSONL event log.
+"""A leveled, rotating JSONL event log.
 
 The third leg of ``repro.obs``: spans answer *where time went*, metrics
 answer *how much of everything happened*, and the event log answers
 *what happened, in order* -- one JSON object per line, cheap enough to
 leave enabled in production, structured enough to grep, join, and load
-into a dataframe.  Event types currently emitted:
+into a dataframe.  It is the program's only file sink, and an event
+records a fact no counter holds.  Event types currently emitted:
 
 ========================  =======  ==============================================
 type                      level    emitted by
 ========================  =======  ==============================================
-``query_compiled``        info     :func:`repro.plan.compiler.compile_query`
 ``query_completed``       info     :class:`repro.obs.querylog.QueryLog` (one per
-                                   executed query: fingerprint, rows, wall
-                                   seconds, engine)
-``rule_fired``            debug    :class:`repro.plan.rules.PassManager`
-``shard_dispatched``      debug    the ``Exchange`` operator
+                                   executed query: every field of its
+                                   :class:`~repro.obs.querylog.QueryRecord`)
 ``poll_timeout``          warning  :class:`repro.qss.server.QSSServer`
 ``slow_poll``             warning  :class:`repro.qss.server.QSSServer`
-``cache_eviction``        info     :class:`repro.doem.snapshot.SnapshotCache`
 ``checkpoint_written``    info     :class:`repro.store.HistoryLog` (one per
                                    materialized snapshot checkpoint)
 ``store_recovered``       warning  :class:`repro.store.HistoryLog` (torn tail
@@ -32,14 +29,11 @@ PATH ...``), or via the environment::
 
     REPRO_EVENTS=/var/log/repro/events.jsonl   # path ("-" = stderr)
     REPRO_EVENTS_LEVEL=debug                   # min level (default info)
-    REPRO_EVENTS_SAMPLE=rule_fired=10,shard_dispatched=25
     REPRO_EVENTS_MAX_BYTES=8388608             # rotation threshold
 
 **Rotation** is size-based: when the sink file exceeds ``max_bytes``
 after a write, it rotates through ``path.1 .. path.<backups>`` (oldest
-dropped).  **Sampling** is deterministic and per event type: ``N`` keeps
-every N-th event of that type (``0`` drops the type entirely), so two
-runs of the same workload log the same lines.
+dropped).
 
 A forked child process inherits the configured sink; each line is
 written in one append-mode ``write`` call, so concurrent lines
@@ -69,39 +63,21 @@ DEFAULT_BACKUPS = 3
 
 ENV_PATH = "REPRO_EVENTS"
 ENV_LEVEL = "REPRO_EVENTS_LEVEL"
-ENV_SAMPLE = "REPRO_EVENTS_SAMPLE"
 ENV_MAX_BYTES = "REPRO_EVENTS_MAX_BYTES"
 
 
-def _parse_sample_spec(spec: str) -> dict[str, int]:
-    """``"rule_fired=10,shard_dispatched=0"`` -> ``{type: keep_1_in_n}``."""
-    sample: dict[str, int] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"bad sample spec {part!r} (want type=N)")
-        event_type, _, rate = part.partition("=")
-        sample[event_type.strip()] = int(rate)
-    return sample
-
-
 class EventLog:
-    """One JSONL sink: level floor, per-type sampling, size rotation.
+    """One JSONL sink: level floor, size rotation.
 
     ``path`` may be a filesystem path or ``"-"`` for stderr (no
-    rotation).  ``sample`` maps event types to keep-1-in-N rates; types
-    not listed are always kept, rate ``0`` drops the type.  All methods
-    are thread-safe; dropped and written events are counted in the
-    ``repro.events`` metrics family so the sink's own behaviour is
-    observable.
+    rotation).  All methods are thread-safe; dropped and written events
+    are counted in the ``repro.events`` metrics family so the sink's own
+    behaviour is observable.
     """
 
     def __init__(self, path, *, level: str = "info",
                  max_bytes: int = DEFAULT_MAX_BYTES,
-                 backups: int = DEFAULT_BACKUPS,
-                 sample: dict[str, int] | None = None) -> None:
+                 backups: int = DEFAULT_BACKUPS) -> None:
         if level not in EVENT_LEVELS:
             raise ValueError(f"unknown event level {level!r} "
                              f"(one of {sorted(EVENT_LEVELS)})")
@@ -114,17 +90,13 @@ class EventLog:
         self.min_level = EVENT_LEVELS[level]
         self.max_bytes = max_bytes
         self.backups = backups
-        self.sample = dict(sample or {})
-        self._seen: dict[str, int] = {}
         self._lock = threading.Lock()
         self._owner_pid = os.getpid()
         self._metrics = metrics_registry().group(
-            "repro.events", ("written", "sampled_out", "level_filtered",
-                             "rotations"))
+            "repro.events", ("written", "level_filtered", "rotations"))
         # The emit hot path touches these counters once per call; bind
         # them here so it skips the group's dict lookup each time.
         self._written = self._metrics["written"]
-        self._sampled_out = self._metrics["sampled_out"]
         self._level_filtered = self._metrics["level_filtered"]
         if self.path == "-":
             self._stream = sys.stderr
@@ -142,17 +114,13 @@ class EventLog:
         """Write one event line; returns whether it was kept.
 
         Unknown levels raise (an event with a typo'd level is a bug, not
-        data); level-filtered and sampled-out events are counted but not
-        written.
+        data); level-filtered events are counted but not written.
         """
         numeric = EVENT_LEVELS[level]
         if numeric < self.min_level:
             self._level_filtered.inc()
             return False
         with self._lock:
-            if not self._keep(event_type):
-                self._sampled_out.inc()
-                return False
             record = {"ts": round(time.time(), 6), "pid": os.getpid(),
                       "level": level, "type": event_type}
             record.update(fields)
@@ -170,16 +138,6 @@ class EventLog:
             self._written.inc()
             self._maybe_rotate()
         return True
-
-    def _keep(self, event_type: str) -> bool:
-        rate = self.sample.get(event_type)
-        if rate is None:
-            return True
-        if rate <= 0:
-            return False
-        seen = self._seen.get(event_type, 0)
-        self._seen[event_type] = seen + 1
-        return seen % rate == 0
 
     # -- rotation --------------------------------------------------------
 
@@ -238,8 +196,6 @@ def configure_events_from_env(environ=None) -> EventLog | None:
     if not path:
         return None
     kwargs: dict = {"level": env.get(ENV_LEVEL, "info")}
-    if env.get(ENV_SAMPLE):
-        kwargs["sample"] = _parse_sample_spec(env[ENV_SAMPLE])
     if env.get(ENV_MAX_BYTES):
         kwargs["max_bytes"] = int(env[ENV_MAX_BYTES])
     return configure_events(path, **kwargs)

@@ -10,15 +10,18 @@ how often, and how slowly" is answerable without tracing:
 * cumulative **per-fingerprint aggregates** -- count, row totals,
   total/max wall seconds, engines seen, rules fired -- served at
   ``/queries`` on the obs HTTP server and in ``repro top``;
-* optional **JSONL append** (``path=``) for offline analysis;
 * **slow-query capture**: records over the threshold keep the full
   analyzed plan text (when the run was ``analyze=True``; the static
   EXPLAIN tree otherwise), so the evidence for "why was this slow" is
   saved at the moment it happened.
 
+Each record is also emitted as one ``query_completed`` event carrying
+every field of :meth:`QueryRecord.to_dict`: the event log
+(``REPRO_EVENTS`` / ``repro --events``) is the durable per-query stream.
+
 One env var drives every slow-query surface -- ``REPRO_SLOW_QUERY_MS``
 sets both this log's capture threshold and the QSS server's slow-poll
-log (``slow_poll_threshold`` stays as a per-server override).
+threshold.
 
 Attribution: wrap a call site in :func:`query_attribution` and every
 query recorded inside the block carries those fields -- the QSS server
@@ -28,7 +31,6 @@ answer "which subscription issues this fingerprint".
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import OrderedDict, deque
@@ -36,18 +38,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import time
 
-from .events import emit_event
+from .events import emit_event, events_enabled
 from .metrics import registry as metrics_registry
 
-__all__ = ["QueryRecord", "QueryLog", "query_log", "configure_query_log",
-           "query_attribution", "current_attribution",
-           "record_engine_query", "slow_query_threshold_ms",
-           "slow_query_threshold_seconds", "ENV_SLOW_QUERY_MS"]
+__all__ = ["QueryRecord", "QueryLog", "query_log", "query_attribution",
+           "current_attribution", "record_engine_query",
+           "slow_query_threshold_ms", "slow_query_threshold_seconds",
+           "ENV_SLOW_QUERY_MS"]
 
 ENV_SLOW_QUERY_MS = "REPRO_SLOW_QUERY_MS"
 
-DEFAULT_CAPACITY = 256
-DEFAULT_SLOW_CAPACITY = 32
+CAPACITY = 256
+SLOW_CAPACITY = 32
 MAX_AGGREGATES = 512
 
 # Engine class name -> the backend label (``repro explain --backend``).
@@ -75,6 +77,11 @@ def slow_query_threshold_seconds(environ=None) -> float | None:
     """The env threshold in seconds (QSS consumes seconds)."""
     ms = slow_query_threshold_ms(environ)
     return None if ms is None else ms / 1000.0
+
+
+def _is_slow(record: "QueryRecord") -> bool:
+    threshold = slow_query_threshold_seconds()
+    return threshold is not None and record.wall_seconds >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +166,16 @@ class QueryRecord:
 class QueryLog:
     """Ring buffer + per-fingerprint aggregates + slow-query capture.
 
-    ``slow_threshold`` is in **seconds**; when ``None`` the
+    The ring keeps the last :data:`CAPACITY` records and the
+    slow capture the last :data:`SLOW_CAPACITY`.  The
     ``REPRO_SLOW_QUERY_MS`` env var is consulted per record, so an
     operator can turn capture on for a running process's next queries by
     exporting the variable before launch.  All methods are thread-safe.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, *,
-                 path=None, slow_threshold: float | None = None,
-                 slow_capacity: int = DEFAULT_SLOW_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if slow_capacity < 1:
-            raise ValueError("slow_capacity must be >= 1")
-        if slow_threshold is not None and slow_threshold < 0:
-            raise ValueError("slow_threshold must be >= 0")
-        self.capacity = capacity
-        self.path = None if path is None else str(path)
-        self.slow_threshold = slow_threshold
-        self._recent: deque[QueryRecord] = deque(maxlen=capacity)
-        self._slow: deque[dict] = deque(maxlen=slow_capacity)
+    def __init__(self) -> None:
+        self._recent: deque[QueryRecord] = deque(maxlen=CAPACITY)
+        self._slow: deque[dict] = deque(maxlen=SLOW_CAPACITY)
         self._aggregates: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
         self._metrics = metrics_registry().group(
@@ -196,10 +193,7 @@ class QueryLog:
             merged = dict(attribution)
             merged.update(record.attribution)
             record.attribution = merged
-        threshold = self.slow_threshold
-        if threshold is None:
-            threshold = slow_query_threshold_seconds()
-        slow = threshold is not None and record.wall_seconds >= threshold
+        slow = _is_slow(record)
         with self._lock:
             self._recent.append(record)
             agg = self._aggregates.get(record.fingerprint)
@@ -235,22 +229,9 @@ class QueryLog:
         self._metrics["recorded"].inc()
         if slow:
             self._metrics["slow"].inc()
-        if self.path is not None:
-            self._append_jsonl(record)
-        emit_event("query_completed", level="info",
-                   fingerprint=record.fingerprint, rows=record.rows,
-                   wall_seconds=round(record.wall_seconds, 6),
-                   engine=record.engine)
+        if events_enabled():  # the payload is built only for a sink
+            emit_event("query_completed", level="info", **record.to_dict())
         return record
-
-    def _append_jsonl(self, record: QueryRecord) -> None:
-        line = json.dumps(record.to_dict(), default=str,
-                          separators=(",", ":")) + "\n"
-        try:
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(line)
-        except OSError:
-            pass  # the log is advisory; never fail the query over it
 
     # -- reading ---------------------------------------------------------
 
@@ -313,17 +294,6 @@ def query_log() -> QueryLog:
     return _LOG
 
 
-def configure_query_log(capacity: int = DEFAULT_CAPACITY, *,
-                        path=None, slow_threshold: float | None = None,
-                        slow_capacity: int = DEFAULT_SLOW_CAPACITY
-                        ) -> QueryLog:
-    """Replace the process-global log (e.g. to add a JSONL path)."""
-    global _LOG
-    _LOG = QueryLog(capacity, path=path, slow_threshold=slow_threshold,
-                    slow_capacity=slow_capacity)
-    return _LOG
-
-
 def record_engine_query(engine, compiled, result, execute_seconds: float, *,
                         shards: int = 0, plan_stats=None) -> QueryRecord:
     """Build and record the :class:`QueryRecord` for one engine execution.
@@ -352,12 +322,8 @@ def record_engine_query(engine, compiled, result, execute_seconds: float, *,
         analyzed=plan_stats is not None,
     )
     plan_text = None
-    log = query_log()
-    threshold = log.slow_threshold
-    if threshold is None:
-        threshold = slow_query_threshold_seconds()
-    if threshold is not None and record.wall_seconds >= threshold:
+    if _is_slow(record):
         # Render lazily: plan text is only built when it will be kept.
         plan_text = (plan_stats.render() if plan_stats is not None
                      else compiled.explain())
-    return log.record(record, plan_text=plan_text)
+    return query_log().record(record, plan_text=plan_text)

@@ -27,7 +27,7 @@ from ..errors import (
 )
 from .values import COMPLEX, Value, check_value, value_repr
 
-__all__ = ["Arc", "OEMDatabase", "stranded"]
+__all__ = ["Arc", "OEMDatabase", "node_signatures", "stranded"]
 
 # stranded() gives up once the suspects' closure passes 1/FULL_WALK_SHARE
 # of the graph, and its caller walks the graph from the root instead.  On
@@ -36,6 +36,8 @@ __all__ = ["Arc", "OEMDatabase", "stranded"]
 # on anything built node by node): break-even near 30 %, and giving up at a
 # quarter wastes at most 0.5 ms.
 FULL_WALK_SHARE = 4
+
+_REFINEMENT_ROUNDS = 8
 
 
 class Arc(NamedTuple):
@@ -485,7 +487,7 @@ class OEMDatabase:
 
         Two databases are isomorphic when a bijection on nodes maps root to
         root, preserves values, and preserves labeled arcs both ways.  The
-        check runs a bisimulation-style partition refinement and then a
+        check blocks nodes by :func:`node_signatures` and then runs a
         backtracking match within blocks; it is intended for test-sized
         graphs (the diff tests compare snapshots this way).
         """
@@ -564,28 +566,40 @@ def stranded(suspects: Iterable[str], root: str, children, parents,
     return closure - alive
 
 
-def _signature_refinement(db: OEMDatabase, rounds: int = 6) -> dict[str, int]:
-    """Assign each node a structural signature via iterated neighborhood hashing."""
-    sig = {node: hash((db.value(node) is COMPLEX, db.value(node)
-                       if db.value(node) is not COMPLEX else None))
-           for node in db.nodes()}
+def node_signatures(db: OEMDatabase,
+                    rounds: int = _REFINEMENT_ROUNDS) -> dict[str, int]:
+    """Iterated structural hashes for every node of ``db``.
+
+    Atomic nodes hash their value; complex nodes hash the multiset of
+    ``(label, child signature)`` pairs.  ``rounds`` bounds the refinement
+    so cyclic graphs terminate; two nodes with equal signatures are
+    structurally indistinguishable to depth ``rounds``.  The differ's
+    matcher and :meth:`OEMDatabase.isomorphic_to` both start from it.
+    """
+    complex_seed = hash("complex")
+    sig = {node: complex_seed if value is COMPLEX else hash(("atom", value))
+           for node, value in db._values.items()}
+    # Atoms never change after the seed round; only complex nodes are
+    # rehashed, straight off the adjacency map (no Arc per child).
+    complex_nodes = [(node, by_label) for node, by_label in db._out.items()
+                     if db._values[node] is COMPLEX]
     for _ in range(rounds):
-        new_sig = {}
-        for node in db.nodes():
-            out_part = tuple(sorted((arc.label, sig[arc.target])
-                                    for arc in db.out_arcs(node)))
-            in_part = tuple(sorted((arc.label, sig[arc.source])
-                                   for arc in db.in_arcs(node)))
-            new_sig[node] = hash((sig[node], out_part, in_part))
-        sig = new_sig
+        updated = {
+            node: hash((tuple(sorted([(label, sig[target])
+                                      for label, targets in by_label.items()
+                                      for target in targets])),))
+            for node, by_label in complex_nodes}
+        if all(sig[node] == value for node, value in updated.items()):
+            break
+        sig.update(updated)
     return sig
 
 
 def _find_isomorphism(left: OEMDatabase,
                       right: OEMDatabase) -> dict[str, str] | None:
     """Find a value/arc-preserving bijection, or None.  Backtracking search."""
-    left_sig = _signature_refinement(left)
-    right_sig = _signature_refinement(right)
+    left_sig = node_signatures(left)
+    right_sig = node_signatures(right)
     if sorted(left_sig.values()) != sorted(right_sig.values()):
         return None
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..lorel.ast import Query
-from ..obs.events import emit_event
 from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import span
 from .analyze import plan_fingerprint
@@ -110,9 +109,4 @@ def compile_query(query: Query, evaluator, *,
                                 fingerprint=fingerprint)
         plan_metrics()["compiled"].inc()
         metrics_registry().histogram(COMPILE_SECONDS_METRIC).observe(elapsed)
-        emit_event("query_compiled", level="info",
-                   indexed=compiled.index_plan is not None,
-                   fingerprint=fingerprint,
-                   passes_fired=[r.name for r in reports if r.fired],
-                   compile_seconds=round(elapsed, 6))
     return compiled

@@ -42,7 +42,6 @@ from typing import Iterator, Optional
 
 from ..lorel.eval import NodeBinding
 from ..lorel.result import ObjectRef, QueryResult, Row
-from ..obs.events import emit_event
 from ..obs.trace import span
 from ..timestamps import POS_INF, order_tick
 from .analyze import StageRecorder
@@ -251,8 +250,6 @@ def _exchange_batches(node: Exchange,
     ctx.observed["shards"] = shards
     if stats is not None:
         stats.op_for(node).shards = shards
-    emit_event("shard_dispatched", level="debug",
-               shards=shards, rows=len(first_rows))
     stages, evaluator = node.stages, ctx.evaluator
 
     def task(chunk):

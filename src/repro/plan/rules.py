@@ -54,7 +54,6 @@ from ..lorel.ast import (
     TimeVar,
     VarRef,
 )
-from ..obs.events import emit_event
 from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import span
 from ..timestamps import Timestamp, is_timestamp_literal, parse_timestamp
@@ -158,8 +157,6 @@ class PassManager:
                 counter = f"rules_fired.{rule.name}"
                 if counter in metrics.fields:
                     metrics[counter].inc()
-                emit_event("rule_fired", level="debug", rule=rule.name,
-                           note=ctx.notes.get(rule.name))
             reports.append(PassReport(rule.name, fired,
                                       ctx.notes.get(rule.name)))
         return root, tuple(reports)

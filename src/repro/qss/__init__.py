@@ -24,9 +24,9 @@ from .frequency import FrequencySpec
 from .subscription import Notification, Subscription
 from .wrapper import Wrapper
 from .managers import DOEMManager, QueryManager, SubscriptionManager
-from .server import PollTimeout, QSSServer, SlowPollRecord
+from .server import PollTimeout, QSSServer
 from .client import QSC
 
 __all__ = ["FrequencySpec", "Subscription", "Notification", "Wrapper",
            "SubscriptionManager", "QueryManager", "DOEMManager",
-           "QSSServer", "SlowPollRecord", "PollTimeout", "QSC"]
+           "QSSServer", "PollTimeout", "QSC"]

@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
 from ..errors import QSSError
 from ..obs.events import emit_event
 from ..obs.metrics import registry as metrics_registry
+from ..obs.querylog import query_attribution, slow_query_threshold_seconds
 from ..obs.trace import span
 from ..timestamps import Timestamp, parse_timestamp
 from .managers import DOEMManager, QueryManager, SubscriptionManager, SubscriptionState
 from .subscription import Notification, Subscription
 from .wrapper import Wrapper
 
-__all__ = ["QSSServer", "SlowPollRecord", "PollTimeout"]
+__all__ = ["QSSServer", "PollTimeout"]
 
 
 class PollTimeout(QSSError):
@@ -35,19 +35,6 @@ class PollTimeout(QSSError):
     defect in the subscription, so the schedule advances and the other
     subscriptions in the batch are notified normally.
     """
-
-
-@dataclass(frozen=True)
-class SlowPollRecord:
-    """One slow-query-log entry: a poll that exceeded the threshold."""
-
-    polling_time: Timestamp
-    subscription: str
-    seconds: float
-
-    def __str__(self) -> str:
-        return (f"[{self.polling_time}] SLOW {self.subscription}: "
-                f"{self.seconds * 1000:.3f} ms")
 
 
 class QSSServer:
@@ -74,12 +61,12 @@ class QSSServer:
     histogram; ``qss.polls`` / ``qss.notifications`` / ``qss.errors``
     counters in the global metrics registry) and, when tracing is
     enabled, produces a ``qss.poll`` span with per-phase children.
-    ``slow_poll_threshold`` (seconds) turns on the slow-query log: polls
-    at or above the threshold are appended to ``slow_poll_log`` and
-    counted in ``qss.slow_polls``; when ``None`` (the default) the
-    ``REPRO_SLOW_QUERY_MS`` env var supplies the threshold -- the same
-    variable that drives the obs query log's slow-query capture -- and
-    when that too is unset the log stays off.
+    ``REPRO_SLOW_QUERY_MS``, read when the server is built, flags slow
+    polls: one at or above the threshold counts in ``qss.slow_polls``
+    and emits a ``slow_poll`` event.  It is the same variable that drives
+    the obs query log's slow-query capture; unset, nothing is flagged.
+    The server keeps no per-poll list: callbacks and
+    :meth:`run_until`'s return value hand each notification out.
     :meth:`metrics_text` serves the registry as a ``/metrics``-style
     text dump.
 
@@ -108,14 +95,11 @@ class QSSServer:
                  share_by_polling_query: bool = False,
                  on_error: str = "raise",
                  compact_keep_polls: int | None = None,
-                 slow_poll_threshold: float | None = None,
                  max_poll_workers: int = 1,
                  poll_timeout: float | None = None,
                  store=None) -> None:
         if on_error not in ("raise", "skip"):
             raise QSSError("on_error must be 'raise' or 'skip'")
-        if slow_poll_threshold is not None and slow_poll_threshold < 0:
-            raise QSSError("slow_poll_threshold must be >= 0 (seconds)")
         if compact_keep_polls is not None and compact_keep_polls < 1:
             raise QSSError("compact_keep_polls must be >= 1")
         if compact_keep_polls is not None and share_by_polling_query:
@@ -142,19 +126,11 @@ class QSSServer:
         self.share_by_polling_query = share_by_polling_query
         self.on_error = on_error
         self.compact_keep_polls = compact_keep_polls
-        if slow_poll_threshold is None:
-            # One threshold drives every slow-query surface: without an
-            # explicit override, fall back to REPRO_SLOW_QUERY_MS (the
-            # same env var the obs query log's slow capture honors).
-            from ..obs.querylog import slow_query_threshold_seconds
-            slow_poll_threshold = slow_query_threshold_seconds()
-        self.slow_poll_threshold = slow_poll_threshold
+        self._slow_seconds = slow_query_threshold_seconds()
         self.max_poll_workers = max_poll_workers
         self.poll_timeout = poll_timeout
         self._subscribers: dict[str, list[Callable[[Notification], None]]] = {}
-        self.notification_log: list[Notification] = []
         self.error_log: list[tuple[Timestamp, str, Exception]] = []
-        self.slow_poll_log: list[SlowPollRecord] = []
         self._metrics = metrics_registry().group(
             "qss", ("polls", "notifications", "slow_polls", "errors",
                     "timeouts"),
@@ -256,8 +232,8 @@ class QSSServer:
     def run_until(self, when: object) -> list[Notification]:
         """Advance the simulated clock, executing every due poll in order.
 
-        Returns the notifications produced (also appended to
-        ``notification_log`` and pushed to per-subscription callbacks).
+        Returns the notifications produced (also pushed to
+        per-subscription callbacks).
         """
         deadline = parse_timestamp(when)
         if deadline < self.clock:
@@ -469,7 +445,6 @@ class QSSServer:
         # Tag the filter run so the obs query log can attribute its
         # fingerprint to this subscription (runs on the coordinator
         # thread, so the thread-local attribution holds).
-        from ..obs.querylog import query_attribution
         with span("qss.filter"), \
                 query_attribution(subscription=subscription.name,
                                   poll_time=str(poll_time)):
@@ -494,16 +469,12 @@ class QSSServer:
         record["consecutive_errors"] = 0
         metrics_registry().gauge(
             f"qss.sub.{subscription.name}.consecutive_timeouts").set(0)
-        if self.slow_poll_threshold is not None and \
-                elapsed >= self.slow_poll_threshold:
+        if self._slow_seconds is not None and elapsed >= self._slow_seconds:
             self._metrics["slow_polls"].inc()
-            self.slow_poll_log.append(SlowPollRecord(
-                polling_time=poll_time, subscription=subscription.name,
-                seconds=elapsed))
             emit_event("slow_poll", level="warning",
                        subscription=subscription.name, at=str(poll_time),
                        seconds=round(elapsed, 6),
-                       threshold=self.slow_poll_threshold)
+                       threshold=self._slow_seconds)
         notification = Notification(
             subscription=subscription.name,
             polling_time=poll_time,
@@ -515,7 +486,6 @@ class QSSServer:
         if filtered or self.deliver_empty:
             self._metrics["notifications"].inc()
             record["last_notification"] = poll_time
-            self.notification_log.append(notification)
             for deliver in self._subscribers.get(subscription.name, ()):
                 deliver(notification)
             return notification

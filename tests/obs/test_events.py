@@ -1,4 +1,4 @@
-"""The structured event log: levels, sampling, rotation, activation."""
+"""The structured event log: levels, rotation, activation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.obs.events import (
     EventLog,
-    _parse_sample_spec,
     configure_events,
     configure_events_from_env,
     disable_events,
@@ -35,21 +34,21 @@ class TestEventLog:
     def test_writes_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(path)
-        assert log.emit("query_compiled", indexed=True, rows=3)
-        assert log.emit("cache_eviction", cache="snapshot")
+        assert log.emit("query_completed", indexed=True, rows=3)
+        assert log.emit("checkpoint_written", history="guide")
         log.close()
         first, second = read_lines(path)
-        assert first["type"] == "query_compiled"
+        assert first["type"] == "query_completed"
         assert first["level"] == "info"
         assert first["indexed"] is True and first["rows"] == 3
         assert {"ts", "pid"} <= first.keys()
-        assert second["type"] == "cache_eviction"
+        assert second["type"] == "checkpoint_written"
 
     def test_level_floor_filters_below(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(path, level="warning")
-        assert not log.emit("rule_fired", level="debug")
-        assert not log.emit("query_compiled", level="info")
+        assert not log.emit("custom_trace", level="debug")
+        assert not log.emit("query_completed", level="info")
         assert log.emit("poll_timeout", level="warning")
         assert log.emit("custom_error", level="error")
         log.close()
@@ -64,28 +63,11 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog(tmp_path / "other.jsonl", level="loud")
 
-    def test_sampling_is_deterministic_one_in_n(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(path, level="debug",
-                       sample={"rule_fired": 3, "shard_dispatched": 0})
-        for index in range(9):
-            log.emit("rule_fired", level="debug", index=index)
-        for _ in range(4):
-            log.emit("shard_dispatched", level="debug")
-        log.emit("query_compiled")  # unlisted types are always kept
-        log.close()
-        lines = read_lines(path)
-        kept = [line["index"] for line in lines
-                if line["type"] == "rule_fired"]
-        assert kept == [0, 3, 6]  # every 3rd, starting at the first
-        assert not any(line["type"] == "shard_dispatched" for line in lines)
-        assert lines[-1]["type"] == "query_compiled"
-
     def test_rotation_keeps_backups(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(path, max_bytes=200, backups=2)
         for index in range(30):
-            log.emit("query_compiled", index=index)
+            log.emit("query_completed", index=index)
         log.close()
         assert path.exists()
         assert (tmp_path / "events.jsonl.1").exists()
@@ -109,27 +91,16 @@ class TestEventLog:
         assert sys.stderr.writable()
 
 
-class TestSampleSpec:
-    def test_parse(self):
-        assert _parse_sample_spec("rule_fired=10, shard_dispatched=0") == \
-            {"rule_fired": 10, "shard_dispatched": 0}
-        assert _parse_sample_spec("") == {}
-
-    def test_bad_spec_raises(self):
-        with pytest.raises(ValueError):
-            _parse_sample_spec("rule_fired")
-
-
 class TestGlobalSink:
     def test_emit_event_disabled_is_noop(self):
-        assert emit_event("query_compiled") is False
+        assert emit_event("query_completed") is False
         assert event_log() is None
 
     def test_configure_and_emit(self, tmp_path):
         path = tmp_path / "events.jsonl"
         configure_events(path, level="debug")
         assert events_enabled()
-        assert emit_event("rule_fired", level="debug", rule="x")
+        assert emit_event("custom_trace", level="debug", rule="x")
         disable_events()
         assert not events_enabled()
         assert read_lines(path)[0]["rule"] == "x"
@@ -139,14 +110,12 @@ class TestGlobalSink:
         log = configure_events_from_env({
             "REPRO_EVENTS": str(path),
             "REPRO_EVENTS_LEVEL": "warning",
-            "REPRO_EVENTS_SAMPLE": "slow_poll=2",
             "REPRO_EVENTS_MAX_BYTES": "4096",
         })
         assert log is event_log()
         assert log.level == "warning"
-        assert log.sample == {"slow_poll": 2}
         assert log.max_bytes == 4096
-        assert not emit_event("query_compiled", level="info")
+        assert not emit_event("query_completed", level="info")
         assert emit_event("poll_timeout", level="warning")
 
     def test_env_unset_leaves_events_off(self):
@@ -155,7 +124,7 @@ class TestGlobalSink:
 
     def test_written_and_filtered_are_counted(self, tmp_path):
         log = configure_events(tmp_path / "e.jsonl", level="info")
-        emit_event("query_compiled")
-        emit_event("rule_fired", level="debug")
+        emit_event("query_completed")
+        emit_event("custom_trace", level="debug")
         assert log._metrics["written"].value == 1
         assert log._metrics["level_filtered"].value == 1

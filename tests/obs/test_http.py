@@ -52,8 +52,9 @@ class TestQueriesEndpoint:
         payload = json.loads(fetch(server, "/queries").read())
         assert set(payload) == {"queries", "slow"}
 
-    def test_custom_query_source(self):
-        log = QueryLog(slow_threshold=0.0)
+    def test_custom_query_source(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
+        log = QueryLog()
         log.record(QueryRecord(fingerprint="fp1", query="select guide.x",
                                engine="chorel-native", rows=2,
                                compile_seconds=0.001,

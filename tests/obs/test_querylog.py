@@ -3,8 +3,9 @@
 :mod:`repro.obs.querylog` is the always-on record of every planner
 execution.  These tests pin the aggregate math, the ring-buffer bounds,
 the ``REPRO_SLOW_QUERY_MS`` env threshold (shared with the QSS slow-poll
-log), thread-local attribution, the JSONL sink, the ``query_completed``
-event, and the engine integration (every ``run`` lands one record keyed
+counter), thread-local attribution, the ``query_completed`` event (the
+per-query JSONL stream, one line per record with every record field),
+and the engine integration (every ``run`` lands one record keyed
 by the compiled plan's fingerprint).
 """
 
@@ -15,8 +16,9 @@ import json
 import pytest
 
 from repro import ChorelEngine, build_doem
-from repro.obs.events import configure_events, disable_events
+from repro.obs.events import configure_events, disable_events, event_log
 from repro.obs.querylog import (
+    CAPACITY,
     ENV_SLOW_QUERY_MS,
     QueryLog,
     QueryRecord,
@@ -67,12 +69,6 @@ class TestThreshold:
         [capture] = log.slow_queries()
         assert capture["plan"] == "Scan  (rows 0 -> 1)"
 
-    def test_instance_threshold_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_SLOW_QUERY_MS, "100000")
-        log = QueryLog(slow_threshold=0.001)
-        log.record(record(execute=5.0))
-        assert log.aggregates()["abc123def456"]["slow"] == 1
-
 
 class TestQueryLog:
     def test_aggregate_math(self):
@@ -88,47 +84,54 @@ class TestQueryLog:
         assert agg["engines"] == ["chorel-native"]
 
     def test_ring_buffer_bounds_memory(self):
-        log = QueryLog(capacity=4)
-        for index in range(10):
-            log.record(record(f"fp{index:02}"))
-        assert len(log) == 4
-        assert [r.fingerprint for r in log.recent()] == \
-            ["fp06", "fp07", "fp08", "fp09"]
+        log = QueryLog()
+        total = CAPACITY + 6
+        for index in range(total):
+            log.record(record(f"fp{index:04}"))
+        assert len(log) == CAPACITY
+        assert log.recent()[0].fingerprint == "fp0006"
         assert [r.fingerprint for r in log.recent(limit=2)] == \
-            ["fp08", "fp09"]
+            [f"fp{total - 2:04}", f"fp{total - 1:04}"]
         # Aggregates survive ring eviction -- they are cumulative.
-        assert len(log.aggregates()) == 10
+        assert len(log.aggregates()) == total
 
-    def test_snapshot_shape_is_json_clean(self):
-        log = QueryLog(slow_threshold=0.0)
+    def test_snapshot_shape_is_json_clean(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_QUERY_MS, "0")
+        log = QueryLog()
         log.record(record(), plan_text="Scan")
         snapshot = log.snapshot()
         json.dumps(snapshot)
         assert set(snapshot) == {"queries", "slow"}
 
-    def test_constructor_validation(self):
-        for bad in (dict(capacity=0), dict(slow_capacity=0),
-                    dict(slow_threshold=-1.0)):
-            with pytest.raises(ValueError):
-                QueryLog(**bad)
-
     def test_jsonl_sink(self, tmp_path):
+        """The event log is the per-query JSONL stream: one
+        ``query_completed`` line per record, holding the whole record."""
         path = tmp_path / "queries.jsonl"
-        log = QueryLog(path=path)
-        log.record(record(rows=7))
-        log.record(record(rows=1))
+        configure_events(path)
+        try:
+            log = QueryLog()
+            log.record(record(rows=7))
+            log.record(record(rows=1))
+        finally:
+            disable_events()
         lines = [json.loads(line)
                  for line in path.read_text().splitlines()]
         assert [line["rows"] for line in lines] == [7, 1]
         assert lines[0]["fingerprint"] == "abc123def456"
 
     def test_jsonl_failures_never_raise(self, tmp_path):
-        log = QueryLog(path=tmp_path / "no" / "such" / "dir" / "q.jsonl")
-        log.record(record())  # advisory sink: OSError swallowed
+        configure_events(tmp_path / "q.jsonl")
+        try:
+            event_log().close()
+            log = QueryLog()
+            log.record(record())  # closed sink: the line is dropped
+        finally:
+            disable_events()
         assert len(log) == 1
 
-    def test_reset(self):
-        log = QueryLog(slow_threshold=0.0)
+    def test_reset(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_QUERY_MS, "0")
+        log = QueryLog()
         log.record(record(), plan_text="Scan")
         log.reset()
         assert len(log) == 0
@@ -168,27 +171,31 @@ class TestQueryCompletedEvent:
         path = tmp_path / "events.jsonl"
         configure_events(path)
         log = QueryLog()
-        log.record(record(rows=4))
+        with query_attribution(subscription="cheap-eats"):
+            recorded = log.record(record(rows=4, shards=2,
+                                         rules_fired=("index-selection",)))
         disable_events()
         [line] = [json.loads(line)
                   for line in path.read_text().splitlines()
                   if json.loads(line)["type"] == "query_completed"]
-        assert line["fingerprint"] == "abc123def456"
-        assert line["rows"] == 4
-        assert line["engine"] == "chorel-native"
-        assert line["wall_seconds"] == pytest.approx(0.003)
+        # Every field of the record, so the event loses no per-query fact.
+        expected = recorded.to_dict()
+        assert {key: line[key] for key in expected} == expected
+        assert line["level"] == "info"
+        assert line["compile_seconds"] + line["execute_seconds"] == \
+            pytest.approx(0.003)
 
-    def test_per_type_sampling_honored(self, tmp_path):
+    def test_every_record_is_written(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        configure_events(path, sample={"query_completed": 3})
+        configure_events(path)
         log = QueryLog()
-        for _ in range(9):
-            log.record(record())
+        for index in range(9):
+            log.record(record(f"fp{index}"))
         disable_events()
-        kept = [json.loads(line)
-                for line in path.read_text().splitlines()
-                if json.loads(line)["type"] == "query_completed"]
-        assert len(kept) == 3  # every 3rd, deterministic
+        written = [json.loads(line)["fingerprint"]
+                   for line in path.read_text().splitlines()
+                   if json.loads(line)["type"] == "query_completed"]
+        assert written == [f"fp{index}" for index in range(9)]
 
 
 class TestEngineIntegration:

@@ -131,12 +131,11 @@ class TestCrashIsolation:
                    "good2": ScriptedSource()}
         with build_server(sources, max_workers=3,
                           on_error="skip") as server:
-            server.run_until("8Dec96")
-            healthy = {n.subscription for n in server.notification_log}
+            notifications = server.run_until("8Dec96")
+            healthy = {n.subscription for n in notifications}
             assert {"good1", "good2"} <= healthy
             # The healthy pair kept their full daily cadence.
-            good1 = [n for n in server.notification_log
-                     if n.subscription == "good1"]
+            good1 = [n for n in notifications if n.subscription == "good1"]
             assert len(good1) == 7
             crashes = [entry for entry in server.error_log
                        if entry[1] == "bad"]

@@ -47,8 +47,9 @@ def run_server(seed: int, filters: dict[str, str], *, share: bool = False,
                days: int = 12):
     """Poll an evolving guide daily; check every poll against the oracle.
 
-    Returns ``(server, checked)``: ``checked`` counts the polls whose
-    served rows were compared with the naive engine's.
+    Returns ``(server, checked, notifications)``: ``checked`` counts the
+    polls whose served rows were compared with the naive engine's, and
+    ``notifications`` is what ``run_until`` delivered.
     """
     server = QSSServer(start="30Nov96", deliver_empty=True,
                        share_by_polling_query=share)
@@ -72,16 +73,15 @@ def run_server(seed: int, filters: dict[str, str], *, share: bool = False,
             name=name, frequency="every day at 6:00am",
             polling_query="select guide.restaurant", filter_query=text,
             polling_name="G"), "guide", deliver=oracle)
-    server.run_until(f"{days}Dec96")
-    return server, checked
+    notifications = server.run_until(f"{days}Dec96")
+    return server, checked, notifications
 
 
 @pytest.mark.parametrize("seed", [1, 7, 1997])
 def test_served_rows_equal_the_naive_engine(seed):
-    server, checked = run_server(seed, FILTERS)
+    server, checked, notifications = run_server(seed, FILTERS)
     assert len(checked) == 12 * len(FILTERS)
-    assert any(notification.result
-               for notification in server.notification_log)
+    assert any(notification.result for notification in notifications)
     for name in FILTERS:
         engine = server.doems.filter_engine(server.subscriptions.get(name))
         served = engine.stats.indexed_queries
@@ -92,7 +92,7 @@ def test_served_rows_equal_the_naive_engine(seed):
 
 
 def test_shared_doem_shares_one_engine():
-    server, checked = run_server(7, FILTERS, share=True)
+    server, checked, _ = run_server(7, FILTERS, share=True)
     assert len(checked) == 12 * len(FILTERS)
     states = server.subscriptions.states()
     engines = {id(server.doems.filter_engine(state)) for state in states}
@@ -100,7 +100,7 @@ def test_shared_doem_shares_one_engine():
 
 
 def test_one_engine_per_doem_across_polls():
-    server, _ = run_server(1, {"upd": FILTERS["upd"]}, days=3)
+    server, _, _ = run_server(1, {"upd": FILTERS["upd"]}, days=3)
     state = server.subscriptions.get("upd")
     engine = server.doems.filter_engine(state)
     server.run_until("6Dec96")

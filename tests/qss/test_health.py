@@ -179,12 +179,12 @@ class TestHealthEvents:
         assert timeouts[0]["level"] == "warning"
         assert [e["consecutive"] for e in timeouts] == [1, 2]
 
-    def test_slow_poll_event_emitted(self, tmp_path):
+    def test_slow_poll_event_emitted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
         events_path = tmp_path / "events.jsonl"
         configure_events(events_path, level="warning")
         try:
-            server = build_server({"a": ScriptedSource()},
-                                  slow_poll_threshold=0.0)
+            server = build_server({"a": ScriptedSource()})
             server.run_until("2Dec96 6:00pm")
         finally:
             disable_events()

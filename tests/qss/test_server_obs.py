@@ -1,4 +1,6 @@
-"""QSS server observability: slow-poll log, metrics dump, poll spans."""
+"""QSS server observability: slow polls, metrics dump, poll spans."""
+
+import json
 
 import pytest
 
@@ -10,9 +12,8 @@ from repro import (
     Wrapper,
     parse_timestamp,
 )
-from repro.errors import QSSError
+from repro.obs.events import configure_events, disable_events
 from repro.obs.trace import get_tracer
-from repro.qss import SlowPollRecord
 from repro.timestamps import Timestamp
 
 
@@ -69,43 +70,62 @@ def tracer_off():
     tracer.clear()
 
 
-class TestSlowPollLog:
-    def test_threshold_zero_logs_every_poll(self):
-        """The smoke test the CI job relies on: at threshold 0 every poll
-        is 'slow', so the log must fire on the very first poll."""
-        server = make_server(slow_poll_threshold=0.0)
-        server.subscribe(subscription(), "guide")
-        notifications = server.run_until("2Jan97")
-        assert len(notifications) == 3
-        assert len(server.slow_poll_log) == 3
-        record = server.slow_poll_log[0]
-        assert isinstance(record, SlowPollRecord)
-        assert record.subscription == "Restaurants"
-        assert record.polling_time == parse_timestamp("30Dec96 11:30pm")
-        assert record.seconds >= 0.0
-        assert "SLOW Restaurants" in str(record)
+def slow_polls(server):
+    return server._metrics["slow_polls"].value
 
-    def test_disabled_by_default(self):
+
+class TestSlowPollLog:
+    """A slow poll is recorded in the ``qss.slow_polls`` counter and one
+    ``slow_poll`` event; ``REPRO_SLOW_QUERY_MS`` sets the threshold."""
+
+    def test_threshold_zero_logs_every_poll(self, monkeypatch, tmp_path):
+        """The smoke test the CI job relies on: at threshold 0 every poll
+        is 'slow', so the counter and the event fire on the first poll."""
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
+        events_path = tmp_path / "events.jsonl"
+        configure_events(events_path)
+        try:
+            server = make_server()
+            server.subscribe(subscription(), "guide")
+            notifications = server.run_until("2Jan97")
+        finally:
+            disable_events()
+        assert len(notifications) == 3
+        assert slow_polls(server) == 3
+        events = [json.loads(line) for line
+                  in events_path.read_text(encoding="utf-8").splitlines()]
+        slow = [event for event in events if event["type"] == "slow_poll"]
+        assert len(slow) == 3
+        assert slow[0]["subscription"] == "Restaurants"
+        assert slow[0]["at"] == str(parse_timestamp("30Dec96 11:30pm"))
+        assert slow[0]["seconds"] >= 0.0
+        assert slow[0]["threshold"] == 0.0
+
+    def test_disabled_by_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SLOW_QUERY_MS", raising=False)
         server = make_server()
         server.subscribe(subscription(), "guide")
         server.run_until("2Jan97")
-        assert server.slow_poll_log == []
+        assert slow_polls(server) == 0
 
-    def test_unreachable_threshold_stays_quiet(self):
-        server = make_server(slow_poll_threshold=3600.0)
+    def test_unreachable_threshold_stays_quiet(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "3600000")
+        server = make_server()
         server.subscribe(subscription(), "guide")
         server.run_until("2Jan97")
-        assert server.slow_poll_log == []
+        assert slow_polls(server) == 0
 
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(QSSError, match="slow_poll_threshold"):
-            QSSServer(slow_poll_threshold=-0.5)
+    def test_negative_threshold_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "-500")
+        with pytest.raises(ValueError, match="REPRO_SLOW_QUERY_MS"):
+            QSSServer()
 
-    def test_threshold_zero_logs_every_poll_subscribed(self):
-        server = make_server(slow_poll_threshold=0.0)
+    def test_threshold_zero_logs_every_poll_subscribed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
+        server = make_server()
         server.subscribe(subscription(), "guide")
         server.run_until("31Dec96")
-        assert len(server.slow_poll_log) == 1
+        assert slow_polls(server) == 1
 
 
 class TestMetrics:
@@ -120,13 +140,14 @@ class TestMetrics:
         assert histogram.count == 3
         assert histogram.total > 0.0
 
-    def test_metrics_text_dump(self):
+    def test_metrics_text_dump(self, monkeypatch):
         import re
 
         def series(text, name):
             return int(re.search(rf"^{name} (\d+)$", text, re.M).group(1))
 
-        server = make_server(slow_poll_threshold=0.0)
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
+        server = make_server()
         server.subscribe(subscription(), "guide")
         # The dump sums every live qss group in the process (that is the
         # point of family summation), so assert on the delta this
@@ -155,29 +176,23 @@ class TestMetrics:
 
 
 class TestSlowQueryEnvFallback:
-    """One env var drives every slow-query surface: with no explicit
-    ``slow_poll_threshold`` the server picks up ``REPRO_SLOW_QUERY_MS``
-    -- the same variable the obs query log's slow capture honors."""
+    """One env var drives every slow-query surface: the server reads
+    ``REPRO_SLOW_QUERY_MS`` -- the same variable the obs query log's
+    slow capture honors -- when it is built."""
 
     def test_env_supplies_the_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
         server = make_server()
-        assert server.slow_poll_threshold == 0.0
         server.subscribe(subscription(), "guide")
         server.run_until("31Dec96")
-        assert len(server.slow_poll_log) == 1
-
-    def test_explicit_threshold_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
-        server = make_server(slow_poll_threshold=3600.0)
-        server.subscribe(subscription(), "guide")
-        server.run_until("31Dec96")
-        assert server.slow_poll_log == []
+        assert slow_polls(server) == 1
 
     def test_unset_env_keeps_log_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SLOW_QUERY_MS", raising=False)
         server = make_server()
-        assert server.slow_poll_threshold is None
+        server.subscribe(subscription(), "guide")
+        server.run_until("31Dec96")
+        assert slow_polls(server) == 0
 
 
 class TestFilterQueryAttribution:

@@ -375,14 +375,14 @@ class TestEventsFlag:
 
         events_path = tmp_path / "cli_events.jsonl"
         try:
-            code, _ = run_cli("--events", str(events_path), "explain",
+            code, _ = run_cli("--events", str(events_path), "analyze",
                               DEMO_QUERY)
         finally:
             disable_events()
         assert code == 0
         lines = [json.loads(line) for line
                  in events_path.read_text(encoding="utf-8").splitlines()]
-        assert any(line["type"] == "query_compiled" for line in lines)
+        assert any(line["type"] == "query_completed" for line in lines)
 
 
 class TestStoreCommand:
