@@ -3,20 +3,23 @@
 OEMdiff's matcher exists because autonomous sources expose no stable
 object identity (Section 6).  But when a source *does* preserve
 identifiers between polls -- a wrapped relational system, an export with
-primary keys -- differencing degenerates to set comparison: no matching,
-no similarity scoring, strictly linear.
+primary keys -- differencing degenerates to comparing each node with its
+namesake: no matching, no similarity scoring.
 
 :func:`id_diff` computes ``U`` with ``U(old) == new`` **exactly** (same
 identifiers, not just isomorphic), under the assumption that equal ids
-denote the same object.  The QSS :class:`~repro.qss.managers.DOEMManager`
-accepts ``differ="ids"`` to use it; ``tests/paper/test_diff.py`` counts
-its operations against the matcher's.
+denote the same object.  It costs a value and a ``label -> targets`` map
+comparison per node of ``new`` (a map shared with ``old`` compares by
+identity) plus the arcs of the nodes whose map differs.  QSS uses it under
+``DOEMManager(differ="ids")``, which reserves ``~`` in source identifiers
+(docs/qss.md); ``tests/paper/test_diff.py`` counts its operations against
+the matcher's.
 """
 
 from __future__ import annotations
 
-from ..errors import DiffError
-from ..oem.changes import AddArc, ChangeOp, CreNode, RemArc, UpdNode
+from ..errors import DiffError, UnknownNodeError
+from ..oem.changes import AddArc, CreNode, RemArc, UpdNode
 from ..oem.history import ChangeSet
 from ..oem.model import OEMDatabase
 
@@ -31,6 +34,11 @@ def id_diff(old_db: OEMDatabase, new_db: OEMDatabase) -> ChangeSet:
     in ``new_db`` (the paper's id-discipline).  Violations surface as
     value updates or arc rewires rather than errors -- equal ids are
     trusted, that is the contract.
+
+    The operations come out as creates, updates, adds, removes, each in
+    ``new_db``'s node order (arcs in data order), whatever the hash seed.
+    No ``remArc`` leaves a node missing from ``new_db``: its arcs die with
+    it by unreachability.
     """
     if old_db.root != new_db.root:
         raise DiffError(
@@ -38,26 +46,25 @@ def id_diff(old_db: OEMDatabase, new_db: OEMDatabase) -> ChangeSet:
             f"({old_db.root!r} != {new_db.root!r}); use oem_diff for "
             f"sources without stable identifiers")
 
-    ops: list[ChangeOp] = []
-    old_nodes = set(old_db.nodes())
-    new_nodes = set(new_db.nodes())
-
-    for node in new_nodes - old_nodes:
-        ops.append(CreNode(node, new_db.value(node)))
-    for node in old_nodes & new_nodes:
-        if old_db.value(node) != new_db.value(node):
-            ops.append(UpdNode(node, new_db.value(node)))
-
-    old_arcs = set(old_db.arcs())
-    new_arcs = set(new_db.arcs())
-    for arc in new_arcs - old_arcs:
-        ops.append(AddArc(*arc))
-    for arc in old_arcs - new_arcs:
-        # Arcs inside a fully deleted subtree die by unreachability, but
-        # distinguishing them from rewires requires reachability math
-        # that costs more than emitting the removal; emit unless the
-        # source endpoint itself disappeared (then GC handles the rest).
-        if arc.source in new_nodes:
-            ops.append(RemArc(*arc))
-
-    return ChangeSet(ops)
+    creates, updates, adds, removes = [], [], [], []
+    for node in new_db.nodes():
+        value, by_label = new_db.value(node), new_db.out_map(node)
+        try:
+            had = old_db.out_map(node)
+        except UnknownNodeError:
+            creates.append(CreNode(node, value))
+            had = {}
+        else:
+            if old_db.value(node) != value:
+                updates.append(UpdNode(node, value))
+            if by_label is had or by_label == had:
+                continue
+        for label, targets in by_label.items():
+            old_targets = had.get(label, ())
+            adds.extend(AddArc(node, label, target) for target in targets
+                        if target not in old_targets)
+        for label, targets in had.items():
+            new_targets = by_label.get(label, ())
+            removes.extend(RemArc(node, label, target) for target in targets
+                           if target not in new_targets)
+    return ChangeSet(creates + updates + adds + removes)

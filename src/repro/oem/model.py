@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy as _copy
 import itertools
 from collections import deque
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from ..errors import (
     DuplicateNodeError,
@@ -163,6 +163,14 @@ class OEMDatabase:
         database's own container, to iterate and test, never to write."""
         try:
             return self._out[node_id].get(label, ())
+        except KeyError:
+            raise UnknownNodeError(node_id) from None
+
+    def out_map(self, node_id: str) -> Mapping[str, Collection[str]]:
+        """The ``label -> targets`` map of ``node_id``: the database's own
+        container (shared with copies), to compare and read, never to write."""
+        try:
+            return self._out[node_id]
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
@@ -426,8 +434,12 @@ class OEMDatabase:
     def share_adopted(self, source: "OEMDatabase", ids: dict[str, str]) -> None:
         """Close a run of :meth:`adopt_closure` calls: if they preserved
         identifiers (``ids`` empty otherwise) neither database owns the copied
-        nodes' containers, as after :meth:`copy`; and none is a suspect."""
+        nodes' containers, as after :meth:`copy`, and an in-arc set equal to
+        the source's is the source's (one set fewer); none is a suspect."""
         if ids:
+            for node, new_id in ids.items():
+                if self._in[new_id] == source._in[node]:
+                    self._in[new_id] = source._in[node]
             for db, nodes in ((self, ids.values()), (source, ids)):
                 if db._owned is None:
                     db._owned = set(db._values)

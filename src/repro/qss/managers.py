@@ -27,6 +27,7 @@ from ..diff.oemdiff import DiffStats, oem_diff
 from ..doem.model import DOEMDatabase
 from ..doem.snapshot import current_snapshot
 from ..errors import QSSError, SubscriptionError
+from ..oem.changes import CreNode
 from ..oem.history import ChangeSet
 from ..oem.model import OEMDatabase
 from ..timestamps import Timestamp, parse_timestamp
@@ -168,17 +169,49 @@ class QueryManager:
         return wrapper.poll(state.subscription.polling_query)
 
 
-def _rename_root(db: OEMDatabase, new_root: str) -> OEMDatabase:
-    """A copy of ``db`` whose root carries ``new_root`` as its identifier."""
-    renamed = OEMDatabase(root=new_root, root_value=db.value(db.root))
-    for node in db.nodes():
-        if node != db.root:
-            renamed.create_node(node, db.value(node))
-    for arc in db.arcs():
-        source = new_root if arc.source == db.root else arc.source
-        target = new_root if arc.target == db.root else arc.target
-        renamed.add_arc(source, arc.label, target)
-    return renamed
+SEPARATOR = "~"  # reserved: joins a returning source id to its count
+
+
+def _returning(change_set: ChangeSet, previous: OEMDatabase,
+               graph: OEMDatabase) -> dict[str, str]:
+    """Objects ``change_set`` creates whose identifier ``n`` the DOEM graph
+    holds: they left an earlier result and came back, so (Section 2.2) each
+    gets the first of ``n~1``, ``n~2``, ... live in ``R_{i-1}`` or new to
+    the graph -- the same after a restart (docs/qss.md)."""
+    renames = {}
+    for op in change_set.filter(CreNode):
+        if SEPARATOR in op.node:
+            raise QSSError(f"source identifier {op.node!r} contains "
+                           f"{SEPARATOR!r}, which differ='ids' reserves")
+        candidate, count = op.node, 0
+        while candidate not in previous and candidate in graph:
+            count += 1
+            candidate = f"{op.node}{SEPARATOR}{count}"
+        if count:
+            renames[op.node] = candidate
+    return renames
+
+
+def _renamed(result: OEMDatabase, renames: dict[str, str]) -> OEMDatabase:
+    """``result`` with each node of ``renames`` under its new identifier:
+    the root by :meth:`~OEMDatabase.subgraph` (containers shared), any other
+    in place -- ``result`` is the manager's own -- with its parents' maps."""
+    if result.root in renames:
+        result = result.subgraph(result.root, renames.pop(result.root))
+    for old, new in renames.items():
+        if new in result:
+            raise QSSError(f"source identifier {new!r} clashes with the "
+                           f"identifier given to returning object {old!r}")
+        result.create_node(new, result.value(old))
+    for old, new in renames.items():
+        for _, label, target in list(result.out_arcs(old)):
+            result.add_arc(new, label, renames.get(target, target))
+        for source, label, _ in list(result.in_arcs(old)):
+            if source not in renames:
+                result.add_arc(source, label, new)
+                result.remove_arc(source, label, old)
+    result.collect_garbage()
+    return result
 
 
 class DOEMManager:
@@ -284,6 +317,9 @@ class DOEMManager:
         included: deleted identifiers are never reused (Section 2.2)
         while the history remembers them, and a server restarted over
         the store mints what an uninterrupted one would.
+        With ``differ="ids"`` the manager takes ``result`` over, renames
+        its root and returning objects (:func:`_returning`) and keeps it as
+        ``R_{i-1}``: ``id_diff`` makes it ``U(previous)`` exactly.
         """
         from ..doem.build import apply_change_set
 
@@ -297,8 +333,12 @@ class DOEMManager:
             # Cooperative source: identifiers are stable between polls.
             from ..diff.iddiff import id_diff
             aligned = result if result.root == previous.root \
-                else _rename_root(result, previous.root)
+                else _renamed(result, {result.root: previous.root})
             change_set = id_diff(previous, aligned)
+            returning = _returning(change_set, previous, doem.graph)
+            if returning:
+                aligned = _renamed(aligned, returning)
+                change_set = id_diff(previous, aligned)
         else:
             change_set = oem_diff(previous, result,
                                   reserved_ids=doem.graph.nodes(),
@@ -316,9 +356,10 @@ class DOEMManager:
                     log.append(timestamp, change_set)
         self.last_diff_stats[name] = DiffStats(change_set)
         if self.cache_previous_result:
-            updated = previous.copy()
-            change_set.apply_to(updated)
-            self._previous[key] = updated
+            if self.differ != "ids":  # id_diff's U(previous) is aligned itself
+                aligned = previous.copy()
+                change_set.apply_to(aligned)
+            self._previous[key] = aligned
         if signatures:
             self._signatures[key] = signatures
         return change_set

@@ -180,6 +180,8 @@ def test_writing_one_leaves_the_other_two(writer):
         if index != writer:
             assert other.same_as(twin)
             assert list(other.arcs()) == list(twin.arcs())
+            assert all(set(other.in_arcs(node)) == set(twin.in_arcs(node))
+                       for node in other.nodes())
             other.check()
     assert not db.same_as(twins[writer])
 

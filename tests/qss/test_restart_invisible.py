@@ -25,6 +25,7 @@ from repro import (
     parse_timestamp,
 )
 from repro.store import ChangeLogStore, close_store
+from tests.qss.test_reentry import ReturningSource
 
 
 class Example61Source:
@@ -80,6 +81,9 @@ WORLDS = {
     "seeded-guide": (lambda: RestaurantGuideSource(
         seed=13, initial_restaurants=6, events_per_day=2.5),
         "1Dec96", "7Dec96"),
+    # Hakata leaves on 2Jan97 and 6Jan97 and comes back on 4Jan97 and
+    # 8Jan97: under differ="ids" it is created afresh each time.
+    "returning": (ReturningSource, "31Dec96 10:00am", "9Jan97"),
 }
 
 CONFIGS = {
@@ -90,6 +94,9 @@ CONFIGS = {
     "compacting": dict(deliver_empty=True, compact_keep_polls=2),
     "recomputed-previous": dict(deliver_empty=True,
                                 cache_previous_result=False),
+    "ids": dict(deliver_empty=True, differ="ids"),
+    "ids-recomputed": dict(deliver_empty=True, differ="ids",
+                           cache_previous_result=False),
 }
 
 
@@ -116,8 +123,10 @@ class Service:
         self.up(self.start)
 
     def up(self, clock):
-        self.server = QSSServer(start=clock, store=str(self.path),
-                                **self.config)
+        config = dict(self.config)
+        differ = config.pop("differ", "match")
+        self.server = QSSServer(start=clock, store=str(self.path), **config)
+        self.server.doems.differ = differ
         self.server.register_wrapper("guide",
                                      Wrapper(self.source, name="guide"))
         for subscription in subscriptions():
