@@ -91,7 +91,7 @@ from .doem import (
     snapshot_cache,
 )
 from .lorel import LorelEngine, QueryResult, format_query, parse_query
-from .parallel import ParallelExecutor, WorkerPool, parallel_run, run_many
+from .parallel import ParallelExecutor, WorkerPool
 from .lorel.update import parse_update, plan_update
 from .chorel import ChorelEngine, TranslatingChorelEngine, translate_query
 from .chorel.optimize import IndexedChorelEngine
@@ -166,7 +166,7 @@ __all__ = [
     "CompiledPlan", "EngineStats", "PassManager",
     "compile_query", "execute_plan",
     # parallel execution
-    "ParallelExecutor", "WorkerPool", "parallel_run", "run_many",
+    "ParallelExecutor", "WorkerPool",
     # triggers (Section 7 future work)
     "TriggerManager", "Rule", "Event", "Activation",
     # lore

@@ -111,7 +111,7 @@ class ChorelEngine:
 
     def _compile(self, query: Query,
                  bindings: dict[str, str] | None = None) -> CompiledPlan:
-        """Compile without touching ``last_compiled`` (worker-thread safe)."""
+        """Compile without touching ``last_compiled``."""
         context = self._compile_context(bindings)
         return compile_query(query, self._evaluator, context=context)
 
@@ -196,14 +196,3 @@ class ChorelEngine:
             for name, node_id in bindings.items():
                 env[name] = NodeBinding(node_id)
         return env
-
-    def run_many(self, queries, *, pool=None,
-                 max_workers: int | None = None) -> list[QueryResult]:
-        """Evaluate a batch of queries concurrently; results in input order.
-
-        Row-for-row equivalent to ``[self.run(q) for q in queries]``, but
-        parsing and index acquisition happen once and the evaluations fan
-        out to a worker pool (see :mod:`repro.parallel`).
-        """
-        from ..parallel.executor import run_many as _run_many
-        return _run_many(self, queries, pool=pool, max_workers=max_workers)

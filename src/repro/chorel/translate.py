@@ -519,7 +519,7 @@ class TranslatingChorelEngine:
         return compiled
 
     def _compile(self, query: str | Query):
-        """Compile without touching ``last_compiled`` (worker-thread safe)."""
+        """Compile without touching ``last_compiled``."""
         from ..plan import CompileContext, compile_query
         translation = self.translate(query)
         encoding = translation.encoding
@@ -573,9 +573,3 @@ class TranslatingChorelEngine:
                     items.append((label, value))
             result.add(Row(tuple(items)))
         return result
-
-    def run_many(self, queries, *, pool=None,
-                 max_workers: int | None = None) -> list[QueryResult]:
-        """Evaluate a batch of queries concurrently; results in input order."""
-        from ..parallel.executor import run_many as _run_many
-        return _run_many(self, queries, pool=pool, max_workers=max_workers)

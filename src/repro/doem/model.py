@@ -117,14 +117,6 @@ class DOEMDatabase:
         self._listeners = [ref for ref in self._listeners
                            if ref() is not None and ref() is not listener]
 
-    def __getstate__(self) -> dict:
-        # Listeners are weakly-held structures (attached indexes,
-        # caches); a pickled replica starts with none and re-attaches its
-        # own if it needs them.
-        state = dict(self.__dict__)
-        state["_listeners"] = []
-        return state
-
     def _notify(self, hook: str, *args: object) -> None:
         """Call ``hook(*args)`` on every live listener implementing it."""
         live: list[weakref.ref] = []

@@ -327,13 +327,12 @@ _CACHES: "weakref.WeakKeyDictionary[DOEMDatabase, SnapshotCache]" = \
 _CACHES_LOCK = threading.Lock()
 
 
-def snapshot_cache(doem: DOEMDatabase, capacity: int = 8) -> SnapshotCache:
+def snapshot_cache(doem: DOEMDatabase) -> SnapshotCache:
     """The per-database :class:`SnapshotCache` (created on first use)."""
     with _CACHES_LOCK:
         cache = _CACHES.get(doem)
-        if cache is None or cache.capacity != capacity:
-            cache = SnapshotCache(doem, capacity=capacity)
-            _CACHES[doem] = cache
+        if cache is None:
+            cache = _CACHES[doem] = SnapshotCache(doem)
         return cache
 
 

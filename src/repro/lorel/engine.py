@@ -73,7 +73,7 @@ class LorelEngine:
         return compiled
 
     def _compile(self, query: Query) -> CompiledPlan:
-        """Compile without touching ``last_compiled`` (worker-thread safe)."""
+        """Compile without touching ``last_compiled``."""
         context = CompileContext(evaluator=self._evaluator, view=self.view)
         return compile_query(query, self._evaluator, context=context)
 
@@ -125,14 +125,3 @@ class LorelEngine:
     def _base_env(self) -> dict:
         """Ambient bindings every evaluation starts from (none for Lorel)."""
         return {}
-
-    def run_many(self, queries, *, pool=None,
-                 max_workers: int | None = None) -> list[QueryResult]:
-        """Evaluate a batch of queries concurrently; results in input order.
-
-        Row-for-row equivalent to ``[self.run(q) for q in queries]``, but
-        parsing and index acquisition happen once and the evaluations fan
-        out to a worker pool (see :mod:`repro.parallel`).
-        """
-        from ..parallel.executor import run_many as _run_many
-        return _run_many(self, queries, pool=pool, max_workers=max_workers)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, TypeVar
 from ..obs.metrics import registry as metrics_registry
 from ..obs.trace import get_tracer
 
-__all__ = ["WorkerPool", "default_worker_count", "default_pool"]
+__all__ = ["WorkerPool", "default_worker_count"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -195,21 +195,3 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.shutdown(wait=True)
 
-
-_DEFAULT_POOL: WorkerPool | None = None
-_DEFAULT_POOL_LOCK = threading.Lock()
-
-
-def default_pool() -> WorkerPool:
-    """The process-wide shared pool (created on first use).
-
-    Convenience entry point for :func:`repro.parallel.parallel_run` and
-    ``engine.run_many`` callers that do not manage a pool themselves.
-    Never shut this pool down from library code; it lives for the
-    process.
-    """
-    global _DEFAULT_POOL
-    with _DEFAULT_POOL_LOCK:
-        if _DEFAULT_POOL is None or _DEFAULT_POOL._shut_down:
-            _DEFAULT_POOL = WorkerPool()
-        return _DEFAULT_POOL

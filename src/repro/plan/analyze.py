@@ -18,11 +18,11 @@ physical operators wrap their streams so every node accounts:
   solver (:func:`~repro.plan.batch.filter_rows` reports the split);
 * **tested vs. kept nodes** -- on a ``PathExpand`` carrying a fused
   ``where`` test, how many nodes its last hop reached and how many
-  passed;
-* **Exchange shard stats** -- detached stage nodes run on pool workers;
-  each shard fills a :class:`StageRecorder` that returns beside the rows
-  and merges into the coordinator's tree, so a sharded ANALYZE shows the
-  same per-operator row totals as serial.
+  passed.
+
+An analyzed run is never sharded (:func:`~repro.plan.physical.
+run_compiled` inserts no ``Exchange`` under ANALYZE), so the tree always
+describes the serial plan.
 
 When no stats collector is attached (``ctx.stats is None``) the
 operators take their original uninstrumented paths;
@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterator
 
-from .ir import Exchange, LogicalNode
+from .ir import LogicalNode
 
-__all__ = ["OpStats", "PlanStats", "StageRecorder", "plan_fingerprint"]
+__all__ = ["OpStats", "PlanStats", "plan_fingerprint"]
 
 
 def plan_fingerprint(root: LogicalNode) -> str:
@@ -68,8 +68,6 @@ class OpStats:
     batches_in: int = 0
     batches_out: int = 0
     wall_seconds: float = 0.0
-    shards: int = 0
-    detached: bool = False  # an Exchange stage, fed by shard payloads
     pred_counts: dict = field(default_factory=lambda: dict.fromkeys(
         ("vectorized", "fallback", "tested", "kept"), 0))
 
@@ -90,8 +88,6 @@ class OpStats:
             "batches_in": self.batches_in,
             "batches_out": self.batches_out,
             "wall_seconds": round(self.wall_seconds, 6),
-            "shards": self.shards,
-            "detached": self.detached,
             "vectorized_rows": self.vectorized_rows,
             "fallback_rows": self.fallback_rows,
             "tested_rows": self.pred_counts["tested"],
@@ -99,32 +95,12 @@ class OpStats:
         }
 
 
-class StageRecorder:
-    """Per-shard accounting for detached Exchange stages.
-
-    One plain dict per stage index.  The coordinator folds every shard's
-    recorder into the stage nodes' :class:`OpStats`
-    (:meth:`PlanStats.merge_stage_payload`); row counts sum across
-    shards, wall seconds sum to *CPU* seconds (shards overlap, so stage
-    time can exceed the Exchange's wall clock).
-    """
-
-    __slots__ = ("stages",)
-
-    def __init__(self, count: int) -> None:
-        self.stages = [{"rows_in": 0, "rows_out": 0, "wall_seconds": 0.0,
-                        "vectorized": 0, "fallback": 0, "tested": 0,
-                        "kept": 0}
-                       for _ in range(count)]
-
-
 class PlanStats:
     """The runtime stats tree for one analyzed execution.
 
-    Built over the *executed* root (after any ``insert_exchange``
-    rewrite), with one :class:`OpStats` per node in preorder; the
-    physical operators call the ``observe_*`` wrappers when
-    ``ctx.stats`` is set.  ``finalize`` seals the totals; ``render`` is
+    Built over the executed (serial) root, with one :class:`OpStats`
+    per node in preorder; the physical operators call the ``observe_*``
+    wrappers when ``ctx.stats`` is set.  ``finalize`` seals the totals; ``render`` is
     the annotated ANALYZE tree.
     """
 
@@ -144,9 +120,6 @@ class PlanStats:
         self._by_node[id(node)] = op
         for child in node.children():
             self._build(child, depth + 1)
-        if isinstance(node, Exchange):
-            for stage in node.stages:
-                self._by_node[id(stage)].detached = True
 
     # -- lookups ---------------------------------------------------------
 
@@ -190,19 +163,6 @@ class PlanStats:
         fused test (tested/kept) fill."""
         return self._by_node[id(node)].pred_counts
 
-    # -- shard merging ----------------------------------------------------
-
-    def merge_stage_payload(self, exchange: Exchange,
-                            payload: list[dict]) -> None:
-        """Fold one shard's :class:`StageRecorder` payload into the tree."""
-        for stage, rec in zip(exchange.stages, payload):
-            op = self._by_node[id(stage)]
-            op.rows_in += rec["rows_in"]
-            op.rows_out += rec["rows_out"]
-            op.wall_seconds += rec["wall_seconds"]
-            for key in op.pred_counts:
-                op.pred_counts[key] += rec[key]
-
     # -- finishing --------------------------------------------------------
 
     def finalize(self, result_rows: int, execute_seconds: float) -> None:
@@ -221,8 +181,6 @@ class PlanStats:
             if op.batches_out or op.batches_in:
                 parts.append(f"batches {op.batches_in} -> {op.batches_out}")
             parts.append(f"time {op.wall_seconds * 1000:.3f}ms")
-            if op.shards:
-                parts.append(f"shards {op.shards}")
             if op.vectorized_rows or op.fallback_rows:
                 parts.append(f"vectorized {op.vectorized_rows}"
                              f"/fallback {op.fallback_rows}")

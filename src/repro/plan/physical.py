@@ -44,7 +44,6 @@ from ..lorel.eval import NodeBinding
 from ..lorel.result import ObjectRef, QueryResult, Row
 from ..obs.trace import span
 from ..timestamps import POS_INF, order_tick
-from .analyze import StageRecorder
 from .batch import (
     DEFAULT_BATCH_SIZE,
     EnvBatch,
@@ -190,33 +189,17 @@ def _time_column_rows(node: TimeColumnScan, ctx: ExecutionContext) -> list:
             for path in paths]
 
 
-def run_stages_on_rows(stages, rows: list, evaluator,
-                       recorder: StageRecorder | None = None) -> list:
-    """Run detached Exchange stages over one shard's rows, in order.
-
-    ``recorder`` (ANALYZE only) tallies one dict per stage -- rows
-    in/out, wall seconds, predicate vectorized/fallback split -- that the
-    coordinator folds into the stage nodes' :class:`~repro.plan.analyze.
-    OpStats` across shards.
-    """
-    for idx, stage in enumerate(stages):
-        rec = recorder.stages[idx] if recorder is not None else None
-        if rec is not None:
-            rec["rows_in"] += len(rows)
-            started = perf_counter()
+def run_stages_on_rows(stages, rows: list, evaluator) -> list:
+    """Run detached Exchange stages over one shard's rows, in order."""
+    for stage in stages:
         if isinstance(stage, PathExpand):
             keep = compile_node_test(stage.test, evaluator.view)
-            rows = evaluator.bind_from_item_batch(stage.item, rows, keep,
-                                                  rec)
+            rows = evaluator.bind_from_item_batch(stage.item, rows, keep)
         elif isinstance(stage, Predicate):
             pred = compile_predicate(stage.condition, evaluator)
-            rows = filter_rows(evaluator, stage.condition, rows, pred,
-                               counts=rec)
+            rows = filter_rows(evaluator, stage.condition, rows, pred)
         else:
             raise TypeError(f"unsupported exchange stage {stage!r}")
-        if rec is not None:
-            rec["wall_seconds"] += perf_counter() - started
-            rec["rows_out"] += len(rows)
     return rows
 
 
@@ -225,7 +208,6 @@ def _exchange_batches(node: Exchange,
     """Bind the source serially, shard whole batches out, merge in order."""
     from ..parallel.sharding import chunk_evenly, shard_count
 
-    stats = ctx.stats
     with span("parallel.bind_first"):
         first_rows: list = []
         for batch in _child_batches(node, ctx):
@@ -235,12 +217,7 @@ def _exchange_batches(node: Exchange,
     if shards <= 1:
         if metrics is not None:
             metrics["serial_queries"].inc()
-        recorder = StageRecorder(len(node.stages)) if stats is not None \
-            else None
-        rows = run_stages_on_rows(node.stages, first_rows, ctx.evaluator,
-                                  recorder)
-        if recorder is not None:
-            stats.merge_stage_payload(node, recorder.stages)
+        rows = run_stages_on_rows(node.stages, first_rows, ctx.evaluator)
         if rows:
             yield from EnvBatch(rows).split(ctx.batch_size)
         return
@@ -248,22 +225,16 @@ def _exchange_batches(node: Exchange,
         metrics["sharded_queries"].inc()
         metrics["shards"].inc(shards)
     ctx.observed["shards"] = shards
-    if stats is not None:
-        stats.op_for(node).shards = shards
     stages, evaluator = node.stages, ctx.evaluator
 
     def task(chunk):
-        recorder = StageRecorder(len(stages)) if stats is not None else None
         with span("parallel.shard", rows=len(chunk)):
-            rows = run_stages_on_rows(stages, chunk, evaluator, recorder)
-        return rows, recorder
+            return run_stages_on_rows(stages, chunk, evaluator)
 
     with span("parallel.fanout", shards=shards):
         outcomes = ctx.pool.map_ordered(task,
                                         chunk_evenly(first_rows, shards))
-    for rows, recorder in outcomes:
-        if recorder is not None:
-            stats.merge_stage_payload(node, recorder.stages)
+    for rows in outcomes:
         if rows:
             yield EnvBatch(rows)
 
@@ -336,8 +307,8 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
     The one post-compile execution path every engine facade shares.
     With a worker pool on the context the plan is rewritten for sharding
     (:func:`insert_exchange`); unshardable plans run serially.  With
-    ``analyze=True`` a :class:`~repro.plan.analyze.PlanStats` collector
-    is attached over the *executed* tree and finalized into
+    ``analyze=True`` the plan runs serially, pool or not, under a
+    :class:`~repro.plan.analyze.PlanStats` collector finalized into
     ``compiled.runtime``; either way the execution lands one record in
     the :mod:`repro.obs.querylog`.
     """
@@ -345,7 +316,7 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
     from .analyze import PlanStats
 
     root = compiled.root
-    if ctx.pool is not None:
+    if ctx.pool is not None and not analyze:
         exchanged = insert_exchange(root)
         if exchanged is not None:
             root = exchanged

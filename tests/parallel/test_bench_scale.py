@@ -2,13 +2,12 @@
 
 Two :func:`repro.sources.generators.large_world` worlds of ~20k nodes
 each (several hundred times the property-test worlds), big enough that
-every shard carries hundreds of rows.  Three loops, no timings:
+every shard carries hundreds of rows.  Two loops, no timings:
 
 * every rewrite pass in ``RULE_NAMES`` fires on the rule probes (the
   translating backend's on its own probes), and the planned engine
   agrees with the legacy evaluator row for row;
-* thread-sharded ``ParallelExecutor.run`` == serial, in order;
-* ``run_many`` on a shared thread pool == serial, in order.
+* thread-sharded ``ParallelExecutor.run`` == serial, in order.
 
 ``slow``-marked: tier-1 skips it, CI's ``slow`` job runs it with
 ``-m "slow or not slow"``.
@@ -24,7 +23,6 @@ from repro import (
     ParallelExecutor,
     TranslatingChorelEngine,
 )
-from repro.parallel import WorkerPool
 from repro.plan.rules import RULE_NAMES, plan_metrics
 from repro.sources import large_world
 
@@ -109,12 +107,3 @@ def test_bench_scale_equivalence():
                               max_workers=SHARD_WORKERS) as executor:
             for query, serial_rows in zip(HEAVY_QUERIES, rows):
                 assert exact_rows(executor.run(query)) == serial_rows, query
-
-    pool = WorkerPool(SHARD_WORKERS)
-    try:
-        for engine, rows in zip(engines, expected):
-            results = ParallelExecutor(engine, pool=pool).run_many(
-                HEAVY_QUERIES)
-            assert [exact_rows(result) for result in results] == rows
-    finally:
-        pool.shutdown()

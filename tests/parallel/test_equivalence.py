@@ -2,10 +2,10 @@
 
 Randomized worlds (random OEM database + random valid history), the
 differential harness's query templates, and every pool width from 1 to 4:
-``ParallelExecutor.run`` and ``engine.run_many`` must return rows
-*identical and identically ordered* to the serial engine.  Exact-order
-equality (not set equality) is the point -- the deterministic merge is
-what makes the parallel layer safe to substitute anywhere.
+``ParallelExecutor.run`` must return rows *identical and identically
+ordered* to the serial engine.  Exact-order equality (not set equality)
+is the point -- the deterministic merge is what makes the parallel layer
+safe to substitute anywhere.
 """
 
 from __future__ import annotations
@@ -51,22 +51,6 @@ def test_sharded_run_matches_serial(worlds, data):
         assert exact_rows(executor.run(query)) == serial
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_run_many_matches_sequential(worlds, data):
-    seed = data.draw(st.sampled_from(sorted(worlds)), label="world")
-    naive, indexed, queries = worlds[seed]
-    batch = data.draw(
-        st.lists(st.sampled_from(queries), min_size=0, max_size=8),
-        label="batch")
-    workers = data.draw(st.sampled_from(POOL_SIZES), label="workers")
-    engine = data.draw(st.sampled_from([naive, indexed]), label="engine")
-    sequential = [exact_rows(engine.run(query)) for query in batch]
-    parallel = engine.run_many(batch, max_workers=workers)
-    assert [exact_rows(result) for result in parallel] == sequential
-
-
 class TestEndToEnd:
     """Deterministic (non-hypothesis) sweeps for the CI bench baseline."""
 
@@ -92,19 +76,6 @@ class TestEndToEnd:
         assert engine.stats.indexed_queries > 0
         assert engine.stats.fallback_queries > 0
 
-    def test_run_many_counts_pushdown_like_serial(self):
-        _, history, doem = make_world(7)
-        queries = world_queries(history)
-        serial_engine = IndexedChorelEngine(doem, name="root")
-        for query in queries:
-            serial_engine.run(query)
-        batch_engine = IndexedChorelEngine(doem, name="root")
-        batch_engine.run_many(queries, max_workers=3)
-        assert batch_engine.stats.indexed_queries == \
-            serial_engine.stats.indexed_queries
-        assert batch_engine.stats.fallback_queries == \
-            serial_engine.stats.fallback_queries
-
     @pytest.mark.parametrize("query", [
         "select X from root.<add at 3Jan97>item X",              # pinned
         "select T, X from root.<add at T>item X "
@@ -118,23 +89,20 @@ class TestEndToEnd:
         from repro.obs.querylog import query_log
         _, _, doem = make_world(3)
         observed = []
-        for how in ("run", "executor", "run_many"):
+        for how in ("run", "executor"):
             engine = IndexedChorelEngine(doem, name="root")
             query_log().reset()
             if how == "run":
                 rows = exact_rows(engine.run(query))
-            elif how == "executor":
+            else:
                 with ParallelExecutor(engine, max_workers=2) as executor:
                     rows = exact_rows(executor.run(query))
-            else:
-                [result] = engine.run_many([query], max_workers=2)
-                rows = exact_rows(result)
             [record] = query_log().recent()
             observed.append((rows, engine.stats.as_dict(),
                              engine.last_plan.describe(),
                              engine.last_range_plan is engine.last_plan,
                              record.indexed))
-        assert observed[0] == observed[1] == observed[2]
+        assert observed[0] == observed[1]
         assert observed[0][1]["pushdown_rate"] == 1.0
         assert observed[0][4] is True
 
@@ -189,15 +157,13 @@ class TestEndToEnd:
             ["parallel.shard"] * fanout.attrs["shards"]
         assert all("rows" in child.attrs for child in fanout.children)
 
-    def test_shared_pool_reused_across_executors(self):
-        from repro.parallel import WorkerPool
+    def test_context_manager_shuts_its_pool_down(self):
         _, history, doem = make_world(2)
         engine = ChorelEngine(doem, name="root")
-        queries = world_queries(history)
-        with WorkerPool(3, metrics_prefix="test.shared") as pool:
-            first = ParallelExecutor(engine, pool=pool)
-            second = ParallelExecutor(engine, pool=pool)
-            for query in queries:
-                assert exact_rows(first.run(query)) == \
-                    exact_rows(second.run(query))
-            assert pool.stats()["test.shared.submitted"] > 0
+        with ParallelExecutor(engine, max_workers=3) as executor:
+            for query in world_queries(history):
+                executor.run(query)
+            pool = executor.pool
+            assert pool.max_workers == 3
+        with pytest.raises(RuntimeError):
+            pool.submit(len, ())

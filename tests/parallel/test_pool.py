@@ -1,4 +1,7 @@
-"""WorkerPool behaviour: ordering, accounting, tracing, shutdown."""
+"""WorkerPool behaviour: ordering, accounting, tracing, shutdown.
+
+Every wait is an event handshake with a timeout, never a sleep.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import pytest
 
 import repro
 from repro.obs.trace import get_tracer, span
-from repro.parallel import WorkerPool, chunk_evenly, default_pool, shard_count
+from repro.parallel import WorkerPool, chunk_evenly, shard_count
 
 
 class TestMapOrdered:
@@ -36,6 +39,21 @@ class TestMapOrdered:
         assert finished == [3, 2, 1, 0]
         assert out == [0, 1, 2, 3]
 
+    def test_fewer_workers_than_tasks(self):
+        """Task 0 holds one of two workers until task 1 has finished,
+        so completion order differs from submission order."""
+        one_done = threading.Event()
+
+        def held(i):
+            if i == 0:
+                assert one_done.wait(timeout=5)
+            elif i == 1:
+                one_done.set()
+            return i
+
+        with WorkerPool(2) as pool:
+            assert pool.map_ordered(held, range(4)) == [0, 1, 2, 3]
+
     def test_exception_propagates(self):
         def boom(x):
             raise ValueError(x)
@@ -46,8 +64,9 @@ class TestMapOrdered:
             assert pool.map_ordered(lambda x: x + 1, [1, 2]) == [2, 3]
 
     def test_empty_input(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, metrics_prefix="test.pool.empty") as pool:
             assert pool.map_ordered(lambda x: x, []) == []
+            assert pool.stats()["test.pool.empty.submitted"] == 0
 
 
 class TestAccounting:
@@ -105,21 +124,39 @@ class TestShutdown:
         pool = WorkerPool(1)
         pool.shutdown()
         pool.shutdown(cancel_pending=True)
+        with pytest.raises(RuntimeError):
+            pool.submit(lambda: 1)
 
     def test_shutdown_under_load_cancels_queue(self):
         """Queued-but-unstarted work is cancelled, counted, and the
         shutdown returns promptly instead of draining the backlog."""
-        release = threading.Event()
-        pool = WorkerPool(1, metrics_prefix="test.pool.c")
+        prefix = "test.pool.c"
+        started, release = threading.Event(), threading.Event()
+
+        def blocker_task():
+            started.set()
+            assert release.wait(timeout=30)
+            return "done"
+
+        pool = WorkerPool(1, metrics_prefix=prefix)
         try:
             # One worker: the blocker occupies it, the backlog queues.
-            blocker = pool.submit(release.wait, 10)
-            backlog = [pool.submit(lambda: "ran") for _ in range(5)]
+            blocker = pool.submit(blocker_task)
+            assert started.wait(timeout=30)
+            backlog = [pool.submit(lambda: "ran") for _ in range(6)]
+            settled = threading.Semaphore(0)
+            for future in backlog:
+                # Runs after the pool's own accounting, so a release
+                # means that future's books are closed too.
+                future.add_done_callback(lambda _f: settled.release())
             pool.shutdown(wait=False, cancel_pending=True)
             release.set()
-            assert blocker.result(timeout=5) is True
+            assert blocker.result(timeout=30) == "done"
+            for _ in backlog:
+                assert settled.acquire(timeout=30), "a future never settled"
+            # The one worker was held throughout, so nothing queued ran.
             assert all(future.cancelled() for future in backlog)
-            assert pool.stats()["test.pool.c.cancelled"] >= 5
+            assert pool.stats()[f"{prefix}.cancelled"] == len(backlog)
             with pytest.raises(RuntimeError):
                 pool.submit(lambda: 1)
         finally:
@@ -170,14 +207,6 @@ class TestTracing:
 
 
 class TestDefaults:
-    def test_default_pool_is_shared_and_recreated(self):
-        first = default_pool()
-        assert default_pool() is first
-        first.shutdown()
-        second = default_pool()
-        assert second is not first
-        assert second.map_ordered(lambda x: x * 2, [1, 2]) == [2, 4]
-
     def test_invalid_widths_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(0)

@@ -18,6 +18,7 @@ from repro import (
     LorelEngine,
     ParallelExecutor,
     TranslatingChorelEngine,
+    WorkerPool,
     build_doem,
 )
 from repro.plan.analyze import plan_fingerprint
@@ -38,25 +39,18 @@ def analyzed_stats(engine, query):
     return result, engine.last_compiled.runtime
 
 
-def rows_by_op(stats) -> dict[str, int]:
-    """``rows_out`` summed per operator label, ``Scan`` and ``Exchange``
-    left out: the operators a serial and a sharded tree share."""
-    totals: dict[str, int] = {}
-    for op in stats.ops:
-        if not op.op.startswith(("Scan", "Exchange")):
-            totals[op.op] = totals.get(op.op, 0) + op.rows_out
-    return totals
+def op_rows(stats) -> list[tuple[str, int, int]]:
+    """``(operator, rows_in, rows_out)`` per node, in preorder."""
+    return [(op.op, op.rows_in, op.rows_out) for op in stats.ops]
 
 
 def children_of(stats):
-    """(parent, child) OpStats pairs along the attached (non-detached)
-    spine: each parent's direct child is the next op one level deeper."""
+    """(parent, child) OpStats pairs: each parent's direct child is the
+    next op one level deeper."""
     pairs = []
     for index, op in enumerate(stats.ops):
-        if op.detached:
-            continue
         for later in stats.ops[index + 1:]:
-            if later.depth == op.depth + 1 and not later.detached:
+            if later.depth == op.depth + 1:
                 pairs.append((op, later))
             if later.depth <= op.depth:
                 break
@@ -173,7 +167,7 @@ class TestFingerprint:
         serial.run(CHAIN_QUERY, analyze=True)
         sharded = ChorelEngine(doem, name="guide")
         with ParallelExecutor(sharded, max_workers=2) as executor:
-            executor.run(CHAIN_QUERY, analyze=True)
+            executor.run(CHAIN_QUERY)
         assert serial.last_compiled.fingerprint == \
             sharded.last_compiled.fingerprint
 
@@ -183,30 +177,31 @@ class TestFingerprint:
         assert plan_fingerprint(compiled.root) != ""
 
 
-class TestShardedAnalyze:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_merged_totals_match_serial(self, doem, workers):
-        serial = ChorelEngine(doem, name="guide")
-        expected, serial_stats = analyzed_stats(serial, CHAIN_QUERY)
-        engine = ChorelEngine(doem, name="guide")
-        with ParallelExecutor(engine, max_workers=workers) as executor:
-            result = executor.run(CHAIN_QUERY, analyze=True)
-        assert [str(r) for r in result] == [str(r) for r in expected]
-        stats = engine.last_compiled.runtime
-        assert stats is not None
-        assert rows_by_op(stats) == rows_by_op(serial_stats)
-        exchanges = [op for op in stats.ops
-                     if op.op.startswith("Exchange")]
-        if exchanges:  # sharding engaged: stage stats were merged
-            detached = [op for op in stats.ops if op.detached]
-            assert detached
-            assert all(op.rows_in or op.rows_out for op in detached)
+class TestPooledAnalyze:
+    """An analyzed run is never sharded: with a pool on the context,
+    ANALYZE describes the serial plan."""
 
-    def test_sharded_to_dict_round_trips(self, doem):
+    def analyzed_with_pool(self, engine, workers):
+        compiled = engine.compile(CHAIN_QUERY)
+        with WorkerPool(workers) as pool:
+            result = engine.execute(compiled, pool=pool, analyze=True)
+        return result, compiled.runtime
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_runs_the_serial_plan(self, doem, workers):
+        plain = ChorelEngine(doem, name="guide").run(CHAIN_QUERY)
+        serial = ChorelEngine(doem, name="guide")
+        _, serial_stats = analyzed_stats(serial, CHAIN_QUERY)
         engine = ChorelEngine(doem, name="guide")
-        with ParallelExecutor(engine, max_workers=2) as executor:
-            executor.run(CHAIN_QUERY, analyze=True)
-        payload = engine.last_compiled.runtime.to_dict()
+        result, stats = self.analyzed_with_pool(engine, workers)
+        assert [str(r) for r in result] == [str(r) for r in plain]
+        assert not any(op.op.startswith("Exchange") for op in stats.ops)
+        assert op_rows(stats) == op_rows(serial_stats)
+
+    def test_to_dict_round_trips(self, doem):
+        engine = ChorelEngine(doem, name="guide")
+        _, stats = self.analyzed_with_pool(engine, 2)
+        payload = stats.to_dict()
         assert payload["fingerprint"] == engine.last_compiled.fingerprint
         assert payload["rows"] == payload["ops"][0]["rows_out"]
         import json

@@ -1,12 +1,12 @@
 """ANALYZE observes; it must not perturb.
 
-The property this suite pins: for every engine, serial or sharded
-on a thread pool, ``run(query, analyze=True)`` returns rows
-**identical and identically ordered** to the uninstrumented run -- and
-the collected stats tree is internally consistent (each attached
-parent's ``rows_in`` equals its child's ``rows_out``, predicate tallies
-cover every judged row).  Randomized worlds come from the same generator
-the index-differential harness trusts.
+The property this suite pins: for every engine, with or without a
+worker pool on the context, an analyzed run returns rows **identical and
+identically ordered** to the uninstrumented run -- and the collected
+stats tree is internally consistent (each parent's ``rows_in`` equals
+its child's ``rows_out``, predicate tallies cover every judged row).
+Randomized worlds come from the same generator the index-differential
+harness trusts.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro import (
     ParallelExecutor,
     TranslatingChorelEngine,
 )
-from tests.plan.test_analyze import children_of, rows_by_op
+from tests.plan.test_analyze import children_of, op_rows
 from tests.plan.test_planner_equivalence import (
     LOREL_QUERIES,
     RELAXED,
@@ -42,7 +42,7 @@ def check_stats(engine, query) -> None:
         assert parent.rows_in == child.rows_out, \
             (type(engine).__name__, query, parent.op, child.op)
     for op in stats.ops:
-        if op.op.startswith("Predicate") and not op.detached:
+        if op.op.startswith("Predicate"):
             assert op.vectorized_rows + op.fallback_rows == op.rows_in, \
                 (type(engine).__name__, query, op.op)
         assert op.wall_seconds >= 0.0
@@ -97,6 +97,14 @@ class TestSerialAnalyzeEquivalence:
 
 
 class TestShardedAnalyzeEquivalence:
+    """Beside a thread-sharded run, ANALYZE with the same pool on the
+    context runs the serial plan: same rows, same per-operator totals."""
+
+    @staticmethod
+    def analyzed_with_pool(engine, query, pool):
+        compiled = engine.compile(query)
+        return texts(engine.execute(compiled, pool=pool, analyze=True))
+
     @given(seed=st.integers(min_value=0, max_value=99),
            workers=st.integers(min_value=2, max_value=4))
     @settings(max_examples=6, deadline=None,
@@ -110,15 +118,16 @@ class TestShardedAnalyzeEquivalence:
             with ParallelExecutor(engine, max_workers=workers) as executor:
                 for query in queries:
                     expected = texts(plain.run(query))
-                    assert texts(executor.run(query, analyze=True)) == \
-                        expected, (engine_cls.__name__, query)
-                    stats = engine.last_compiled.runtime
-                    assert stats is not None
+                    assert texts(executor.run(query)) == expected, \
+                        (engine_cls.__name__, query)
+                    assert self.analyzed_with_pool(
+                        engine, query, executor.pool) == expected, \
+                        (engine_cls.__name__, query)
+                    check_stats(engine, query)
 
     @pytest.mark.parametrize("seed", [1, 8])
     def test_chorel_4_workers(self, seed):
-        """Stage stats returned beside each shard's rows keep the rows
-        identical and the merged tree populated."""
+        from repro.obs.querylog import query_log
         _, history, doem = make_world(seed)
         plain = ChorelEngine(doem, name="root")
         engine = ChorelEngine(doem, name="root")
@@ -128,11 +137,11 @@ class TestShardedAnalyzeEquivalence:
             for query in queries:
                 expected = texts(plain.run(query, analyze=True))
                 serial_stats = plain.last_compiled.runtime
-                assert texts(executor.run(query, analyze=True)) == \
-                    expected, query
+                assert texts(executor.run(query)) == expected, query
+                fanned_out |= query_log().recent()[-1].shards > 1
+                assert self.analyzed_with_pool(
+                    engine, query, executor.pool) == expected, query
                 stats = engine.last_compiled.runtime
-                assert stats is not None
                 assert stats.ops[0].rows_out == len(expected), query
-                assert rows_by_op(stats) == rows_by_op(serial_stats), query
-                fanned_out |= any(op.shards > 1 for op in stats.ops)
+                assert op_rows(stats) == op_rows(serial_stats), query
         assert fanned_out, "no query in the world was sharded"

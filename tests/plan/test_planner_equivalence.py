@@ -134,14 +134,3 @@ class TestShardedEquivalence:
             for query in queries:
                 assert texts(executor.run(query)) == \
                     texts(legacy.run(query)), query
-
-    @pytest.mark.parametrize("seed", [2, 9])
-    def test_batched_matches_serial(self, seed):
-        _, history, doem = make_world(seed)
-        engine = IndexedChorelEngine(doem, name="root")
-        legacy = IndexedChorelEngine(doem, name="root", use_planner=False)
-        queries = world_queries(history)
-        with ParallelExecutor(engine, max_workers=3) as executor:
-            batched = executor.run_many(queries)
-        for query, result in zip(queries, batched):
-            assert texts(result) == texts(legacy.run(query)), query

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro import SnapshotCache, parse_timestamp, snapshot_at
+from repro import SnapshotCache, parse_timestamp, snapshot_at, snapshot_cache
 from repro.sources.generators import demo_world
 from repro.store import CheckpointPolicy, HistoryLog
 
@@ -97,4 +97,18 @@ class TestReadThrough:
             assert cache.snapshot_at(when).same_as(snapshot_at(doem, when))
         assert cache.stats.store_hits >= 1
         assert cache.stats.replayed_sets >= 1
+        log.close()
+
+    def test_shared_cache_keeps_its_store(self, tmp_path):
+        """``snapshot_cache(doem)`` hands back the attached cache, so a
+        later lookup still reads through the durable checkpoints."""
+        db, history, log = build(tmp_path)
+        doem = log.get_doem()
+        cache = snapshot_cache(doem)
+        cache.attach_store(log)
+        again = snapshot_cache(doem)
+        assert again is cache
+        when = history.timestamps()[-1]
+        assert again.snapshot_at(when).same_as(history.snapshot_at(db, when))
+        assert again.stats.store_hits == 1
         log.close()
