@@ -7,11 +7,12 @@ study's implementation half.  The engine is a thin facade: recognition
 of the index-servable shape lives in the ``index-selection`` rewrite
 pass (:mod:`repro.plan.rules`), and the index-scan kernel -- a
 timestamp-range scan checked against the path's prefix set -- is
-:func:`repro.plan.physical.execute_range_plan`.
+:func:`repro.plan.physical.execute_range_plan`, which ``run_compiled``
+runs under the ``chorel.index_scan`` span and never shards.
 
-What remains here is index/path-index ownership, the
-``chorel.optimize`` / ``chorel.index_scan`` spans, and the pushdown
-accounting (:class:`~repro.plan.stats.EngineStats`, re-exported).
+What remains here is index/path-index ownership, the ``chorel.optimize``
+span, and the pushdown accounting (:class:`~repro.plan.stats.EngineStats`,
+re-exported).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..doem.model import DOEMDatabase
 from ..lorel.result import QueryResult
 from ..lore.indexes import PathIndex, TimestampIndex
 from ..obs.trace import span
-from ..plan import CompileContext, CompiledPlan, run_compiled
+from ..plan import CompiledPlan
 from ..plan.stats import EngineStats, RangePlan
 from .engine import ChorelEngine
 
@@ -38,11 +39,12 @@ class IndexedChorelEngine(ChorelEngine):
     are checked against one memoized :class:`PathIndex` prefix set per
     query instead of a per-hit backward BFS.
 
-    Accounting: ``engine.stats`` says how many queries took the indexed
-    vs. fallback path, ``engine.index.stats`` / ``engine.paths.stats``
-    carry index hit rates, and ``engine.annotation_visits`` totals the
-    annotations touched (index entries + fallback scans) for direct
-    comparison against the naive engine.
+    Accounting: ``engine.stats`` says how many executions took the
+    indexed vs. fallback path, ``engine.index.stats`` /
+    ``engine.paths.stats`` carry index hit rates, and
+    ``engine.annotation_visits`` totals the annotations touched (index
+    entries + fallback scans) for direct comparison against the naive
+    engine.
     """
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
@@ -51,13 +53,16 @@ class IndexedChorelEngine(ChorelEngine):
         self.index = TimestampIndex(doem)
         self.paths = PathIndex(doem)
         self.stats = EngineStats()
-        self.last_plan: RangePlan | None = None
 
     @property
-    def last_range_plan(self) -> RangePlan | None:
-        """Read-only alias of ``last_plan`` (the pipeline benchmark's
-        per-strategy counter reads this name)."""
-        return self.last_plan
+    def last_plan(self) -> RangePlan | None:
+        """The index scan of the last compiled query (``None`` after a
+        fallback query)."""
+        compiled = self.last_compiled
+        return compiled.index_plan if compiled is not None else None
+
+    # The name the pipeline benchmark's per-strategy counter reads.
+    last_range_plan = last_plan
 
     def refresh_index(self) -> None:
         """Force a full index rebuild.
@@ -82,51 +87,17 @@ class IndexedChorelEngine(ChorelEngine):
         self.paths.stats.reset()
         self.stats.reset()
 
-    # -- planner pipeline ------------------------------------------------
-
-    def _compile_context(self, bindings) -> CompileContext:
-        context = super()._compile_context(bindings)
-        context.has_index = True
-        return context
-
-    def _execution_context(self, bindings=None, **parallel):
-        context = super()._execution_context(bindings, **parallel)
-        context.index = self.index
-        context.paths = self.paths
-        return context
-
-    def execute(self, compiled: CompiledPlan,
-                bindings: dict[str, str] | None = None, *,
-                analyze: bool = False, **parallel) -> QueryResult:
-        plan = compiled.index_plan
-        if plan is None:
-            return super().execute(compiled, bindings, analyze=analyze,
-                                   **parallel)
-        # The index scan is never sharded: per-kind timestamp-index
-        # scans plus one prefix-set check per kept event, already
-        # sublinear.
-        ctx = self._execution_context(bindings)
-        with span("chorel.index_scan", plan=plan.describe()):
-            return run_compiled(compiled, ctx, self, analyze=analyze)
-
-    def _run(self, query, bindings, *, analyze: bool = False) -> QueryResult:
-        """Evaluate; use the index when the planner selects it.
-
-        ``use_planner=False`` only reroutes the *fallback* queries to the
-        legacy evaluator: an index-served query has no legacy path.
-        """
-        if isinstance(query, str):
-            with span("chorel.parse"):
-                query = self.parse(query)
+    def _compile(self, query, bindings=None) -> CompiledPlan:
+        # Pre-bound range variables clear ``allow_index``, so trigger
+        # conditions always count as fallback.
         with span("chorel.optimize"):
-            # Pre-bound range variables clear ``allow_index``, so
-            # trigger conditions always count as fallback.
-            compiled = self.compile(query, bindings)
-        self.last_plan = compiled.index_plan
-        if self.last_plan is None:
+            return super()._compile(query, bindings)
+
+    def execute(self, compiled: CompiledPlan, bindings=None,
+                **kwargs) -> QueryResult:
+        """Execute, counting the query as index-served or fallback."""
+        if compiled.index_plan is None:
             self.stats.fallback_queries += 1
-            if not self.use_planner:
-                return super()._run(query, bindings, analyze=analyze)
         else:
             self.stats.indexed_queries += 1
-        return self.execute(compiled, bindings, analyze=analyze)
+        return super().execute(compiled, bindings, **kwargs)

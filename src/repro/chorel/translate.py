@@ -49,12 +49,20 @@ from ..lorel.ast import (
     TimeVar,
     VarRef,
 )
-from ..lorel.engine import LorelEngine
-from ..lorel.eval import TIMEVARS_KEY, Evaluator, default_labels
+from ..lorel.engine import LorelEngine, QueryEngine
+from ..lorel.eval import Evaluator, default_labels
+from ..lorel.parser import parse_query
 from ..lorel.pretty import format_query
 from ..lorel.result import ObjectRef, QueryResult, Row
 from ..lorel.views import OEMView
 from ..obs.trace import span
+from ..plan import (
+    CompileContext,
+    CompiledPlan,
+    ExecutionContext,
+    compile_query,
+    run_compiled,
+)
 from ..timestamps import Timestamp, parse_timestamp
 
 __all__ = ["translate_query", "TranslationResult", "TranslatingChorelEngine"]
@@ -403,7 +411,7 @@ class _Encoding:
     normalizer: Evaluator
 
 
-class TranslatingChorelEngine:
+class TranslatingChorelEngine(QueryEngine):
     """The translation-based Chorel backend (Section 5).
 
     Encodes the DOEM database in OEM (again whenever it has moved), then
@@ -412,20 +420,23 @@ class TranslatingChorelEngine:
     comparable with the native engine's: auxiliary atoms (timestamps,
     old/new values) unwrap to their scalar values, and encoding objects
     keep the DOEM node identifiers (the encoding is identifier-preserving).
+
+    The view and evaluator belong to each encoding, so the engine builds
+    its compile and execution contexts over the current one; the rest of
+    the glue is :class:`~repro.lorel.engine.QueryEngine`'s.
     """
 
+    parse_span = "chorel.parse"
+
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
-                 polling_times: dict[int, Timestamp] | None = None, *,
-                 use_planner: bool = True) -> None:
+                 polling_times: dict[int, Timestamp] | None = None) -> None:
         self.doem = doem
         self._entry = name or doem.graph.root
         self._names: dict[str, str] = {}
         self._encoding_lock = threading.Lock()
         self._encoding = self._encode()
-        self._polling_times: dict[int, Timestamp] = dict(polling_times or {})
-        self.use_planner = use_planner
+        self.set_polling_times(polling_times or {})
         self.last_translation: TranslationResult | None = None
-        self.last_compiled = None
 
     # The latest encoding, and the Lorel engine over it.
     encoded = property(lambda self: self._encoding.encoded)
@@ -452,24 +463,19 @@ class TranslatingChorelEngine:
             return self._encoding
 
     def register_name(self, name: str, node_id: str) -> None:
-        """Expose an entry point under ``name`` (mirrors the native engine)."""
+        """Expose an entry point under ``name`` in the current encoding's
+        readers and in every later encoding's."""
         with self._encoding_lock:
             self._names[name] = node_id
             self._encoding.lorel.register_name(name, node_id)
             self._encoding.normalizer.view._names[name] = node_id
 
-    def set_polling_times(self, times: dict[int, object]) -> None:
-        """Set the ``t[i]`` mapping for QSS filter queries."""
-        self._polling_times = {index: parse_timestamp(when)
-                               for index, when in times.items()}
-
     def translate(self, query: str | Query) -> TranslationResult:
         """Translate Chorel text/AST to Lorel over the current encoding."""
         encoding = self._current()
-        from ..lorel.parser import parse_query
         if isinstance(query, str):
             with span("chorel.parse"):
-                query = parse_query(query, allow_annotations=True)
+                query = self.parse(query)
         with span("chorel.translate"):
             translation = translate_query(query, encoding.normalizer)
         translation.encoding = encoding
@@ -487,40 +493,20 @@ class TranslatingChorelEngine:
         with span("chorel.query"):
             return self._run(query, analyze=analyze)
 
-    def _run(self, query: str | Query, *,
-             analyze: bool = False) -> QueryResult:
-        if not self.use_planner:
-            if analyze:
-                raise ValueError("analyze=True requires the planner "
-                                 "(use_planner=False has no plan tree)")
-            translation = self.translate(query)
-            raw = translation.encoding.lorel._evaluator.run(
-                translation.query, self._base_env())
-            return self._postprocess(raw, translation)
-        compiled = self.compile(query)
-        return self.execute(compiled, analyze=analyze)
-
-    # -- planner pipeline ------------------------------------------------
-
-    def parse(self, text: str):
+    def parse(self, text: str) -> Query:
         """Parse Chorel text (annotation expressions allowed)."""
-        from ..lorel.parser import parse_query
         return parse_query(text, allow_annotations=True)
 
-    def compile(self, query: str | Query):
+    def _compile(self, query: Query, bindings=None) -> CompiledPlan:
         """Translate to Lorel, then compile the translation.
 
         The compiled plan is the *Lorel* plan over the OEM encoding; the
         translation result rides along for row post-processing and for
         EXPLAIN (``plan: translate-to-lorel ...``).
         """
-        compiled = self._compile(query)
-        self.last_compiled = compiled
-        return compiled
-
-    def _compile(self, query: str | Query):
-        """Compile without touching ``last_compiled``."""
-        from ..plan import CompileContext, compile_query
+        if bindings:
+            raise TranslationError("pre-bound variables have no Lorel "
+                                   "translation; use the native engine")
         translation = self.translate(query)
         encoding = translation.encoding
         evaluator = encoding.lorel._evaluator
@@ -532,31 +518,20 @@ class TranslatingChorelEngine:
         compiled.translation = translation
         return compiled
 
-    def execute(self, compiled, *, pool=None, parallel_metrics=None,
-                analyze: bool = False) -> QueryResult:
+    def execute(self, compiled: CompiledPlan, bindings=None, *,
+                analyze: bool = False, **parallel) -> QueryResult:
         """Run a compiled translation through the physical operators.
 
         ``analyze=True`` instruments the translated Lorel plan (identical
         rows) and leaves the stats on ``compiled.runtime``.
         """
-        from ..plan import ExecutionContext, run_compiled
         encoding = compiled.translation.encoding
         ctx = ExecutionContext(evaluator=encoding.lorel._evaluator,
-                               base_env=self._base_env(),
+                               base_env=self._base_env(bindings),
                                time_columns=encoding.encoded.time_columns,
-                               pool=pool, parallel_metrics=parallel_metrics)
-        if pool is not None:
-            raw = run_compiled(compiled, ctx, self, analyze=analyze)
-        else:
-            with span("lorel.eval"):
-                raw = run_compiled(compiled, ctx, self, analyze=analyze)
+                               **parallel)
+        raw = run_compiled(compiled, ctx, self, analyze=analyze)
         return self._postprocess(raw, compiled.translation)
-
-    def _base_env(self) -> dict:
-        env: dict = {}
-        if self._polling_times:
-            env[TIMEVARS_KEY] = dict(self._polling_times)
-        return env
 
     def _postprocess(self, raw: QueryResult,
                      translation: TranslationResult) -> QueryResult:

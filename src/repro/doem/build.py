@@ -53,7 +53,7 @@ class DOEMApplier:
 
     Which nodes are deleted from the current snapshot is kept on the
     database with the fingerprint it holds for, so every applier -- each
-    poll's :func:`apply_change_set`, a trigger manager's long-lived one --
+    poll's or trigger fold's :func:`apply_change_set`, ``build_doem``'s --
     continues where the last stopped, and a database changed behind their
     back (by hand, ``decode``, ``compact``) is walked afresh.
     """

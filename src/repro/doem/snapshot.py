@@ -185,10 +185,10 @@ class SnapshotCache:
     to keep one around while folding new history in.
 
     Thread safety: every lookup/maintenance path runs under one reentrant
-    lock, so concurrent ``snapshot_at`` calls from the parallel query
-    executor serialize on the cache (each call still returns its own
-    private copy).  The lock is per cache, not global -- caches of
-    distinct DOEM databases never contend.
+    lock per cache (each call still returns its own private copy).  The
+    cache is read on the driving thread: the parallel executor's shards
+    run ``PathExpand`` and ``Predicate`` stages only, and QSS poll
+    workers run ``Wrapper.poll``.
     """
 
     def __init__(self, doem: DOEMDatabase, capacity: int = 8) -> None:

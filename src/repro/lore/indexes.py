@@ -221,9 +221,10 @@ class TimestampIndex(AnnotationIndex):
     annotation (``tests/lore/test_index_memory.py`` holds the budget).
 
     Thread safety: maintenance (``rebuild``/``insert``) and lookups
-    (``between``) serialize on one reentrant lock per index, so the
-    parallel query executor may scan while history folding inserts
-    concurrently -- each lookup sees a consistent entry list.
+    (``between``) serialize on one reentrant lock per index.  Lookups
+    come from the range kernel, which runs on the driving thread (the
+    parallel executor never shards an index scan), and history is folded
+    between runs, never during one (``docs/parallel.md``).
     """
 
     def __init__(self, doem: DOEMDatabase | None = None, *,
@@ -343,8 +344,9 @@ class PathIndex:
     so results stay exact across incremental history folding.
 
     Lookups serialize on one reentrant lock per index (memoization
-    mutates on reads), so concurrent hit verification from the parallel
-    executor's workers is safe.
+    mutates on reads).  Its one reader is the range kernel on the driving
+    thread: the parallel executor's shards run ``PathExpand`` and
+    ``Predicate`` stages only, and QSS poll workers run ``Wrapper.poll``.
     """
 
     def __init__(self, source: OEMDatabase | DOEMDatabase) -> None:

@@ -233,5 +233,4 @@ def _match_objects(engine: LorelEngine, path: PathExpr,
             raise QueryError(f"unknown name {path.start!r}")
         return [entry]
     query = Query(select=(SelectItem(path),), from_items=(), where=where)
-    result = engine.run_ast(query)
-    return result.objects()
+    return engine.run(query).objects()

@@ -1,25 +1,28 @@
 """Sharded query execution over the Lorel/Chorel engines.
 
 :meth:`ParallelExecutor.run` shards one query, expressed in the plan
-algebra: the query is compiled through the engine's normal pipeline
-(:meth:`engine.compile`), and execution inserts an ``Exchange`` operator
-(:func:`repro.plan.physical.insert_exchange`) at the first from-item.
-The Exchange binds its source serially, cuts the environments into
-contiguous shards (:mod:`repro.parallel.sharding`), runs the remaining
-plan stages per shard on worker threads, and concatenates in shard
-order -- replaying the serial enumeration exactly, so results are row-
-and order-identical to ``engine.run`` for any shard count (the property
-test in ``tests/parallel`` proves it on randomized histories).
+algebra: the query is compiled once through the engine's normal
+pipeline (:meth:`engine.compile`) and handed to :meth:`engine.execute`
+with the executor's pool.  ``run_compiled`` then inserts an ``Exchange``
+operator (:func:`repro.plan.physical.insert_exchange`) at the first
+from-item.  The Exchange binds its source serially, cuts the
+environments into contiguous shards (:mod:`repro.parallel.sharding`),
+runs the remaining ``PathExpand``/``Predicate`` stages per shard on
+worker threads, and concatenates in shard order -- replaying the serial
+enumeration exactly, so results are row- and order-identical to
+``engine.run`` for any shard count (the property test in
+``tests/parallel`` proves it on randomized histories).
 
 Index pushdown is preserved: a query index selection serves
-(``compiled.index_plan``) is answered by the index scan (already O(log n
-+ answers); slicing it thinner would only add overhead), with the
-engine's pushdown accounting intact.
+(``compiled.index_plan``) is answered by the index scan on the driving
+thread (already O(log n + answers); slicing it thinner would only add
+overhead), and the engine counts it as it counts a serial run.  The
+snapshot cache and the range kernel never run on the executor's workers.
 
 The executor never mutates the underlying database; conversely, callers
-must not fold new history in *during* a parallel run -- the thread-safety
-contract (``docs/parallel.md``) makes index/cache/metrics state safe, but
-raw OEM/DOEM graph reads are unsynchronized snapshots-in-time.
+must not fold new history in *during* a parallel run
+(``docs/parallel.md``): raw OEM/DOEM graph reads are unsynchronized
+snapshots-in-time.
 """
 
 from __future__ import annotations
@@ -73,24 +76,13 @@ class ParallelExecutor:
     def run(self, query) -> QueryResult:
         """Evaluate one query with intra-query sharding.
 
-        Row- and order-identical to ``engine.run(query)``.
+        Row- and order-identical to ``engine.run(query)``, with the same
+        engine accounting.
         """
-        engine = self.engine
-        if isinstance(query, str):
-            query = engine.parse(query)
         self._metrics["queries"].inc()
-        compiled = engine._compile(query)
+        compiled = self.engine.compile(query)
         if compiled.index_plan is not None:
-            # The annotation-index scan is already sublinear; let the
-            # engine serve it (and keep its pushdown accounting).
             self._metrics["indexed_queries"].inc()
-            return engine.run(query)
-        engine.last_compiled = compiled
         with span("parallel.query"):
-            result = engine.execute(compiled, pool=self.pool,
-                                    parallel_metrics=self._metrics)
-        if getattr(engine, "stats", None) is not None:
-            # Mirror the serial engine's pushdown split for this query.
-            engine.stats.fallback_queries += 1
-            engine.last_plan = None
-        return result
+            return self.engine.execute(compiled, pool=self.pool,
+                                       parallel_metrics=self._metrics)

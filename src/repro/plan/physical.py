@@ -36,6 +36,7 @@ Three operators do more than plumb:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterator, Optional
@@ -304,10 +305,14 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
                  analyze: bool = False) -> QueryResult:
     """Execute a compiled plan and record the run in the query log.
 
-    The one post-compile execution path every engine facade shares.
-    With a worker pool on the context the plan is rewritten for sharding
-    (:func:`insert_exchange`); unshardable plans run serially.  With
-    ``analyze=True`` the plan runs serially, pool or not, under a
+    The one post-compile execution path every engine facade shares.  An
+    index-served plan runs the range kernel under ``chorel.index_scan``
+    and is never sharded: one timestamp-index scan per kind plus one
+    prefix-set check per kept event is already sublinear.  With a worker
+    pool on the context any other plan is rewritten for sharding
+    (:func:`insert_exchange`; unshardable plans run serially); without
+    one it runs under ``lorel.eval``.  With ``analyze=True`` the plan
+    runs serially, pool or not, under a
     :class:`~repro.plan.analyze.PlanStats` collector finalized into
     ``compiled.runtime``; either way the execution lands one record in
     the :mod:`repro.obs.querylog`.
@@ -315,26 +320,33 @@ def run_compiled(compiled, ctx: ExecutionContext, engine, *,
     from ..obs.querylog import record_engine_query
     from .analyze import PlanStats
 
-    root = compiled.root
-    if ctx.pool is not None and not analyze:
-        exchanged = insert_exchange(root)
-        if exchanged is not None:
-            root = exchanged
-        elif ctx.parallel_metrics is not None:
-            ctx.parallel_metrics["serial_queries"].inc()
-    stats = None
-    if analyze:
-        stats = PlanStats(root, fingerprint=compiled.fingerprint)
-        ctx.stats = stats
-    started = perf_counter()
-    result = execute_plan(root, ctx)
-    elapsed = perf_counter() - started
-    if stats is not None:
-        stats.finalize(len(result), elapsed)
-        compiled.runtime = stats
-    record_engine_query(engine, compiled, result, elapsed,
-                        shards=ctx.observed.get("shards", 0),
-                        plan_stats=stats)
+    root, index_plan = compiled.root, compiled.index_plan
+    if index_plan is not None:
+        scope = span("chorel.index_scan", plan=index_plan.describe())
+    elif ctx.pool is None:
+        scope = span("lorel.eval")
+    else:
+        scope = nullcontext()
+        if not analyze:
+            exchanged = insert_exchange(root)
+            if exchanged is not None:
+                root = exchanged
+            elif ctx.parallel_metrics is not None:
+                ctx.parallel_metrics["serial_queries"].inc()
+    with scope:
+        stats = None
+        if analyze:
+            stats = PlanStats(root, fingerprint=compiled.fingerprint)
+            ctx.stats = stats
+        started = perf_counter()
+        result = execute_plan(root, ctx)
+        elapsed = perf_counter() - started
+        if stats is not None:
+            stats.finalize(len(result), elapsed)
+            compiled.runtime = stats
+        record_engine_query(engine, compiled, result, elapsed,
+                            shards=ctx.observed.get("shards", 0),
+                            plan_stats=stats)
     return result
 
 

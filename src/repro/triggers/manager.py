@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..chorel.engine import ChorelEngine
-from ..doem.build import DOEMApplier
+from ..doem.build import apply_change_set
 from ..doem.model import DOEMDatabase
 from ..errors import QueryError
 from ..oem.changes import AddArc, ChangeOp, CreNode, RemArc, UpdNode
@@ -47,7 +47,8 @@ class TriggerManager:
             doem = DOEMDatabase(OEMDatabase(root=root))
         self.doem = doem
         self.name = name or doem.graph.root
-        self._applier = DOEMApplier(doem)
+        # One engine for the manager's life; each fold re-points t[0].
+        self._engine = ChorelEngine(doem)
         self._rules: list[Rule] = []
         self.activations: list[Activation] = []
 
@@ -100,13 +101,14 @@ class TriggerManager:
                       for op in changes.filter(UpdNode)
                       if self.doem.graph.has_node(op.node)}
 
-        self._applier.apply(timestamp, changes)
+        apply_change_set(self.doem, timestamp, changes)
 
         produced: list[Activation] = []
-        engine = ChorelEngine(self.doem, name=self.name)
         # Conditions may pin annotations to the triggering instant via the
         # QSS-style time variable t[0] (e.g. "<upd at T ...> ... T = t[0]").
-        engine.set_polling_times({0: timestamp})
+        # ``name`` may have been reassigned since the last fold.
+        self._engine.register_name(self.name, self.doem.graph.root)
+        self._engine.set_polling_times({0: timestamp})
         for op in changes.canonical_order():
             for rule in self._rules:
                 if not rule.enabled:
@@ -114,18 +116,18 @@ class TriggerManager:
                 if not rule.event.matches(op, old_values.get(
                         getattr(op, "node", None))):
                     continue
-                activation = self._evaluate(rule, op, timestamp, engine)
+                activation = self._evaluate(rule, op, timestamp)
                 if activation is not None:
                     produced.append(activation)
         self.activations.extend(produced)
         return produced
 
-    def _evaluate(self, rule: Rule, op: ChangeOp, when: Timestamp,
-                  engine: ChorelEngine) -> Activation | None:
+    def _evaluate(self, rule: Rule, op: ChangeOp,
+                  when: Timestamp) -> Activation | None:
         bindings = self._bindings_for(op)
         rows = None
         if rule.condition is not None:
-            rows = engine.run(rule.condition, bindings=bindings)
+            rows = self._engine.run(rule.condition, bindings=bindings)
             if not rows:
                 return None
         activation = Activation(rule=rule, at=when, operation=op,

@@ -209,18 +209,16 @@ class TestPlanDetails:
         assert indexed.paths.stats.lookups == 0
         assert indexed.stats.total == 0
 
-    def test_reset_stats_alias(self, engines):
-        """``reset_stats`` (the registry-era name) is ``reset_counters``
-        on both engines, so either spelling fully resets either engine.
-        """
+    def test_reset_counters_on_both_engines(self, engines):
+        """``reset_counters`` fully resets either engine."""
         normal, indexed = engines
         query = "select T from guide.restaurant.price<upd at T>"
         normal.run(query)
         indexed.run(query)
         assert normal.annotation_visits > 0
         assert indexed.annotation_visits > 0
-        normal.reset_stats()
-        indexed.reset_stats()
+        normal.reset_counters()
+        indexed.reset_counters()
         assert normal.annotation_visits == 0
         assert indexed.annotation_visits == 0
         assert indexed.index.stats.visited == 0

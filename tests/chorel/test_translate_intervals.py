@@ -28,6 +28,7 @@ from repro.errors import EvaluationError
 from repro.lorel.eval import Evaluator
 from repro.plan import CompileContext, compile_query, insert_exchange
 from repro.timestamps import POS_INF
+from tests.chorel.oracle_translate import TranslatingOracle
 from tests.conftest import make_guide_db, make_guide_history
 from tests.plan.test_batched_equivalence import run_at_width
 
@@ -144,7 +145,7 @@ def test_three_engines_agree_at_every_width(seed):
     assert set(subjects(doem)) == set(FORMS), "every kind must occur"
     queries = served_queries(history, doem)
     planned = TranslatingChorelEngine(doem, name="root")
-    legacy = TranslatingChorelEngine(doem, name="root", use_planner=False)
+    legacy = TranslatingOracle(doem, name="root")
     native = ChorelEngine(doem, name="root")
     for engine in (planned, legacy, native):
         engine.set_polling_times(polling(history))
@@ -183,7 +184,7 @@ def guide():
 def test_pass_stays_off(guide, query):
     doem, engine = guide
     assert not fired(engine.compile(query)), query
-    legacy = TranslatingChorelEngine(doem, name="guide", use_planner=False)
+    legacy = TranslatingOracle(doem, name="guide")
     assert texts(engine.run(query)) == texts(legacy.run(query))
 
 
@@ -191,7 +192,7 @@ def test_unresolvable_polling_time_keeps_raising(guide):
     doem, engine = guide
     query = "select guide.restaurant.price<upd at T> where T > t[3]"
     assert not fired(engine.compile(query))
-    legacy = TranslatingChorelEngine(doem, name="guide", use_planner=False)
+    legacy = TranslatingOracle(doem, name="guide")
     for candidate in (engine, legacy):
         with pytest.raises(EvaluationError, match=r"t\[3\]"):
             candidate.run(query)
@@ -256,5 +257,5 @@ def test_one_day_costs_rows_not_history(monkeypatch):
     monkeypatch.undo()
     assert rows
     assert served <= 4 * (len(rows) + 1), (served, len(rows))
-    legacy = TranslatingChorelEngine(doem, name="root", use_planner=False)
+    legacy = TranslatingOracle(doem, name="root")
     assert texts(legacy.run(query)) == rows

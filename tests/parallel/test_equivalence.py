@@ -69,7 +69,7 @@ class TestEndToEnd:
         """Plan-eligible queries keep going through the annotation index."""
         _, history, doem = make_world(3)
         engine = IndexedChorelEngine(doem, name="root")
-        engine.reset_stats()
+        engine.reset_counters()
         with ParallelExecutor(engine, max_workers=2) as executor:
             for query in world_queries(history):
                 executor.run(query)

@@ -29,6 +29,7 @@ from repro import (
 )
 from repro.plan import ExecutionContext, run_compiled
 from repro.plan.batch import EnvBatch, compile_predicate
+from tests.chorel.oracle_translate import TranslatingOracle
 from tests.plan.test_planner_equivalence import (
     LOREL_QUERIES,
     RELAXED,
@@ -113,8 +114,7 @@ class TestSerialBatchedEquivalence:
     def test_translating(self, seed, size):
         _, history, doem = make_world(seed)
         batched = TranslatingChorelEngine(doem, name="root")
-        legacy = TranslatingChorelEngine(doem, name="root",
-                                         use_planner=False)
+        legacy = TranslatingOracle(doem, name="root")
         for query in world_queries(history):
             assert outcome_at_width(batched, query, size) == \
                 outcome(legacy, query), (size, query)
@@ -186,8 +186,7 @@ class TestShardedBatchedEquivalence:
     def test_translating_sharded(self, seed):
         _, history, doem = make_world(seed)
         engine = TranslatingChorelEngine(doem, name="root")
-        legacy = TranslatingChorelEngine(doem, name="root",
-                                         use_planner=False)
+        legacy = TranslatingOracle(doem, name="root")
         queries = [query for query in world_queries(history)
                    if outcome(legacy, query)[1] is None]
         with WorkerPool(3) as pool:

@@ -22,6 +22,7 @@ from repro import (
     TranslatingChorelEngine,
     TranslationError,
 )
+from tests.chorel.oracle_translate import TranslatingOracle
 from tests.test_differential_index import make_world, world_queries
 
 LOREL_QUERIES = [
@@ -68,8 +69,7 @@ class TestSerialEquivalence:
     def test_translating(self, seed):
         _, history, doem = make_world(seed)
         planned = TranslatingChorelEngine(doem, name="root")
-        legacy = TranslatingChorelEngine(doem, name="root",
-                                         use_planner=False)
+        legacy = TranslatingOracle(doem, name="root")
         for query in world_queries(history):
             assert outcome(planned, query) == outcome(legacy, query), query
 
@@ -126,8 +126,7 @@ class TestShardedEquivalence:
     def test_translating_sharded(self, seed):
         _, history, doem = make_world(seed)
         planned = TranslatingChorelEngine(doem, name="root")
-        legacy = TranslatingChorelEngine(doem, name="root",
-                                         use_planner=False)
+        legacy = TranslatingOracle(doem, name="root")
         queries = [query for query in world_queries(history)
                    if outcome(legacy, query)[1] is None]
         with ParallelExecutor(planned, max_workers=3) as executor:

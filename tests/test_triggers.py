@@ -212,3 +212,65 @@ class TestManagerMechanics:
         manager.fold("1Jan97", [CreNode("a", 1), AddArc("top", "x", "a")])
         assert len(fired) == 1
         assert manager.doem.graph.value("a") == 1
+
+
+class TestOneEngine:
+    """A manager folds through one engine for its whole life."""
+
+    CONDITIONS = {
+        "update": "select OV, NV from NEW<upd at T from OV to NV> "
+                  "where T = t[0]",
+        "add": "select N from PARENT.name N",
+        "create": "select NEW where NEW != 0",
+        "remove": "select P from PARENT.price P",
+    }
+
+    @staticmethod
+    def replay(manager, history):
+        for index, (kind, condition) in enumerate(
+                TestOneEngine.CONDITIONS.items()):
+            manager.on(f"rule{index}", Event(kind), lambda a: None,
+                       condition=condition)
+        return [(a.rule.name, a.at, a.operation, a.bindings,
+                 [str(row) for row in a.condition_rows])
+                for a in manager.replay_history(history)]
+
+    def test_thirty_sets_one_engine(self, monkeypatch):
+        from repro import random_database, random_history
+        from repro.triggers import manager as module
+
+        db = random_database(seed=7, nodes=30)
+        history = random_history(db, seed=7, steps=30, set_size=6)
+        assert len(history) == 30
+
+        class FreshPerFold(TriggerManager):
+            """The manager as it was: a new engine for every fold."""
+
+            def fold(self, when, changes):
+                self._engine = module.ChorelEngine(self.doem)
+                return super().fold(when, changes)
+
+        expected = self.replay(FreshPerFold(DOEMDatabase(db.copy())),
+                               history)
+        built = []
+
+        class Counted(module.ChorelEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(module, "ChorelEngine", Counted)
+        got = self.replay(TriggerManager(DOEMDatabase(db.copy())), history)
+        assert len(built) == 1
+        assert got == expected
+        assert {name for name, *_ in got} == {f"rule{i}" for i in range(4)}
+
+    def test_renamed_manager_keeps_resolving(self, manager):
+        """``name`` may be reassigned between folds (the paper suite
+        does); conditions then resolve the new name."""
+        fired = []
+        manager.name = "Guide"
+        manager.on("named", Event("update"), fired.append,
+                   condition="select Guide.restaurant")
+        manager.fold("1Jan97", [UpdNode("n1", 20)])
+        assert len(fired) == 1
