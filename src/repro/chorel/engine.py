@@ -45,7 +45,7 @@ class ChorelEngine(QueryEngine):
     """
 
     parse_span = "chorel.parse"
-    # The annotation and path indexes the indexed engine attaches.
+    # The database's annotation and path indexes, read by the indexed engine.
     index = paths = None
 
     def __init__(self, doem: DOEMDatabase, name: str | None = None,

@@ -10,8 +10,8 @@ timestamp-range scan checked against the path's prefix set -- is
 :func:`repro.plan.physical.execute_range_plan`, which ``run_compiled``
 runs under the ``chorel.index_scan`` span and never shards.
 
-What remains here is index/path-index ownership, the ``chorel.optimize``
-span, and the pushdown accounting (:class:`~repro.plan.stats.EngineStats`,
+What remains here is the ``chorel.optimize`` span and the pushdown
+accounting (:class:`~repro.plan.stats.EngineStats`,
 re-exported).
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from ..doem.model import DOEMDatabase
 from ..lorel.result import QueryResult
-from ..lore.indexes import PathIndex, TimestampIndex
 from ..obs.trace import span
 from ..plan import CompiledPlan
 from ..plan.stats import EngineStats, RangePlan
@@ -32,16 +31,18 @@ class IndexedChorelEngine(ChorelEngine):
     """A Chorel engine with an annotation-index fast path.
 
     Behaviourally identical to :class:`~repro.chorel.engine.ChorelEngine`;
-    eligible queries are served from a :class:`TimestampIndex` that is
-    *attached* to the DOEM database, so annotations folded in after
-    engine construction (QSS polling, ``apply_change_set``) enter the
-    index incrementally -- no :meth:`refresh_index` calls needed.  Hits
-    are checked against one memoized :class:`PathIndex` prefix set per
-    query instead of a per-hit backward BFS.
+    eligible queries are served from the
+    :class:`~repro.lore.indexes.TimestampIndex` the DOEM database owns,
+    so annotations folded in after engine construction (QSS polling,
+    ``apply_change_set``) enter the index incrementally -- no
+    :meth:`refresh_index` calls needed.  Hits are checked against one
+    memoized prefix set per query from the database's
+    :class:`~repro.lore.indexes.PathIndex` instead of a per-hit backward
+    BFS.  Engines over one database share both indexes.
 
     Accounting: ``engine.stats`` says how many executions took the
-    indexed vs. fallback path, ``engine.index.stats`` /
-    ``engine.paths.stats`` carry index hit rates, and
+    indexed vs. fallback path (per engine), ``engine.index.stats`` /
+    ``engine.paths.stats`` carry the database's index hit rates, and
     ``engine.annotation_visits`` totals the annotations touched (index
     entries + fallback scans) for direct comparison against the naive
     engine.
@@ -50,8 +51,8 @@ class IndexedChorelEngine(ChorelEngine):
     def __init__(self, doem: DOEMDatabase, name: str | None = None,
                  **kwargs) -> None:
         super().__init__(doem, name, **kwargs)
-        self.index = TimestampIndex(doem)
-        self.paths = PathIndex(doem)
+        self.index = doem.timestamp_index()
+        self.paths = doem.path_index()
         self.stats = EngineStats()
 
     @property
@@ -67,9 +68,9 @@ class IndexedChorelEngine(ChorelEngine):
     def refresh_index(self) -> None:
         """Force a full index rebuild.
 
-        Kept for API compatibility and for databases mutated behind the
-        listener protocol's back; attached indexes normally maintain
-        themselves as change sets are applied.
+        Kept for API compatibility and for databases mutated around
+        ``annotate_node``/``annotate_arc``; the database's index normally
+        follows the change sets applied to it.
         """
         self.index.rebuild(self.doem)
 
@@ -79,7 +80,8 @@ class IndexedChorelEngine(ChorelEngine):
 
     def reset_counters(self) -> None:
         """Zero *all* accounting: view scans, index and path-index hit
-        counters, and the pushdown split -- so ``annotation_visits`` (the
+        counters (the database's, so every engine over it sees them
+        zeroed), and the pushdown split -- so ``annotation_visits`` (the
         view + index aggregate) reads 0 afterwards, mirroring the base
         engine's contract."""
         super().reset_counters()

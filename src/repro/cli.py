@@ -250,15 +250,11 @@ def _open_doem(store_path: Path, name: str | None):
     rather than constructing an independent copy; the rebuilt DOEM's
     snapshot cache reads through the store's durable checkpoints.
     """
-    from .doem.snapshot import snapshot_cache
     from .store import open_store
 
     if name is None:
         raise ReproError("--store requires --db NAME")
-    log = open_store(store_path, "ro").log(name)
-    doem = log.get_doem()
-    snapshot_cache(doem).attach_store(log)
-    return doem
+    return open_store(store_path, "ro").log(name).get_doem()
 
 
 def _load_oem(path: Path):

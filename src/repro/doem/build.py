@@ -19,9 +19,9 @@ raw DOEM graph.
 
 Index and cache maintenance: every operation the applier folds in ends in
 an ``annotate_node``/``annotate_arc`` call, which bumps the database's
-generation counter and notifies attached listeners -- this is how a
-:class:`~repro.lore.indexes.TimestampIndex` stays current without
-rebuilds.  Raw graph mutations additionally call
+generation counter and inserts into the database's
+:class:`~repro.lore.indexes.TimestampIndex`, once made -- how it stays
+current without rebuilds.  Raw graph mutations additionally call
 :meth:`~repro.doem.model.DOEMDatabase.touch` so the fingerprint moves even
 mid-operation.  A change set later than every annotation ends in one
 append notice carrying the fingerprints before and after it:
@@ -128,8 +128,9 @@ class DOEMApplier:
         node never revives, since ``addArc`` to one is refused.
 
         A set later than every annotation held ends in an append notice
-        to the database's listeners (``_on_append``, with the fingerprint
-        before and after): nothing at an earlier time changed.
+        to the database's snapshot cache and path index, where made
+        (``_on_append``, with the fingerprint before and after): nothing
+        at an earlier time changed.
         """
         doem = self.doem
         before = doem.fingerprint()
@@ -158,8 +159,10 @@ class DOEMApplier:
             dead |= doomed
             doem._dead_as_of = doem.fingerprint()
         if newest is None or newest < when:
-            doem._notify("_on_append", before, doem.fingerprint(), when,
-                         change_set)
+            after = doem.fingerprint()
+            for derived in (doem._cache, doem._paths):
+                if derived is not None:
+                    derived._on_append(before, after, when, change_set)
 
     def _mark_dead_nodes(self) -> None:
         """Mark nodes unreachable through live arcs as conceptually deleted:

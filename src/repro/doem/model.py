@@ -13,7 +13,7 @@ state from this one structure.
 
 from __future__ import annotations
 
-import weakref
+import threading
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import DOEMError, UnknownNodeError
@@ -22,6 +22,8 @@ from ..timestamps import POS_INF, Timestamp, parse_timestamp
 from .annotations import Add, Annotation, ArcAnnotation, Cre, NodeAnnotation, Rem, Upd, sort_key
 
 __all__ = ["DOEMDatabase"]
+
+_MAKING = threading.Lock()  # racing first requests get one structure
 
 
 def live_now(annotations: Sequence[ArcAnnotation] | None) -> bool:
@@ -58,7 +60,8 @@ class DOEMDatabase:
         self._node_annotations: dict[str, list[NodeAnnotation]] = {}
         self._arc_annotations: dict[Arc, list[ArcAnnotation]] = {}
         self._generation = 0
-        self._listeners: list[weakref.ref] = []
+        # What timestamp_index, path_index, snapshot_cache made (or None).
+        self._index = self._paths = self._cache = None
         self._last_timestamp: Timestamp | None = None
         # Kept between change sets for repro.doem.build: the nodes deleted
         # from the current snapshot, as of which fingerprint() (None: never).
@@ -68,18 +71,6 @@ class DOEMDatabase:
     # ------------------------------------------------------------------
     # Change tracking (incremental index / cache maintenance)
     # ------------------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """A counter bumped on every tracked mutation.
-
-        Derived structures (snapshot caches, path indexes) compare this
-        against the generation they were built at to detect staleness.
-        Mutations through the DOEM API (``annotate_node``,
-        ``annotate_arc``, the appliers in :mod:`repro.doem.build`) are
-        tracked; raw ``self.graph`` edits should call :meth:`touch`.
-        """
-        return self._generation
 
     def fingerprint(self) -> tuple[int, int, int]:
         """A cheap staleness token: (generation, node count, arc count).
@@ -93,42 +84,38 @@ class DOEMDatabase:
         """Record an untracked mutation (bump the generation counter)."""
         self._generation += 1
 
-    def add_annotation_listener(self, listener: object) -> None:
-        """Register ``listener`` (held weakly) for incremental maintenance.
+    # ------------------------------------------------------------------
+    # Derived structures: one of each per database
+    # ------------------------------------------------------------------
 
-        A listener implements the hooks it needs:
+    # Each is made on first request and holds the database weakly, so
+    # dropping the database frees it and them.
 
-        * ``_on_annotation(subject_kind, subject, annotation)``, with
-          ``subject_kind`` ``"node"`` or ``"arc"``, after every
-          :meth:`annotate_node` / :meth:`annotate_arc` --
-          :class:`~repro.lore.indexes.TimestampIndex` stays in sync this
-          way, without rebuild calls;
-        * ``_on_append(before, after, when, change_set)`` after
-          :class:`~repro.doem.build.DOEMApplier` folds in a change set
-          later than every annotation held, with the :meth:`fingerprint`
-          before and after it -- :class:`~repro.doem.snapshot.SnapshotCache`
-          and :class:`~repro.lore.indexes.PathIndex` keep what the append
-          cannot reach.
-        """
-        self._listeners.append(weakref.ref(listener))
+    def _owned(self, attribute: str, make):
+        with _MAKING:
+            if getattr(self, attribute) is None:
+                setattr(self, attribute, make(self))
+        return getattr(self, attribute)
 
-    def remove_annotation_listener(self, listener: object) -> None:
-        """Unregister a previously added listener (no-op if absent)."""
-        self._listeners = [ref for ref in self._listeners
-                           if ref() is not None and ref() is not listener]
+    def timestamp_index(self):
+        """The :class:`~repro.lore.indexes.TimestampIndex` every indexed
+        engine over this database reads; :meth:`annotate_node` and
+        :meth:`annotate_arc` insert each later annotation into it."""
+        from ..lore.indexes import TimestampIndex
+        return self._owned("_index", TimestampIndex)
 
-    def _notify(self, hook: str, *args: object) -> None:
-        """Call ``hook(*args)`` on every live listener implementing it."""
-        live: list[weakref.ref] = []
-        for ref in self._listeners:
-            listener = ref()
-            if listener is None:
-                continue
-            live.append(ref)
-            method = getattr(listener, hook, None)
-            if method is not None:
-                method(*args)
-        self._listeners = live
+    def path_index(self):
+        """The :class:`~repro.lore.indexes.PathIndex`; it hears each
+        append of :class:`~repro.doem.build.DOEMApplier`."""
+        from ..lore.indexes import PathIndex
+        return self._owned("_paths", PathIndex)
+
+    def snapshot_cache(self):
+        """The :class:`~repro.doem.snapshot.SnapshotCache`; it hears each
+        append, and reads through the log of a database from
+        :meth:`repro.store.HistoryLog.get_doem`."""
+        from .snapshot import SnapshotCache
+        return self._owned("_cache", SnapshotCache)
 
     # ------------------------------------------------------------------
     # Annotation accessors (fN and fA of Definition 3.1)
@@ -155,7 +142,8 @@ class DOEMDatabase:
             raise UnknownNodeError(node_id)
         self._annotate(self._node_annotations.setdefault(node_id, []),
                        annotation)
-        self._notify("_on_annotation", "node", node_id, annotation)
+        if self._index is not None:
+            self._index.insert(node_id, annotation)
 
     def annotate_arc(self, source: str, label: str, target: str,
                      annotation: ArcAnnotation) -> None:
@@ -166,7 +154,8 @@ class DOEMDatabase:
         if not self.graph.has_arc(*arc):
             raise DOEMError(f"no such arc: {arc}")
         self._annotate(self._arc_annotations.setdefault(arc, []), annotation)
-        self._notify("_on_annotation", "arc", arc, annotation)
+        if self._index is not None:
+            self._index.insert(arc, annotation)
 
     def _annotate(self, annotations: list, annotation: Annotation) -> None:
         annotations.append(annotation)

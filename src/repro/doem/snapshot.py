@@ -18,7 +18,8 @@ LRU set of checkpoint snapshots and serves each ``Ot(D)`` incrementally
 from the nearest earlier checkpoint -- replaying only the change sets in
 ``(checkpoint, t]`` instead of walking the whole annotation graph per
 call.  :func:`cached_snapshot_at` is the drop-in cached counterpart of
-:func:`snapshot_at`, with one cache attached per DOEM database.
+:func:`snapshot_at`, through the one cache each DOEM database owns
+(:func:`snapshot_cache`).
 """
 
 from __future__ import annotations
@@ -176,13 +177,15 @@ class SnapshotCache:
     3. with no usable checkpoint, falls back to the direct annotation
        walk of :func:`snapshot_at`.
 
-    Results of 2 and 3 are themselves cached (LRU eviction).  The cache
-    listens for the append notice of :class:`~repro.doem.build.DOEMApplier`:
-    a change set at ``ta`` later than all history cannot change any
-    ``Ot(D)`` with ``t < ta`` (Section 3.2), so only checkpoints at
-    ``t >= ta`` are dropped.  Any other change of the database's
-    fingerprint drops everything at the next lookup, so it is always safe
-    to keep one around while folding new history in.
+    Results of 2 and 3 are themselves cached (LRU eviction).  The cache a
+    database owns (:func:`snapshot_cache`) hears the append notice of
+    :class:`~repro.doem.build.DOEMApplier`: a change set at ``ta`` later
+    than all history cannot change any ``Ot(D)`` with ``t < ta`` (Section
+    3.2), so only checkpoints at ``t >= ta`` are dropped.  Any other
+    change of the database's fingerprint drops everything at the next
+    lookup -- all a cache built beside the database's own ever sees --
+    so it is always safe to keep one around while folding new history in.
+    The cache holds its database weakly.
 
     Thread safety: every lookup/maintenance path runs under one reentrant
     lock per cache (each call still returns its own private copy).  The
@@ -194,7 +197,7 @@ class SnapshotCache:
     def __init__(self, doem: DOEMDatabase, capacity: int = 8) -> None:
         if capacity < 1:
             raise DOEMError("SnapshotCache capacity must be >= 1")
-        self.doem = doem
+        self._doem = weakref.ref(doem)
         self.capacity = capacity
         self.stats = SnapshotCacheStats()
         self._checkpoints: OrderedDict[Timestamp, OEMDatabase] = OrderedDict()
@@ -202,7 +205,6 @@ class SnapshotCache:
         self._fingerprint: object = None
         self._store_log = None  # durable checkpoints (attach_store)
         self._lock = threading.RLock()
-        doem.add_annotation_listener(self)
 
     def attach_store(self, log) -> None:
         """Serve misses through a durable log's checkpoints.
@@ -213,7 +215,9 @@ class SnapshotCache:
         log's nearest materialized checkpoint and replays the bounded
         suffix, instead of falling back to the full annotation walk --
         the read-through that turns the cache into a view over the
-        store's checkpoints.
+        store's checkpoints.  :meth:`~repro.store.HistoryLog.get_doem`
+        attaches its log already; attaching it again changes nothing, and
+        ``None`` detaches it.
         """
         with self._lock:
             self._store_log = log
@@ -221,7 +225,7 @@ class SnapshotCache:
     # -- freshness -------------------------------------------------------
 
     def _ensure_fresh(self) -> None:
-        fingerprint = self.doem.fingerprint()
+        fingerprint = self._doem().fingerprint()
         if fingerprint != self._fingerprint:
             self.stats.invalidations += len(self._checkpoints)
             self._checkpoints.clear()
@@ -230,8 +234,8 @@ class SnapshotCache:
 
     def _on_append(self, before: object, after: object, when: Timestamp,
                    change_set) -> None:
-        # DOEMDatabase listener hook: a change set at `when`, later than
-        # all history, moved the fingerprint from `before` to `after`.
+        # From DOEMApplier.apply: a change set at `when`, later than all
+        # history, moved the fingerprint from `before` to `after`.
         with self._lock:
             if self._fingerprint != before:
                 return  # already stale: the next lookup drops everything
@@ -254,7 +258,7 @@ class SnapshotCache:
             return self._store_log
         if self._history is None:
             from .extract import encoded_history
-            self._history = encoded_history(self.doem)
+            self._history = encoded_history(self._doem())
         return self._history
 
     # -- the cache proper ------------------------------------------------
@@ -307,7 +311,7 @@ class SnapshotCache:
             snapshot = self._checkpoints[base_time].copy()
         else:
             self.stats.full += 1
-            snapshot = snapshot_at(self.doem, cutoff)
+            snapshot = snapshot_at(self._doem(), cutoff)
             # Built node by node, so all suspects: collected here once
             # (which deletes nothing), its copies start clean.
             snapshot.collect_garbage()
@@ -322,18 +326,9 @@ class SnapshotCache:
         return snapshot.copy()
 
 
-_CACHES: "weakref.WeakKeyDictionary[DOEMDatabase, SnapshotCache]" = \
-    weakref.WeakKeyDictionary()
-_CACHES_LOCK = threading.Lock()
-
-
 def snapshot_cache(doem: DOEMDatabase) -> SnapshotCache:
-    """The per-database :class:`SnapshotCache` (created on first use)."""
-    with _CACHES_LOCK:
-        cache = _CACHES.get(doem)
-        if cache is None:
-            cache = _CACHES[doem] = SnapshotCache(doem)
-        return cache
+    """The :class:`SnapshotCache` ``doem`` owns (made on first use)."""
+    return doem.snapshot_cache()
 
 
 def cached_snapshot_at(doem: DOEMDatabase, when: object) -> OEMDatabase:

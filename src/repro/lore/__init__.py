@@ -9,8 +9,8 @@ databases and QSS subscriptions); this package is the index half:
   and timestamp, the paper's Section 7 future-work item;
   ``tests/paper/test_index.py`` counts what it buys.
   :class:`~repro.lore.indexes.TimestampIndex` is the incrementally
-  maintained variant (attached to a DOEM database via its annotation
-  listeners);
+  maintained variant (one per DOEM database, which inserts each new
+  annotation);
 * :class:`~repro.lore.indexes.PathIndex` -- memoized label-path
   reachability for Lorel/Chorel path evaluation.
 

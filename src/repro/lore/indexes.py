@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 from array import array
 from typing import Iterable
 
@@ -23,7 +24,6 @@ from ..doem.annotations import Add, Annotation, Cre, Upd
 from ..doem.model import DOEMDatabase
 from ..obs.metrics import CounterField, registry as metrics_registry
 from ..oem.changes import AddArc, RemArc
-from ..oem.model import OEMDatabase
 from ..timestamps import (NEG_INF, POS_INF, Timestamp, order_tick,
                           parse_timestamp)
 
@@ -201,11 +201,12 @@ class TimestampIndex(AnnotationIndex):
     The same (kind, interval) -> subjects contract as
     :class:`AnnotationIndex`, plus:
 
-    * **incremental maintenance** -- :meth:`attach` registers the index as
-      an annotation listener on a :class:`~repro.doem.model.DOEMDatabase`,
-      so every annotation folded in by the appliers of
-      :mod:`repro.doem.build` is inserted (in time order: an append)
-      without rebuilds;
+    * **incremental maintenance** -- the index a
+      :class:`~repro.doem.model.DOEMDatabase` owns
+      (:meth:`~repro.doem.model.DOEMDatabase.timestamp_index`) is handed
+      every annotation its ``annotate_node``/``annotate_arc`` attach, so
+      what the appliers of :mod:`repro.doem.build` fold in is inserted
+      (in time order: an append) without rebuilds;
     * **label partitioning** -- arc annotations (``add``/``rem``) are
       additionally bucketed by arc label, so ``<add at T>item`` predicates
       scan only the ``item`` entries (pass ``label=`` to :meth:`between`);
@@ -213,8 +214,8 @@ class TimestampIndex(AnnotationIndex):
       entries visited, the numbers the ``index_hits_*`` paper goldens
       pin (``tests/paper/test_index.py``).
 
-    ``TimestampIndex(doem)`` rebuilds *and* attaches; pass
-    ``attach=False`` for a detached snapshot-in-time index.
+    ``TimestampIndex(doem)`` alone is a snapshot-in-time index: only the
+    database's own index is kept current.  Neither holds the database.
 
     An entry costs its column slots: eight bytes of ticks plus two
     references, and as much again in the label partition for an arc
@@ -227,18 +228,14 @@ class TimestampIndex(AnnotationIndex):
     between runs, never during one (``docs/parallel.md``).
     """
 
-    def __init__(self, doem: DOEMDatabase | None = None, *,
-                 attach: bool = True) -> None:
+    def __init__(self, doem: DOEMDatabase | None = None) -> None:
         self.stats = IndexStats()
-        self._source: DOEMDatabase | None = None
         self._lock = threading.RLock()
         # (kind, arc label) -> the column of that label's entries
         self._by_label: dict[tuple[str, str], _Column] = {}
         super().__init__(None)
         if doem is not None:
             self.rebuild(doem)
-            if attach:
-                self.attach(doem)
 
     # -- maintenance -----------------------------------------------------
 
@@ -261,19 +258,6 @@ class TimestampIndex(AnnotationIndex):
             column = self._by_label[(kind, label)] = _Column()
         return column
 
-    def attach(self, doem: DOEMDatabase) -> None:
-        """Follow ``doem``: future annotations are inserted automatically."""
-        if self._source is not None:
-            self.detach()
-        self._source = doem
-        doem.add_annotation_listener(self)
-
-    def detach(self) -> None:
-        """Stop following the attached database (the entries remain)."""
-        if self._source is not None:
-            self._source.remove_annotation_listener(self)
-            self._source = None
-
     def insert(self, subject: object, annotation: Annotation) -> None:
         """Insert one annotation's entry, keeping the kind column sorted."""
         if isinstance(annotation, Cre):
@@ -293,11 +277,6 @@ class TimestampIndex(AnnotationIndex):
             if kind in ("add", "rem"):
                 self._label_column(kind, subject.label).insert(when, subject)
         self.stats.inc("inserts")
-
-    def _on_annotation(self, subject_kind: str, subject: object,
-                       annotation: Annotation) -> None:
-        # DOEMDatabase listener hook (see add_annotation_listener).
-        self.insert(subject, annotation)
 
     # -- counted lookups -------------------------------------------------
 
@@ -328,20 +307,21 @@ class TimestampIndex(AnnotationIndex):
 
 
 class PathIndex:
-    """A label-path index over the current snapshot of a database.
+    """A label-path index over the current snapshot of a DOEM database.
 
     Maps a label sequence ``(l1, ..., ln)`` to the set of nodes reachable
     from the root via a live ``l1 ... ln`` arc path -- the reachability
     question Lorel path evaluation and the indexed Chorel engine's hit
     verification both ask.  Path sets are computed on first use (one
-    breadth-first layer per label) and memoized.  Over a DOEM database
-    the index listens for the append notice of
-    :class:`~repro.doem.build.DOEMApplier`: a path set over live arcs
-    depends only on arcs with its own labels, so an appended change set
-    drops just the paths through a label one of its ``addArc``/``remArc``
-    operations names (``creNode``/``updNode`` cannot change a path set).
-    Any other fingerprint change drops the whole memo at the next lookup,
-    so results stay exact across incremental history folding.
+    breadth-first layer per label) and memoized.  The index a database
+    owns (:meth:`~repro.doem.model.DOEMDatabase.path_index`) hears the
+    append notice of :class:`~repro.doem.build.DOEMApplier`: a path set
+    over live arcs depends only on arcs with its own labels, so an
+    appended change set drops just the paths through a label one of its
+    ``addArc``/``remArc`` operations names (``creNode``/``updNode``
+    cannot change a path set).  Any other fingerprint change drops the
+    whole memo at the next lookup, so results stay exact across
+    incremental history folding.  The index holds its database weakly.
 
     Lookups serialize on one reentrant lock per index (memoization
     mutates on reads).  Its one reader is the range kernel on the driving
@@ -349,35 +329,15 @@ class PathIndex:
     ``Predicate`` stages only, and QSS poll workers run ``Wrapper.poll``.
     """
 
-    def __init__(self, source: OEMDatabase | DOEMDatabase) -> None:
-        self.source = source
+    def __init__(self, doem: DOEMDatabase) -> None:
+        self._doem = weakref.ref(doem)
         self.stats = IndexStats(prefix="repro.path_index")
         self._memo: dict[tuple[str, ...], frozenset[str]] = {}
         self._fingerprint: object = None
         self._lock = threading.RLock()
-        if isinstance(source, DOEMDatabase):
-            source.add_annotation_listener(self)
 
-    # -- source adaptation ----------------------------------------------
-
-    def _root(self) -> str:
-        if isinstance(self.source, DOEMDatabase):
-            return self.source.graph.root
-        return self.source.root
-
-    def _children(self, node: str, label: str) -> Iterable[str]:
-        if isinstance(self.source, DOEMDatabase):
-            return (child for _, child
-                    in self.source.live_children(node, POS_INF, label))
-        return self.source.children(node, label)
-
-    def _current_fingerprint(self) -> object:
-        if isinstance(self.source, DOEMDatabase):
-            return self.source.fingerprint()
-        return (len(self.source), self.source.arc_count())
-
-    def _ensure_fresh(self) -> None:
-        fingerprint = self._current_fingerprint()
+    def _ensure_fresh(self, doem: DOEMDatabase) -> None:
+        fingerprint = doem.fingerprint()
         if fingerprint != self._fingerprint:
             self._memo.clear()
             self._fingerprint = fingerprint
@@ -385,7 +345,7 @@ class PathIndex:
 
     def _on_append(self, before: object, after: object, when: Timestamp,
                    change_set) -> None:
-        # DOEMDatabase listener hook (see DOEMApplier.apply).
+        # From DOEMApplier.apply (see its append notice).
         with self._lock:
             if self._fingerprint != before:
                 return  # already stale: the next lookup drops everything
@@ -402,8 +362,9 @@ class PathIndex:
     def nodes(self, labels: Iterable[str]) -> frozenset[str]:
         """Nodes reachable from the root via the exact label path."""
         path = tuple(labels)
+        doem = self._doem()
         with self._lock:
-            self._ensure_fresh()
+            self._ensure_fresh(doem)
             self.stats.inc("lookups")
             cached = self._memo.get(path)
             if cached is not None:
@@ -413,13 +374,16 @@ class PathIndex:
             prefix_len = len(path)
             while prefix_len > 0 and path[:prefix_len] not in self._memo:
                 prefix_len -= 1
+            root = frozenset((doem.graph.root,))
             frontier = self._memo[path[:prefix_len]] if prefix_len \
-                else frozenset((self._root(),))
-            self._memo.setdefault((), frozenset((self._root(),)))
+                else root
+            self._memo.setdefault((), root)
             for position in range(prefix_len, len(path)):
+                label = path[position]
                 layer: set[str] = set()
                 for node in frontier:
-                    layer.update(self._children(node, path[position]))
+                    layer.update(child for _, child
+                                 in doem.live_children(node, POS_INF, label))
                 self.stats.inc("visited", len(layer))
                 frontier = frozenset(layer)
                 self._memo[path[:position + 1]] = frontier

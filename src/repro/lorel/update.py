@@ -135,7 +135,8 @@ def plan_update(db: OEMDatabase, statement: UpdateStatement | str,
     ``engine`` defaults to a fresh :class:`LorelEngine` over ``db``
     (named after its root).  ``value`` overrides the statement's value --
     this is how nested mappings (complex object specs) are supplied.
-    The returned change set has **not** been applied.
+    The returned change set has **not** been applied, and ``db`` is left
+    untouched: planning twice on one state gives equal change sets.
     """
     if isinstance(statement, str):
         statement = parse_update(statement)
@@ -153,19 +154,12 @@ def plan_update(db: OEMDatabase, statement: UpdateStatement | str,
                          "plain label")
 
     ops: list[ChangeOp] = []
-    used: set[str] = set()
-
-    def fresh_id() -> str:
-        node = db.new_node_id()
-        while node in used:
-            node = db.new_node_id()
-        used.add(node)
-        return node
+    fresh_ids = db.next_node_ids()
 
     def materialize(parent: str, label: str, spec: object) -> None:
         """creNode/addArc plans for an atomic or nested-mapping spec."""
         if isinstance(spec, Mapping):
-            node = fresh_id()
+            node = next(fresh_ids)
             ops.append(CreNode(node, COMPLEX))
             ops.append(AddArc(parent, label, node))
             for key, child in spec.items():
@@ -173,7 +167,7 @@ def plan_update(db: OEMDatabase, statement: UpdateStatement | str,
                 for element in children:
                     materialize(node, key, element)
         elif is_atomic_value(spec):
-            node = fresh_id()
+            node = next(fresh_ids)
             ops.append(CreNode(node, spec))
             ops.append(AddArc(parent, label, node))
         else:

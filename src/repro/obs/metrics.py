@@ -246,6 +246,14 @@ class MetricsRegistry:
         """Get or create the named gauge."""
         return self._instrument(name, lambda: Gauge(name), Gauge)
 
+    def forget(self, prefix: str) -> None:
+        """Drop every direct instrument whose name starts with ``prefix``
+        (the series of something that no longer exists)."""
+        with self._lock:
+            for name in [name for name in self._instruments
+                         if name.startswith(prefix)]:
+                del self._instruments[name]
+
     def histogram(self, name: str, buckets=DEFAULT_BUCKETS) -> Histogram:
         """Get or create the named histogram (buckets fixed on creation)."""
         return self._instrument(name, lambda: Histogram(name, buckets),

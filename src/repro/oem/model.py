@@ -132,6 +132,15 @@ class OEMDatabase:
             if candidate not in self._values:
                 return candidate
 
+    def next_node_ids(self) -> Iterator[str]:
+        """The identifiers ``new_node_id()`` would mint next, in order,
+        without advancing its counter (what an update plan names; the
+        database is untouched until the plan is applied)."""
+        for number in _copy.copy(self._counter):
+            candidate = f"n{number}"
+            if candidate not in self._values:
+                yield candidate
+
     # ------------------------------------------------------------------
     # Arcs
     # ------------------------------------------------------------------

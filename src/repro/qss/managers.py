@@ -282,17 +282,17 @@ class DOEMManager:
 
         The empty base database has an ``answer`` root matching the
         wrapper's packaging, so diffs align naturally.  With a store
-        attached, a history already on disk is rebuilt from its log
-        here -- restarting a server recovers every subscription's DOEM
-        without touching the sources.
+        attached, the DOEM is its log's (:meth:`HistoryLog.get_doem`):
+        a history already on disk is rebuilt here -- restarting a server
+        recovers every subscription's DOEM without touching the sources,
+        a compacted origin included -- and the DOEM's snapshot cache
+        reads through the log's checkpoints.
         """
         key = self._key(name)
         if key not in self._doems:
             log = self._store_log(key)
-            if log is not None and len(log) > 0:
-                self._doems[key] = log.get_doem()
-            else:
-                self._doems[key] = DOEMDatabase(OEMDatabase(root="answer"))
+            self._doems[key] = DOEMDatabase(OEMDatabase(root="answer")) \
+                if log is None else log.get_doem()
         return self._doems[key]
 
     def previous_result(self, name: str) -> OEMDatabase:
@@ -353,7 +353,13 @@ class DOEMManager:
                 # and would only bloat the segments).
                 log = self._store_log(key)
                 if log is not None:
-                    log.append(timestamp, change_set)
+                    try:
+                        log.append(timestamp, change_set)
+                    except BaseException:
+                        # The DOEM now holds a set its log lacks: its
+                        # snapshots no longer read through the log.
+                        doem.snapshot_cache().attach_store(None)
+                        raise
         self.last_diff_stats[name] = DiffStats(change_set)
         if self.cache_previous_result:
             if self.differ != "ids":  # id_diff's U(previous) is aligned itself
@@ -385,7 +391,7 @@ class DOEMManager:
         doem = self.doem(name)
         compacted = compact(doem, parse_timestamp(when))
         self._doems[key] = compacted
-        self._engines.pop(key, None)  # its index follows the old DOEM
+        self._engines.pop(key, None)  # it reads the old DOEM
         log = self._store_log(key)
         if log is not None:
             # Keep the durable log in step: the same horizon promotes the
@@ -398,8 +404,8 @@ class DOEMManager:
         """The Chorel engine that evaluates ``state``'s filter query.
 
         One :class:`~repro.chorel.optimize.IndexedChorelEngine` per DOEM
-        key, kept from poll to poll: its timestamp index follows the
-        DOEM as change sets are folded in, so the usual ``T > t[-1]``
+        key, kept from poll to poll: the DOEM's timestamp index follows
+        it as change sets are folded in, so the usual ``T > t[-1]``
         filter reads the entries of the tick just folded, not every
         annotation of the history.  Subscriptions sharing a DOEM share
         the engine; a compaction that replaces the DOEM replaces it.  The

@@ -180,10 +180,11 @@ class QSSServer:
         return state
 
     def unsubscribe(self, name: str) -> None:
-        """Cancel a subscription and drop its state, its record in the
-        store and -- unless another subscription, active or recorded,
-        shares it -- its stored history.  Also cancels a subscription
-        that only the store knows."""
+        """Cancel a subscription and drop its state, its health record
+        and ``qss.sub.<name>.*`` gauges, its record in the store and --
+        unless another subscription, active or recorded, shares it -- its
+        stored history.  Also cancels a subscription that only the store
+        knows."""
         recorded = self._recorded()
         if name in recorded and name not in self.subscriptions:
             key = recorded[name]["doem_key"]
@@ -191,6 +192,8 @@ class QSSServer:
             key = self.subscriptions.remove(name).doem_key
             self.doems.drop(name)
             self._subscribers.pop(name, None)
+        self._health.pop(name, None)
+        metrics_registry().forget(f"qss.sub.{name}.")
         if self.store is None:
             return
         from ..store import sanitize_name

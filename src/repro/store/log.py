@@ -356,9 +356,13 @@ class HistoryLog:
         DOEM construction is inherently a full fold of the history --
         annotations encode every change -- so this replays the whole
         generation; checkpoints accelerate :meth:`snapshot_at`, not this.
+        The database's snapshot cache reads its misses through this log's
+        checkpoints.
         """
         from ..doem.build import build_doem
-        return build_doem(self._origin, self.history())
+        doem = build_doem(self._origin, self.history())
+        doem.snapshot_cache().attach_store(self)
+        return doem
 
     def checkpoints(self) -> tuple[CheckpointRef, ...]:
         return tuple(self._checkpoints)

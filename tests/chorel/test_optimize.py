@@ -143,7 +143,7 @@ class TestPlanDetails:
                         "where T > t[-1]")
 
     def test_attached_index_follows_folded_changes(self, guide_doem):
-        """The TimestampIndex is attached: no refresh_index() needed."""
+        """The DOEM's own TimestampIndex follows it: no refresh_index()."""
         from repro.doem.build import apply_change_set
         from repro.oem.changes import UpdNode
         indexed = IndexedChorelEngine(guide_doem, name="guide")

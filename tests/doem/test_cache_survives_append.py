@@ -4,12 +4,13 @@ Section 3.2 builds ``Ot(D)`` from the annotations at or before ``t``, so
 a change set folded in at ``ta``, later than all history, cannot change
 any ``Ot(D)`` with ``t < ta``; and a label-path set over live arcs
 depends only on arcs with its own labels.  ``DOEMApplier.apply`` tells
-the database's listeners about such an append (fingerprint before and
-after, the time, the set): ``SnapshotCache`` then drops only the
-checkpoints at ``t >= ta`` and ``PathIndex`` only the paths through a
-label the set adds or removes.  Anything else that moves the database
--- ``touch()``, a raw graph edit, an out-of-order set, its contents
-swapped for a compacted or decoded form -- still drops everything.
+the snapshot cache and path index the database owns about such an
+append (fingerprint before and after, the time, the set): the
+``SnapshotCache`` then drops only the checkpoints at ``t >= ta`` and the
+``PathIndex`` only the paths through a label the set adds or removes.
+Anything else that moves the database -- ``touch()``, a raw graph edit,
+an out-of-order set, its contents swapped for a compacted or decoded
+form -- still drops everything.
 
 The differential part interleaves appends with lookups at random times
 (the infinities and the append instants included) over the worlds of
@@ -27,7 +28,7 @@ import pytest
 from repro import (
     NEG_INF, POS_INF, AddArc, IndexedChorelEngine, PathIndex, RemArc,
     SnapshotCache, compact, current_snapshot, decode_doem, encode_doem,
-    random_change_set, snapshot_at)
+    random_change_set, snapshot_at, snapshot_cache)
 from repro.doem.build import apply_change_set
 from repro.errors import DOEMError
 
@@ -52,6 +53,13 @@ def next_set(doem, seed, prefix):
     raise AssertionError("no non-empty change set found")
 
 
+def owned_cache(doem, capacity):
+    """The database's own cache (the one that hears appends), resized."""
+    cache = snapshot_cache(doem)
+    cache.capacity = capacity
+    return cache
+
+
 def assert_cache_exact(cache, doem, times):
     for when in times:
         assert cache.snapshot_at(when).same_as(snapshot_at(doem, when)), when
@@ -68,7 +76,7 @@ class TestAppendKeepsWhatItCannotReach:
     @pytest.mark.parametrize("seed", [1, 8, 15])
     def test_earlier_checkpoints_survive(self, seed):
         _, history, doem = make_world(seed)
-        cache = SnapshotCache(doem, capacity=8)
+        cache = owned_cache(doem, 8)
         times = history.timestamps()
         when = times[-1].plus(days=1)
         before = [NEG_INF, times[0], times[-1]]
@@ -88,7 +96,7 @@ class TestAppendKeepsWhatItCannotReach:
 
     def test_history_is_extended_not_rederived(self, monkeypatch):
         _, history, doem = make_world(4)
-        cache = SnapshotCache(doem, capacity=4)
+        cache = owned_cache(doem, 4)
         times = history.timestamps()
         assert_cache_exact(cache, doem, [times[0], POS_INF])
         derived = cache._history
@@ -111,7 +119,7 @@ class TestAppendKeepsWhatItCannotReach:
         drops the cache's extended history instead of raising out of
         ``apply`` with the set half-noticed."""
         _, history, doem = make_world(2)
-        cache = SnapshotCache(doem, capacity=4)
+        cache = owned_cache(doem, 4)
         times = history.timestamps()[:2]
         assert_cache_exact(cache, doem, times)
         assert cache._history is not None
@@ -159,10 +167,11 @@ def raw_edit(doem):
 
 
 def swap_for(doem, other):
-    """Replace the database's contents in place, listeners kept."""
-    listeners = doem._listeners
+    """Replace the database's contents in place, its own snapshot cache
+    and indexes kept."""
+    owned = {key: doem.__dict__[key] for key in ("_index", "_paths", "_cache")}
     doem.__dict__.update(other.__dict__)
-    doem._listeners = listeners
+    doem.__dict__.update(owned)
 
 
 def compacted(doem):
@@ -189,8 +198,8 @@ class TestEverythingElseWipes:
     def test_untracked_move_clears_everything(self, move, then_append):
         _, history, doem = make_world(3)
         label = arc_free_label(doem)
-        cache = SnapshotCache(doem, capacity=8)
-        paths = PathIndex(doem)
+        cache = owned_cache(doem, 8)
+        paths = doem.path_index()
         times = history.timestamps()
         probes = [NEG_INF, times[0], times[-1]]
         used = [("item",), ("item", "name"), (label,)]
@@ -212,8 +221,8 @@ class TestEverythingElseWipes:
     def test_out_of_order_append_clears_everything(self):
         _, history, doem = make_world(5, steps=5)
         times = history.timestamps()
-        cache = SnapshotCache(doem, capacity=8)
-        paths = PathIndex(doem)
+        cache = owned_cache(doem, 8)
+        paths = doem.path_index()
         probes = [NEG_INF, times[0], times[-1], POS_INF]
         used = [("item",), ("item", "link"), ("item", "name")]
         assert_cache_exact(cache, doem, probes)
@@ -236,7 +245,7 @@ class TestAppendDifferential:
         rng = random.Random(seed)
         _, history, doem = make_world(seed)
         queries = world_queries(history)
-        cache = SnapshotCache(doem, capacity=4)
+        cache = owned_cache(doem, 4)
         engine = IndexedChorelEngine(doem, name="root")
         times = history.timestamps()
         appends = [times[-1].plus(days=day) for day in range(1, 5)]

@@ -40,7 +40,7 @@ def allocated(build):
 def test_index_entry_budget():
     _, _, doem = large_world(seed=0, items=1000, steps=12, churn=200)
     entries = doem.annotation_count()
-    index, used = allocated(lambda: TimestampIndex(doem, attach=False))
+    index, used = allocated(lambda: TimestampIndex(doem))
     assert sum(index.count(kind) for kind in ("cre", "upd", "add", "rem")) \
         == entries
     assert used / entries <= INDEX_ENTRY_BUDGET

@@ -96,6 +96,26 @@ class TestPlanning:
         # Hakata gets a sister arc to itself (single match on both sides).
         assert changes.operations() == (AddArc("n2", "sister", "n2"),)
 
+    def test_planning_twice_leaves_the_database_alone(self, figure3_db):
+        """Planning reads: one database state, equal change sets, and
+        nothing minted until a plan is applied."""
+        statement = ('insert guide.restaurant.comment := "open late" '
+                     'where guide.restaurant.name = "Hakata"')
+        value = {"name": "Zibibbo", "address": {"street": "Kipling"}}
+        first = plan_update(figure3_db, statement)
+        second = plan_update(figure3_db, statement)
+        assert first.operations() == second.operations()
+        nested = [plan_update(figure3_db, 'insert guide.restaurant := 0',
+                              value=value) for _ in range(2)]
+        assert nested[0].operations() == nested[1].operations()
+        created = [op.node for op in nested[0].filter(CreNode)]
+        assert len(set(created)) == len(created) == 4
+        assert figure3_db.new_node_id() == first.filter(CreNode)[0].node
+        first.apply_to(figure3_db)
+        third = plan_update(figure3_db, statement)
+        assert {op.node for op in third.filter(CreNode)}.isdisjoint(
+            op.node for op in first.filter(CreNode))
+
     def test_plan_then_apply_round_trip(self, figure3_db):
         changes = plan_update(
             figure3_db,

@@ -120,6 +120,22 @@ class TestDurableRestart:
         assert parse_timestamp("30Dec96 11:30pm") in doem.timestamps()
         second.close()
 
+    def test_restart_after_compacting_every_entry(self, store_path):
+        """A horizon past the last poll leaves a log with an origin and no
+        entries: the restart still rebuilds the served state from it."""
+        from repro import current_snapshot
+        first, _ = run_first_server(store_path)
+        key = next(iter(first.doems._doems))
+        first.doems.compact_before(key, "2Jan97")
+        served = current_snapshot(first.doems.doem(key))
+        assert len(first.store.log(sanitize_name(key))) == 0
+        first.close()
+        close_store(store_path)
+
+        second = QSSServer(start="2Jan97", store=str(store_path))
+        assert current_snapshot(second.doems.doem(key)).same_as(served)
+        second.close()
+
     def test_store_key_is_sanitized(self, store_path):
         server, _ = run_first_server(store_path)
         key = next(iter(server.doems._doems))

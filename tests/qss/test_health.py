@@ -195,3 +195,25 @@ class TestHealthEvents:
         assert slow[0]["subscription"] == "a"
         assert slow[0]["seconds"] >= 0
         assert slow[0]["threshold"] == 0.0
+
+
+class TestUnsubscribeForgetsHealth:
+    def test_resubscribed_name_starts_healthy_without_old_gauges(self):
+        from tests.parallel.test_qss_concurrent import subscription
+        from repro import Wrapper
+        server = build_server({"g": RecoveringSource("2Dec96", "4Dec96")},
+                              on_error="skip")
+        server.run_until("4Dec96 6:00pm")  # fails on 2Dec, 3Dec and 4Dec
+        health = server.health()
+        assert health["subscriptions"]["g"]["consecutive_errors"] == 3
+        assert "qss.sub.g.poll_lag_seconds" in metrics_registry().snapshot()
+        server.unsubscribe("g")
+        snapshot = metrics_registry().snapshot()
+        assert not [name for name in snapshot
+                    if name.startswith("qss.sub.g.")], snapshot
+        server.register_wrapper("g2", Wrapper(ScriptedSource(), name="guide"))
+        server.subscribe(subscription("g"), "g2")
+        sub = server.health()["subscriptions"]["g"]
+        assert sub["status"] == "healthy"
+        assert sub["consecutive_errors"] == 0
+        assert sub["consecutive_timeouts"] == 0

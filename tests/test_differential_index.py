@@ -39,6 +39,7 @@ from repro import (
     random_database,
     random_history,
     snapshot_at,
+    snapshot_cache,
 )
 from repro.doem.build import apply_change_set
 from repro.sources.generators import LABELS
@@ -182,9 +183,11 @@ class TestSnapshotCacheDifferential:
     @pytest.mark.parametrize("seed", [1, 8, 15])
     def test_cache_invalidates_on_growth(self, seed):
         """Growth at ``when`` invalidates the checkpoints at or after it
-        and keeps the earlier ones (Ot(D) for t < when cannot change)."""
+        and keeps the earlier ones (Ot(D) for t < when cannot change):
+        the database's own cache, which hears of the growth."""
         _, history, doem = make_world(seed)
-        cache = SnapshotCache(doem, capacity=4)
+        cache = snapshot_cache(doem)
+        cache.capacity = 4
         last = history.timestamps()[-1]
         for probe in (last, POS_INF):
             assert cache.snapshot_at(probe).same_as(snapshot_at(doem, probe))

@@ -271,13 +271,14 @@ class TestIncrementalStructures:
     @given(seed=seeds, nodes=sizes,
            n_steps=st.integers(min_value=1, max_value=6))
     def test_attached_index_equals_rebuilt(self, seed, nodes, n_steps):
-        """Attaching before folding the history == rebuilding after it."""
-        from repro import AnnotationIndex, DOEMDatabase, TimestampIndex
+        """The database's own index, made before folding the history ==
+        rebuilding after it."""
+        from repro import AnnotationIndex, DOEMDatabase
         from repro.doem.build import DOEMApplier
         db = random_database(seed=seed, nodes=nodes)
         history = random_history(db, seed=seed, steps=n_steps)
         doem = DOEMDatabase(db.copy())
-        live = TimestampIndex(doem)          # attached while still empty
+        live = doem.timestamp_index()        # made while still empty
         applier = DOEMApplier(doem)
         for when, change_set in history:
             applier.apply(when, change_set)
