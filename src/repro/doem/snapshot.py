@@ -216,8 +216,8 @@ class SnapshotCache:
         suffix, instead of falling back to the full annotation walk --
         the read-through that turns the cache into a view over the
         store's checkpoints.  :meth:`~repro.store.HistoryLog.get_doem`
-        attaches its log already; attaching it again changes nothing, and
-        ``None`` detaches it.
+        attaches its log already; attaching it again changes nothing.  The
+        log holds every set the database does (QSS appends before folding).
         """
         with self._lock:
             self._store_log = log

@@ -220,17 +220,16 @@ class DOEMManager:
     ``R0`` is the empty OEM database, so the first poll's objects all
     carry ``cre`` annotations (Example 6.1's t1 behaviour).
 
-    ``cache_previous_result`` selects the footnote's strategy: keep the
-    previous polling result (aligned to DOEM identifiers) in memory
-    instead of re-deriving it from the DOEM database at every poll.
+    ``store`` makes the histories durable: each non-empty change set is
+    appended to the named history in a :class:`~repro.store.ChangeLogStore`
+    (keys sanitized with :func:`~repro.store.sanitize_name`: alias keys
+    like ``wrapper::query`` are not path-safe) before it is folded in, the
+    log's tip is ``R_{i-1}``, and a manager over a non-empty store rebuilds
+    each DOEM from the log on first touch -- restarting without re-polling.
 
-    ``store`` makes the histories durable: every applied change set is
-    also appended to the named history in a
-    :class:`~repro.store.ChangeLogStore` (keys sanitized with
-    :func:`~repro.store.sanitize_name`, since shared-DOEM alias keys like
-    ``wrapper::query`` are not path-safe), and a manager constructed over
-    a non-empty store rebuilds each DOEM from the log on first touch --
-    the restart-without-re-polling path.
+    Without a store, ``cache_previous_result`` selects the footnote's
+    strategy: keep the previous polling result (aligned to DOEM
+    identifiers) in memory instead of re-deriving it at every poll.
     """
 
     def __init__(self, cache_previous_result: bool = True,
@@ -256,7 +255,8 @@ class DOEMManager:
         "merging the DOEM databases for subscriptions that have similar
         polling queries".  Subscriptions sharing a key poll into one
         history; a redundant poll (same data, possibly a different
-        instant) folds an empty change set, which is harmless.
+        instant) infers an empty change set, which is neither stored nor
+        folded.
         """
         self._aliases[name] = key
 
@@ -296,13 +296,16 @@ class DOEMManager:
         return self._doems[key]
 
     def previous_result(self, name: str) -> OEMDatabase:
-        """``R_{i-1}`` in DOEM identifier space.
+        """``R_{i-1}`` in DOEM identifier space; read it, never write it.
 
-        Cached when ``cache_previous_result`` is on; otherwise recomputed
-        as the current snapshot of the DOEM database (the space-saving
-        strategy).
+        With a store, the log's tip.  Without one, cached when
+        ``cache_previous_result`` is on; otherwise recomputed as the
+        current snapshot of the DOEM database (the space-saving strategy).
         """
         key = self._key(name)
+        log = self._store_log(key)
+        if log is not None:
+            return log.tip_view()
         if self.cache_previous_result and key in self._previous:
             return self._previous[key]
         return current_snapshot(self.doem(name))
@@ -311,20 +314,23 @@ class DOEMManager:
                     result: OEMDatabase) -> ChangeSet:
         """Fold a new polling result into the subscription's DOEM database.
 
-        Runs OEMdiff between the previous result and ``result``, applies
-        the inferred change set with timestamp ``when``, and returns it.
-        Fresh identifiers avoid every node of the DOEM graph, dead ones
-        included: deleted identifiers are never reused (Section 2.2)
-        while the history remembers them, and a server restarted over
-        the store mints what an uninterrupted one would.
-        With ``differ="ids"`` the manager takes ``result`` over, renames
-        its root and returning objects (:func:`_returning`) and keeps it as
+        Runs OEMdiff between the previous result and ``result``, appends a
+        non-empty inferred change set to the store's log, if any, then
+        applies it with timestamp ``when`` (Figure 7), and returns it: a
+        failed append leaves the DOEM as it was for the next poll.  Fresh
+        identifiers avoid every node of the DOEM graph, dead ones included:
+        deleted identifiers are never reused (Section 2.2) while the
+        history remembers them, and a server restarted over the store
+        mints what an uninterrupted one would.  With ``differ="ids"`` the
+        manager takes ``result`` over and renames its root and returning
+        objects (:func:`_returning`); without a store it keeps it as
         ``R_{i-1}``: ``id_diff`` makes it ``U(previous)`` exactly.
         """
         from ..doem.build import apply_change_set
 
         key = self._key(name)
         doem = self.doem(name)
+        log = self._store_log(key)
         previous = self.previous_result(name)
         # Out of the table while the poll is in flight: a failed poll must
         # not leave signatures of a state the DOEM never reached.
@@ -343,26 +349,15 @@ class DOEMManager:
             change_set = oem_diff(previous, result,
                                   reserved_ids=doem.graph.nodes(),
                                   signatures=signatures)
+            aligned = previous
         timestamp = parse_timestamp(when)
-        newest = doem.last_timestamp()
-        if change_set or newest is None or newest < timestamp:
+        if change_set:
+            if log is not None:
+                log.append(timestamp, change_set)
             apply_change_set(doem, timestamp, change_set)
-            if change_set:
-                # Durability follows the in-memory fold: non-empty sets
-                # land in the change log (empty sets leave no annotations
-                # and would only bloat the segments).
-                log = self._store_log(key)
-                if log is not None:
-                    try:
-                        log.append(timestamp, change_set)
-                    except BaseException:
-                        # The DOEM now holds a set its log lacks: its
-                        # snapshots no longer read through the log.
-                        doem.snapshot_cache().attach_store(None)
-                        raise
         self.last_diff_stats[name] = DiffStats(change_set)
-        if self.cache_previous_result:
-            if self.differ != "ids":  # id_diff's U(previous) is aligned itself
+        if log is None and self.cache_previous_result:
+            if change_set and self.differ != "ids":  # id_diff's is aligned
                 aligned = previous.copy()
                 change_set.apply_to(aligned)
             self._previous[key] = aligned
@@ -389,15 +384,14 @@ class DOEMManager:
                 f"with a cutoff valid for every sharer")
         key = self._key(name)
         doem = self.doem(name)
-        compacted = compact(doem, parse_timestamp(when))
-        self._doems[key] = compacted
-        self._engines.pop(key, None)  # it reads the old DOEM
         log = self._store_log(key)
         if log is not None:
-            # Keep the durable log in step: the same horizon promotes the
+            # The log first, as for a poll: the same horizon promotes the
             # state at the cutoff to the log's new origin.
             log.compact(before=parse_timestamp(when))
-        # The cached previous result is a plain snapshot; unaffected.
+        self._doems[key] = compact(doem, parse_timestamp(when))
+        self._engines.pop(key, None)  # it reads the old DOEM
+        # The previous result is a plain snapshot; unaffected.
         # Identifiers of nodes dropped here may be minted again.
 
     def filter_engine(self, state: SubscriptionState) -> IndexedChorelEngine:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
+from contextlib import suppress
 from pathlib import Path
 
 from ..errors import InvalidChangeError, InvalidHistoryError, \
@@ -173,6 +174,13 @@ def _write_current(directory: Path, generation: int) -> None:
     atomic_write(directory / _CURRENT, json.dumps({"generation": generation}))
 
 
+def _close_quietly(writer: SegmentWriter | None) -> None:
+    """Close an abandoned writer; a failure of its own adds nothing."""
+    if writer is not None:
+        with suppress(OSError):
+            writer.close()
+
+
 class HistoryLog:
     """One durable OEM history (see module docstring).
 
@@ -223,19 +231,22 @@ class HistoryLog:
         self.generation = 1
         self._origin = origin.copy()
         self._tip = origin.copy()
-        path = _segment_path(self.directory, 1, 1)
-        writer = SegmentWriter(path)
-        written = writer.append(encode_origin(self._origin))
-        writer.fsync()
+        writer = SegmentWriter(_segment_path(self.directory, 1, 1))
+        try:
+            written = writer.append(encode_origin(self._origin))
+            writer.fsync()
+            _write_current(self.directory, 1)
+        except BaseException:
+            _close_quietly(writer)
+            raise
         self.stats.bytes_written += written
         self.stats.fsyncs += 1
-        self._segments = [path]
+        self._segments = [writer.path]
         self._writer = writer
         self._checkpoints: list[CheckpointRef] = []
         self._ckpt_seq = 0
         self._ops_since_ckpt = 0
         self._sets_since_ckpt = 0
-        _write_current(self.directory, 1)
 
     def _load(self) -> None:
         self.generation = _read_current(self.directory)
@@ -288,16 +299,21 @@ class HistoryLog:
 
         if self.mode == "rw":
             assert last_scan is not None
+            newest = self._segments[-1]
+            if not last_scan.good_bytes and newest.stat().st_size > HEADER_SIZE:
+                raise StoreCorruptionError(
+                    f"{newest.name}: bad segment magic with bytes after it")
             if last_scan.torn is not None:
                 self.recovered_tail = last_scan.torn
                 self.stats.recovered_tails += 1
                 emit_event("store_recovered", level="warning",
                            log=str(self.directory.name),
-                           segment=self._segments[-1].name,
+                           segment=newest.name,
                            reason=last_scan.torn,
                            truncated_to=last_scan.good_bytes)
-            self._writer = SegmentWriter(self._segments[-1],
-                                         resume_at=last_scan.good_bytes)
+            # No magic on disk (a roll cut short): start the segment again.
+            self._writer = SegmentWriter(
+                newest, resume_at=last_scan.good_bytes or None)
         elif last_scan is not None and last_scan.torn is not None:
             # Read-only: note the torn tail but leave the bytes alone.
             self.recovered_tail = last_scan.torn
@@ -326,6 +342,10 @@ class HistoryLog:
     def tip(self) -> OEMDatabase:
         """A copy of the current (latest) snapshot."""
         return self._tip.copy()
+
+    def tip_view(self) -> OEMDatabase:
+        """The current snapshot itself, never edited: do not write it."""
+        return self._tip
 
     def tip_nodes(self) -> int:
         return len(self._tip)
@@ -380,12 +400,15 @@ class HistoryLog:
         return self._writer
 
     def append(self, when: object, change_set: ChangeSet) -> Timestamp:
-        """Durably append one timestamped change set.
+        """Durably append one timestamped change set, all or nothing.
 
         The set is validated against the tip snapshot *before* any bytes
-        are written, so an invalid set can never land in the log.  With
-        the ``"always"`` fsync policy the record is on stable storage
-        when this returns.
+        are written, so an invalid set can never land in the log.  A
+        failed roll, write or fsync cuts the segment back to where the
+        frame began and re-raises (if even that fails, the log closes).
+        With the ``"always"`` fsync policy the record is on stable storage
+        when this returns; a due checkpoint failing then is only noted in
+        ``checkpoint_problems``.
         """
         writer = self._require_writer()
         timestamp = parse_timestamp(when)
@@ -400,14 +423,35 @@ class HistoryLog:
         change_set.apply_to(new_tip)  # raises InvalidChangeError if invalid
 
         payload = encode_change_set(timestamp, change_set)
-        frame_size = FRAME_HEADER.size + len(payload)
-        if (writer.size + frame_size > self.segment_bytes
-                and writer.size > HEADER_SIZE):
-            writer = self._roll()
-        written = writer.append(payload)
-        if self.fsync_policy == "always":
-            writer.fsync()
+        start, fresh = writer.size, None
+        try:
+            if (writer.size + FRAME_HEADER.size + len(payload)
+                    > self.segment_bytes and writer.size > HEADER_SIZE):
+                writer.fsync()  # seal the active segment
+                index = _segment_key(self._segments[-1])[1] + 1
+                writer = fresh = SegmentWriter(_segment_path(
+                    self.directory, self.generation, index))
+                _fsync_dir(self.directory)
+            written = writer.append(payload)
+            if self.fsync_policy == "always":
+                writer.fsync()
+                self.stats.fsyncs += 1
+        except BaseException:
+            try:
+                if fresh is not None:
+                    fresh.discard()
+                else:
+                    writer.truncate(start)
+            except OSError:
+                _close_quietly(self._writer)
+                self._writer = None
+            raise
+        if fresh is not None:
+            _close_quietly(self._writer)  # sealed by the fsync above
+            self._writer = fresh
+            self._segments.append(fresh.path)
             self.stats.fsyncs += 1
+            self.stats.segment_rolls += 1
 
         self._entries.append((timestamp, change_set))
         self._tip = new_tip
@@ -418,7 +462,11 @@ class HistoryLog:
         self._sets_since_ckpt += 1
         if self.policy.due(self._ops_since_ckpt, self._sets_since_ckpt,
                            len(self._tip)):
-            self.write_checkpoint()
+            try:
+                self.write_checkpoint()
+            except OSError as exc:
+                self.checkpoint_problems.append(
+                    f"checkpoint at {timestamp} not written: {exc}")
         return timestamp
 
     def extend(self, history: OEMHistory) -> int:
@@ -429,20 +477,6 @@ class HistoryLog:
             count += 1
         return count
 
-    def _roll(self) -> SegmentWriter:
-        """Seal the active segment and start the next one."""
-        writer = self._require_writer()
-        writer.close()
-        self.stats.fsyncs += 1
-        self.stats.segment_rolls += 1
-        key = _segment_key(self._segments[-1])
-        assert key is not None
-        path = _segment_path(self.directory, self.generation, key[1] + 1)
-        self._writer = SegmentWriter(path)
-        self._segments.append(path)
-        _fsync_dir(self.directory)
-        return self._writer
-
     def flush(self) -> None:
         """fsync the active segment (a no-op on read-only logs)."""
         if self.mode == "rw" and self._writer is not None:
@@ -451,6 +485,7 @@ class HistoryLog:
 
     def close(self) -> None:
         if self._writer is not None:
+            self._writer.fsync()
             self._writer.close()
             self._writer = None
 
@@ -568,11 +603,11 @@ class HistoryLog:
             new_origin = self.snapshot_at(base_time)
             kept = self._entries[len(covered):]
 
+        # Write the consolidated generation, rolling at segment_bytes, over
+        # what a failed attempt left; the old one stays live until CURRENT.
         new_generation = self.generation + 1
-        self._writer.close()
-        self._writer = None
-
-        # Write the consolidated generation, rolling at segment_bytes.
+        for path in _list_segments(self.directory, new_generation):
+            path.unlink()
         new_segments: list[Path] = []
         writer: SegmentWriter | None = None
         index = 0
@@ -580,6 +615,7 @@ class HistoryLog:
         def _next_writer() -> SegmentWriter:
             nonlocal writer, index
             if writer is not None:
+                writer.fsync()
                 writer.close()
             index += 1
             path = _segment_path(self.directory, new_generation, index)
@@ -587,21 +623,37 @@ class HistoryLog:
             new_segments.append(path)
             return writer
 
-        writer = _next_writer()
-        written = writer.append(encode_origin(new_origin))
-        for when, change_set in kept:
-            payload = encode_change_set(when, change_set)
-            if writer.size + FRAME_HEADER.size + len(payload) \
-                    > self.segment_bytes:
-                writer = _next_writer()
-            written += writer.append(payload)
-        writer.close()
-        _fsync_dir(self.directory)
+        try:
+            writer = _next_writer()
+            written = writer.append(encode_origin(new_origin))
+            for when, change_set in kept:
+                payload = encode_change_set(when, change_set)
+                if writer.size + FRAME_HEADER.size + len(payload) \
+                        > self.segment_bytes:
+                    writer = _next_writer()
+                written += writer.append(payload)
+            writer.fsync()
+            _fsync_dir(self.directory)
+            # The atomic commit point: CURRENT now names the new generation.
+            _write_current(self.directory, new_generation)
+        except BaseException:
+            _close_quietly(writer)
+            try:  # a failed directory fsync comes after the rename
+                moved = _read_current(self.directory) != self.generation
+            except (OSError, StoreError):
+                moved = True
+            if moved:  # CURRENT may name the new generation: a reopen decides
+                _close_quietly(self._writer)
+                self._writer = None
+            raise
         self.stats.bytes_written += written
         self.stats.fsyncs += len(new_segments)
-
-        # The atomic commit point: CURRENT now names the new generation.
-        _write_current(self.directory, new_generation)
+        _close_quietly(self._writer)  # its segment is deleted below
+        self._writer = writer
+        self.generation = new_generation
+        self._origin = new_origin.copy() if before is not None else self._origin
+        self._entries = list(kept)
+        self._segments = new_segments
 
         dropped_ckpts = 0
         if base_time is not None:
@@ -617,12 +669,6 @@ class HistoryLog:
         for path in old_segments:
             path.unlink(missing_ok=True)
         _fsync_dir(self.directory)
-
-        self.generation = new_generation
-        self._origin = new_origin.copy() if before is not None else self._origin
-        self._entries = list(kept)
-        self._segments = new_segments
-        self._writer = SegmentWriter(new_segments[-1])
         self.stats.compactions += 1
         summary = {"generation": new_generation,
                    "dropped_sets": old_count - len(kept),

@@ -67,31 +67,25 @@ def frame_record(payload: bytes) -> bytes:
 class SegmentWriter:
     """Appends framed records to one segment file.
 
-    Opening an existing segment seeks to ``resume_at`` (the durable
-    prefix established by a prior :class:`SegmentScan`) and truncates
-    whatever follows -- the crash-recovery contract: a torn tail is
-    discarded the moment the log is opened for writing.
+    Without ``resume_at`` the segment starts empty: whatever a failed
+    earlier attempt left at ``path`` is overwritten.  With it, an
+    existing segment is cut back to ``resume_at`` (the durable prefix
+    established by a prior :class:`SegmentScan`) -- the crash-recovery
+    contract: a torn tail is discarded the moment the log is opened for
+    writing.
     """
 
     def __init__(self, path: str | os.PathLike,
                  resume_at: int | None = None) -> None:
         self.path = Path(path)
-        fresh = not self.path.exists()
-        self._file = open(self.path, "ab" if fresh else "r+b")
-        if fresh:
+        if resume_at is None:
+            self._file = open(self.path, "wb")
             self._file.write(MAGIC)
             self._file.flush()
             self.size = HEADER_SIZE
         else:
-            end = self.path.stat().st_size
-            keep = end if resume_at is None else resume_at
-            if keep < HEADER_SIZE:
-                raise StoreError(f"segment {self.path.name} has no durable "
-                                 f"prefix to resume from")
-            if keep < end:
-                self._file.truncate(keep)
-            self._file.seek(keep)
-            self.size = keep
+            self._file = open(self.path, "r+b")
+            self.truncate(resume_at)
 
     def append(self, payload: bytes) -> int:
         """Append one framed record; returns the bytes written."""
@@ -101,18 +95,25 @@ class SegmentWriter:
         self.size += len(frame)
         return len(frame)
 
+    def truncate(self, size: int) -> None:
+        """Cut the segment back to ``size`` bytes and append from there."""
+        self._file.seek(size)
+        self._file.truncate()
+        self.size = size
+
     def fsync(self) -> None:
         """Force the segment's bytes to stable storage."""
         self._file.flush()
         os.fsync(self._file.fileno())
 
     def close(self) -> None:
-        """Flush, fsync and close the file."""
-        if self._file.closed:
-            return
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        """Close the file; :meth:`fsync` first to make its bytes durable."""
         self._file.close()
+
+    def discard(self) -> None:
+        """Close the file and delete it."""
+        self._file.close()
+        self.path.unlink(missing_ok=True)
 
 
 class SegmentScan:

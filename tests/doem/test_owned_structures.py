@@ -117,11 +117,11 @@ class TestLoggedDatabasesReadThroughTheirLog:
             assert cache.snapshot_at(probe).same_as(snapshot_at(doem, probe))
             assert cache.stats.store_hits > 0
 
-    def test_a_failed_append_stops_the_read_through(self, tmp_path,
-                                                     monkeypatch):
-        """The manager folds a poll into the DOEM before its log: when the
-        append fails, the log lacks a set the DOEM holds, and the cache
-        must not answer from the log's checkpoints any more."""
+    def test_a_failed_append_keeps_the_read_through_exact(self, tmp_path,
+                                                           monkeypatch):
+        """The manager appends a poll to the log before it folds it into
+        the DOEM: when the append fails, the DOEM holds no set its log
+        lacks, and the cache reading the log's checkpoints stays exact."""
         def answer(items):
             db = OEMDatabase(root="answer")
             for item in range(items):
@@ -141,6 +141,7 @@ class TestLoggedDatabasesReadThroughTheirLog:
             with pytest.raises(OSError):
                 manager.incorporate("s", "3Jan97", answer(3))
             doem = manager.doem("s")
+            assert doem.last_timestamp() == log.last_timestamp()
             for when in ("3Jan97", POS_INF):
                 assert snapshot_cache(doem).snapshot_at(when).same_as(
                     snapshot_at(doem, when)), when

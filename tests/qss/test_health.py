@@ -15,13 +15,17 @@ from __future__ import annotations
 import json
 import threading
 
-from repro import metrics_registry, parse_timestamp
+from repro import QSSServer, Wrapper, metrics_registry, parse_timestamp
 from repro.obs.events import configure_events, disable_events
+from repro.store import close_store
+from repro.store.segment import SegmentWriter
 from tests.parallel.test_qss_concurrent import (
     HangingSource,
     ScriptedSource,
     build_server,
 )
+from tests.qss.test_durable_restart import ScriptedGuideSource, \
+    example61_subscription
 
 
 class RecoveringSource(ScriptedSource):
@@ -157,6 +161,36 @@ class TestErrorStreaks:
         health = server.health()
         assert health["subscriptions"]["flaky"]["consecutive_errors"] == 0
         assert health["status"] == "healthy"
+
+
+    def test_a_store_fault_is_an_error_until_the_next_good_poll(
+            self, tmp_path, monkeypatch):
+        """A failed append fails its poll as a failing source does."""
+        path = tmp_path / "st"
+        server = QSSServer(start="30Dec96 10:00am", store=str(path),
+                           on_error="skip")
+        server.register_wrapper("guide", Wrapper(ScriptedGuideSource(),
+                                                 name="guide"))
+        server.subscribe(example61_subscription(), "guide")
+        server.run_until("1Jan97")
+
+        def failing(writer):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(SegmentWriter, "fsync", failing)
+            server.run_until("2Jan97")  # Hakata's append fails
+        health = server.health()["subscriptions"]["Restaurants"]
+        assert health["consecutive_errors"] == 1
+        assert health["status"] == "degraded"
+        assert isinstance(server.error_log[-1][2], OSError)
+        server.run_until("3Jan97")  # the next poll stores Hakata
+        health = server.health()
+        assert health["subscriptions"]["Restaurants"]["consecutive_errors"] \
+            == 0
+        assert health["status"] == "healthy"
+        server.close()
+        close_store(path)
 
 
 class TestHealthEvents:

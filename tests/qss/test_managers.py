@@ -13,6 +13,7 @@ from repro import (
 from repro.doem.snapshot import current_snapshot
 from repro.qss.managers import DOEMManager, QueryManager, SubscriptionManager
 from repro.errors import QSSError, SubscriptionError
+from repro.store import ChangeLogStore
 
 
 def small_db(names):
@@ -133,9 +134,9 @@ class TestDOEMManagerStrategies:
         self._run_polls(aliased)
         assert aliased.state_size("S") == sizes
 
-    def test_redundant_poll_is_folded_only_at_a_later_time(self, monkeypatch):
-        """An empty change set at a time the DOEM already covers is not
-        applied; at a later one it is, and leaves no annotation."""
+    def test_redundant_poll_is_never_folded(self, monkeypatch):
+        """An empty change set is not applied, whether the DOEM already
+        covers its time or not."""
         from repro.doem import build
         manager = DOEMManager()
         doem = self._run_polls(manager)          # newest annotation: 1Jan97
@@ -151,9 +152,31 @@ class TestDOEMManagerStrategies:
         assert not manager.incorporate("S", "31Dec96", unchanged)
         assert applied == []
         assert not manager.incorporate("S", "2Jan97", unchanged)
-        assert applied == [parse_timestamp("2Jan97")]
+        assert applied == []
         assert doem.same_as(before) and doem.fingerprint() == fingerprint
         assert doem.last_timestamp() == parse_timestamp("1Jan97")
+
+    def test_a_durable_poll_copies_only_the_log_tip(self, tmp_path,
+                                                    monkeypatch):
+        """With a store ``R_{i-1}`` is the log's tip, read in place: a poll
+        with changes makes one copy (the log's next tip), a quiet one
+        none."""
+        store = ChangeLogStore(tmp_path / "st")
+        manager = DOEMManager(store=store)
+        manager.incorporate("S", "30Dec96", self._packaged(small_db(["Janta"])))
+        copies = []
+        real = OEMDatabase.copy
+        monkeypatch.setattr(OEMDatabase, "copy",
+                            lambda db: copies.append(db) or real(db))
+        both = small_db(["Janta", "Hakata"])
+        assert manager.incorporate("S", "31Dec96", self._packaged(both))
+        assert len(copies) == 1
+        copies.clear()
+        assert not manager.incorporate("S", "1Jan97", self._packaged(both))
+        assert copies == []
+        assert manager.previous_result("S") is \
+            store.log("S").tip_view()
+        store.close()
 
     def test_identifiers_never_reused(self):
         manager = DOEMManager()

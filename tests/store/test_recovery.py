@@ -11,6 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StoreCorruptionError
+from repro.oem.changes import AddArc, CreNode
+from repro.oem.history import ChangeSet
 from repro.sources.generators import demo_world
 from repro.store import (
     ChangeLogStore,
@@ -86,6 +88,37 @@ class TestTornTailRecovery:
         assert log.timestamps() == history.timestamps()
         assert log.tip().same_as(history.apply_to(db.copy()))
         log.close()
+
+    @pytest.mark.parametrize("left", [b"", b"DOEM"])
+    def test_roll_cut_short_starts_its_segment_again(self, tmp_path, left):
+        """A crash right after a roll created the next segment, before its
+        magic reached the disk: the open starts that segment again."""
+        db, history, directory = build_log(tmp_path)
+        count = len(list(directory.glob("seg-*.log")))
+        (directory / f"seg-0001-{count + 1:06d}.log").write_bytes(left)
+        log = HistoryLog(directory)
+        assert log.recovered_tail == "bad segment magic"
+        assert log.timestamps() == history.timestamps()
+        log.append("1Jan99", ChangeSet([CreNode("later", 1),
+                                        AddArc(db.root, "later", "later")]))
+        log.close()
+        reopened = HistoryLog(directory, "ro")
+        assert reopened.recovered_tail is None
+        assert reopened.timestamps()[:-1] == history.timestamps()
+        assert "later" in reopened.tip()
+
+    def test_bad_magic_before_records_is_refused(self, tmp_path):
+        """A flipped magic byte may hide acknowledged records after it:
+        the open refuses instead of starting the segment again."""
+        _, history, directory = build_log(tmp_path)
+        segment = last_segment(directory)
+        data = bytearray(segment.read_bytes())
+        assert len(data) > 8
+        data[0] ^= 0x01
+        segment.write_bytes(bytes(data))
+        with pytest.raises(StoreCorruptionError, match="magic"):
+            HistoryLog(directory)
+        assert segment.read_bytes() == bytes(data), "nothing was cut"
 
     def test_ro_open_skips_tail_without_repairing(self, tmp_path):
         _, history, directory = build_log(tmp_path)
