@@ -26,11 +26,8 @@ fine for tree-shaped data such as parsed HTML).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import re
-import sys
-from typing import Iterator
 
 from ..errors import SerializationError
 from ..timestamps import Timestamp, parse_timestamp
@@ -41,24 +38,6 @@ __all__ = ["dumps", "loads", "to_json", "from_json"]
 
 _BARE_LABEL = re.compile(r"^[A-Za-z&_][A-Za-z0-9_\-&]*$")
 _BARE_ID = re.compile(r"^[A-Za-z0-9_\-]+$")
-
-
-@contextlib.contextmanager
-def _recursion_headroom(extra: int):
-    """Temporarily raise the recursion limit for deep (chain-shaped) graphs.
-
-    The writer and parser recurse per nesting level; pathological but
-    legal databases (a 10,000-node chain) would otherwise hit Python's
-    default limit mid-serialization.
-    """
-    current = sys.getrecursionlimit()
-    wanted = extra + 200
-    if wanted > current:
-        sys.setrecursionlimit(wanted)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(current)
 
 
 # ---------------------------------------------------------------------------
@@ -94,39 +73,44 @@ def dumps(db: OEMDatabase, indent: int = 2) -> str:
 
     Every node reachable from the root is emitted exactly once in full;
     later occurrences are back-references (``&id`` with no body), which
-    preserves shared subobjects and cycles.
+    preserves shared subobjects and cycles.  One line per object, each
+    nested ``indent`` spaces deeper than its parent.  The walk keeps its
+    own stack, so any depth serializes.
     """
     emitted: set[str] = set()
     pad = " " * indent
+    lines: list[str] = []
 
-    def render(node_id: str, depth: int) -> Iterator[str]:
-        head = _quote_id(node_id)
+    def open_object(node_id: str, prefix: str):
+        """Write the object's first line; its sorted arcs if it has a body."""
+        head = prefix + _quote_id(node_id)
         if node_id in emitted:
-            yield head
-            return
+            lines.append(head)
+            return None
         emitted.add(node_id)
         value = db.value(node_id)
         if value is not COMPLEX:
-            yield f"{head} {_atomic_literal(value)}"
-            return
+            lines.append(f"{head} {_atomic_literal(value)}")
+            return None
         arcs = sorted(db.out_arcs(node_id))
         if not arcs:
-            yield f"{head} {{}}"
-            return
-        yield f"{head} {{"
-        for arc in arcs:
-            parts = list(render(arc.target, depth + 1))
-            first = f"{pad * (depth + 1)}{_quote_label(arc.label)}: {parts[0]}"
-            yield first
-            yield from parts[1:]
-        yield f"{pad * depth}}}"
+            lines.append(f"{head} {{}}")
+            return None
+        lines.append(f"{head} {{")
+        return iter(arcs)
 
-    lines: list[str] = []
-    with _recursion_headroom(len(db) * 3):
-        for piece in render(db.root, 0):
-            lines.append(piece)
-    # Join nested renderings that were produced as flat line lists: the
-    # recursive generator already carries correct indentation in bodies.
+    arcs = open_object(db.root, "")
+    stack = [] if arcs is None else [arcs]
+    while stack:
+        arc = next(stack[-1], None)
+        if arc is None:
+            stack.pop()
+            lines.append(f"{pad * len(stack)}}}")
+            continue
+        arcs = open_object(arc.target, f"{pad * len(stack)}"
+                                       f"{_quote_label(arc.label)}: ")
+        if arcs is not None:
+            stack.append(arcs)
     return "\n".join(lines) + "\n"
 
 
@@ -134,36 +118,34 @@ def dumps(db: OEMDatabase, indent: int = 2) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
+_SPACE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")  # comments run to end of line
+_QUOTED = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+_ID_TOKEN = re.compile(r"[A-Za-z0-9_\-]+")
+_LABEL_TOKEN = re.compile(r"[A-Za-z&_][A-Za-z0-9_\-&]*")
+_TIMESTAMP_TOKEN = re.compile(r"[A-Za-z0-9:\- ]+")
+_NUMBER_TOKEN = re.compile(r"[-+]?[0-9][0-9_]*(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
 class _Reader:
-    """Minimal cursor over the serialized text with line/column tracking."""
+    """A cursor over the serialized text.  Tokens are matched in place;
+    the line and column are worked out only for an error."""
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
 
-    def _location(self) -> tuple[int, int]:
-        consumed = self.text[:self.pos]
-        line = consumed.count("\n") + 1
-        column = len(consumed) - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message: str) -> SerializationError:
-        line, column = self._location()
-        return SerializationError(message, line, column)
+    def error(self, message: str, pos: int | None = None) \
+            -> SerializationError:
+        pos = min(self.pos if pos is None else pos, len(self.text))
+        line_start = self.text.rfind("\n", 0, pos) + 1
+        return SerializationError(message, self.text.count("\n", 0, pos) + 1,
+                                  pos - line_start + 1)
 
     def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":  # comment to end of line
-                newline = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if newline < 0 else newline
-            else:
-                break
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
@@ -171,124 +153,130 @@ class _Reader:
         self.pos += 1
 
     def read_quoted(self) -> str:
-        start = self.pos
-        if self.peek() != '"':
-            raise self.error("expected a quoted string")
-        self.pos += 1
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\":
-                self.pos += 2
-                continue
-            if ch == '"':
-                self.pos += 1
-                try:
-                    return json.loads(self.text[start:self.pos])
-                except json.JSONDecodeError as exc:
-                    raise self.error(f"bad string literal: {exc}") from exc
-            self.pos += 1
-        raise self.error("unterminated string literal")
+        """The string literal that starts at the cursor's ``"``."""
+        match = _QUOTED.match(self.text, self.pos)
+        if match is None:
+            raise self.error("unterminated string literal", len(self.text))
+        self.pos = match.end()
+        try:
+            return json.loads(match.group())
+        except json.JSONDecodeError as exc:
+            raise self.error(f"bad string literal: {exc}") from exc
 
-    def read_while(self, pattern: str) -> str:
-        match = re.match(pattern, self.text[self.pos:])
+    def read(self, token: re.Pattern) -> str:
+        match = token.match(self.text, self.pos)
         if not match:
             raise self.error("unexpected character")
-        self.pos += match.end()
-        return match.group(0)
+        self.pos = match.end()
+        return match.group()
+
+    def read_atomic(self):
+        ch = self.peek()
+        if ch == '"':
+            return self.read_quoted()
+        if ch == "@":
+            self.pos += 1
+            return parse_timestamp(self.read(_TIMESTAMP_TOKEN).strip())
+        if self.text.startswith("true", self.pos):
+            self.pos += 4
+            return True
+        if self.text.startswith("false", self.pos):
+            self.pos += 5
+            return False
+        start = self.pos
+        raw = self.read(_NUMBER_TOKEN)
+        try:
+            return float(raw) if any(m in raw for m in ".eE") else int(raw)
+        except ValueError as exc:
+            raise self.error(f"bad number literal {raw!r}", start) from exc
 
 
 def loads(text: str, root_hint: str | None = None) -> OEMDatabase:
     """Parse the textual OEM format back into an :class:`OEMDatabase`.
 
     The first object in the text becomes the root.  ``root_hint`` is only
-    used when the text's root id must be overridden (rare; tests).
+    used when the text's root id must be overridden (rare; tests).  Time
+    is linear in the text, and any depth parses: the objects whose
+    ``{ ... }`` body is open are kept on a list, not on the call stack.
     """
     reader = _Reader(text)
     reader.skip_space()
     if reader.peek() != "&":
         raise reader.error("OEM text must start with an object id (&...)")
 
-    db: list[OEMDatabase] = []  # created lazily once the root id is known
+    db: OEMDatabase | None = None  # created once the root id is known
     defined: set[str] = set()
+    # (object, parent, label) per open body; the arc from the parent is
+    # added when the body closes, as a recursive reader would.
+    open_bodies: list[tuple[str, str | None, str | None]] = []
 
     def read_id() -> str:
         reader.expect("&")
         if reader.peek() == '"':
             return reader.read_quoted()
-        return reader.read_while(r"[A-Za-z0-9_\-]+")
+        return reader.read(_ID_TOKEN)
 
     def ensure_node(node_id: str) -> None:
-        if not db:
+        nonlocal db
+        if db is None:
             root_id = root_hint or node_id
-            db.append(OEMDatabase(root=root_id))
+            db = OEMDatabase(root=root_id)
             defined.add(root_id)
-            return
-        if node_id not in db[0]:
-            db[0].create_node(node_id, COMPLEX)
+        elif node_id not in db:
+            db.create_node(node_id, COMPLEX)
 
-    def read_object() -> str:
+    def attached(node_id: str, parent: str | None, label: str | None) -> None:
+        """``node_id`` is read in full: hang it under its parent."""
+        if parent is None:
+            return
+        db.add_arc(parent, label, node_id)
+        reader.skip_space()
+        if reader.peek() == ",":
+            reader.pos += 1
+            reader.skip_space()
+
+    def read_object(parent: str | None, label: str | None) -> None:
         node_id = read_id()
         ensure_node(node_id)
         reader.skip_space()
         ch = reader.peek()
         if ch == "{":
-            if node_id in defined and db[0].has_children(node_id):
+            if node_id in defined and db.has_children(node_id):
                 raise reader.error(f"object &{node_id} defined twice")
             defined.add(node_id)
-            reader.expect("{")
-            reader.skip_space()
-            while reader.peek() != "}":
-                label = read_label()
-                reader.skip_space()
-                reader.expect(":")
-                reader.skip_space()
-                child = read_object()
-                db[0].add_arc(node_id, label, child)
-                reader.skip_space()
-                if reader.peek() == ",":
-                    reader.pos += 1
-                    reader.skip_space()
-            reader.expect("}")
-        elif ch == '"' or ch == "@" or ch.isdigit() or ch in "+-" \
-                or reader.text.startswith(("true", "false"), reader.pos):
-            value = read_atomic()
-            defined.add(node_id)
-            db[0].update_value(node_id, value)
-        # otherwise: a bare back-reference; nothing more to read.
-        return node_id
-
-    def read_label() -> str:
-        if reader.peek() == '"':
-            return reader.read_quoted()
-        return reader.read_while(r"[A-Za-z&_][A-Za-z0-9_\-&]*")
-
-    def read_atomic():
-        ch = reader.peek()
-        if ch == '"':
-            return reader.read_quoted()
-        if ch == "@":
             reader.pos += 1
-            raw = reader.read_while(r"[A-Za-z0-9:\- ]+").strip()
-            return parse_timestamp(raw)
-        if reader.text.startswith("true", reader.pos):
-            reader.pos += 4
-            return True
-        if reader.text.startswith("false", reader.pos):
-            reader.pos += 5
-            return False
-        raw = reader.read_while(r"[-+]?[0-9][0-9_]*(\.[0-9]+)?([eE][-+]?[0-9]+)?")
-        if any(marker in raw for marker in ".eE"):
-            return float(raw)
-        return int(raw)
+            reader.skip_space()
+            open_bodies.append((node_id, parent, label))
+            return
+        # At the end of the text ``ch`` is "", which ``in "+-"`` accepts:
+        # the number reader then reports the missing value.
+        if ch == '"' or ch == "@" or ch.isdigit() or ch in "+-" \
+                or text.startswith(("true", "false"), reader.pos):
+            value = reader.read_atomic()
+            defined.add(node_id)
+            db.update_value(node_id, value)
+        # otherwise: a bare back-reference; nothing more to read.
+        attached(node_id, parent, label)
 
-    with _recursion_headroom(text.count("{") * 2):
-        read_object()
+    read_object(None, None)
+    while open_bodies:
+        node_id = open_bodies[-1][0]
+        if reader.peek() == "}":
+            reader.pos += 1
+            attached(*open_bodies.pop())
+            continue
+        if reader.peek() == '"':
+            label = reader.read_quoted()
+        else:
+            label = reader.read(_LABEL_TOKEN)
+        reader.skip_space()
+        reader.expect(":")
+        reader.skip_space()
+        read_object(node_id, label)
     reader.skip_space()
-    if reader.pos != len(reader.text):
+    if reader.pos != len(text):
         raise reader.error("trailing text after root object")
-    if not db:
-        raise SerializationError("empty OEM text")
-    return db[0]
+    return db
 
 
 # ---------------------------------------------------------------------------

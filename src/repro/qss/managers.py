@@ -383,13 +383,15 @@ class DOEMManager:
                 f"(with {self.shared_with(name)}); compact it explicitly "
                 f"with a cutoff valid for every sharer")
         key = self._key(name)
-        doem = self.doem(name)
         log = self._store_log(key)
-        if log is not None:
+        if log is None:
+            self._doems[key] = compact(self.doem(name), parse_timestamp(when))
+        else:
             # The log first, as for a poll: the same horizon promotes the
-            # state at the cutoff to the log's new origin.
+            # state at the cutoff to the log's new origin, and the DOEM is
+            # the log's again (its snapshot cache reads the checkpoints).
             log.compact(before=parse_timestamp(when))
-        self._doems[key] = compact(doem, parse_timestamp(when))
+            self._doems[key] = log.get_doem()
         self._engines.pop(key, None)  # it reads the old DOEM
         # The previous result is a plain snapshot; unaffected.
         # Identifiers of nodes dropped here may be minted again.
@@ -431,7 +433,11 @@ class DOEMManager:
         self._signatures.pop(key, None)
 
     def state_size(self, name: str) -> dict[str, int]:
-        """Rough state-size accounting (``tests/paper/test_qss_space.py``)."""
+        """Rough state-size accounting (``tests/paper/test_qss_space.py``).
+
+        ``cached_*`` count ``R_{i-1}`` held in memory: the log's tip with
+        a store, the cached previous result without one.
+        """
         doem = self.doem(name)
         sizes = {
             "doem_nodes": len(doem.graph),
@@ -441,8 +447,10 @@ class DOEMManager:
             "cached_arcs": 0,
         }
         key = self._key(name)
-        if self.cache_previous_result and key in self._previous:
-            cached = self._previous[key]
+        log = self._store_log(key)
+        cached = log.tip_view() if log is not None else \
+            self._previous.get(key) if self.cache_previous_result else None
+        if cached is not None:
             sizes["cached_nodes"] = len(cached)
             sizes["cached_arcs"] = cached.arc_count()
         return sizes

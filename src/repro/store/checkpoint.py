@@ -12,10 +12,14 @@ query-time replay budget.
 **File format** (``ckpt-<seq>.oem``): one JSON header line --
 ``{"format": 1, "at": <ticks>, "seq": <n>, "crc": <crc32-of-body>,``
 ``"nodes": <count>}`` -- followed by the textual OEM serialization of
-the snapshot.  The CRC covers the body, so a torn or bit-rotten
-checkpoint is detected at load time and simply skipped: a bad
-checkpoint never corrupts an answer, it only costs a longer replay from
-the next older one (or the origin).
+the snapshot, written unindented (the grammar ignores whitespace, so
+older indented bodies read the same).  The CRC covers the body, so a
+torn or bit-rotten checkpoint is detected when a log opens (header and
+CRC only: :func:`scan_checkpoints` parses no body) and simply skipped.
+A body is parsed only by a lookup that needs it (and by fsck); one that
+passes its CRC and still fails to parse is skipped there.  Either way a
+bad checkpoint never corrupts an answer, it only costs a longer replay
+from the next older one (or the origin).
 
 **Spacing policy** (:class:`CheckpointPolicy`): a checkpoint is due
 when the operations appended since the last one exceed
@@ -115,7 +119,7 @@ def write_checkpoint(directory: Path, seq: int, at: Timestamp,
     durability problem: the CRC check at load time rejects it and
     resolution falls back to the previous checkpoint.
     """
-    body = dumps(snapshot).encode("utf-8")
+    body = dumps(snapshot, indent=0).encode("utf-8")
     header = json.dumps({"format": CHECKPOINT_FORMAT, "at": at.ticks,
                          "seq": seq, "crc": zlib.crc32(body),
                          "nodes": len(snapshot)},
@@ -128,12 +132,12 @@ def write_checkpoint(directory: Path, seq: int, at: Timestamp,
     return CheckpointRef(at=at, seq=seq, path=path), len(header) + 1 + len(body)
 
 
-def read_checkpoint(path: Path) -> tuple[Timestamp, OEMDatabase]:
-    """Load and verify one checkpoint file.
+def _verified_body(path: Path) -> tuple[Timestamp, bytes]:
+    """One checkpoint file's time and body, header and CRC checked.
 
-    Raises :class:`~repro.errors.StoreCorruptionError` on any integrity
-    failure (missing header, bad CRC, unparseable body); callers treat
-    that as "this checkpoint does not exist".
+    Raises :class:`~repro.errors.StoreCorruptionError` on a missing or
+    bad header, an unknown format or a checksum mismatch.  The body is
+    not parsed.
     """
     try:
         raw = path.read_bytes()
@@ -144,30 +148,47 @@ def read_checkpoint(path: Path) -> tuple[Timestamp, OEMDatabase]:
         raise StoreCorruptionError(f"checkpoint {path.name}: no header line")
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        form = header.get("format")
+        at = Timestamp(int(header["at"])) if form == CHECKPOINT_FORMAT \
+            else None
+    except (UnicodeDecodeError, ValueError, AttributeError, KeyError,
+            TypeError) as exc:
         raise StoreCorruptionError(
             f"checkpoint {path.name}: bad header: {exc}") from exc
-    body = raw[newline + 1:]
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if form != CHECKPOINT_FORMAT:
         raise StoreCorruptionError(
-            f"checkpoint {path.name}: unknown format {header.get('format')!r}")
+            f"checkpoint {path.name}: unknown format {form!r}")
+    body = raw[newline + 1:]
     if zlib.crc32(body) != header.get("crc"):
         raise StoreCorruptionError(
             f"checkpoint {path.name}: checksum mismatch")
+    return at, body
+
+
+def read_checkpoint(path: Path) -> tuple[Timestamp, OEMDatabase]:
+    """Load and verify one checkpoint file.
+
+    Raises :class:`~repro.errors.StoreCorruptionError` on any integrity
+    failure (missing header, bad CRC, unparseable body); callers treat
+    that as "this checkpoint does not exist".
+    """
+    at, body = _verified_body(path)
     try:
         snapshot = loads(body.decode("utf-8"))
     except Exception as exc:
         raise StoreCorruptionError(
             f"checkpoint {path.name}: body failed to parse: {exc}") from exc
-    return Timestamp(int(header["at"])), snapshot
+    return at, snapshot
 
 
 def scan_checkpoints(directory: Path) -> tuple[list[CheckpointRef], list[str]]:
-    """Index every readable checkpoint in ``directory``.
+    """Index every checkpoint in ``directory`` whose header and CRC hold.
 
-    Returns ``(refs sorted by time then seq, problems)``; an unreadable
-    checkpoint lands in ``problems`` and is excluded from the index --
-    the degradation is more replay, never a wrong answer.
+    Returns ``(refs sorted by time then seq, problems)``; a checkpoint
+    that fails those checks lands in ``problems`` and is excluded from
+    the index -- the degradation is more replay, never a wrong answer.
+    Bodies are not parsed here: a body that passes its CRC and still
+    fails to parse is found when a lookup loads it (or by fsck).
     """
     refs: list[CheckpointRef] = []
     problems: list[str] = []
@@ -178,7 +199,7 @@ def scan_checkpoints(directory: Path) -> tuple[list[CheckpointRef], list[str]]:
             problems.append(f"checkpoint {path.name}: unparseable name")
             continue
         try:
-            at, _ = read_checkpoint(path)
+            at, _ = _verified_body(path)
         except StoreCorruptionError as exc:
             problems.append(str(exc))
             continue

@@ -19,7 +19,9 @@ tail of the current segment for throughput).
 bounded delta replay: :meth:`snapshot_at` finds the newest checkpoint at
 ``t0 <= t``, loads it, and replays only the change sets in ``(t0, t]``
 -- never the whole log.  The :class:`~.checkpoint.CheckpointPolicy`
-bounds how many operations that replay can span.
+bounds how many operations that replay can span.  An open reads the
+segments and only the header and CRC of each checkpoint; a checkpoint's
+body is parsed by the first lookup that loads it (and by fsck).
 
 **Recovery.**  Opening for writing truncates a torn tail in the *last*
 segment back to the last durable record (counted and logged as a
@@ -33,8 +35,9 @@ the same analysis without loading the history, reporting (and with
 generation and atomically swaps ``CURRENT`` -- with no horizon it only
 consolidates (every ``Ot`` still resolves exactly); with ``before=t`` it
 promotes the state at the greatest entry ``<= t`` to the new origin and
-drops the records and checkpoints before it, so history at or after the
-horizon stays exact while earlier times collapse onto the new origin.
+drops the records and checkpoints before it (the checkpoints before
+``CURRENT`` moves), so history at or after the horizon stays exact while
+earlier times collapse onto the new origin.
 """
 
 from __future__ import annotations
@@ -602,9 +605,21 @@ class HistoryLog:
             base_time = covered[-1][0]
             new_origin = self.snapshot_at(base_time)
             kept = self._entries[len(covered):]
+        # Checkpoints before the new origin go before the commit: the new
+        # generation lacks the sets that would replay from them.  They are
+        # advisory, so one deleted by a compaction that then fails costs
+        # the old generation replay, never a wrong answer.
+        stale = [] if base_time is None else \
+            [ref for ref in self._checkpoints if ref.at < base_time]
+        for ref in stale:
+            ref.path.unlink(missing_ok=True)
+            self._checkpoints.remove(ref)
+            self._ckpt_cache.pop(ref.seq, None)
 
         # Write the consolidated generation, rolling at segment_bytes, over
         # what a failed attempt left; the old one stays live until CURRENT.
+        # (The directory fsync before the commit makes the deletions above
+        # durable first.)
         new_generation = self.generation + 1
         for path in _list_segments(self.directory, new_generation):
             path.unlink()
@@ -655,17 +670,6 @@ class HistoryLog:
         self._entries = list(kept)
         self._segments = new_segments
 
-        dropped_ckpts = 0
-        if base_time is not None:
-            survivors = []
-            for ref in self._checkpoints:
-                if ref.at < base_time:
-                    ref.path.unlink(missing_ok=True)
-                    dropped_ckpts += 1
-                else:
-                    survivors.append(ref)
-            self._checkpoints = survivors
-            self._ckpt_cache.clear()
         for path in old_segments:
             path.unlink(missing_ok=True)
         _fsync_dir(self.directory)
@@ -673,7 +677,7 @@ class HistoryLog:
         summary = {"generation": new_generation,
                    "dropped_sets": old_count - len(kept),
                    "dropped_segments": len(old_segments),
-                   "dropped_checkpoints": dropped_ckpts,
+                   "dropped_checkpoints": len(stale),
                    "segments": len(new_segments)}
         emit_event("store_compacted", level="info",
                    log=str(self.directory.name), **summary)
@@ -779,7 +783,13 @@ def fsck_log(directory: str | os.PathLike, repair: bool = False) -> dict:
                 report["ok"] = False
 
     refs, ckpt_problems = scan_checkpoints(directory)
-    report["checkpoints"] = len(refs)
+    report["checkpoints"] = 0
+    for ref in refs:  # the check tool parses every body an open skips
+        try:
+            read_checkpoint(ref.path)
+            report["checkpoints"] += 1
+        except StoreCorruptionError as exc:
+            ckpt_problems.append(str(exc))
     for problem in ckpt_problems:
         report["problems"].append(problem)
         if repair:

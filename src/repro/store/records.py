@@ -4,8 +4,8 @@ Two record kinds appear in a history log:
 
 * ``origin`` -- the first record of every segment generation: the
   textual OEM serialization of ``O0`` (or, after horizon compaction,
-  of the promoted checkpoint state).  Everything the log encodes is a
-  delta against this snapshot.
+  of the promoted checkpoint state), unindented.  Everything the log
+  encodes is a delta against this snapshot.
 * ``changeset`` -- one timestamped change set: the timestamp's ticks
   plus the four basic operations in list form.
 
@@ -86,7 +86,7 @@ def _decode_op(item: object) -> ChangeOp:
 
 def encode_origin(db: OEMDatabase) -> bytes:
     """The origin record: the snapshot every later delta builds on."""
-    return json.dumps({"kind": "origin", "oem": dumps(db)},
+    return json.dumps({"kind": "origin", "oem": dumps(db, indent=0)},
                       separators=(",", ":")).encode("utf-8")
 
 

@@ -21,6 +21,7 @@ from repro import (
     parse_timestamp,
 )
 from repro.qss.managers import DOEMManager
+from repro.store import ChangeLogStore
 from tests.paper import assert_artifact
 
 DAYS = (5, 20)
@@ -34,8 +35,8 @@ def guide_source():
                                  events_per_day=3.0)
 
 
-def run_days(days, cached=True):
-    manager = DOEMManager(cache_previous_result=cached)
+def run_days(days, cached=True, store=None):
+    manager = DOEMManager(cache_previous_result=cached, store=store)
     wrapper = Wrapper(guide_source(), name="guide")
     start = parse_timestamp("1Dec96")
     for day in range(days):
@@ -58,6 +59,16 @@ def test_strategy_state_sizes(days):
         f"recompute-previous: doem_nodes={lean['doem_nodes']} "
         f"annotations={lean['annotations']} "
         f"cached_nodes={lean['cached_nodes']}")
+
+
+@pytest.mark.parametrize("days", DAYS)
+def test_store_backed_state_counts_the_log_tip(days, tmp_path):
+    """With a store, ``R_{i-1}`` is the log's tip, held in memory: it is
+    counted as the cached previous result is, and the DOEM is the same."""
+    with ChangeLogStore(tmp_path / "st") as store:
+        durable = run_days(days, store=store).state_size("S")
+    assert durable == run_days(days).state_size("S")
+    assert durable["cached_nodes"] > 0
 
 
 @pytest.mark.parametrize("keep", KEEP)

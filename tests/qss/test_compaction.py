@@ -7,8 +7,11 @@ from repro import (
     RestaurantGuideSource,
     Subscription,
     Wrapper,
+    snapshot_at,
+    snapshot_cache,
 )
 from repro.errors import QSSError
+from repro.store import ChangeLogStore, CheckpointPolicy
 
 
 def make_server(keep=None, **kwargs):
@@ -79,3 +82,20 @@ class TestRetentionPolicy:
         server.run_until("3Dec96")
         with pytest.raises(QSSError):
             server.doems.compact_before("A", "2Dec96")
+
+
+class TestRetentionWithAStore:
+    def test_compacted_doem_reads_the_store_s_checkpoints(self, tmp_path):
+        """After a retention compaction the served DOEM is the log's: a
+        miss of its snapshot cache loads a durable checkpoint."""
+        with ChangeLogStore(tmp_path / "st", policy=CheckpointPolicy(
+                replay_budget=1, size_weight=0.0, min_sets=1)) as store:
+            server = make_server(keep=2, store=store)
+            server.run_until("10Dec96")
+            doem = server.doems.doem("S")
+            probe = server.subscriptions.get("S").polling_times[-2]
+            cache = snapshot_cache(doem)
+            assert cache.snapshot_at(probe).same_as(snapshot_at(doem, probe))
+            assert cache.stats.store_hits > 0
+            assert len(doem.timestamps()) <= 2
+            server.close()
