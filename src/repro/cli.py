@@ -414,6 +414,8 @@ def _run(args: argparse.Namespace, out) -> int:
                         print(f"  repaired: {fixed}", file=out)
                 for problem in report["problems"]:
                     print(f"problem: {problem}", file=out)
+                for fixed in report["repaired"]:
+                    print(f"repaired: {fixed}", file=out)
                 print("store: ok" if report["ok"]
                       else "store: PROBLEMS FOUND", file=out)
             return 0 if report["ok"] else 1

@@ -102,35 +102,55 @@ def text_bags(db: OEMDatabase) -> dict[str, list[str]]:
     Used to score complex-node candidates by what their contents *say*,
     so an ``<li>`` whose price changed still matches its old incarnation
     (the [CRGMW96] differ compares text chunks the same way).
+
+    A depth-first walk with an explicit stack, so any depth of data
+    works: a node's children are merged in arc order until the bag is
+    full, a child still being collected (a cycle) adds nothing, and each
+    node's bag is kept the first time it is finished -- the bags of
+    ``tests/diff/oracle_text_bags.py``, the recursive walk it replaced.
     """
     bags: dict[str, list[str]] = {}
     on_stack: set[str] = set()
     values, out = db._values, db._out
-
-    def collect(node: str) -> list[str]:
-        if node in bags:
-            return bags[node]
-        if node in on_stack:
-            return []
-        value = values[node]
-        if value is not COMPLEX:
-            bag = sorted(str(value).split()[:_TEXT_BAG_LIMIT])
-            bags[node] = bag
-            return bag
-        on_stack.add(node)
-        merged: list[str] = []
-        for target in itertools.chain.from_iterable(out[node].values()):
-            merged.extend(collect(target))
-            if len(merged) >= _TEXT_BAG_LIMIT:
-                break
-        on_stack.discard(node)
-        bag = sorted(merged[:_TEXT_BAG_LIMIT])
-        bags[node] = bag
-        return bag
-
+    # One frame per complex node being collected: the node, its children
+    # still to merge, the tokens merged so far.
+    frames: list[tuple[str, Iterator[str], list[str]]] = []
     for node in values:
-        collect(node)
-    del collect  # the closure holds itself through its cell: no cycle left
+        if node in bags:
+            continue
+        target: str | None = node
+        while True:
+            if target is not None:
+                value = values[target]
+                if value is not COMPLEX:
+                    bag = bags[target] = sorted(
+                        str(value).split()[:_TEXT_BAG_LIMIT])
+                    if not frames:
+                        break
+                    frames[-1][2].extend(bag)
+                else:
+                    on_stack.add(target)
+                    frames.append((target, itertools.chain.from_iterable(
+                        out[target].values()), []))
+            current, children, merged = frames[-1]
+            target = None
+            if len(merged) < _TEXT_BAG_LIMIT:
+                for child in children:
+                    if child in bags:
+                        merged.extend(bags[child])
+                        if len(merged) >= _TEXT_BAG_LIMIT:
+                            break
+                    elif child not in on_stack:
+                        target = child
+                        break
+            if target is not None:
+                continue
+            frames.pop()
+            on_stack.discard(current)
+            bag = bags[current] = sorted(merged[:_TEXT_BAG_LIMIT])
+            if not frames:
+                break
+            frames[-1][2].extend(bag)
     return bags
 
 

@@ -4,7 +4,9 @@ Layout::
 
     <root>/.doemstore            marker ({"format": 1}) -- "this is a store"
     <root>/LOCK                  single-writer pid file (rw opens only)
-    <root>/SUBSCRIPTIONS         the subscription manifest (QSS servers)
+    <root>/SUBSCRIPTIONS         the subscription manifest's snapshot
+    <root>/SUBSCRIPTIONS.polls   its journal: polls recorded since the
+                                 snapshot (QSS servers, both files)
     <root>/<name>/               one :class:`~.log.HistoryLog` per history
 
 **Single writer.**  Opening a store ``"rw"`` takes ``LOCK`` with
@@ -32,15 +34,20 @@ import re
 import shutil
 import threading
 import zlib
+from contextlib import suppress
 from pathlib import Path
 
 from ..errors import StoreCorruptionError, StoreError, StoreLockedError
+from ..obs.events import emit_event
+from ..obs.trace import span
 from ..oem.history import OEMHistory
 from ..oem.model import OEMDatabase
 from ..timestamps import Timestamp
 from .checkpoint import CheckpointPolicy
 from .log import DEFAULT_SEGMENT_BYTES, HistoryLog, StoreStats, \
-    atomic_write, fsck_log
+    _fsync_dir, atomic_write, fsck_log
+from .segment import FRAME_HEADER, HEADER_SIZE, MAGIC, SegmentScan, \
+    frame_record
 
 __all__ = ["ChangeLogStore", "StoreLock", "open_store", "close_store",
            "is_store", "sanitize_name", "MARKER", "STORE_FORMAT"]
@@ -49,6 +56,7 @@ MARKER = ".doemstore"
 STORE_FORMAT = 1
 _LOCK_FILE = "LOCK"
 _SUBSCRIPTIONS = "SUBSCRIPTIONS"
+_POLLS = "SUBSCRIPTIONS.polls"
 _DROPPED = ".dropped-"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
@@ -70,6 +78,68 @@ def sanitize_name(name: str) -> str:
 def is_store(path: str | os.PathLike) -> bool:
     """Does ``path`` hold a change-log store (its marker file)?"""
     return (Path(path) / MARKER).is_file()
+
+
+def _added_polls(old: dict[str, dict],
+                 new: dict[str, dict]) -> dict[int, list[str]] | None:
+    """The polls ``new`` adds to ``old``, as names by tick.
+
+    ``None`` unless ``new`` only extends polling times: the same names,
+    the same definitions, each old list a prefix of its new list, and
+    the added ticks integers in order (grouping by tick keeps each
+    name's order).  ``{}`` when nothing was added.
+    """
+    if old.keys() != new.keys():
+        return None
+    polls: dict[int, list[str]] = {}
+    for name, record in new.items():
+        before = old[name]
+        times, had = record.get("polling_times"), before.get("polling_times")
+        if not (isinstance(times, list) and isinstance(had, list)) \
+                or len(times) < len(had) or times[:len(had)] != had \
+                or record.keys() != before.keys() \
+                or any(record[field] != before[field] for field in record
+                       if field != "polling_times"):
+            return None
+        added = times[len(had):]
+        if any(type(tick) is not int for tick in added) \
+                or any(a > b for a, b in zip(added, added[1:])):
+            return None
+        for tick in added:
+            polls.setdefault(tick, []).append(name)
+    return polls
+
+
+class _Journal:
+    """The manifest's journal, open for appends: the segment format
+    (magic, then :func:`~.segment.frame_record` frames) on a handle of
+    its own.  A :class:`~.segment.SegmentWriter` writes history segments
+    only; the manifest's writes are a separate step of a QSS call."""
+
+    def __init__(self, path: Path, resume_at: int | None = None) -> None:
+        self._file = open(path, "wb" if resume_at is None else "r+b")
+        if resume_at is None:
+            self._file.write(MAGIC)
+        self.cut(HEADER_SIZE if resume_at is None else resume_at)
+
+    def append(self, payload: bytes) -> int:
+        """One frame, written and fsync'd; returns its bytes."""
+        frame = frame_record(payload)
+        self._file.write(frame)
+        self._file.flush()
+        os.fsync(self._file.fileno())
+        self.size += len(frame)
+        return len(frame)
+
+    def cut(self, size: int) -> None:
+        """Truncate to ``size`` bytes and append from there."""
+        self._file.seek(size)
+        self._file.truncate()
+        self.size = size
+
+    def close(self) -> None:
+        with suppress(OSError):
+            self._file.close()
 
 
 class StoreLock:
@@ -150,7 +220,12 @@ class ChangeLogStore:
         self.fsync_policy = fsync_policy
         self.segment_bytes = segment_bytes
         self._logs: dict[str, HistoryLog] = {}
+        # The manifest as this writer last read or wrote it: the records,
+        # the snapshot's generation and size, and the open journal.
         self._manifest: dict[str, dict] | None = None
+        self._manifest_generation = 0
+        self._snapshot_bytes = 0
+        self._journal: _Journal | None = None
         self._manifest_stats = StoreStats()
         self._lock = threading.RLock()
         self._closed = False
@@ -270,40 +345,191 @@ class ChangeLogStore:
     def subscriptions(self) -> dict[str, dict]:
         """The recorded subscriptions by name: Figure 7's Subscription Store.
 
-        One JSON document at the store root.  :mod:`repro.qss` defines
-        the record fields and decides when to rewrite it; this layer
-        keeps the file atomic and checked.  The writer holds the lock,
-        so what it last read or wrote is what is on disk; a read-only
-        handle reads the file on every call.
+        The snapshot document at the store root with the polls its
+        journal recorded since replayed onto it.  :mod:`repro.qss`
+        defines the record fields and decides when to record; this layer
+        keeps the two files atomic and checked.  The writer holds the
+        lock, so what it last read or wrote is what is on disk; a
+        read-only handle reads both files on every call.
         """
-        if self._manifest is None or self.mode == "ro":
-            self._manifest = self._read_manifest()
-        return dict(self._manifest)
+        with self._lock:
+            return dict(self._load_manifest())
 
-    def _read_manifest(self) -> dict[str, dict]:
+    def _load_manifest(self) -> dict[str, dict]:
+        if self._manifest is None or self.mode == "ro":
+            records, generation, size = self._read_snapshot()
+            scan = self._replay_journal(records, generation)
+            if scan is not None and not scan.good_bytes \
+                    and scan.path.stat().st_size > HEADER_SIZE:
+                raise StoreCorruptionError(
+                    f"{scan.path}: bad journal magic with bytes after it")
+            if self.mode == "rw":
+                self._resume_journal(scan)
+            self._manifest, self._manifest_generation, self._snapshot_bytes \
+                = records, generation, size
+        return self._manifest
+
+    def _forget_manifest(self) -> None:
+        """Drop what this handle holds of the manifest; the next call
+        reads the disk again (after a write whose outcome is unknown)."""
+        self._close_journal()
+        self._manifest = None
+
+    def _close_journal(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+
+    def _read_snapshot(self) -> tuple[dict[str, dict], int, int]:
+        """The snapshot's records, generation and size in bytes.
+
+        A snapshot written before the journal existed has no generation
+        and reads as generation 0.
+        """
         path = self.path / _SUBSCRIPTIONS
         try:
-            records = json.loads(path.read_text("utf-8"))["subscriptions"]
+            data = path.read_bytes()
+            document = json.loads(data)
+            records = document["subscriptions"]
+            generation = document.get("g", 0)
+            if type(generation) is not int:
+                raise TypeError("the generation is not an integer")
             if not all(isinstance(record, dict)
                        for record in records.values()):
                 raise TypeError("a subscription record is not an object")
         except FileNotFoundError:
-            return {}
+            return {}, 0, 0
         except (OSError, ValueError, KeyError, TypeError,
                 AttributeError) as exc:
             raise StoreCorruptionError(
                 f"{path}: unreadable subscription manifest: {exc}") from exc
-        return records
+        return records, generation, len(data)
+
+    def _replay_journal(self, records: dict[str, dict],
+                        generation: int) -> SegmentScan | None:
+        """Append the journal's polls of ``generation`` to ``records``.
+
+        Records of another generation are skipped: they belong to a
+        snapshot rewritten since (a crash before the journal was cut) or
+        to one this reader has not seen yet.  Reads the durable prefix;
+        returns the scan, or ``None`` when there is no journal.
+        """
+        path = self.path / _POLLS
+        if not path.exists():
+            return None
+        scan = SegmentScan(path)
+        for payload in scan:
+            try:
+                entry = json.loads(payload)
+                if entry["g"] != generation:
+                    continue
+                for tick, names in entry["polls"].items():
+                    for name in names:
+                        records[name]["polling_times"].append(int(tick))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise StoreCorruptionError(
+                    f"{path}: unreadable journal record at "
+                    f"{scan.good_bytes}: {exc}") from exc
+        return scan
+
+    def _resume_journal(self, scan: SegmentScan | None) -> None:
+        """Open the journal for appends, cutting a torn tail first."""
+        self._close_journal()
+        if scan is None:
+            return
+        if scan.torn is not None:
+            self._manifest_stats.recovered_tails += 1
+            emit_event("store_recovered", level="warning",
+                       log=_SUBSCRIPTIONS, segment=_POLLS,
+                       reason=scan.torn, truncated_to=scan.good_bytes)
+        if scan.good_bytes:
+            self._journal = _Journal(self.path / _POLLS,
+                                     resume_at=scan.good_bytes)
+        # else its creation was cut short: the next append creates it
+        # again, directory fsync included.
 
     def record_subscriptions(self, records: dict[str, dict]) -> None:
-        """Durably replace the subscription manifest with ``records``."""
+        """Durably make ``records`` the recorded subscriptions.
+
+        When ``records`` only adds polling times to the recorded names,
+        the new ticks are appended to the journal as one record and
+        fsync'd; otherwise -- a name added or dropped, a definition
+        changed -- or when the journal would outgrow the snapshot, the
+        snapshot is rewritten atomically under the next generation and
+        the journal cut back to its magic.
+        """
         self._require_writer()
-        document = {"format": STORE_FORMAT, "subscriptions": records}
-        self._manifest_stats.bytes_written += atomic_write(
-            self.path / _SUBSCRIPTIONS,
-            json.dumps(document, separators=(",", ":")))
+        with self._lock:
+            current = self._load_manifest()
+            polls = _added_polls(current, records)
+            if polls == {}:
+                return  # nothing new to make durable
+            payload = None
+            if polls is not None:
+                payload = json.dumps(
+                    {"g": self._manifest_generation,
+                     "polls": {str(tick): polls[tick]
+                               for tick in sorted(polls)}},
+                    separators=(",", ":")).encode("utf-8")
+                size = self._journal.size if self._journal is not None \
+                    else HEADER_SIZE
+                if size + FRAME_HEADER.size + len(payload) \
+                        > self._snapshot_bytes:
+                    payload = None
+            with span("store.subscriptions",
+                      mode="rewrite" if payload is None else "append"):
+                if payload is None:
+                    self._rewrite_snapshot(records)
+                else:
+                    self._append_polls(payload)
+            self._manifest = dict(records)
+
+    def _append_polls(self, payload: bytes) -> None:
+        """One journal record, fsync'd; all or nothing, like a log's
+        append.  Creating the journal also fsyncs the directory."""
+        journal = self._journal
+        created = journal is None
+        if created:
+            journal = _Journal(self.path / _POLLS)
+        start = journal.size
+        try:
+            written = journal.append(payload)
+            if created:
+                _fsync_dir(self.path)
+        except BaseException:
+            try:
+                if created:
+                    journal.close()
+                    (self.path / _POLLS).unlink(missing_ok=True)
+                else:
+                    journal.cut(start)
+            except OSError:
+                self._forget_manifest()  # a reread recovers the torn tail
+            raise
+        self._journal = journal
+        self._manifest_stats.bytes_written += written
+        self._manifest_stats.fsyncs += 2 if created else 1
+
+    def _rewrite_snapshot(self, records: dict[str, dict]) -> None:
+        generation = self._manifest_generation + 1
+        document = {"format": STORE_FORMAT, "g": generation,
+                    "subscriptions": records}
+        try:
+            written = atomic_write(self.path / _SUBSCRIPTIONS,
+                                   json.dumps(document, separators=(",", ":")))
+        except BaseException:
+            self._forget_manifest()  # the rename may have happened
+            raise
+        self._manifest_stats.bytes_written += written
         self._manifest_stats.fsyncs += 2  # the file, then its directory
-        self._manifest = dict(records)
+        self._manifest_generation, self._snapshot_bytes = generation, written
+        if self._journal is not None:
+            # Its records are of the old generation: dead, and skipped
+            # by every reader even if this cut never reaches the disk.
+            try:
+                self._journal.cut(HEADER_SIZE)
+            except OSError:
+                self._close_journal()  # the next append starts it afresh
 
     def _require_writer(self) -> None:
         if self.mode != "rw":
@@ -329,17 +555,15 @@ class ChangeLogStore:
         """Verify (optionally repair) every history; see :func:`fsck_log`.
 
         Runs from the on-disk state; open logs are reloaded after a
-        repairing pass so in-memory views stay consistent.  An
-        unreadable subscription manifest is a store-level problem; nothing
-        else in the store can rebuild it, so it is never repaired.
+        repairing pass so in-memory views stay consistent.  The
+        subscription manifest is checked at the store level: an
+        unreadable snapshot, or a journal record that does not decode,
+        is never repaired (nothing else in the store can rebuild it); a
+        torn journal tail is cut back to its durable prefix.
         """
+        problems, repaired, unrepaired = self._fsck_manifest(repair)
+        ok = not unrepaired
         reports = []
-        problems = []
-        try:
-            self._read_manifest()
-        except StoreCorruptionError as exc:
-            problems.append(str(exc))
-        ok = not problems
         for name in self.names():
             with self._lock:
                 log = self._logs.get(name)
@@ -351,7 +575,42 @@ class ChangeLogStore:
             reports.append(report)
             ok = ok and report["ok"]
         return {"path": str(self.path), "ok": ok, "problems": problems,
-                "histories": reports}
+                "repaired": repaired, "histories": reports}
+
+    def _fsck_manifest(self, repair: bool) \
+            -> tuple[list[str], list[str], int]:
+        """The manifest's problems, its repairs, and how many problems
+        are left unrepaired."""
+        problems: list[str] = []
+        try:
+            records, generation, _ = self._read_snapshot()
+        except StoreCorruptionError as exc:
+            problems.append(str(exc))
+            records, generation = {}, None  # still decode the journal
+        try:
+            scan = self._replay_journal(records, generation)
+        except StoreCorruptionError as exc:
+            problems.append(str(exc))
+            scan = None
+        if scan is None or scan.torn is None:
+            return problems, [], len(problems)
+        problems.append(f"{_POLLS}: torn tail ({scan.torn}); last durable "
+                        f"record ends at {scan.good_bytes}")
+        if not repair:
+            return problems, [], len(problems)
+        with self._lock:
+            self._forget_manifest()
+            if scan.good_bytes:
+                with open(scan.path, "r+b") as handle:
+                    handle.truncate(scan.good_bytes)
+                    os.fsync(handle.fileno())
+            else:  # no magic to keep: start it again
+                with open(scan.path, "wb") as handle:
+                    handle.write(MAGIC)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+        cut = max(scan.good_bytes, HEADER_SIZE)
+        return problems, [f"{_POLLS}: cut to {cut} bytes"], len(problems) - 1
 
     def info(self) -> dict:
         """Per-history descriptions, the recorded subscriptions, totals."""
@@ -374,7 +633,7 @@ class ChangeLogStore:
 
     def stats(self) -> dict:
         """Summed counters across every open log in this handle, plus
-        the manifest's own writes."""
+        the manifest's own writes (snapshot and journal)."""
         totals = {field: 0 for field in StoreStats._FIELDS}
         with self._lock:
             every = [self._manifest_stats,
@@ -401,6 +660,7 @@ class ChangeLogStore:
             self._logs.clear()
         for log in logs:
             log.close()
+        self._forget_manifest()
         if self.mode == "rw":
             self._write_lock.release()
         _evict_handle(self)

@@ -18,6 +18,7 @@ from repro.cli import main as cli
 from repro.errors import StoreCorruptionError, StoreError
 from repro.sources.generators import demo_world
 from repro.store import ChangeLogStore
+from repro.store.segment import MAGIC
 from repro.timestamps import parse_timestamp
 
 RECORDS = {
@@ -72,6 +73,23 @@ class TestManifest:
         assert after["fsyncs"] - before["fsyncs"] == 2
         assert after["bytes_written"] - before["bytes_written"] == \
             manifest(store).stat().st_size
+        # Added polls go to the journal: its creation fsyncs the file and
+        # the directory, every later record the file alone.
+        journal = store.path / "SUBSCRIPTIONS.polls"
+        times = RECORDS["Restaurants"]["polling_times"]
+        for added, fsyncs in ((1, 2), (2, 1), (3, 1)):
+            before, size = store.stats(), \
+                journal.stat().st_size if journal.exists() else 0
+            store.record_subscriptions({**RECORDS, "Restaurants": dict(
+                RECORDS["Restaurants"],
+                polling_times=times + [times[-1] + day * 86_400
+                                       for day in range(1, added + 1)])})
+            after = store.stats()
+            assert after["fsyncs"] - before["fsyncs"] == fsyncs
+            frame = journal.stat().st_size - max(size, len(MAGIC))
+            assert after["bytes_written"] - before["bytes_written"] == frame
+        assert manifest(store).stat().st_size == \
+            after["bytes_written"] - journal.stat().st_size + len(MAGIC)
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[:len(text) // 2],          # torn
