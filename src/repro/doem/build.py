@@ -163,6 +163,9 @@ class DOEMApplier:
             for derived in (doem._cache, doem._paths):
                 if derived is not None:
                     derived._on_append(before, after, when, change_set)
+        # Deleted nodes stay in the DOEM graph, which is never collected:
+        # what its mutators noted as suspect is nobody's to read.
+        doem.graph._suspects.clear()
 
     def _mark_dead_nodes(self) -> None:
         """Mark nodes unreachable through live arcs as conceptually deleted:
@@ -185,11 +188,16 @@ def apply_change_set(doem: DOEMDatabase, when: object,
 def build_doem(origin: OEMDatabase, history: OEMHistory) -> DOEMDatabase:
     """Construct ``D(O, H)`` for an OEM database and a valid history.
 
-    ``origin`` is copied; the result owns its own graph.  Raises
-    :class:`~repro.errors.InvalidChangeError` if the history is not valid
-    for ``origin``.
+    ``origin`` is copied and never written.  The result owns every
+    container of its graph from the start, so the graph keeps no
+    copy-on-write bookkeeping that would grow with each node created.
+    Raises :class:`~repro.errors.InvalidChangeError` if the history is
+    not valid for ``origin``.
     """
-    doem = DOEMDatabase(origin.copy())
+    graph = origin.copy()
+    graph._own(*graph.nodes())
+    graph._owned = None
+    doem = DOEMDatabase(graph)
     applier = DOEMApplier(doem)
     for when, change_set in history:
         applier.apply(when, change_set)

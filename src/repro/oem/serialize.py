@@ -288,12 +288,19 @@ def to_json(db: OEMDatabase, node_id: str | None = None) -> object:
 
     Sharing collapses into repeated subtrees; a cycle raises
     :class:`~repro.errors.SerializationError` since JSON cannot express it.
-    Multiple same-labeled children become JSON arrays.
+    Multiple same-labeled children become JSON arrays.  Walks with an
+    explicit stack: any depth, at the default recursion limit.
     """
     start = db.root if node_id is None else node_id
     on_stack: set[str] = set()
+    # One frame per complex node on the path from ``start``: the node, its
+    # object, its labels still to export, and the current label, its
+    # values so far and its children still to visit.
+    frames: list[list] = []
 
-    def walk(node: str) -> object:
+    def visit(node: str) -> object:
+        """``node``'s JSON value; a complex node's object is filled in
+        as its frame is worked off."""
         if node in on_stack:
             raise SerializationError(
                 f"cycle through &{node} cannot be represented as JSON")
@@ -304,13 +311,27 @@ def to_json(db: OEMDatabase, node_id: str | None = None) -> object:
             return value
         on_stack.add(node)
         result: dict[str, object] = {}
-        for label in sorted(db.out_labels(node)):
-            kids = [walk(child) for child in db.children(node, label)]
-            result[label] = kids[0] if len(kids) == 1 else kids
-        on_stack.discard(node)
+        frames.append([node, result, iter(sorted(db.out_labels(node))),
+                       None, [], iter(())])
         return result
 
-    return walk(start)
+    top = visit(start)
+    while frames:
+        frame = frames[-1]
+        node, result, labels, label, kids, children = frame
+        child = next(children, None)
+        if child is not None:
+            kids.append(visit(child))
+            continue
+        if label is not None:
+            result[label] = kids[0] if len(kids) == 1 else kids
+        label = next(labels, None)
+        if label is None:
+            on_stack.discard(node)
+            frames.pop()
+        else:
+            frame[3:] = [label, [], iter(db.children(node, label))]
+    return top
 
 
 def from_json(value: object, root: str = "root") -> OEMDatabase:
@@ -320,42 +341,34 @@ def from_json(value: object, root: str = "root") -> OEMDatabase:
     array must appear as an object member), and scalars become atomic
     nodes.  A top-level scalar becomes a single ``value``-labeled child of
     the root, keeping the root complex as Definition 2.1 requires of
-    parents.
+    parents.  Nodes are made in document order, from an explicit stack.
     """
     db = OEMDatabase(root=root)
-
-    def attach(parent: str, label: str, item: object) -> None:
+    # (parent, label, item) still to attach, the next on top.
+    if isinstance(value, dict):
+        pending = [(db.root, key, child)
+                   for key, child in reversed(value.items())]
+    else:
+        pending = [(db.root, "value", value)]
+    while pending:
+        parent, label, item = pending.pop()
+        if isinstance(item, list):
+            pending.extend((parent, label, element)
+                           for element in reversed(item))
+            continue
         if isinstance(item, dict):
-            node = db.create_node(db.new_node_id(), COMPLEX)
-            db.add_arc(parent, label, node)
-            for key, child in item.items():
-                if isinstance(child, list):
-                    for element in child:
-                        attach(node, key, element)
-                else:
-                    attach(node, key, child)
-        elif isinstance(item, list):
-            for element in item:
-                attach(parent, label, element)
+            node_value = COMPLEX
         elif item is None:
-            node = db.create_node(db.new_node_id(), "")
-            db.add_arc(parent, label, node)
+            node_value = ""
         elif isinstance(item, str) and item.startswith("@"):
-            node = db.create_node(db.new_node_id(), parse_timestamp(item[1:]))
-            db.add_arc(parent, label, node)
+            node_value = parse_timestamp(item[1:])
         elif is_atomic_value(item):
-            node = db.create_node(db.new_node_id(), item)  # type: ignore[arg-type]
-            db.add_arc(parent, label, node)
+            node_value = item
         else:
             raise SerializationError(f"cannot import JSON value {item!r}")
-
-    if isinstance(value, dict):
-        for key, child in value.items():
-            if isinstance(child, list):
-                for element in child:
-                    attach(db.root, key, element)
-            else:
-                attach(db.root, key, child)
-    else:
-        attach(db.root, "value", value)
+        node = db.create_node(db.new_node_id(), node_value)  # type: ignore[arg-type]
+        db.add_arc(parent, label, node)
+        if isinstance(item, dict):
+            pending.extend((node, key, child)
+                           for key, child in reversed(item.items()))
     return db

@@ -23,13 +23,12 @@ bounds how many operations that replay can span.  An open reads the
 segments and only the header and CRC of each checkpoint; a checkpoint's
 body is parsed by the first lookup that loads it (and by fsck).
 
-**Recovery.**  Opening for writing truncates a torn tail in the *last*
-segment back to the last durable record (counted and logged as a
-``store_recovered`` event); corruption anywhere else -- an interior
-segment, an interior record -- is not silently repairable and raises
-:class:`~repro.errors.StoreCorruptionError`.  :func:`fsck_log` performs
-the same analysis without loading the history, reporting (and with
-``repair=True`` fixing) what it finds.
+**Recovery.**  Every open and :func:`fsck_log` apply the store's one
+recovery rule (:mod:`.segment`) to the *last* segment: a torn tail is
+cut by a writer, skipped by a reader, and reported (and with
+``repair=True`` cut) by fsck; damage an open refuses -- bad magic with
+bytes after it, any damage in an interior segment -- raises
+:class:`~repro.errors.StoreCorruptionError` and is never repaired.
 
 **Compaction.**  :meth:`compact` rewrites the live segments into a new
 generation and atomically swaps ``CURRENT`` -- with no horizon it only
@@ -45,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from contextlib import suppress
 from pathlib import Path
 
 from ..errors import InvalidChangeError, InvalidHistoryError, \
@@ -58,7 +56,9 @@ from ..timestamps import NEG_INF, Timestamp, parse_timestamp
 from .checkpoint import CheckpointPolicy, CheckpointRef, read_checkpoint, \
     scan_checkpoints, write_checkpoint
 from .records import decode_record, encode_change_set, encode_origin
-from .segment import FRAME_HEADER, HEADER_SIZE, SegmentScan, SegmentWriter
+from .segment import FRAME_HEADER, HEADER_SIZE, SegmentScan, \
+    SegmentWriter, append_frame, close_quietly, fsck_file, \
+    fsync_dir as _fsync_dir, reopen
 
 __all__ = ["HistoryLog", "StoreStats", "fsck_log", "atomic_write",
            "DEFAULT_SEGMENT_BYTES", "FSYNC_POLICIES"]
@@ -134,14 +134,6 @@ def _list_segments(directory: Path, generation: int) -> list[Path]:
     return [path for _, path in sorted(found)]
 
 
-def _fsync_dir(directory: Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _read_current(directory: Path) -> int:
     path = directory / _CURRENT
     try:
@@ -175,13 +167,6 @@ def atomic_write(path: Path, text: str) -> int:
 
 def _write_current(directory: Path, generation: int) -> None:
     atomic_write(directory / _CURRENT, json.dumps({"generation": generation}))
-
-
-def _close_quietly(writer: SegmentWriter | None) -> None:
-    """Close an abandoned writer; a failure of its own adds nothing."""
-    if writer is not None:
-        with suppress(OSError):
-            writer.close()
 
 
 class HistoryLog:
@@ -236,11 +221,10 @@ class HistoryLog:
         self._tip = origin.copy()
         writer = SegmentWriter(_segment_path(self.directory, 1, 1))
         try:
-            written = writer.append(encode_origin(self._origin))
-            writer.fsync()
+            written = append_frame(writer, encode_origin(self._origin))
             _write_current(self.directory, 1)
         except BaseException:
-            _close_quietly(writer)
+            close_quietly(writer)
             raise
         self.stats.bytes_written += written
         self.stats.fsyncs += 1
@@ -259,7 +243,6 @@ class HistoryLog:
                 f"{self.directory}: CURRENT points at generation "
                 f"{self.generation} but no segments exist")
         origin: OEMDatabase | None = None
-        last_scan: SegmentScan | None = None
         for position, path in enumerate(self._segments):
             scan = SegmentScan(path)
             for payload in scan:
@@ -290,36 +273,14 @@ class HistoryLog:
                             f"{path.name}: change set at {when} does not "
                             f"apply: {exc}") from exc
                     self._entries.append((when, change_set))
-            if scan.torn is not None and position < len(self._segments) - 1:
-                raise StoreCorruptionError(
-                    f"{path.name}: interior segment is corrupt "
-                    f"({scan.torn}) with later segments present")
-            last_scan = scan
+            scan.refuse(last=position == len(self._segments) - 1)
         if origin is None:
             raise StoreCorruptionError(
                 f"{self._segments[0].name}: no origin record")
         self._origin = origin
-
-        if self.mode == "rw":
-            assert last_scan is not None
-            newest = self._segments[-1]
-            if not last_scan.good_bytes and newest.stat().st_size > HEADER_SIZE:
-                raise StoreCorruptionError(
-                    f"{newest.name}: bad segment magic with bytes after it")
-            if last_scan.torn is not None:
-                self.recovered_tail = last_scan.torn
-                self.stats.recovered_tails += 1
-                emit_event("store_recovered", level="warning",
-                           log=str(self.directory.name),
-                           segment=newest.name,
-                           reason=last_scan.torn,
-                           truncated_to=last_scan.good_bytes)
-            # No magic on disk (a roll cut short): start the segment again.
-            self._writer = SegmentWriter(
-                newest, resume_at=last_scan.good_bytes or None)
-        elif last_scan is not None and last_scan.torn is not None:
-            # Read-only: note the torn tail but leave the bytes alone.
-            self.recovered_tail = last_scan.torn
+        self.recovered_tail = scan.torn
+        self._writer = reopen(scan, writable=self.mode == "rw",
+                              log=self.directory.name, stats=self.stats)
 
         self._checkpoints, self.checkpoint_problems = \
             scan_checkpoints(self.directory)
@@ -426,33 +387,26 @@ class HistoryLog:
         change_set.apply_to(new_tip)  # raises InvalidChangeError if invalid
 
         payload = encode_change_set(timestamp, change_set)
-        start, fresh = writer.size, None
+        rolls = (writer.size + FRAME_HEADER.size + len(payload)
+                 > self.segment_bytes and writer.size > HEADER_SIZE)
+        if rolls:
+            writer.fsync()  # seal the active segment
+            index = _segment_key(self._segments[-1])[1] + 1
+            writer = SegmentWriter(_segment_path(
+                self.directory, self.generation, index))
         try:
-            if (writer.size + FRAME_HEADER.size + len(payload)
-                    > self.segment_bytes and writer.size > HEADER_SIZE):
-                writer.fsync()  # seal the active segment
-                index = _segment_key(self._segments[-1])[1] + 1
-                writer = fresh = SegmentWriter(_segment_path(
-                    self.directory, self.generation, index))
-                _fsync_dir(self.directory)
-            written = writer.append(payload)
-            if self.fsync_policy == "always":
-                writer.fsync()
-                self.stats.fsyncs += 1
+            written = append_frame(writer, payload, created=rolls,
+                                   sync=self.fsync_policy == "always")
         except BaseException:
-            try:
-                if fresh is not None:
-                    fresh.discard()
-                else:
-                    writer.truncate(start)
-            except OSError:
-                _close_quietly(self._writer)
+            if self._writer.closed:  # not even cut back: a reopen recovers
                 self._writer = None
             raise
-        if fresh is not None:
-            _close_quietly(self._writer)  # sealed by the fsync above
-            self._writer = fresh
-            self._segments.append(fresh.path)
+        if self.fsync_policy == "always":
+            self.stats.fsyncs += 1
+        if rolls:
+            close_quietly(self._writer)  # sealed by the fsync above
+            self._writer = writer
+            self._segments.append(writer.path)
             self.stats.fsyncs += 1
             self.stats.segment_rolls += 1
 
@@ -652,18 +606,18 @@ class HistoryLog:
             # The atomic commit point: CURRENT now names the new generation.
             _write_current(self.directory, new_generation)
         except BaseException:
-            _close_quietly(writer)
+            close_quietly(writer)
             try:  # a failed directory fsync comes after the rename
                 moved = _read_current(self.directory) != self.generation
             except (OSError, StoreError):
                 moved = True
             if moved:  # CURRENT may name the new generation: a reopen decides
-                _close_quietly(self._writer)
+                close_quietly(self._writer)
                 self._writer = None
             raise
         self.stats.bytes_written += written
         self.stats.fsyncs += len(new_segments)
-        _close_quietly(self._writer)  # its segment is deleted below
+        close_quietly(self._writer)  # its segment is deleted below
         self._writer = writer
         self.generation = new_generation
         self._origin = new_origin.copy() if before is not None else self._origin
@@ -722,11 +676,15 @@ def fsck_log(directory: str | os.PathLike, repair: bool = False) -> dict:
     """Verify one log directory record-by-record, without loading it.
 
     Returns a report dict with per-segment record counts, the torn-tail
-    diagnosis, checkpoint problems, and ``ok`` (no problems found).
-    ``repair=True`` truncates a torn tail in the last segment back to
-    the last durable record and deletes unreadable checkpoints; interior
-    corruption (a bad record with good segments after it) is reported
-    but never auto-repaired.
+    diagnosis, checkpoint problems, and ``ok`` (no problem left
+    unrepaired).  The segments are checked by the recovery rule
+    (:func:`~.segment.fsck_file`): ``repair=True`` cuts a torn tail in the
+    last segment back to the last durable record, starts again a last
+    segment no longer than its magic, and deletes unreadable checkpoints
+    and stray generations.  What an open refuses -- bad magic with bytes
+    after it, damage in an interior segment, a first segment without its
+    origin record -- is reported, never repaired: the files stay byte for
+    byte as they were.
     """
     directory = Path(directory)
     report: dict = {"path": str(directory), "segments": [], "problems": [],
@@ -750,37 +708,29 @@ def fsck_log(directory: str | os.PathLike, repair: bool = False) -> dict:
         report["ok"] = False
     for position, path in enumerate(segments):
         scan = SegmentScan(path)
-        decode_errors: list[str] = []
+        problems: list[str] = []
+        kinds = []
         for payload in scan:
             try:
-                decode_record(payload)
+                kinds.append(decode_record(payload)[0])
             except StoreCorruptionError as exc:
-                decode_errors.append(f"{path.name}: {exc}")
-        entry = {"segment": path.name, "records": scan.records,
-                 "good_bytes": scan.good_bytes, "torn": scan.torn}
-        report["segments"].append(entry)
-        report["problems"].extend(decode_errors)
-        if decode_errors:
+                problems.append(f"{path.name}: {exc}")
+        if position == 0 and kinds[:1] != ["origin"] and not scan.damaged:
+            problems.append(f"{path.name}: no origin record")
+        problem, repaired = fsck_file(
+            scan, repair=repair and not problems,
+            last=position == len(segments) - 1)
+        report["segments"].append({"segment": path.name,
+                                   "records": scan.records,
+                                   "good_bytes": scan.good_bytes,
+                                   "torn": scan.torn})
+        report["problems"].extend(problems)
+        if problem is not None:
+            report["problems"].append(problem)
+        if repaired is not None:
+            report["repaired"].append(repaired)
+        if problems or (problem is not None and repaired is None):
             report["ok"] = False
-        if scan.torn is not None:
-            last = position == len(segments) - 1
-            if last:
-                report["problems"].append(
-                    f"{path.name}: torn tail ({scan.torn}); "
-                    f"last durable record ends at {scan.good_bytes}")
-                if repair:
-                    with open(path, "r+b") as handle:
-                        handle.truncate(scan.good_bytes)
-                        os.fsync(handle.fileno())
-                    report["repaired"].append(
-                        f"{path.name}: truncated to {scan.good_bytes}")
-                else:
-                    report["ok"] = False
-            else:
-                report["problems"].append(
-                    f"{path.name}: interior corruption ({scan.torn}) -- "
-                    f"not auto-repairable")
-                report["ok"] = False
 
     refs, ckpt_problems = scan_checkpoints(directory)
     report["checkpoints"] = 0

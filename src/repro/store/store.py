@@ -34,20 +34,18 @@ import re
 import shutil
 import threading
 import zlib
-from contextlib import suppress
 from pathlib import Path
 
 from ..errors import StoreCorruptionError, StoreError, StoreLockedError
-from ..obs.events import emit_event
 from ..obs.trace import span
 from ..oem.history import OEMHistory
 from ..oem.model import OEMDatabase
 from ..timestamps import Timestamp
 from .checkpoint import CheckpointPolicy
 from .log import DEFAULT_SEGMENT_BYTES, HistoryLog, StoreStats, \
-    _fsync_dir, atomic_write, fsck_log
-from .segment import FRAME_HEADER, HEADER_SIZE, MAGIC, SegmentScan, \
-    frame_record
+    atomic_write, fsck_log
+from .segment import FRAME_HEADER, HEADER_SIZE, SegmentScan, SegmentWriter, \
+    append_frame, close_quietly, fsck_file, reopen
 
 __all__ = ["ChangeLogStore", "StoreLock", "open_store", "close_store",
            "is_store", "sanitize_name", "MARKER", "STORE_FORMAT"]
@@ -108,38 +106,6 @@ def _added_polls(old: dict[str, dict],
         for tick in added:
             polls.setdefault(tick, []).append(name)
     return polls
-
-
-class _Journal:
-    """The manifest's journal, open for appends: the segment format
-    (magic, then :func:`~.segment.frame_record` frames) on a handle of
-    its own.  A :class:`~.segment.SegmentWriter` writes history segments
-    only; the manifest's writes are a separate step of a QSS call."""
-
-    def __init__(self, path: Path, resume_at: int | None = None) -> None:
-        self._file = open(path, "wb" if resume_at is None else "r+b")
-        if resume_at is None:
-            self._file.write(MAGIC)
-        self.cut(HEADER_SIZE if resume_at is None else resume_at)
-
-    def append(self, payload: bytes) -> int:
-        """One frame, written and fsync'd; returns its bytes."""
-        frame = frame_record(payload)
-        self._file.write(frame)
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self.size += len(frame)
-        return len(frame)
-
-    def cut(self, size: int) -> None:
-        """Truncate to ``size`` bytes and append from there."""
-        self._file.seek(size)
-        self._file.truncate()
-        self.size = size
-
-    def close(self) -> None:
-        with suppress(OSError):
-            self._file.close()
 
 
 class StoreLock:
@@ -225,7 +191,7 @@ class ChangeLogStore:
         self._manifest: dict[str, dict] | None = None
         self._manifest_generation = 0
         self._snapshot_bytes = 0
-        self._journal: _Journal | None = None
+        self._journal: SegmentWriter | None = None
         self._manifest_stats = StoreStats()
         self._lock = threading.RLock()
         self._closed = False
@@ -359,12 +325,11 @@ class ChangeLogStore:
         if self._manifest is None or self.mode == "ro":
             records, generation, size = self._read_snapshot()
             scan = self._replay_journal(records, generation)
-            if scan is not None and not scan.good_bytes \
-                    and scan.path.stat().st_size > HEADER_SIZE:
-                raise StoreCorruptionError(
-                    f"{scan.path}: bad journal magic with bytes after it")
-            if self.mode == "rw":
-                self._resume_journal(scan)
+            self._close_journal()
+            if scan is not None:
+                self._journal = reopen(scan, writable=self.mode == "rw",
+                                       log=_SUBSCRIPTIONS,
+                                       stats=self._manifest_stats)
             self._manifest, self._manifest_generation, self._snapshot_bytes \
                 = records, generation, size
         return self._manifest
@@ -376,9 +341,8 @@ class ChangeLogStore:
         self._manifest = None
 
     def _close_journal(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        close_quietly(self._journal)
+        self._journal = None
 
     def _read_snapshot(self) -> tuple[dict[str, dict], int, int]:
         """The snapshot's records, generation and size in bytes.
@@ -432,22 +396,6 @@ class ChangeLogStore:
                     f"{scan.good_bytes}: {exc}") from exc
         return scan
 
-    def _resume_journal(self, scan: SegmentScan | None) -> None:
-        """Open the journal for appends, cutting a torn tail first."""
-        self._close_journal()
-        if scan is None:
-            return
-        if scan.torn is not None:
-            self._manifest_stats.recovered_tails += 1
-            emit_event("store_recovered", level="warning",
-                       log=_SUBSCRIPTIONS, segment=_POLLS,
-                       reason=scan.torn, truncated_to=scan.good_bytes)
-        if scan.good_bytes:
-            self._journal = _Journal(self.path / _POLLS,
-                                     resume_at=scan.good_bytes)
-        # else its creation was cut short: the next append creates it
-        # again, directory fsync included.
-
     def record_subscriptions(self, records: dict[str, dict]) -> None:
         """Durably make ``records`` the recorded subscriptions.
 
@@ -485,25 +433,15 @@ class ChangeLogStore:
             self._manifest = dict(records)
 
     def _append_polls(self, payload: bytes) -> None:
-        """One journal record, fsync'd; all or nothing, like a log's
-        append.  Creating the journal also fsyncs the directory."""
-        journal = self._journal
-        created = journal is None
-        if created:
-            journal = _Journal(self.path / _POLLS)
-        start = journal.size
+        """One journal record, fsync'd, all or nothing (a log's append);
+        creating the journal also fsyncs the directory."""
+        created = self._journal is None
+        journal = SegmentWriter(self.path / _POLLS) if created \
+            else self._journal
         try:
-            written = journal.append(payload)
-            if created:
-                _fsync_dir(self.path)
+            written = append_frame(journal, payload, created=created)
         except BaseException:
-            try:
-                if created:
-                    journal.close()
-                    (self.path / _POLLS).unlink(missing_ok=True)
-                else:
-                    journal.cut(start)
-            except OSError:
+            if not created and journal.closed:
                 self._forget_manifest()  # a reread recovers the torn tail
             raise
         self._journal = journal
@@ -527,7 +465,7 @@ class ChangeLogStore:
             # Its records are of the old generation: dead, and skipped
             # by every reader even if this cut never reaches the disk.
             try:
-                self._journal.cut(HEADER_SIZE)
+                self._journal.truncate(HEADER_SIZE)
             except OSError:
                 self._close_journal()  # the next append starts it afresh
 
@@ -556,13 +494,15 @@ class ChangeLogStore:
 
         Runs from the on-disk state; open logs are reloaded after a
         repairing pass so in-memory views stay consistent.  The
-        subscription manifest is checked at the store level: an
-        unreadable snapshot, or a journal record that does not decode,
-        is never repaired (nothing else in the store can rebuild it); a
-        torn journal tail is cut back to its durable prefix.
+        subscription manifest is checked at the store level, its journal
+        by the segments' recovery rule (:func:`~.segment.fsck_file`): a
+        torn tail is cut back to its durable prefix, a journal no longer
+        than its magic started again.  An unreadable snapshot, a journal
+        record that does not decode, or bad magic with bytes after it is
+        never repaired: ``ok`` stays false and the files as they were.
         """
-        problems, repaired, unrepaired = self._fsck_manifest(repair)
-        ok = not unrepaired
+        problems, repaired = self._fsck_manifest(repair)
+        ok = len(problems) == len(repaired)
         reports = []
         for name in self.names():
             with self._lock:
@@ -577,10 +517,9 @@ class ChangeLogStore:
         return {"path": str(self.path), "ok": ok, "problems": problems,
                 "repaired": repaired, "histories": reports}
 
-    def _fsck_manifest(self, repair: bool) \
-            -> tuple[list[str], list[str], int]:
-        """The manifest's problems, its repairs, and how many problems
-        are left unrepaired."""
+    def _fsck_manifest(self, repair: bool) -> tuple[list[str], list[str]]:
+        """The manifest's problems and its repairs (one per problem
+        repaired)."""
         problems: list[str] = []
         try:
             records, generation, _ = self._read_snapshot()
@@ -592,25 +531,15 @@ class ChangeLogStore:
         except StoreCorruptionError as exc:
             problems.append(str(exc))
             scan = None
-        if scan is None or scan.torn is None:
-            return problems, [], len(problems)
-        problems.append(f"{_POLLS}: torn tail ({scan.torn}); last durable "
-                        f"record ends at {scan.good_bytes}")
-        if not repair:
-            return problems, [], len(problems)
+        if scan is None:
+            return problems, []
         with self._lock:
-            self._forget_manifest()
-            if scan.good_bytes:
-                with open(scan.path, "r+b") as handle:
-                    handle.truncate(scan.good_bytes)
-                    os.fsync(handle.fileno())
-            else:  # no magic to keep: start it again
-                with open(scan.path, "wb") as handle:
-                    handle.write(MAGIC)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        cut = max(scan.good_bytes, HEADER_SIZE)
-        return problems, [f"{_POLLS}: cut to {cut} bytes"], len(problems) - 1
+            if repair:
+                self._forget_manifest()
+            problem, repaired = fsck_file(scan, repair=repair)
+        if problem is not None:
+            problems.append(problem)
+        return problems, [] if repaired is None else [repaired]
 
     def info(self) -> dict:
         """Per-history descriptions, the recorded subscriptions, totals."""

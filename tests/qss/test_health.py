@@ -174,7 +174,11 @@ class TestErrorStreaks:
         server.subscribe(example61_subscription(), "guide")
         server.run_until("1Jan97")
 
+        real = SegmentWriter.fsync
+
         def failing(writer):
+            if not writer.path.name.startswith("seg-"):
+                return real(writer)  # the subscription journal
             raise OSError("disk full")
 
         with monkeypatch.context() as patched:

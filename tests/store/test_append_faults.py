@@ -25,7 +25,8 @@ class Injected(OSError):
 
 
 def arm(monkeypatch, step, k=1):
-    """The ``k``-th call from now of one segment step raises (none with
+    """The ``k``-th call from now of one history segment step (``seg-*``
+    files; the subscription journal is left alone) raises (none with
     ``k=None``); returns the list of calls, which grows with each.
 
     ``"write"`` puts half the frame in the file first, ``"flush"`` all
@@ -35,6 +36,8 @@ def arm(monkeypatch, step, k=1):
     real = getattr(SegmentWriter, "fsync" if step == "fsync" else "append")
 
     def append(writer, payload):
+        if not writer.path.name.startswith("seg-"):
+            return real(writer, payload)
         calls.append(step)
         if len(calls) != k:
             return real(writer, payload)
@@ -45,6 +48,8 @@ def arm(monkeypatch, step, k=1):
         raise Injected(step)
 
     def fsync(writer):
+        if not writer.path.name.startswith("seg-"):
+            return real(writer)
         calls.append(step)
         if len(calls) != k:
             return real(writer)

@@ -22,9 +22,9 @@ from repro import COMPLEX, OEMDatabase, QSSServer, Subscription, Wrapper
 from repro.cli import main as cli
 from repro.errors import StoreCorruptionError
 from repro.obs.trace import get_tracer
-from repro.store import ChangeLogStore, SegmentScan, close_store
+from repro.store import ChangeLogStore, SegmentScan, SegmentWriter, \
+    close_store
 from repro.store.segment import HEADER_SIZE, MAGIC
-from repro.store.store import _Journal
 from repro.timestamps import parse_timestamp
 
 DAY = 86_400
@@ -413,7 +413,7 @@ class TestTornJournal:
             assert reader.fsck()["ok"]
 
     def test_bad_magic_with_bytes_after_it(self, store, capsys):
-        self.make(store)
+        _, second = self.make(store)
         data = journal(store).read_bytes()
         journal(store).write_bytes(b"NOTMAGIC" + data[HEADER_SIZE:])
         for mode in ("ro", "rw"):
@@ -423,10 +423,15 @@ class TestTornJournal:
                 assert "SUBSCRIPTIONS.polls" in str(refused.value)
         assert cli(["store", "fsck", str(store.path)]) == 1
         assert "bad segment magic" in capsys.readouterr().out
-        assert cli(["store", "fsck", str(store.path), "--repair"]) == 0
-        assert journal(store).read_bytes() == MAGIC
+        # The records after the damage are acknowledged polls, each behind
+        # its own CRC: the repair leaves them for an operator to restore.
+        damaged = journal(store).read_bytes()
+        assert cli(["store", "fsck", str(store.path), "--repair"]) == 1
+        assert journal(store).read_bytes() == damaged
+        journal(store).write_bytes(MAGIC + damaged[HEADER_SIZE:])  # by hand
         with ChangeLogStore(store.path, "ro") as reader:
-            assert reader.subscriptions() == RECORDS  # the snapshot's polls
+            assert reader.subscriptions() == second
+            assert reader.fsck()["ok"]
 
     def test_a_record_that_does_not_decode_is_not_repaired(self, store):
         self.make(store)
@@ -573,7 +578,7 @@ class TestFaults:
         later = polled(first, T0 + 3 * DAY)
         with monkeypatch.context() as patch:
             patch.setattr(os, "fsync", self.failing)
-            patch.setattr(_Journal, "cut", self.failing)
+            patch.setattr(SegmentWriter, "truncate", self.failing)
             with pytest.raises(OSError):
                 store.record_subscriptions(later)
         assert store.subscriptions() == later
