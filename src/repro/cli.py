@@ -246,9 +246,9 @@ def _open_doem(store_path: Path, name: str | None):
 
     The store is opened read-only through the process-shared handle, so
     a CLI invocation in the same process as a serving
-    :class:`~repro.qss.server.QSSServer` observes the *served* history
-    rather than constructing an independent copy; the rebuilt DOEM's
-    snapshot cache reads through the store's durable checkpoints.
+    :class:`~repro.qss.server.QSSServer` observes the *served* history:
+    the log's own DOEM, whose snapshot cache reads through the store's
+    durable checkpoints.
     """
     from .store import open_store
 

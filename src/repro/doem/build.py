@@ -15,7 +15,12 @@ approach."
 
 Because removed arcs linger, operation validity is checked against the
 *conceptual current snapshot* (liveness via annotations), not against the
-raw DOEM graph.
+raw DOEM graph.  Two folds share each operation's mutation
+(``_record_op``): :class:`DOEMApplier` checks every operation against the
+DOEM itself and walks reachability, for callers holding nothing else;
+:func:`record_change_set` only records a set its caller already applied
+to a materialized current snapshot -- the durable log's tip -- keeping
+the one check that snapshot cannot make (:func:`refuse_reused`).
 
 Index and cache maintenance: every operation the applier folds in ends in
 an ``annotate_node``/``annotate_arc`` call, which bumps the database's
@@ -45,7 +50,8 @@ from ..timestamps import POS_INF, Timestamp
 from .annotations import Add, Cre, Rem, Upd
 from .model import DOEMDatabase
 
-__all__ = ["build_doem", "apply_change_set", "DOEMApplier"]
+__all__ = ["build_doem", "apply_change_set", "DOEMApplier",
+           "record_change_set", "refuse_reused", "empty_doem"]
 
 
 class DOEMApplier:
@@ -80,23 +86,13 @@ class DOEMApplier:
     def _apply_op(self, op: ChangeOp, when: Timestamp) -> None:
         graph = self.doem.graph
         if isinstance(op, CreNode):
-            if graph.has_node(op.node):
-                raise InvalidChangeError(
-                    f"creNode: identifier {op.node!r} already used "
-                    f"(identifiers of deleted nodes are not reused)")
-            graph.create_node(op.node, op.value)
-            self.doem.touch()
-            self.doem.annotate_node(op.node, Cre(when))
+            refuse_reused(graph, op.node)
         elif isinstance(op, UpdNode):
             if not self._node_is_live(op.node):
                 raise InvalidChangeError(f"updNode: node {op.node!r} is not live")
             if op.value is not COMPLEX and self._live_children_exist(op.node):
                 raise InvalidChangeError(
                     f"updNode({op.node}): object still has live subobjects")
-            old_value = graph.value(op.node)
-            graph._values[op.node] = op.value  # bypass child check: dead arcs linger
-            self.doem.touch()
-            self.doem.annotate_node(op.node, Upd(when, old_value))
         elif isinstance(op, AddArc):
             if not self._node_is_live(op.source):
                 raise InvalidChangeError(f"addArc: parent {op.source!r} is not live")
@@ -106,16 +102,12 @@ class DOEMApplier:
                 raise InvalidChangeError(f"addArc: parent {op.source!r} is atomic")
             if self._arc_is_live(*op.arc):
                 raise InvalidChangeError(f"addArc: arc {op.arc} already present")
-            if not graph.has_arc(*op.arc):
-                graph.add_arc(*op.arc)
-                self.doem.touch()
-            self.doem.annotate_arc(op.source, op.label, op.target, Add(when))
         elif isinstance(op, RemArc):
             if not self._arc_is_live(*op.arc):
                 raise InvalidChangeError(f"remArc: arc {op.arc} is not present")
-            self.doem.annotate_arc(op.source, op.label, op.target, Rem(when))
         else:  # pragma: no cover - exhaustiveness guard
             raise InvalidChangeError(f"unknown change operation: {op!r}")
+        _record_op(self.doem, op, when)
 
     def apply(self, when: Timestamp, change_set: ChangeSet) -> None:
         """Fold one timestamped change set into the DOEM database.
@@ -158,14 +150,7 @@ class DOEMApplier:
         else:
             dead |= doomed
             doem._dead_as_of = doem.fingerprint()
-        if newest is None or newest < when:
-            after = doem.fingerprint()
-            for derived in (doem._cache, doem._paths):
-                if derived is not None:
-                    derived._on_append(before, after, when, change_set)
-        # Deleted nodes stay in the DOEM graph, which is never collected:
-        # what its mutators noted as suspect is nobody's to read.
-        doem.graph._suspects.clear()
+        _announce(doem, before, newest, when, change_set)
 
     def _mark_dead_nodes(self) -> None:
         """Mark nodes unreachable through live arcs as conceptually deleted:
@@ -173,6 +158,75 @@ class DOEMApplier:
         doem = self.doem
         doem._dead_nodes = set(doem.graph.nodes()) - doem.live_nodes()
         doem._dead_as_of = doem.fingerprint()
+
+
+def refuse_reused(graph: OEMDatabase, node_id: str) -> None:
+    """The check only the DOEM can make: ``creNode`` of an identifier its
+    graph ever held, dead ones included, which the current snapshot no
+    longer shows (Section 2.2: identifiers are not reused)."""
+    if graph.has_node(node_id):
+        raise InvalidChangeError(
+            f"creNode: identifier {node_id!r} already used "
+            f"(identifiers of deleted nodes are not reused)")
+
+
+def _record_op(doem: DOEMDatabase, op: ChangeOp, when: Timestamp) -> None:
+    """The one mutation per operation, unchecked: the raw graph edit and
+    the annotation it leaves."""
+    graph = doem.graph
+    if isinstance(op, CreNode):
+        graph.create_node(op.node, op.value)
+        doem.touch()
+        doem.annotate_node(op.node, Cre(when))
+    elif isinstance(op, UpdNode):
+        old_value = graph.value(op.node)
+        graph._values[op.node] = op.value  # bypass child check: dead arcs linger
+        doem.touch()
+        doem.annotate_node(op.node, Upd(when, old_value))
+    elif isinstance(op, AddArc):
+        if not graph.has_arc(*op.arc):
+            graph.add_arc(*op.arc)
+            doem.touch()
+        doem.annotate_arc(op.source, op.label, op.target, Add(when))
+    else:
+        doem.annotate_arc(op.source, op.label, op.target, Rem(when))
+
+
+def _announce(doem: DOEMDatabase, before: tuple, newest: Timestamp | None,
+              when: Timestamp, change_set: ChangeSet) -> None:
+    """End a folded set: the append notice to the database's snapshot
+    cache and path index (a set later than every annotation only), and
+    the graph's suspects dropped -- deleted nodes stay in the DOEM graph,
+    which is never collected, so what its mutators noted is nobody's."""
+    if newest is None or newest < when:
+        after = doem.fingerprint()
+        for derived in (doem._cache, doem._paths):
+            if derived is not None:
+                derived._on_append(before, after, when, change_set)
+    doem.graph._suspects.clear()
+
+
+def record_change_set(doem: DOEMDatabase, when: Timestamp,
+                      change_set: ChangeSet, deleted: set[str]) -> None:
+    """Fold a change set already checked on the current snapshot.
+
+    The caller applied ``change_set`` to ``doem``'s current snapshot
+    (:meth:`ChangeSet.apply_to`), which validated it and returned the
+    nodes it ``deleted``; ``doem`` must be as that snapshot's owner left
+    it.  So no operation is checked again and no reachability is walked:
+    the operations are recorded and ``deleted`` joins the dead set.  The
+    one check the snapshot cannot make, :func:`refuse_reused`, runs for
+    every ``creNode`` before anything is written.
+    """
+    for op in change_set.filter(CreNode):
+        refuse_reused(doem.graph, op.node)
+    before = doem.fingerprint()
+    newest = doem.last_timestamp()
+    for op in change_set.canonical_order():
+        _record_op(doem, op, when)
+    doem._dead_nodes |= deleted
+    doem._dead_as_of = doem.fingerprint()
+    _announce(doem, before, newest, when, change_set)
 
 
 def apply_change_set(doem: DOEMDatabase, when: object,
@@ -185,19 +239,25 @@ def apply_change_set(doem: DOEMDatabase, when: object,
     return doem
 
 
-def build_doem(origin: OEMDatabase, history: OEMHistory) -> DOEMDatabase:
-    """Construct ``D(O, H)`` for an OEM database and a valid history.
-
-    ``origin`` is copied and never written.  The result owns every
-    container of its graph from the start, so the graph keeps no
-    copy-on-write bookkeeping that would grow with each node created.
-    Raises :class:`~repro.errors.InvalidChangeError` if the history is
-    not valid for ``origin``.
-    """
+def empty_doem(origin: OEMDatabase) -> DOEMDatabase:
+    """``D(O, ())``: a DOEM over a copy of ``origin``, which is never
+    written.  It owns every container of its graph from the start, so the
+    graph keeps no copy-on-write bookkeeping that would grow with each
+    node created."""
     graph = origin.copy()
     graph._own(*graph.nodes())
     graph._owned = None
-    doem = DOEMDatabase(graph)
+    return DOEMDatabase(graph)
+
+
+def build_doem(origin: OEMDatabase, history: OEMHistory) -> DOEMDatabase:
+    """Construct ``D(O, H)`` for an OEM database and a valid history.
+
+    ``origin`` is copied and never written (:func:`empty_doem`).  Raises
+    :class:`~repro.errors.InvalidChangeError` if the history is not valid
+    for ``origin``.
+    """
+    doem = empty_doem(origin)
     applier = DOEMApplier(doem)
     for when, change_set in history:
         applier.apply(when, change_set)

@@ -159,7 +159,9 @@ class DOEMDatabase:
 
     def _annotate(self, annotations: list, annotation: Annotation) -> None:
         annotations.append(annotation)
-        annotations.sort(key=sort_key)
+        # A fold in time order appends after the last: nothing to sort.
+        if len(annotations) > 1 and not annotations[-2].at < annotation.at:
+            annotations.sort(key=sort_key)
         self._generation += 1
         if self._last_timestamp is None or self._last_timestamp < annotation.at:
             self._last_timestamp = annotation.at

@@ -40,6 +40,10 @@ __all__ = ["snapshot_at", "original_snapshot", "current_snapshot",
            "cached_snapshot_at"]
 
 
+def _nothing() -> None:
+    """A dead reference: what a cache reads through before attach_store."""
+
+
 def snapshot_at(doem: DOEMDatabase, when: object) -> OEMDatabase:
     """``Ot(D)``: the snapshot of the encoded history at time ``when``.
 
@@ -203,7 +207,7 @@ class SnapshotCache:
         self._checkpoints: OrderedDict[Timestamp, OEMDatabase] = OrderedDict()
         self._history = None  # lazily extracted encoded history
         self._fingerprint: object = None
-        self._store_log = None  # durable checkpoints (attach_store)
+        self._store_log = _nothing  # durable checkpoints (attach_store)
         self._lock = threading.RLock()
 
     def attach_store(self, log) -> None:
@@ -217,10 +221,11 @@ class SnapshotCache:
         the read-through that turns the cache into a view over the
         store's checkpoints.  :meth:`~repro.store.HistoryLog.get_doem`
         attaches its log already; attaching it again changes nothing.  The
-        log holds every set the database does (QSS appends before folding).
+        log holds every set the database does (it folds what it appends),
+        and owns the database: the cache holds it weakly.
         """
         with self._lock:
-            self._store_log = log
+            self._store_log = weakref.ref(log)
 
     # -- freshness -------------------------------------------------------
 
@@ -252,10 +257,11 @@ class SnapshotCache:
 
     def _encoded_history(self):
         """``H(D)``, as something with ``entries_between(after, until)``."""
-        if self._store_log is not None:
+        log = self._store_log()
+        if log is not None:
             # The log's entries are H(D) of the database it built: no
             # re-deriving it from every annotation after each poll.
-            return self._store_log
+            return log
         if self._history is None:
             from .extract import encoded_history
             self._history = encoded_history(self._doem())
@@ -297,8 +303,9 @@ class SnapshotCache:
                                         or candidate > base_time):
                 base_time = candidate
         durable = None
-        if self._store_log is not None:
-            nearest = self._store_log.nearest_checkpoint(cutoff)
+        log = self._store_log()
+        if log is not None:
+            nearest = log.nearest_checkpoint(cutoff)
             if nearest is not None and (base_time is None
                                         or nearest[0] > base_time):
                 durable = nearest

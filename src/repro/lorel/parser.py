@@ -27,6 +27,10 @@ Grammar (keywords case-insensitive)::
     range      := IN "[" [bound] ".." [bound] "]" | SINCE bound
     bound      := ts-literal | TIMEVAR | INT
 
+Conditions nest -- parentheses, ``not``, ``exists`` -- at most
+:data:`MAX_CONDITION_DEPTH` deep; deeper is a :class:`ParseError`, never
+the interpreter's recursion limit (each level costs two stack frames).
+
 Cross-time kinds (contextual identifiers, not reserved words):
 ``changed`` matches any change event (``cre``/``upd`` after a label,
 ``add``/``rem`` before one), ``last-change`` its most recent event, and
@@ -64,7 +68,10 @@ from .ast import (
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-__all__ = ["Parser", "parse_query", "parse_definition"]
+__all__ = ["Parser", "parse_query", "parse_definition",
+           "MAX_CONDITION_DEPTH"]
+
+MAX_CONDITION_DEPTH = 300
 
 _ARC_ANNOT_KINDS = {"add", "rem", "at", "changed", "last-change"}
 _NODE_ANNOT_KINDS = {"cre", "upd", "at", "changed", "last-change"}
@@ -79,6 +86,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.index = 0
         self.allow_annotations = allow_annotations
+        self._depth = 0  # unary conditions being parsed, nested
 
     # -- token plumbing -------------------------------------------------
 
@@ -174,32 +182,41 @@ class Parser:
     # -- conditions -------------------------------------------------------
 
     def _or_condition(self) -> Condition:
-        left = self._and_condition()
-        while self._accept_keyword("or"):
-            left = Or(left, self._and_condition())
-        return left
-
-    def _and_condition(self) -> Condition:
-        left = self._unary_condition()
-        while self._accept_keyword("and"):
-            left = And(left, self._unary_condition())
-        return left
+        """``orcond``, and ``andcond`` in the same loop: one stack frame
+        per nesting level fewer than a function each."""
+        left, conjunction = None, self._unary_condition()
+        while True:
+            if self._accept_keyword("and"):
+                conjunction = And(conjunction, self._unary_condition())
+            elif self._accept_keyword("or"):
+                left = conjunction if left is None else Or(left, conjunction)
+                conjunction = self._unary_condition()
+            else:
+                return conjunction if left is None \
+                    else Or(left, conjunction)
 
     def _unary_condition(self) -> Condition:
-        if self._accept_keyword("not"):
-            return Not(self._unary_condition())
-        if self._accept_keyword("exists"):
-            var = self._expect(TokenKind.IDENT, "a variable").text
-            self._expect_keyword("in")
-            path = self._path_expr()
-            self._expect(TokenKind.COLON, "':'")
-            return ExistsCond(var, path, self._unary_condition())
-        if self._peek().kind is TokenKind.LPAREN:
-            self._advance()
-            inner = self._or_condition()
-            self._expect(TokenKind.RPAREN, "')'")
-            return inner
-        return self._predicate()
+        if self._depth > MAX_CONDITION_DEPTH:
+            raise self._error(f"conditions nest deeper than "
+                              f"{MAX_CONDITION_DEPTH} levels")
+        self._depth += 1
+        try:
+            if self._accept_keyword("not"):
+                return Not(self._unary_condition())
+            if self._accept_keyword("exists"):
+                var = self._expect(TokenKind.IDENT, "a variable").text
+                self._expect_keyword("in")
+                path = self._path_expr()
+                self._expect(TokenKind.COLON, "':'")
+                return ExistsCond(var, path, self._unary_condition())
+            if self._peek().kind is TokenKind.LPAREN:
+                self._advance()
+                inner = self._or_condition()
+                self._expect(TokenKind.RPAREN, "')'")
+                return inner
+            return self._predicate()
+        finally:
+            self._depth -= 1
 
     def _predicate(self) -> Condition:
         left = self._expression()

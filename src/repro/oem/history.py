@@ -53,6 +53,7 @@ class ChangeSet:
     def __init__(self, operations: Iterable[ChangeOp] = ()) -> None:
         self._ops: list[ChangeOp] = list(operations)
         self._check_conflicts()
+        self._canonical: tuple[ChangeOp, ...] | None = None
 
     def _check_conflicts(self) -> None:
         seen_ops = set()
@@ -101,9 +102,13 @@ class ChangeSet:
 
         The order is cre -> rem -> upd -> add; within a phase, operations
         are sorted deterministically by their textual form, so replay is
-        reproducible.
+        reproducible.  A set never changes, so it is sorted once; each
+        call returns a fresh list.
         """
-        return sorted(self._ops, key=lambda op: (_PHASE[type(op)], str(op)))
+        if self._canonical is None:
+            self._canonical = tuple(sorted(
+                self._ops, key=lambda op: (_PHASE[type(op)], str(op))))
+        return list(self._canonical)
 
     def __len__(self) -> int:
         return len(self._ops)

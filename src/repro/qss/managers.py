@@ -223,9 +223,10 @@ class DOEMManager:
     ``store`` makes the histories durable: each non-empty change set is
     appended to the named history in a :class:`~repro.store.ChangeLogStore`
     (keys sanitized with :func:`~repro.store.sanitize_name`: alias keys
-    like ``wrapper::query`` are not path-safe) before it is folded in, the
-    log's tip is ``R_{i-1}``, and a manager over a non-empty store rebuilds
-    each DOEM from the log on first touch -- restarting without re-polling.
+    like ``wrapper::query`` are not path-safe), which folds it into the
+    log's own DOEM once it is durable; the log's tip is ``R_{i-1}``, and a
+    manager over a non-empty store takes each DOEM from the log, folded as
+    the log was read -- restarting without re-polling.
 
     Without a store, ``cache_previous_result`` selects the footnote's
     strategy: keep the previous polling result (aligned to DOEM
@@ -282,11 +283,12 @@ class DOEMManager:
 
         The empty base database has an ``answer`` root matching the
         wrapper's packaging, so diffs align naturally.  With a store
-        attached, the DOEM is its log's (:meth:`HistoryLog.get_doem`):
-        a history already on disk is rebuilt here -- restarting a server
-        recovers every subscription's DOEM without touching the sources,
-        a compacted origin included -- and the DOEM's snapshot cache
-        reads through the log's checkpoints.
+        attached, the DOEM is its log's (:meth:`HistoryLog.get_doem`), as
+        of the manager's last append or compaction: a history already on
+        disk was folded as the log opened -- restarting a server recovers
+        every subscription's DOEM without touching the sources, a
+        compacted origin included -- and the DOEM's snapshot cache reads
+        through the log's checkpoints.
         """
         key = self._key(name)
         if key not in self._doems:
@@ -314,10 +316,11 @@ class DOEMManager:
                     result: OEMDatabase) -> ChangeSet:
         """Fold a new polling result into the subscription's DOEM database.
 
-        Runs OEMdiff between the previous result and ``result``, appends a
-        non-empty inferred change set to the store's log, if any, then
-        applies it with timestamp ``when`` (Figure 7), and returns it: a
-        failed append leaves the DOEM as it was for the next poll.  Fresh
+        Runs OEMdiff between the previous result and ``result``, folds a
+        non-empty inferred change set into the DOEM with timestamp
+        ``when`` (Figure 7) and returns it.  With a store the log's append
+        does the fold, once the set is durable: a failed append leaves the
+        DOEM as it was for the next poll.  Fresh
         identifiers avoid every node of the DOEM graph, dead ones included:
         deleted identifiers are never reused (Section 2.2) while the
         history remembers them, and a server restarted over the store
@@ -353,8 +356,10 @@ class DOEMManager:
         timestamp = parse_timestamp(when)
         if change_set:
             if log is not None:
-                log.append(timestamp, change_set)
-            apply_change_set(doem, timestamp, change_set)
+                log.append(timestamp, change_set)  # and folds it
+                self._doems[key] = log.get_doem()  # the same, or rebuilt
+            else:
+                apply_change_set(doem, timestamp, change_set)
         self.last_diff_stats[name] = DiffStats(change_set)
         if log is None and self.cache_previous_result:
             if change_set and self.differ != "ids":  # id_diff's is aligned
@@ -404,15 +409,15 @@ class DOEMManager:
         it as change sets are folded in, so the usual ``T > t[-1]``
         filter reads the entries of the tick just folded, not every
         annotation of the history.  Subscriptions sharing a DOEM share
-        the engine; a compaction that replaces the DOEM replaces it.  The
-        database is registered under the polling query's name and the
-        ``t[i]`` variables reflect the polls completed so far.
+        the engine; a new DOEM (a compaction, a log rebuilding it) gets a
+        new one.  The database is registered under the polling query's
+        name and the ``t[i]`` variables reflect the polls completed so far.
         """
         subscription = state.subscription
         key = self._key(subscription.name)
         doem = self.doem(subscription.name)
         engine = self._engines.get(key)
-        if engine is None:
+        if engine is None or engine.doem is not doem:
             engine = self._engines[key] = IndexedChorelEngine(
                 doem, name=subscription.polling_name)
         # Sharers of one DOEM may name it differently in their filters.

@@ -10,14 +10,25 @@ materializes a snapshot whenever the accumulated delta chain exceeds a
 query-time replay budget.
 
 **File format** (``ckpt-<seq>.oem``): one JSON header line --
-``{"format": 1, "at": <ticks>, "seq": <n>, "crc": <crc32-of-body>,``
-``"nodes": <count>}`` -- followed by the textual OEM serialization of
-the snapshot, written unindented (the grammar ignores whitespace, so
-older indented bodies read the same).  The CRC covers the body, so a
-torn or bit-rotten checkpoint is detected when a log opens (header and
-CRC only: :func:`scan_checkpoints` parses no body) and simply skipped.
-A body is parsed only by a lookup that needs it (and by fsck); one that
-passes its CRC and still fails to parse is skipped there.  Either way a
+``{"format": 2, "at": <ticks>, "seq": <n>, "crc": <crc32-of-body>,``
+``"nodes": <count>, "anchor": <crc32>}`` -- followed by the textual OEM
+serialization of the snapshot, written unindented (the grammar ignores
+whitespace, so older indented bodies read the same).
+
+A checkpoint is valid only with the change sets it folds: ``anchor`` is
+the CRC-32 of the frame of the last of them, the log's entry at ``at``
+(:meth:`CheckpointRef.anchored`).  After a torn tail is cut, or a tail
+written again differently, a checkpoint whose entry the log no longer
+holds is *stale*: an open never indexes it.  Format-1 files, written
+before the anchor, carry none; their time must still be a kept entry's.
+The time, not a count of entries, names the position: it survives a
+horizon compaction, which renumbers the entries it keeps.
+
+The body CRC makes a torn or bit-rotten checkpoint detected when a log
+opens (header and CRC only: :func:`scan_checkpoints` parses no body)
+and simply skipped.  A body is parsed only by a lookup that needs it
+(and by fsck); one that passes its CRC and still fails to parse is
+skipped there.  Either way a
 bad checkpoint never corrupts an answer, it only costs a longer replay
 from the next older one (or the origin).
 
@@ -47,9 +58,12 @@ from ..oem.serialize import dumps, loads
 from ..timestamps import Timestamp
 
 __all__ = ["CheckpointPolicy", "CheckpointRef", "write_checkpoint",
-           "read_checkpoint", "scan_checkpoints", "CHECKPOINT_FORMAT"]
+           "read_checkpoint", "scan_checkpoints", "CHECKPOINT_FORMAT",
+           "STALE"]
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+_FORMATS = (1, CHECKPOINT_FORMAT)  # 1: no anchor
+STALE = "stale: folds an entry the log does not hold"
 _PREFIX = "ckpt-"
 _SUFFIX = ".oem"
 
@@ -95,24 +109,33 @@ class CheckpointPolicy:
 
 @dataclass(frozen=True)
 class CheckpointRef:
-    """One durable checkpoint: where it is and what time it captures."""
+    """One durable checkpoint: where it is, what time it captures and
+    the CRC of the entry it folds last (``None`` in format 1)."""
 
     at: Timestamp
     seq: int
     path: Path
+    anchor: int | None = None
 
     @property
     def name(self) -> str:
         return self.path.name
+
+    def anchored(self, crcs: dict[Timestamp, int]) -> bool:
+        """Does the log hold the entry this checkpoint folds last?
+        ``crcs`` maps each kept entry's time to its frame's CRC."""
+        crc = crcs.get(self.at)
+        return crc is not None and self.anchor in (None, crc)
 
 
 def checkpoint_path(directory: Path, seq: int) -> Path:
     return directory / f"{_PREFIX}{seq:06d}{_SUFFIX}"
 
 
-def write_checkpoint(directory: Path, seq: int, at: Timestamp,
+def write_checkpoint(directory: Path, seq: int, at: Timestamp, anchor: int,
                      snapshot: OEMDatabase) -> tuple[CheckpointRef, int]:
-    """Write one checkpoint file; returns its ref and byte size.
+    """Write one checkpoint file of the state at the entry ``at``, whose
+    frame's CRC is ``anchor``; returns its ref and byte size.
 
     The body is written before the file is visible under its final name
     only in spirit -- a checkpoint is advisory, so a torn write is not a
@@ -122,18 +145,19 @@ def write_checkpoint(directory: Path, seq: int, at: Timestamp,
     body = dumps(snapshot, indent=0).encode("utf-8")
     header = json.dumps({"format": CHECKPOINT_FORMAT, "at": at.ticks,
                          "seq": seq, "crc": zlib.crc32(body),
-                         "nodes": len(snapshot)},
+                         "nodes": len(snapshot), "anchor": anchor},
                         separators=(",", ":")).encode("utf-8")
     path = checkpoint_path(directory, seq)
     with open(path, "wb") as handle:
         handle.write(header + b"\n" + body)
         handle.flush()
         os.fsync(handle.fileno())
-    return CheckpointRef(at=at, seq=seq, path=path), len(header) + 1 + len(body)
+    ref = CheckpointRef(at=at, seq=seq, path=path, anchor=anchor)
+    return ref, len(header) + 1 + len(body)
 
 
-def _verified_body(path: Path) -> tuple[Timestamp, bytes]:
-    """One checkpoint file's time and body, header and CRC checked.
+def _verified_body(path: Path) -> tuple[Timestamp, int | None, bytes]:
+    """One checkpoint file's time, anchor and body, header and CRC checked.
 
     Raises :class:`~repro.errors.StoreCorruptionError` on a missing or
     bad header, an unknown format or a checksum mismatch.  The body is
@@ -149,20 +173,21 @@ def _verified_body(path: Path) -> tuple[Timestamp, bytes]:
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
         form = header.get("format")
-        at = Timestamp(int(header["at"])) if form == CHECKPOINT_FORMAT \
+        at = Timestamp(int(header["at"])) if form in _FORMATS else None
+        anchor = int(header["anchor"]) if form == CHECKPOINT_FORMAT \
             else None
     except (UnicodeDecodeError, ValueError, AttributeError, KeyError,
             TypeError) as exc:
         raise StoreCorruptionError(
             f"checkpoint {path.name}: bad header: {exc}") from exc
-    if form != CHECKPOINT_FORMAT:
+    if form not in _FORMATS:
         raise StoreCorruptionError(
             f"checkpoint {path.name}: unknown format {form!r}")
     body = raw[newline + 1:]
     if zlib.crc32(body) != header.get("crc"):
         raise StoreCorruptionError(
             f"checkpoint {path.name}: checksum mismatch")
-    return at, body
+    return at, anchor, body
 
 
 def read_checkpoint(path: Path) -> tuple[Timestamp, OEMDatabase]:
@@ -172,7 +197,7 @@ def read_checkpoint(path: Path) -> tuple[Timestamp, OEMDatabase]:
     failure (missing header, bad CRC, unparseable body); callers treat
     that as "this checkpoint does not exist".
     """
-    at, body = _verified_body(path)
+    at, _, body = _verified_body(path)
     try:
         snapshot = loads(body.decode("utf-8"))
     except Exception as exc:
@@ -199,10 +224,10 @@ def scan_checkpoints(directory: Path) -> tuple[list[CheckpointRef], list[str]]:
             problems.append(f"checkpoint {path.name}: unparseable name")
             continue
         try:
-            at, _ = _verified_body(path)
+            at, anchor, _ = _verified_body(path)
         except StoreCorruptionError as exc:
             problems.append(str(exc))
             continue
-        refs.append(CheckpointRef(at=at, seq=seq, path=path))
+        refs.append(CheckpointRef(at=at, seq=seq, path=path, anchor=anchor))
     refs.sort(key=lambda ref: (ref.at, ref.seq))
     return refs, problems

@@ -20,8 +20,14 @@ bounded delta replay: :meth:`snapshot_at` finds the newest checkpoint at
 ``t0 <= t``, loads it, and replays only the change sets in ``(t0, t]``
 -- never the whole log.  The :class:`~.checkpoint.CheckpointPolicy`
 bounds how many operations that replay can span.  An open reads the
-segments and only the header and CRC of each checkpoint; a checkpoint's
+segments and only the header and CRC of each checkpoint, and indexes
+only those anchored to a kept entry (:mod:`.checkpoint`); a checkpoint's
 body is parsed by the first lookup that loads it (and by fsck).
+
+**The DOEM.**  An open scans the segments once: it decodes each record,
+checks each change set by applying it to the tip, and records it into
+the log's own DOEM without checking it again (:meth:`get_doem`).  Each
+append does the same once its record is durable.
 
 **Recovery.**  Every open and :func:`fsck_log` apply the store's one
 recovery rule (:mod:`.segment`) to the *last* segment: a torn tail is
@@ -43,18 +49,22 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 
-from ..errors import InvalidChangeError, InvalidHistoryError, \
-    StoreCorruptionError, StoreError
+from ..doem.build import empty_doem, record_change_set, refuse_reused
+from ..doem.model import DOEMDatabase
+from ..errors import InvalidHistoryError, OEMError, StoreCorruptionError, \
+    StoreError
 from ..obs.events import emit_event
 from ..obs.metrics import CounterField, registry as metrics_registry
+from ..oem.changes import CreNode
 from ..oem.history import ChangeSet, OEMHistory, entries_between
 from ..oem.model import OEMDatabase
 from ..timestamps import NEG_INF, Timestamp, parse_timestamp
-from .checkpoint import CheckpointPolicy, CheckpointRef, read_checkpoint, \
-    scan_checkpoints, write_checkpoint
+from .checkpoint import STALE, CheckpointPolicy, CheckpointRef, \
+    read_checkpoint, scan_checkpoints, write_checkpoint
 from .records import decode_record, encode_change_set, encode_origin
 from .segment import FRAME_HEADER, HEADER_SIZE, SegmentScan, \
     SegmentWriter, append_frame, close_quietly, fsck_file, \
@@ -218,7 +228,9 @@ class HistoryLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.generation = 1
         self._origin = origin.copy()
-        self._tip = origin.copy()
+        self._start(self._origin)
+        self._doem_as_of = self._doem.fingerprint()
+        self._tip_crc: int | None = None
         writer = SegmentWriter(_segment_path(self.directory, 1, 1))
         try:
             written = append_frame(writer, encode_origin(self._origin))
@@ -236,6 +248,10 @@ class HistoryLog:
         self._sets_since_ckpt = 0
 
     def _load(self) -> None:
+        """Read the live generation in one scan: decode each record, check
+        each change set on the tip and record it into the DOEM (see
+        :meth:`get_doem`); then index the checkpoints that fold a kept
+        entry."""
         self.generation = _read_current(self.directory)
         self._segments = _list_segments(self.directory, self.generation)
         if not self._segments:
@@ -243,6 +259,7 @@ class HistoryLog:
                 f"{self.directory}: CURRENT points at generation "
                 f"{self.generation} but no segments exist")
         origin: OEMDatabase | None = None
+        crcs: dict[Timestamp, int] = {}  # each entry's frame CRC
         for position, path in enumerate(self._segments):
             scan = SegmentScan(path)
             for payload in scan:
@@ -256,7 +273,7 @@ class HistoryLog:
                         raise StoreCorruptionError(
                             f"{path.name}: second origin record")
                     origin = value
-                    self._tip = origin.copy()
+                    self._start(origin)
                 else:
                     when, change_set = value
                     if origin is None:
@@ -267,25 +284,36 @@ class HistoryLog:
                             f"{path.name}: timestamps out of order "
                             f"({when} after {self._entries[-1][0]})")
                     try:
-                        change_set.apply_to(self._tip)
-                    except (InvalidChangeError, InvalidHistoryError) as exc:
+                        self._fold(when, change_set)
+                    except OEMError as exc:  # unknown node, invalid op...
                         raise StoreCorruptionError(
                             f"{path.name}: change set at {when} does not "
                             f"apply: {exc}") from exc
                     self._entries.append((when, change_set))
+                    crcs[when] = scan.crc
             scan.refuse(last=position == len(self._segments) - 1)
         if origin is None:
             raise StoreCorruptionError(
                 f"{self._segments[0].name}: no origin record")
         self._origin = origin
+        self._doem_as_of = self._doem.fingerprint()
+        self._tip_crc = crcs[self._entries[-1][0]] if self._entries else None
         self.recovered_tail = scan.torn
         self._writer = reopen(scan, writable=self.mode == "rw",
                               log=self.directory.name, stats=self.stats)
 
-        self._checkpoints, self.checkpoint_problems = \
-            scan_checkpoints(self.directory)
-        self._ckpt_seq = max((ref.seq for ref in self._checkpoints),
-                             default=0)
+        refs, self.checkpoint_problems = scan_checkpoints(self.directory)
+        self._checkpoints = []
+        for ref in refs:
+            if ref.anchored(crcs):
+                self._checkpoints.append(ref)
+                continue
+            if self.mode == "rw":
+                ref.path.unlink(missing_ok=True)
+            self.checkpoint_problems.append(
+                f"checkpoint {ref.name}: {STALE}; "
+                f"{'deleted' if self.mode == 'rw' else 'skipped'}")
+        self._ckpt_seq = max((ref.seq for ref in refs), default=0)
         last_ckpt = self._checkpoints[-1].at if self._checkpoints else None
         self._ops_since_ckpt = 0
         self._sets_since_ckpt = 0
@@ -293,6 +321,25 @@ class HistoryLog:
             if last_ckpt is None or when > last_ckpt:
                 self._ops_since_ckpt += len(change_set)
                 self._sets_since_ckpt += 1
+
+    def _start(self, origin: OEMDatabase) -> None:
+        """The tip and the DOEM at ``origin``, before any entry."""
+        self._tip = origin.copy()
+        self._doem = empty_doem(origin)
+        self._doem.snapshot_cache().attach_store(self)
+
+    def _fold(self, when: Timestamp, change_set: ChangeSet) -> None:
+        """Check one set on the tip -- the only check of each operation --
+        and record it into the DOEM with the nodes it deleted."""
+        deleted = change_set.apply_to(self._tip)
+        record_change_set(self._doem, when, change_set, deleted)
+
+    def _refold(self) -> None:
+        """The tip and the DOEM again, from the origin and every entry."""
+        self._start(self._origin)
+        for when, change_set in self._entries:
+            self._fold(when, change_set)
+        self._doem_as_of = self._doem.fingerprint()
 
     # -- views ------------------------------------------------------------
 
@@ -334,19 +381,20 @@ class HistoryLog:
             history.append(when, change_set)
         return history
 
-    def get_doem(self):
-        """``D(O, H)``: the full annotated DOEM database.
+    def get_doem(self) -> DOEMDatabase:
+        """``D(O, H)``: the log's own annotated DOEM database.
 
-        DOEM construction is inherently a full fold of the history --
-        annotations encode every change -- so this replays the whole
-        generation; checkpoints accelerate :meth:`snapshot_at`, not this.
-        The database's snapshot cache reads its misses through this log's
-        checkpoints.
+        It is folded as the log is read and appended to: each change set
+        is checked once, on the tip, and then only recorded into the DOEM
+        (:func:`~repro.doem.build.record_change_set`).  The log records
+        only into the DOEM it left: one whose fingerprint moved behind the
+        log's back (folded into by hand, say) is rebuilt from the log
+        here or at the next append.  Its snapshot cache reads its misses
+        through this log's checkpoints.
         """
-        from ..doem.build import build_doem
-        doem = build_doem(self._origin, self.history())
-        doem.snapshot_cache().attach_store(self)
-        return doem
+        if self._doem.fingerprint() != self._doem_as_of:
+            self._refold()
+        return self._doem
 
     def checkpoints(self) -> tuple[CheckpointRef, ...]:
         return tuple(self._checkpoints)
@@ -367,7 +415,9 @@ class HistoryLog:
         """Durably append one timestamped change set, all or nothing.
 
         The set is validated against the tip snapshot *before* any bytes
-        are written, so an invalid set can never land in the log.  A
+        are written, so an invalid set can never land in the log (nor one
+        creating an identifier the DOEM ever held); once it is durable it
+        is recorded into the log's DOEM (:meth:`get_doem`).  A
         failed roll, write or fsync cuts the segment back to where the
         frame began and re-raises (if even that fails, the log closes).
         With the ``"always"`` fsync policy the record is on stable storage
@@ -383,8 +433,11 @@ class HistoryLog:
             raise InvalidHistoryError(
                 f"history timestamps must be strictly increasing: "
                 f"{timestamp} does not follow {last}")
+        doem = self.get_doem()
         new_tip = self._tip.copy()
-        change_set.apply_to(new_tip)  # raises InvalidChangeError if invalid
+        deleted = change_set.apply_to(new_tip)  # each raises if invalid
+        for op in change_set.filter(CreNode):
+            refuse_reused(doem.graph, op.node)
 
         payload = encode_change_set(timestamp, change_set)
         rolls = (writer.size + FRAME_HEADER.size + len(payload)
@@ -412,6 +465,9 @@ class HistoryLog:
 
         self._entries.append((timestamp, change_set))
         self._tip = new_tip
+        self._tip_crc = zlib.crc32(payload)
+        record_change_set(doem, timestamp, change_set, deleted)
+        self._doem_as_of = doem.fingerprint()
         self.stats.appends += 1
         self.stats.ops_appended += len(change_set)
         self.stats.bytes_written += written
@@ -464,7 +520,7 @@ class HistoryLog:
             return self._checkpoints[-1]
         self._ckpt_seq += 1
         ref, size = write_checkpoint(self.directory, self._ckpt_seq, at,
-                                     self._tip)
+                                     self._tip_crc, self._tip)
         self._checkpoints.append(ref)
         self._checkpoints.sort(key=lambda r: (r.at, r.seq))
         self._ops_since_ckpt = 0
@@ -564,7 +620,7 @@ class HistoryLog:
         # advisory, so one deleted by a compaction that then fails costs
         # the old generation replay, never a wrong answer.
         stale = [] if base_time is None else \
-            [ref for ref in self._checkpoints if ref.at < base_time]
+            [ref for ref in self._checkpoints if ref.at <= base_time]
         for ref in stale:
             ref.path.unlink(missing_ok=True)
             self._checkpoints.remove(ref)
@@ -620,9 +676,11 @@ class HistoryLog:
         close_quietly(self._writer)  # its segment is deleted below
         self._writer = writer
         self.generation = new_generation
-        self._origin = new_origin.copy() if before is not None else self._origin
         self._entries = list(kept)
         self._segments = new_segments
+        if before is not None:  # a new origin: fold the kept entries onto it
+            self._origin = new_origin.copy()
+            self._refold()
 
         for path in old_segments:
             path.unlink(missing_ok=True)
@@ -680,11 +738,12 @@ def fsck_log(directory: str | os.PathLike, repair: bool = False) -> dict:
     unrepaired).  The segments are checked by the recovery rule
     (:func:`~.segment.fsck_file`): ``repair=True`` cuts a torn tail in the
     last segment back to the last durable record, starts again a last
-    segment no longer than its magic, and deletes unreadable checkpoints
-    and stray generations.  What an open refuses -- bad magic with bytes
-    after it, damage in an interior segment, a first segment without its
-    origin record -- is reported, never repaired: the files stay byte for
-    byte as they were.
+    segment no longer than its magic, and deletes unreadable checkpoints,
+    stale ones (:meth:`~.checkpoint.CheckpointRef.anchored`: they fold an
+    entry the durable records do not hold) and stray generations.  What
+    an open refuses -- bad magic with bytes after it, damage in an
+    interior segment, a first segment without its origin record -- is
+    reported, never repaired: the files stay byte for byte as they were.
     """
     directory = Path(directory)
     report: dict = {"path": str(directory), "segments": [], "problems": [],
@@ -706,20 +765,28 @@ def fsck_log(directory: str | os.PathLike, repair: bool = False) -> dict:
         report["problems"].append(
             f"generation {generation} has no segments")
         report["ok"] = False
+    crcs: dict[Timestamp, int] = {}  # each kept entry's frame CRC
+    known = bool(segments)  # are the kept entries known?  Not past damage
     for position, path in enumerate(segments):
+        last = position == len(segments) - 1
         scan = SegmentScan(path)
         problems: list[str] = []
         kinds = []
         for payload in scan:
             try:
-                kinds.append(decode_record(payload)[0])
+                kind, value = decode_record(payload)
             except StoreCorruptionError as exc:
                 problems.append(f"{path.name}: {exc}")
+                continue
+            kinds.append(kind)
+            if kind == "changeset":
+                crcs[value[0]] = scan.crc
         if position == 0 and kinds[:1] != ["origin"] and not scan.damaged:
             problems.append(f"{path.name}: no origin record")
+        if problems or scan.damaged or (scan.torn and not last):
+            known = False  # an open refuses it
         problem, repaired = fsck_file(
-            scan, repair=repair and not problems,
-            last=position == len(segments) - 1)
+            scan, repair=repair and not problems, last=last)
         report["segments"].append({"segment": path.name,
                                    "records": scan.records,
                                    "good_bytes": scan.good_bytes,
@@ -735,6 +802,9 @@ def fsck_log(directory: str | os.PathLike, repair: bool = False) -> dict:
     refs, ckpt_problems = scan_checkpoints(directory)
     report["checkpoints"] = 0
     for ref in refs:  # the check tool parses every body an open skips
+        if known and not ref.anchored(crcs):
+            ckpt_problems.append(f"checkpoint {ref.name}: {STALE}")
+            continue
         try:
             read_checkpoint(ref.path)
             report["checkpoints"] += 1

@@ -173,7 +173,8 @@ class SegmentScan:
 
     * ``good_bytes`` is the end offset of the last intact record (the
       truncation point for recovery; 0 when the magic is not intact),
-    * ``records`` is how many intact records were read,
+    * ``records`` is how many intact records were read (and during
+      iteration, ``crc`` is the CRC-32 of the payload just yielded),
     * ``torn`` is ``None`` for a clean segment, else a one-line reason
       (``"truncated header at 412"``, ``"checksum mismatch at 96"``),
     * ``damaged`` says the magic is bad with bytes after it: damage no
@@ -184,6 +185,7 @@ class SegmentScan:
         self.path = Path(path)
         self.good_bytes = 0
         self.records = 0
+        self.crc = 0
         self.torn: str | None = None
         self.damaged = False
 
@@ -229,6 +231,7 @@ class SegmentScan:
                 offset += FRAME_HEADER.size + length
                 self.good_bytes = offset
                 self.records += 1
+                self.crc = checksum
                 yield payload
 
 

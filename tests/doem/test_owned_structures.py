@@ -22,7 +22,7 @@ from repro import (POS_INF, AnnotationIndex, IndexedChorelEngine,
 from repro.doem.build import apply_change_set
 from repro.qss.managers import DOEMManager
 from repro.sources.generators import demo_world, large_world
-from repro.store import ChangeLogStore, CheckpointPolicy
+from repro.store import ChangeLogStore, CheckpointPolicy, HistoryLog
 
 QUERY = "select T from root.<add at T>item where T > 3Jan97"
 
@@ -78,8 +78,14 @@ class TestOneOfEach:
 
 
 class TestDroppedDatabaseIsFreed:
-    def test_reference_counting_frees_database_and_structures(self, stored):
-        _, log, history = stored
+    def test_reference_counting_frees_database_and_structures(self,
+                                                              tmp_path):
+        """A log owns its DOEM (and the DOEM's cache holds the log only
+        weakly): dropping the log frees both, and the structures."""
+        db, history = demo_world(days=20)
+        log = HistoryLog(tmp_path / "h", origin=db, policy=CheckpointPolicy(
+            replay_budget=4, size_weight=0.0, min_sets=1))
+        log.extend(history)
         gc.collect()
         gc.disable()
         try:
@@ -88,6 +94,26 @@ class TestDroppedDatabaseIsFreed:
             engine.run(QUERY)
             snapshot_cache(doem).snapshot_at(history.timestamps()[3])
             snapshot_cache(doem).attach_store(log)  # idempotent
+            refs = [weakref.ref(doem), weakref.ref(engine.index),
+                    weakref.ref(engine.paths),
+                    weakref.ref(snapshot_cache(doem))]
+            del doem, engine
+            assert refs[0]() is log.get_doem()  # the log keeps it
+            log.close()
+            del log
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_a_dropped_database_without_a_log_is_freed(self):
+        db, history = demo_world(days=20)
+        gc.collect()
+        gc.disable()
+        try:
+            doem = build_doem(db, history)
+            engine = IndexedChorelEngine(doem, name="root")
+            engine.run(QUERY)
+            snapshot_cache(doem).snapshot_at(history.timestamps()[3])
             refs = [weakref.ref(doem), weakref.ref(engine.index),
                     weakref.ref(engine.paths),
                     weakref.ref(snapshot_cache(doem))]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ParseError, format_query, parse_query, parse_timestamp
+from repro.lorel.parser import MAX_CONDITION_DEPTH
 from repro.lorel.ast import (
     And,
     Comparison,
@@ -244,3 +245,32 @@ class TestPrettyRoundTrip:
         query = parse_query(text)
         assert parse_query(format_query(query)) == query
         assert parse_query(str(query)) == query
+
+
+class TestNestingDepth:
+    """Conditions nest at most ``MAX_CONDITION_DEPTH`` deep; past it the
+    parser raises ``ParseError``, never ``RecursionError``."""
+
+    @staticmethod
+    def nested(depth: int, prefix: str = "(", suffix: str = ")") -> str:
+        return ("select X from g.a X where " + prefix * depth + "X = 1"
+                + suffix * depth)
+
+    def test_300_parentheses_parse(self):
+        assert MAX_CONDITION_DEPTH == 300
+        assert parse_query(self.nested(300)) == parse_query(self.nested(0))
+        assert parse_query(self.nested(300, "not ", "")).where is not None
+
+    @pytest.mark.parametrize("depth", [301, 600, 5000])
+    def test_deeper_is_a_parse_error(self, depth):
+        with pytest.raises(ParseError, match="nest deeper than 300"):
+            parse_query(self.nested(depth))
+        with pytest.raises(ParseError, match="nest deeper than 300"):
+            parse_query(self.nested(depth, "not ", ""))
+
+    def test_and_or_keep_their_precedence(self):
+        query = parse_query("select x where a = 1 and b = 2 or c = 3 and "
+                            "d = 4 or e = 5")
+        assert query.where == parse_query(
+            "select x where ((a = 1 and b = 2) or (c = 3 and d = 4)) "
+            "or e = 5").where

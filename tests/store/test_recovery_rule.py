@@ -19,15 +19,19 @@ the magic, the frame headers and the payloads.
 from __future__ import annotations
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli
 from repro.errors import StoreCorruptionError
+from repro.oem.changes import AddArc, CreNode
+from repro.oem.history import ChangeSet
 from repro.sources.generators import demo_world
 from repro.store import ChangeLogStore, CheckpointPolicy, HistoryLog, \
     fsck_log
+from repro.store.checkpoint import STALE
 from repro.store.segment import FRAME_HEADER, HEADER_SIZE, MAGIC
 from tests.store.test_subscription_journal import DAY, RECORDS, T0, polled
 
@@ -145,6 +149,135 @@ def test_the_history_rule_under_every_cut_and_sampled_flip(tmp_path,
             raise AssertionError(f"{newest}, {label}: {exc}") from exc
         cases += 1
     assert cases > len(files[newest])
+
+
+# -- checkpoints and the entries they fold ----------------------------------
+
+@pytest.fixture(scope="module")
+def checkpointed(tmp_path_factory):
+    """A one-segment ``roll`` log checkpointed after each of its 6 sets."""
+    directory = tmp_path_factory.mktemp("checkpointed") / "h"
+    db, history = demo_world(days=6)
+    log = HistoryLog(directory, origin=db, fsync_policy="roll",
+                     policy=CheckpointPolicy(replay_budget=1,
+                                             size_weight=0.0, min_sets=1))
+    log.extend(history)
+    log.close()
+    assert len(log.checkpoints()) == len(history) == 6
+    files = {path.name: path.read_bytes()
+             for path in sorted(directory.iterdir())}
+    (segment,) = [name for name in files if name.startswith("seg-")]
+    return db, history, files, segment
+
+
+def replayed(db, entries, when):
+    """``Ot`` replayed from the origin over ``entries``."""
+    snapshot = db.copy()
+    for at, change_set in entries:
+        if at <= when:
+            change_set.apply_to(snapshot)
+    return snapshot
+
+
+def stale(report: dict) -> int:
+    return sum(STALE in problem for problem in report["problems"])
+
+
+def test_a_checkpoint_never_outlives_the_entries_it_folds(tmp_path,
+                                                          checkpointed):
+    """Cut the segment anywhere past its origin: rw and ro opens answer
+    every entry time of the uncut history from the kept entries only (a
+    rw open deletes the checkpoints of lost entries, a ro open skips
+    them), ``fsck`` reports each stale one and ``--repair`` deletes it."""
+    db, history, files, segment = checkpointed
+    data = files[segment]
+    spans = frames(data)  # the origin's first
+    entries = history.entries()
+    ends = {end for _, end in spans}
+    for size in range(spans[0][1], len(data) + 1):
+        kept = entries[:sum(end <= size for _, end in spans[1:])]
+        lost = len(entries) - len(kept)
+        for mode in ("ro", "rw"):
+            directory = lay_out(tmp_path, {**files, segment: data[:size]})
+            log = HistoryLog(directory, mode)
+            try:
+                assert log.entries() == kept, (size, mode)
+                for when in history.timestamps():
+                    assert log.snapshot_at(when).same_as(
+                        replayed(db, kept, when)), (size, mode, when)
+                assert len(log.checkpoints()) == len(kept), (size, mode)
+            finally:
+                log.close()
+            if size not in ends and size - 1 not in ends:
+                continue  # fsck: sampled at and just past frame ends
+            if mode == "rw":
+                assert fsck_log(directory)["ok"], size
+                continue
+            assert stale(fsck_log(directory)) == lost, size
+            repair = fsck_log(directory, repair=True)
+            assert repair["ok"] and stale(repair) == lost, size
+            assert fsck_log(directory)["ok"], size
+            assert len(list(directory.glob("ckpt-*"))) == len(kept), size
+
+
+def lost_checkpoint(files: dict[str, bytes]) -> str:
+    """The checkpoint of the newest entry (one per entry, in order)."""
+    return max(name for name in files if name.startswith("ckpt-"))
+
+
+def test_a_tail_written_again_is_not_shadowed(tmp_path, checkpointed):
+    """The newest frame is torn, a different set is appended at its time,
+    and then the lost entry's checkpoint is put back: it names the lost
+    frame's CRC, so no open serves the lost state from it."""
+    db, history, files, segment = checkpointed
+    data = files[segment]
+    directory = lay_out(tmp_path, {**files, segment: data[:-5]})
+    when = history.timestamps()[-1]
+    log = HistoryLog(directory, "rw")
+    assert len(log) == len(history) - 1
+    other = ChangeSet([CreNode("again", 1),
+                       AddArc(log.tip_view().root, "again", "again")])
+    log.append(when, other)
+    log.close()
+    for path in directory.glob("ckpt-*"):
+        path.unlink()
+    name = lost_checkpoint(files)
+    (directory / name).write_bytes(files[name])
+    expected = replayed(db, history.entries()[:-1] + ((when, other),), when)
+    assert not expected.same_as(history.snapshot_at(db, when))
+    for mode in ("ro", "rw"):
+        reopened = HistoryLog(directory, mode)
+        assert reopened.checkpoints() == (), mode
+        assert reopened.snapshot_at(when).same_as(expected), mode
+        reopened.close()
+    assert not (directory / name).exists()  # the rw open deleted it
+
+
+def test_a_format_1_checkpoint_is_judged_by_its_time(tmp_path,
+                                                     checkpointed):
+    """Checkpoints written before the anchor have none: indexed where
+    their time is a kept entry's, stale past the tip."""
+    db, history, files, segment = checkpointed
+    legacy = {}
+    for name, data in files.items():
+        if name.startswith("ckpt-"):
+            line, _, body = data.partition(b"\n")
+            header = json.loads(line)
+            del header["anchor"]
+            header["format"] = 1
+            data = json.dumps(header).encode() + b"\n" + body
+        legacy[name] = data
+    spans = frames(files[segment])
+    directory = lay_out(tmp_path, {**legacy,
+                                   segment: files[segment][:spans[-1][0]]})
+    with HistoryLog(directory, "ro") as log:
+        assert [ref.at for ref in log.checkpoints()] == \
+            history.timestamps()[:-1]
+        assert all(ref.anchor is None for ref in log.checkpoints())
+        when = history.timestamps()[-1]
+        assert log.snapshot_at(when).same_as(
+            replayed(db, history.entries()[:-1], when))
+        assert log.stats.snapshots_from_checkpoint == 1
 
 
 # -- the journal ------------------------------------------------------------

@@ -125,3 +125,25 @@ def test_a_fan_out_tick_walks_nothing(world, tmp_path, forbid_full_walks):
     finally:
         server.close()
         close_store(tmp_path / "store")
+
+
+def test_a_change_set_is_sorted_once(monkeypatch):
+    """``canonical_order`` sorts on the first call only (a log open, the
+    record encoder and the DOEM fold each ask) and hands out a fresh list
+    every time."""
+    from repro import AddArc, CreNode, UpdNode
+    from repro.oem import history as history_module
+
+    change_set = ChangeSet([AddArc("r", "k", "b"), UpdNode("a", 2),
+                            CreNode("b", 1), RemArc("r", "k", "a")])
+    sorts = []
+    monkeypatch.setattr(history_module, "sorted",
+                        lambda *args, **kwargs: sorts.append(1)
+                        or sorted(*args, **kwargs), raising=False)
+    first = change_set.canonical_order()
+    first.clear()
+    again = change_set.canonical_order()
+    assert [type(op).__name__ for op in again] == [
+        "CreNode", "RemArc", "UpdNode", "AddArc"]
+    assert again is not change_set.canonical_order()
+    assert len(sorts) == 1
