@@ -26,7 +26,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..doem.encoding import EncodedDOEM, encode_doem, history_label
+from ..doem.encoding import EncodingView, history_label
+# Never called here any more: the pipeline benchmark's tracer patches this name.
+from ..doem.encoding import encode_doem  # noqa: F401
 from ..doem.model import DOEMDatabase
 from ..errors import TranslationError
 from ..lorel.ast import (
@@ -49,12 +51,11 @@ from ..lorel.ast import (
     TimeVar,
     VarRef,
 )
-from ..lorel.engine import LorelEngine, QueryEngine
+from ..lorel.engine import QueryEngine
 from ..lorel.eval import Evaluator, default_labels
 from ..lorel.parser import parse_query
 from ..lorel.pretty import format_query
 from ..lorel.result import ObjectRef, QueryResult, Row
-from ..lorel.views import OEMView
 from ..obs.trace import span
 from ..plan import (
     CompileContext,
@@ -78,7 +79,8 @@ class TranslationResult:
     is the set of range variables bound to *encoding objects* (as opposed
     to auxiliary atoms such as ``&time`` values); ``scalar_selects`` maps
     select positions whose values must be unwrapped from auxiliary nodes.
-    ``encoding`` is the engine's encoding the query was translated over.
+    ``encoding`` is the engine's view of the encoding the query was
+    translated over.
     """
 
     query: Query
@@ -403,27 +405,30 @@ def _rename_var(binders: list[tuple[str, PathExpr]], old: str,
 
 @dataclass(frozen=True)
 class _Encoding:
-    """An encoding and its readers, swapped in one assignment."""
+    """A view of the encoding and its evaluator, swapped in one
+    assignment."""
 
     fingerprint: object
-    encoded: EncodedDOEM
-    lorel: LorelEngine
-    normalizer: Evaluator
+    view: EncodingView
+    evaluator: Evaluator
 
 
 class TranslatingChorelEngine(QueryEngine):
     """The translation-based Chorel backend (Section 5).
 
-    Encodes the DOEM database in OEM (again whenever it has moved), then
-    serves each Chorel query by translating it to Lorel and evaluating
-    over the encoding.  Results are post-processed so rows are directly
+    Serves each Chorel query by translating it to Lorel and evaluating
+    over the OEM encoding of the DOEM database -- an
+    :class:`~repro.doem.encoding.EncodingView` bound to the database's
+    last timestamp, which builds nothing; a new view once the database
+    has moved.  Results are post-processed so rows are directly
     comparable with the native engine's: auxiliary atoms (timestamps,
     old/new values) unwrap to their scalar values, and encoding objects
     keep the DOEM node identifiers (the encoding is identifier-preserving).
 
-    The view and evaluator belong to each encoding, so the engine builds
-    its compile and execution contexts over the current one; the rest of
-    the glue is :class:`~repro.lorel.engine.QueryEngine`'s.
+    The view and evaluator travel with each translation, so a plan
+    compiled before the database moved still answers the state it was
+    compiled over; the rest of the glue is
+    :class:`~repro.lorel.engine.QueryEngine`'s.
     """
 
     parse_span = "chorel.parse"
@@ -434,64 +439,60 @@ class TranslatingChorelEngine(QueryEngine):
         self._entry = name or doem.graph.root
         self._names: dict[str, str] = {}
         self._encoding_lock = threading.Lock()
-        self._encoding = self._encode()
+        self._encoding = self._make_view()
         self.set_polling_times(polling_times or {})
         self.last_translation: TranslationResult | None = None
 
-    # The latest encoding, and the Lorel engine over it.
-    encoded = property(lambda self: self._encoding.encoded)
-    lorel = property(lambda self: self._encoding.lorel)
+    # The latest view of the encoding.
+    view = property(lambda self: self._encoding.view)
 
-    def _encode(self) -> _Encoding:
-        """Encode the DOEM database and build what reads the encoding."""
+    def _make_view(self) -> _Encoding:
+        """A view of the encoding as of now, and its evaluator (which
+        also normalizes, so both backends agree on prefix unification)."""
         fingerprint = self.doem.fingerprint()
-        encoded = encode_doem(self.doem)
-        oem = encoded.oem
-        lorel = LorelEngine(oem, name=self._entry)
-        # The native normalizer is reused so both backends agree.
-        normalizer = Evaluator(OEMView(oem, {self._entry: oem.root}))
-        for name, node_id in self._names.items():
-            lorel.register_name(name, node_id)
-            normalizer.view._names[name] = node_id
-        return _Encoding(fingerprint, encoded, lorel, normalizer)
+        view = EncodingView(self.doem, {self._entry: self.doem.graph.root,
+                                        **self._names})
+        return _Encoding(fingerprint, view, Evaluator(view))
 
     def _current(self) -> _Encoding:
-        """The encoding, re-made first if the DOEM database has moved."""
+        """The view, a new one first if the DOEM database has moved."""
         with self._encoding_lock:
             if self._encoding.fingerprint != self.doem.fingerprint():
-                self._encoding = self._encode()
+                self._encoding = self._make_view()
             return self._encoding
 
     def register_name(self, name: str, node_id: str) -> None:
-        """Expose an entry point under ``name`` in the current encoding's
-        readers and in every later encoding's."""
+        """Expose an entry point under ``name`` in the current view and
+        in every later one."""
         with self._encoding_lock:
             self._names[name] = node_id
-            self._encoding.lorel.register_name(name, node_id)
-            self._encoding.normalizer.view._names[name] = node_id
+            self._encoding.view._names[name] = node_id
 
     def translate(self, query: str | Query) -> TranslationResult:
-        """Translate Chorel text/AST to Lorel over the current encoding."""
+        """Translate Chorel text/AST to Lorel over the current view."""
         encoding = self._current()
         if isinstance(query, str):
             with span("chorel.parse"):
                 query = self.parse(query)
         with span("chorel.translate"):
-            translation = translate_query(query, encoding.normalizer)
+            translation = translate_query(query, encoding.evaluator)
         translation.encoding = encoding
         self.last_translation = translation
         return translation
 
-    def run(self, query: str | Query, *,
+    def run(self, query: str | Query,
+            bindings: dict[str, str] | None = None, *,
             analyze: bool = False) -> QueryResult:
         """Translate and evaluate, returning native-comparable rows.
 
         ``analyze=True`` collects per-operator runtime stats over the
         *translated* Lorel plan (identical rows); render them with
-        ``self.last_compiled.explain(analyze=True)``.
+        ``self.last_compiled.explain(analyze=True)``.  ``bindings`` are
+        refused with the other untranslatable shapes
+        (docs/query-languages.md, "Three engines").
         """
         with span("chorel.query"):
-            return self._run(query, analyze=analyze)
+            return self._run(query, bindings, analyze=analyze)
 
     def parse(self, text: str) -> Query:
         """Parse Chorel text (annotation expressions allowed)."""
@@ -509,11 +510,11 @@ class TranslatingChorelEngine(QueryEngine):
                                    "translation; use the native engine")
         translation = self.translate(query)
         encoding = translation.encoding
-        evaluator = encoding.lorel._evaluator
-        context = CompileContext(evaluator=evaluator, view=encoding.lorel.view,
+        context = CompileContext(evaluator=encoding.evaluator,
+                                 view=encoding.view,
                                  polling_times=dict(self._polling_times),
-                                 time_columns=encoding.encoded.time_columns)
-        compiled = compile_query(translation.query, evaluator,
+                                 time_columns=encoding.view.time_columns)
+        compiled = compile_query(translation.query, encoding.evaluator,
                                  context=context)
         compiled.translation = translation
         return compiled
@@ -526,9 +527,9 @@ class TranslatingChorelEngine(QueryEngine):
         rows) and leaves the stats on ``compiled.runtime``.
         """
         encoding = compiled.translation.encoding
-        ctx = ExecutionContext(evaluator=encoding.lorel._evaluator,
+        ctx = ExecutionContext(evaluator=encoding.evaluator,
                                base_env=self._base_env(bindings),
-                               time_columns=encoding.encoded.time_columns,
+                               time_columns=encoding.view.time_columns,
                                **parallel)
         raw = run_compiled(compiled, ctx, self, analyze=analyze)
         return self._postprocess(raw, compiled.translation)
@@ -536,14 +537,14 @@ class TranslatingChorelEngine(QueryEngine):
     def _postprocess(self, raw: QueryResult,
                      translation: TranslationResult) -> QueryResult:
         """Unwrap auxiliary atoms so rows match the native engine's."""
-        oem = translation.encoding.encoded.oem
+        value_of = translation.encoding.view.value
         result = QueryResult()
         for row in raw:
             items = []
             for label, value in row.items:
                 if label in translation.scalar_select_labels and \
                         isinstance(value, ObjectRef):
-                    items.append((label, oem.value(value.node)))
+                    items.append((label, value_of(value.node)))
                 else:
                     items.append((label, value))
             result.add(Row(tuple(items)))

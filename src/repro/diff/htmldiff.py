@@ -132,45 +132,38 @@ def html_diff(old_source: str, new_source: str) -> HtmlDiffResult:
                 matching.matched_old(arc.source):
             deleted_fragments.append(_render_plain(old_db, arc.target, arc.label))
 
-    def render(node: str, label: str) -> str:
-        value = new_db.value(node)
-        freshly_inserted = node in inserted
-        if value is not COMPLEX:
-            text = _html.escape(str(value))
-            if label.startswith("@"):
-                return ""  # attributes render with their element
-            if freshly_inserted:
-                return (f'<span class="htmldiff-insert">{INSERT_MARK} '
-                        f"{text}</span>")
-            if node in updated:
-                old_node = matching.new_to_old[node]
-                old_text = _html.escape(str(old_db.value(old_node)))
-                return (f'<span class="htmldiff-update" title="was: '
-                        f'{old_text}">{UPDATE_MARK} {text}</span>')
-            return text
-        attrs = []
-        body_parts = []
-        for arc in new_db.out_arcs(node):
-            if arc.label.startswith("@"):
-                attr_value = _html.escape(str(new_db.value(arc.target)), quote=True)
-                attrs.append(f' {arc.label[1:]}="{attr_value}"')
-            elif arc.label == "text":
-                body_parts.append(render(arc.target, "text"))
-            else:
-                body_parts.append(render(arc.target, arc.label))
-        body = "".join(body_parts)
-        if label == "":
-            return body
-        open_tag = f"<{label}{''.join(sorted(attrs))}>"
-        close_tag = "" if label in _VOID_TAGS else f"</{label}>"
-        rendered = f"{open_tag}{body}{close_tag}"
-        if freshly_inserted:
+    def atom(node: str, label: str) -> str:
+        if label.startswith("@"):
+            return ""  # attributes render with their element
+        text = _html.escape(str(new_db.value(node)))
+        if node in inserted:
             return (f'<span class="htmldiff-insert">{INSERT_MARK} '
-                    f"{rendered}</span>")
-        return rendered
+                    f"{text}</span>")
+        if node in updated:
+            old_text = _html.escape(str(old_db.value(
+                matching.new_to_old[node])))
+            return (f'<span class="htmldiff-update" title="was: '
+                    f'{old_text}">{UPDATE_MARK} {text}</span>')
+        return text
 
-    body = "".join(render(arc.target, arc.label)
-                   for arc in new_db.out_arcs(new_db.root))
+    def element(node: str, label: str) -> tuple[str, str, list]:
+        arcs = list(new_db.out_arcs(node))
+        children = [arc for arc in arcs if not arc.label.startswith("@")]
+        if label == "":
+            return "", "", children
+        attrs = sorted(
+            f' {arc.label[1:]}='
+            f'"{_html.escape(str(new_db.value(arc.target)), quote=True)}"'
+            for arc in arcs if arc.label.startswith("@"))
+        opening = f"<{label}{''.join(attrs)}>"
+        closing = "" if label in _VOID_TAGS else f"</{label}>"
+        if node in inserted:
+            opening = (f'<span class="htmldiff-insert">{INSERT_MARK} '
+                       f"{opening}")
+            closing += "</span>"
+        return opening, closing, children
+
+    body = _render(new_db, new_db.root, "", atom, element)
 
     legend = (f'<div class="htmldiff-legend">htmldiff: '
               f"{stats.creates} insertion(s), {stats.updates} update(s), "
@@ -188,15 +181,40 @@ def html_diff(old_source: str, new_source: str) -> HtmlDiffResult:
                           deleted_fragments=deleted_fragments)
 
 
+def _render(db: OEMDatabase, node: str, label: str, atom, element) -> str:
+    """Render the tree below ``node`` with an explicit stack, so a page
+    of any depth renders: ``atom(node, label)`` is an atom's text,
+    ``element(node, label)`` an element's ``(opening, closing, child
+    arcs)``, and the children render between the two."""
+    parts: list[str] = []
+    stack: list = [(node, label)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, label = item
+        if db.value(node) is not COMPLEX:
+            parts.append(atom(node, label))
+            continue
+        opening, closing, children = element(node, label)
+        parts.append(opening)
+        stack.append(closing)
+        stack.extend((arc.target, arc.label) for arc in reversed(children))
+    return "".join(parts)
+
+
 def _render_plain(db: OEMDatabase, node: str, label: str) -> str:
     """Plain (marker-free) HTML rendering of an old-side fragment."""
-    value = db.value(node)
-    if value is not COMPLEX:
-        return _html.escape(str(value))
-    body = "".join(_render_plain(db, arc.target, arc.label)
-                   for arc in db.out_arcs(node)
-                   if not arc.label.startswith("@"))
-    if label in ("", "text"):
-        return body
-    close = "" if label in _VOID_TAGS else f"</{label}>"
-    return f"<{label}>{body}{close}"
+
+    def element(node: str, label: str) -> tuple[str, str, list]:
+        children = [arc for arc in db.out_arcs(node)
+                    if not arc.label.startswith("@")]
+        if label in ("", "text"):
+            return "", "", children
+        close = "" if label in _VOID_TAGS else f"</{label}>"
+        return f"<{label}>", close, children
+
+    return _render(db, node, label,
+                   lambda node, _label: _html.escape(str(db.value(node))),
+                   element)

@@ -27,23 +27,31 @@ via ``&orphan`` arcs so the encoding is a *legal* OEM database.
 Beside it sits Lore's value index over the time atoms: one time-ordered
 column per reserved time label, filled as the atoms are emitted.
 
+:class:`EncodingView` is the same encoding as a view: every object of it
+is a function of one DOEM node, arc or annotation, so the view answers
+from the DOEM's own records and builds nothing.  :func:`encode_doem`
+materialises it; it stays for the ``H(D)`` round trip through
+:func:`decode_doem` and as the view's oracle.
+
 User labels must not start with ``&`` -- the paper reserves that prefix
 for the encoding.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from ..errors import EncodingError
 from ..lore.indexes import _Column
+from ..lorel.views import DataView
 from ..oem.model import Arc, OEMDatabase
 from ..oem.values import COMPLEX
 from ..timestamps import POS_INF, Timestamp, order_tick
 from .annotations import Add, Cre, Rem, Upd
-from .model import DOEMDatabase
+from .model import DOEMDatabase, _live_at
 
-__all__ = ["EncodedDOEM", "encode_doem", "decode_doem",
+__all__ = ["EncodedDOEM", "EncodingView", "encode_doem", "decode_doem",
            "history_label", "label_from_history"]
 
 VAL = "&val"
@@ -56,6 +64,8 @@ TARGET = "&target"
 ADD = "&add"
 REM = "&rem"
 ORPHAN = "&orphan"
+# The tag of a history object's id; never a label.
+HISTORY = "&history"
 
 
 def history_label(label: str) -> str:
@@ -299,3 +309,327 @@ def _timestamp(oem: OEMDatabase, node_id: str) -> Timestamp:
         raise EncodingError(
             f"expected a timestamp value at {node_id!r}, found {value!r}")
     return value
+
+
+# The time labels, and the annotation kind of the index column each reads.
+_TIME_KINDS = {CRE: "cre", TIME: "upd", ADD: "add", REM: "rem"}
+_ARC_KINDS = {ADD: Add, REM: Rem}
+
+
+def _up(node: tuple) -> tuple[object, str]:
+    """A derived object's one parent, and the label it hangs under."""
+    subject, tag = node[0], node[1]
+    if tag in (TIME, OV, NV):
+        return (subject, UPD, node[2]), tag
+    if tag in (ADD, REM):
+        return (subject, HISTORY), tag
+    if tag == HISTORY:
+        return subject.source, history_label(subject.label)
+    return subject, tag  # &val, &cre and &upd hang under their object
+
+
+class EncodingView(DataView):
+    """The encoding of a DOEM database as of one time, read in place.
+
+    ``tau`` is the database's last timestamp when the view is made
+    (``POS_INF`` for a database without history).  Annotations after it
+    are invisible, and so are nodes created and arcs first added after
+    it: the view answers as :func:`encode_doem` of the database built
+    from the history up to ``tau`` would -- the same values and the same
+    children, in the same order -- however far the database has moved
+    since.
+
+    An encoding object keeps its DOEM node's identifier.  A derived
+    object's id is a tuple, its subject (a node id, or the arc of a
+    history object) and then a tag, so it never equals a DOEM identifier:
+
+    * ``(n, "&val")`` -- the atom holding an atomic ``n``'s value;
+    * ``(n, "&cre", i)``, ``(n, "&upd", i)``, and ``(n, "&time", i)``,
+      ``(n, "&ov", i)``, ``(n, "&nv", i)`` below the latter -- for ``n``'s
+      ``i``-th annotation;
+    * ``(arc, "&history")`` -- the ``&l-history`` object of ``arc``; and
+      ``(arc, "&add", j)``/``(arc, "&rem", j)`` -- for its ``j``-th
+      annotation.
+
+    The view keeps nothing per node.  ``time_columns`` read the
+    database's own :class:`~repro.lore.indexes.TimestampIndex`, and the
+    ``&orphan`` list is one walk, made the first time a query reads it.
+    """
+
+    def __init__(self, doem: DOEMDatabase,
+                 names: dict[str, str] | None = None) -> None:
+        root = doem.graph.root
+        super().__init__({root: root} if names is None else names)
+        self.doem = doem
+        # The database's newest time, kept as the object: it is replaced
+        # only by a strictly later one, so while it is this object no
+        # annotation is after tau and the reads below filter nothing.
+        self._last = doem.last_timestamp()
+        self.tau = POS_INF if self._last is None else self._last
+        self.time_columns = {label: _TimeColumn(self, label)
+                             for label in _TIME_KINDS}
+        self._orphans: list[str] | None = None
+        self._orphans_lock = threading.Lock()
+
+    # -- the DOEM's records as of tau ------------------------------------
+
+    def _upto(self, annotations) -> list:
+        """The annotations at or before ``tau``: a prefix, lists being in
+        time order."""
+        if not annotations:
+            return []
+        if self.doem._last_timestamp is self._last:
+            return annotations
+        end, tau = len(annotations), self.tau
+        while end and tau < annotations[end - 1].at:
+            end -= 1
+        return annotations if end == len(annotations) else annotations[:end]
+
+    def _created(self, node: str) -> bool:
+        annotations = self.doem._node_annotations.get(node)
+        return (not annotations or type(annotations[0]) is not Cre
+                or self.doem._last_timestamp is self._last
+                or not self.tau < annotations[0].at)
+
+    def _arc_exists(self, annotations) -> bool:
+        return (not annotations or type(annotations[0]) is Rem
+                or self.doem._last_timestamp is self._last
+                or not self.tau < annotations[0].at)
+
+    def _live(self, annotations) -> bool:
+        if not annotations:
+            return True
+        if self.doem._last_timestamp is self._last \
+                or not self.tau < annotations[-1].at:
+            return type(annotations[-1]) is Add
+        return _live_at(annotations, self.tau)
+
+    def _value_at(self, node: str) -> object:
+        annotations = self.doem._node_annotations.get(node)
+        if annotations and self.doem._last_timestamp is not self._last \
+                and self.tau < annotations[-1].at:
+            for annotation in annotations:
+                if type(annotation) is Upd and self.tau < annotation.at:
+                    return annotation.old_value
+        return self.doem.graph._values[node]
+
+    def _new_value(self, node: str, index: int) -> object:
+        """The value upd ``index`` set: the next update's old value, or
+        the current one (whether or not that next update is after tau)."""
+        annotations = self.doem._node_annotations[node]
+        for later in annotations[index + 1:]:
+            if type(later) is Upd:
+                return later.old_value
+        return self.doem.graph._values[node]
+
+    def _orphan_ids(self) -> list[str]:
+        with self._orphans_lock:
+            if self._orphans is None:
+                self._orphans = self._find_orphans()
+            return self._orphans
+
+    def _find_orphans(self) -> list[str]:
+        """Pass 4 of :func:`encode_doem`: the objects no arc existing at
+        ``tau`` reaches from the root, each attached in id order with
+        what it reaches."""
+        graph, annotated = self.doem.graph, self.doem._arc_annotations
+        reached: set[str] = set()
+
+        def reach(start: str) -> None:
+            reached.add(start)
+            stack = [start]
+            while stack:
+                node = stack.pop()
+                for label, targets in graph.out_map(node).items():
+                    for target in targets:
+                        if target not in reached and self._arc_exists(
+                                annotated.get((node, label, target))):
+                            reached.add(target)
+                            stack.append(target)
+
+        reach(graph.root)
+        orphans = []
+        for node in sorted(graph.nodes()):
+            if node not in reached and self._created(node):
+                orphans.append(node)
+                reach(node)
+        return orphans
+
+    # -- DataView --------------------------------------------------------
+
+    def children(self, node, label: str) -> list:
+        if type(node) is not tuple:
+            return self._object_children(node, label)
+        subject, tag = node[0], node[1]
+        if tag == UPD:
+            return [(subject, label, node[2])] if label in (TIME, OV, NV) \
+                else []
+        if tag == HISTORY:
+            if label == TARGET:
+                return [subject.target]
+            kind = _ARC_KINDS.get(label)
+            annotations = self._upto(self.doem._arc_annotations.get(subject))
+            return [(subject, label, index)
+                    for index, annotation in enumerate(annotations)
+                    if type(annotation) is kind]
+        return []
+
+    def _object_children(self, node: str, label: str) -> list:
+        doem = self.doem
+        annotated = doem._arc_annotations
+        if label[0] != "&":
+            return [target for target in doem.graph.targets(node, label)
+                    if self._live(annotated.get((node, label, target)))]
+        if label == VAL:
+            return [node] if self._value_at(node) is COMPLEX \
+                else [(node, VAL)]
+        if label in (CRE, UPD):
+            kind = Cre if label == CRE else Upd
+            annotations = self._upto(doem._node_annotations.get(node))
+            return [(node, label, index)
+                    for index, annotation in enumerate(annotations)
+                    if type(annotation) is kind]
+        if label == ORPHAN:
+            return list(self._orphan_ids()) if node == doem.graph.root \
+                else []
+        base = label_from_history(label)
+        if base is None:
+            return []
+        return [(Arc(node, base, target), HISTORY)
+                for target in doem.graph.targets(node, base)
+                if self._arc_exists(annotated.get((node, base, target)))]
+
+    def children_in(self, node, label: str, keep) -> list:
+        if type(node) is tuple or label[0] == "&":
+            return super().children_in(node, label, keep)
+        # Membership first: most of a wide level is not kept.
+        annotated = self.doem._arc_annotations
+        return [target for target in self.doem.graph.targets(node, label)
+                if target in keep
+                and self._live(annotated.get((node, label, target)))]
+
+    def parents(self, node, label: str) -> list:
+        if type(node) is tuple:
+            parent, via = _up(node)
+            return [parent] if via == label else []
+        doem = self.doem
+        annotated = doem._arc_annotations
+        if label == VAL:
+            return [node] if self._value_at(node) is COMPLEX else []
+        if label == ORPHAN:
+            return [doem.graph.root] if node in self._orphan_ids() else []
+        if label == TARGET:
+            return [(arc, HISTORY) for arc in doem.graph.in_arcs(node)
+                    if self._arc_exists(annotated.get(arc))]
+        if label.startswith("&"):
+            return []
+        return [arc.source for arc in doem.graph.in_arcs(node)
+                if arc.label == label and self._live(annotated.get(arc))]
+
+    def labels(self, node) -> list[str]:
+        if type(node) is tuple:
+            tag = node[1]
+            if tag == UPD:
+                return [TIME, OV, NV]
+            if tag != HISTORY:
+                return []
+            labels = [TARGET]
+            for annotation in self._upto(
+                    self.doem._arc_annotations.get(node[0])):
+                label = ADD if type(annotation) is Add else REM
+                if label not in labels:
+                    labels.append(label)
+            return labels
+        doem = self.doem
+        labels = [VAL]
+        for annotation in self._upto(doem._node_annotations.get(node)):
+            label = CRE if type(annotation) is Cre else UPD
+            if label not in labels:
+                labels.append(label)
+        # Pass 3's order: per label, the direct arc and the history object
+        # come in as the first live and the first existing arc do.
+        graph, annotated = doem.graph, doem._arc_annotations
+        for label in graph.out_labels(node):
+            direct = history = False
+            for target in graph.targets(node, label):
+                annotations = annotated.get((node, label, target))
+                if not self._arc_exists(annotations):
+                    continue
+                if not direct and self._live(annotations):
+                    labels.append(label)
+                    direct = True
+                if not history:
+                    labels.append(history_label(label))
+                    history = True
+                if direct:
+                    break
+        if node == graph.root and self._orphan_ids():
+            labels.append(ORPHAN)
+        return labels
+
+    def value(self, node) -> object:
+        if type(node) is not tuple:
+            return COMPLEX
+        subject, tag = node[0], node[1]
+        if tag == UPD or tag == HISTORY:
+            return COMPLEX
+        if tag == TIME or tag == CRE:
+            return self.doem._node_annotations[subject][node[2]].at
+        if tag == OV:
+            return self.doem._node_annotations[subject][node[2]].old_value
+        if tag == NV:
+            return self._new_value(subject, node[2])
+        if tag == VAL:
+            return self._value_at(subject)
+        return self.doem._arc_annotations[subject][node[2]].at  # &add, &rem
+
+    def child_values(self, nodes: list, label: str) -> list[tuple]:
+        value, children = self.value, self.children
+        return [(position, value(child))
+                for position, node in enumerate(nodes)
+                for child in children(node, label)]
+
+    def has_node(self, node) -> bool:
+        if type(node) is not tuple:
+            return self.doem.graph.has_node(node) and self._created(node)
+        parent, label = _up(node)
+        return self.has_node(parent) and node in self.children(parent, label)
+
+    # The encoding is a plain OEM database: its history is explicit, and
+    # every time is "now".
+    def children_at(self, node, label: str, when: Timestamp) -> list:
+        return self.children(node, label)
+
+    def value_at(self, node, when: Timestamp) -> object:
+        return self.value(node)
+
+
+class _TimeColumn:
+    """One time label's atoms in time order, as of a view's ``tau``: the
+    database's own index column, each subject mapped to its atoms."""
+
+    def __init__(self, view: EncodingView, label: str) -> None:
+        self.view, self.label = view, label
+        self.kind = _TIME_KINDS[label]
+
+    def between(self, low: object, high: object, include_low: bool,
+                include_high: bool) -> list[tuple[Timestamp, object]]:
+        doem, tau, label = self.view.doem, self.view.tau, self.label
+        if label in _ARC_KINDS:
+            records, kind = doem._arc_annotations, _ARC_KINDS[label]
+        else:
+            records = doem._node_annotations
+            kind = Cre if label == CRE else Upd
+        moved = doem._last_timestamp is not self.view._last
+        found = []
+        for when, subject in doem.timestamp_index().between(
+                self.kind, low, high, include_low=include_low,
+                include_high=include_high):
+            if moved and tau < when:
+                break
+            # The index holds each annotation's own time object, and a
+            # change set annotates a subject at most once per kind.
+            found.extend((when, (subject, label, index))
+                         for index, annotation in enumerate(records[subject])
+                         if annotation.at is when and type(annotation) is kind)
+        return found

@@ -10,7 +10,8 @@ configurations, exactly mirroring the paper's implementation choices:
   over a DOEM database has exactly the semantics of the same query asked
   over the current snapshot", Section 4.2.1) and annotation expressions
   are served by ``creFun``/``updFun``/``addFun``/``remFun``;
-* an :class:`OEMView` over the **OEM encoding** of a DOEM database -- the
+* :class:`~repro.doem.encoding.EncodingView` -- the **OEM encoding** of
+  a DOEM database (Section 5.1), read off the DOEM's own records: the
   translation-based backend of Section 5.
 
 Views also resolve *database names*: the start of a root path expression
@@ -91,6 +92,16 @@ class DataView:
         """Does the node exist in the underlying database?"""
         raise NotImplementedError
 
+    def parents(self, node: str, label: str) -> list:
+        """Sources of the ``label`` arcs into ``node`` in the current
+        snapshot (a time-column scan walks back from its atoms)."""
+        raise NotImplementedError
+
+    def children_in(self, node: str, label: str, keep) -> list:
+        """:meth:`children` that are in ``keep``, in data order."""
+        return [child for child in self.children(node, label)
+                if child in keep]
+
     # -- annotations (Section 4.2.1's four functions) ----------------------
 
     def cre_fun(self, node: str) -> list[Timestamp]:
@@ -148,6 +159,10 @@ class OEMView(DataView):
 
     def has_node(self, node: str) -> bool:
         return self.db.has_node(node)
+
+    def parents(self, node: str, label: str) -> list:
+        return [arc.source for arc in self.db.in_arcs(node)
+                if arc.label == label]
 
     def children_at(self, node: str, label: str,
                     when: Timestamp) -> Iterator[str]:

@@ -172,19 +172,18 @@ def _time_column_rows(node: TimeColumnScan, ctx: ExecutionContext) -> list:
     """Walk in-arcs back from the interval's atoms, then the chain forward
     through the nodes found only (the replaced walk's row order)."""
     plan = node.plan
-    view = ctx.evaluator.view
-    graph, labels = view.db, plan.labels
+    view, labels = ctx.evaluator.view, plan.labels
     level = {atom for _, atom in ctx.time_columns[labels[-1]].between(
         plan.low, plan.high, plan.include_low, plan.include_high)}
     allowed = [level]
     for label in reversed(labels[1:]):
-        level = {arc.source for child in level
-                 for arc in graph.in_arcs(child) if arc.label == label}
+        level = {parent for child in level
+                 for parent in view.parents(child, label)}
         allowed.insert(0, level)
     paths = [(view.resolve_name(plan.root_name),)] if level else []
     for label, keep in zip(labels, allowed):
         paths = [path + (child,) for path in paths
-                 for child in graph.targets(path[-1], label) if child in keep]
+                 for child in view.children_in(path[-1], label, keep)]
     names = [item.var for item in node.items]
     return [{**ctx.base_env, **dict(zip(names, map(NodeBinding, path[1:])))}
             for path in paths]

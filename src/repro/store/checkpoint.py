@@ -55,6 +55,7 @@ from pathlib import Path
 from ..errors import StoreCorruptionError
 from ..oem.model import OEMDatabase
 from ..oem.serialize import dumps, loads
+from .records import load_json
 from ..timestamps import Timestamp
 
 __all__ = ["CheckpointPolicy", "CheckpointRef", "write_checkpoint",
@@ -170,16 +171,15 @@ def _verified_body(path: Path) -> tuple[Timestamp, int | None, bytes]:
     newline = raw.find(b"\n")
     if newline < 0:
         raise StoreCorruptionError(f"checkpoint {path.name}: no header line")
+    bad = f"checkpoint {path.name}: bad header"
+    header = load_json(raw[:newline], bad)
     try:
-        header = json.loads(raw[:newline].decode("utf-8"))
         form = header.get("format")
         at = Timestamp(int(header["at"])) if form in _FORMATS else None
         anchor = int(header["anchor"]) if form == CHECKPOINT_FORMAT \
             else None
-    except (UnicodeDecodeError, ValueError, AttributeError, KeyError,
-            TypeError) as exc:
-        raise StoreCorruptionError(
-            f"checkpoint {path.name}: bad header: {exc}") from exc
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise StoreCorruptionError(f"{bad}: {exc}") from exc
     if form not in _FORMATS:
         raise StoreCorruptionError(
             f"checkpoint {path.name}: unknown format {form!r}")

@@ -65,7 +65,8 @@ from ..oem.model import OEMDatabase
 from ..timestamps import NEG_INF, Timestamp, parse_timestamp
 from .checkpoint import STALE, CheckpointPolicy, CheckpointRef, \
     read_checkpoint, scan_checkpoints, write_checkpoint
-from .records import decode_record, encode_change_set, encode_origin
+from .records import decode_record, encode_change_set, encode_origin, \
+    load_json
 from .segment import FRAME_HEADER, HEADER_SIZE, SegmentScan, \
     SegmentWriter, append_frame, close_quietly, fsck_file, \
     fsync_dir as _fsync_dir, reopen
@@ -146,14 +147,13 @@ def _list_segments(directory: Path, generation: int) -> list[Path]:
 
 def _read_current(directory: Path) -> int:
     path = directory / _CURRENT
+    what = f"{path}: unreadable CURRENT manifest"
     try:
-        manifest = json.loads(path.read_text("utf-8"))
-        return int(manifest["generation"])
+        return int(load_json(path.read_bytes(), what)["generation"])
     except FileNotFoundError:
         raise
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise StoreCorruptionError(
-            f"{path}: unreadable CURRENT manifest: {exc}") from exc
+        raise StoreCorruptionError(f"{what}: {exc}") from exc
 
 
 def atomic_write(path: Path, text: str) -> int:

@@ -98,6 +98,21 @@ def encode_change_set(when: Timestamp, change_set: ChangeSet) -> bytes:
         separators=(",", ":")).encode("utf-8")
 
 
+def load_json(data: bytes | str, what: str) -> object:
+    """``json.loads`` for every JSON file and record of the store.
+
+    Whatever fails to parse -- bad UTF-8, bad JSON, or nesting deeper
+    than the decoder's recursion allows -- raises
+    :class:`~repro.errors.StoreCorruptionError` naming ``what``.
+    """
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise StoreCorruptionError(f"{what}: {exc}") from exc
+
+
 def decode_record(payload: bytes) -> tuple[str, object]:
     """Decode one payload to ``("origin", OEMDatabase)`` or
     ``("changeset", (Timestamp, ChangeSet))``.
@@ -105,10 +120,7 @@ def decode_record(payload: bytes) -> tuple[str, object]:
     Structural problems raise :class:`~repro.errors.StoreCorruptionError`
     -- the caller (recovery, fsck) maps them to the record's position.
     """
-    try:
-        record = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StoreCorruptionError(f"undecodable record: {exc}") from exc
+    record = load_json(payload, "undecodable record")
     if not isinstance(record, dict):
         raise StoreCorruptionError("record is not a JSON object")
     kind = record.get("kind")

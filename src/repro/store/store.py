@@ -44,6 +44,7 @@ from ..timestamps import Timestamp
 from .checkpoint import CheckpointPolicy
 from .log import DEFAULT_SEGMENT_BYTES, HistoryLog, StoreStats, \
     atomic_write, fsck_log
+from .records import load_json
 from .segment import FRAME_HEADER, HEADER_SIZE, SegmentScan, SegmentWriter, \
     append_frame, close_quietly, fsck_file, reopen
 
@@ -198,11 +199,13 @@ class ChangeLogStore:
 
         marker = self.path / MARKER
         if marker.is_file():
+            what = f"{marker}: unreadable store marker"
             try:
-                manifest = json.loads(marker.read_text("utf-8"))
-            except (OSError, ValueError) as exc:
-                raise StoreCorruptionError(
-                    f"{marker}: unreadable store marker: {exc}") from exc
+                manifest = load_json(marker.read_bytes(), what)
+            except OSError as exc:
+                raise StoreCorruptionError(f"{what}: {exc}") from exc
+            if not isinstance(manifest, dict):
+                raise StoreCorruptionError(f"{what}: not a JSON object")
             if manifest.get("format") != STORE_FORMAT:
                 raise StoreError(
                     f"{self.path}: store format "
@@ -351,9 +354,10 @@ class ChangeLogStore:
         and reads as generation 0.
         """
         path = self.path / _SUBSCRIPTIONS
+        what = f"{path}: unreadable subscription manifest"
         try:
             data = path.read_bytes()
-            document = json.loads(data)
+            document = load_json(data, what)
             records = document["subscriptions"]
             generation = document.get("g", 0)
             if type(generation) is not int:
@@ -365,8 +369,7 @@ class ChangeLogStore:
             return {}, 0, 0
         except (OSError, ValueError, KeyError, TypeError,
                 AttributeError) as exc:
-            raise StoreCorruptionError(
-                f"{path}: unreadable subscription manifest: {exc}") from exc
+            raise StoreCorruptionError(f"{what}: {exc}") from exc
         return records, generation, len(data)
 
     def _replay_journal(self, records: dict[str, dict],
@@ -384,13 +387,14 @@ class ChangeLogStore:
         scan = SegmentScan(path)
         for payload in scan:
             try:
-                entry = json.loads(payload)
+                entry = load_json(payload, "undecodable")
                 if entry["g"] != generation:
                     continue
                 for tick, names in entry["polls"].items():
                     for name in names:
                         records[name]["polling_times"].append(int(tick))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (StoreCorruptionError, ValueError, KeyError, TypeError,
+                    AttributeError) as exc:
                 raise StoreCorruptionError(
                     f"{path}: unreadable journal record at "
                     f"{scan.good_bytes}: {exc}") from exc

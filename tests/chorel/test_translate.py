@@ -200,3 +200,43 @@ def test_a_compiled_query_keeps_the_encoding_it_was_made_over():
                      ChorelEngine(doem, name="guide").run(query)]
     assert fresh
     assert not list(translating.execute(compiled))
+
+
+# The taxonomy of what the translating backend refuses; the same table,
+# with each message, is in docs/query-languages.md ("Three engines").
+REFUSALS = {
+    "virtual-at-node": ("select X from guide.restaurant<at 3Jan97> X", None,
+                        r"^virtual <at \.\.\.> annotations have no Lorel"),
+    "virtual-at-arc": ("select X from guide.<at 3Jan97>restaurant X", None,
+                       r"^virtual <at \.\.\.> annotations have no Lorel"),
+    "changed": ("select X, T from guide.restaurant.price"
+                "<changed at T in [1Jan97..5Jan97]> X", None,
+                r"^<changed \.\.\.> annotations have no Lorel"),
+    "last-change": ("select X, T from guide.restaurant.price"
+                    "<last-change at T> X", None,
+                    r"^<last-change \.\.\.> annotations have no Lorel"),
+    "range-arc": ("select X, T from guide.<add at T in [1Jan97..5Jan97]>"
+                  "restaurant X", None,
+                  r"^time-range annotations have no Lorel"),
+    "range-node": ("select X, T from guide.restaurant.price"
+                   "<upd at T in [1Jan97..5Jan97]> X", None,
+                   r"^time-range annotations have no Lorel"),
+    "annotated-pattern": ("select X from guide.<add>% X", None,
+                          r"^annotation expressions on wildcard or pattern"),
+    "annotated-wildcard": ("select X from guide.#<cre> X", None,
+                           r"^annotation expressions on wildcard or pattern"),
+    "annotated-alternation": ("select X from guide.<add>(restaurant|cafe) X",
+                              None, r"^arc annotations on label alternations"),
+    "pre-bound": ("select X from guide.restaurant X", {"X": "r1"},
+                  r"^pre-bound variables have no Lorel translation"),
+}
+
+
+@pytest.mark.parametrize("how", ["run", "compile"])
+@pytest.mark.parametrize("shape", sorted(REFUSALS))
+def test_refusal_taxonomy(engines, shape, how):
+    native, translating = engines
+    query, bindings, message = REFUSALS[shape]
+    with pytest.raises(TranslationError, match=message):
+        getattr(translating, how)(query, bindings)
+    assert native.run(query, bindings)  # the native engine answers it

@@ -19,6 +19,7 @@ from repro import (
     LorelEngine,
     TranslatingChorelEngine,
     build_doem,
+    encode_doem,
     large_world,
     random_database,
     random_history,
@@ -202,13 +203,13 @@ def test_pass_stays_off_with_pre_bindings(guide):
     _, engine = guide
     translation = engine.translate(
         "select guide.restaurant.price<upd at T> where T > 1Jan97")
-    lorel = translation.encoding.lorel
-    columns = translation.encoding.encoded.time_columns
+    evaluator = translation.encoding.evaluator
+    columns = translation.encoding.view.time_columns
     for bound in (frozenset(), frozenset({"X"})):
-        context = CompileContext(evaluator=lorel._evaluator, view=lorel.view,
+        context = CompileContext(evaluator=evaluator, view=evaluator.view,
                                  time_columns=columns,
                                  allow_index=not bound, bound_names=bound)
-        compiled = compile_query(translation.query, lorel._evaluator,
+        compiled = compile_query(translation.query, evaluator,
                                  context=context)
         assert fired(compiled) is not bound
 
@@ -224,8 +225,8 @@ def test_the_leaf_stays_serial(guide):
 
 def test_pass_needs_the_translating_engine(guide):
     """Plain Lorel over the encoding has no time columns to read."""
-    _, engine = guide
-    oem = engine.encoded.oem
+    doem, _ = guide
+    oem = encode_doem(doem).oem
     query = "select T from guide.restaurant.price.&upd.&time T " \
         "where T > 1Jan97"
     lorel = LorelEngine(oem, name="guide")

@@ -1,10 +1,14 @@
 """Tests for htmldiff (Figure 1): HTML -> OEM -> diff -> marked-up HTML."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import COMPLEX, html_diff, html_to_oem
 from repro.diff.htmldiff import DELETE_MARK, INSERT_MARK, UPDATE_MARK
 from repro.sources.restaurant_guide import RestaurantGuideSource
+from tests.diff import oracle_htmldiff
 
 OLD = ("<html><body><h1>Guide</h1><ul>"
        "<li>Janta - cheap</li>"
@@ -125,3 +129,66 @@ class TestOnRenderedGuide:
         db.check()
         assert any(db.value(node) == "Restaurant Guide"
                    for node in db.nodes())
+
+
+# ---------------------------------------------------------------------------
+# The explicit-stack renderers against the recursive ones
+# ---------------------------------------------------------------------------
+
+_TAGS = ("div", "p", "b", "br", "img", "li", "ul")
+_WORDS = ("alpha", "beta", "gamma", "<&>", "delta")
+
+
+def random_page(rng: random.Random, depth: int = 4) -> str:
+    """A small page of nested elements, attributes, void tags and text."""
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.35:
+            parts.append(rng.choice(_WORDS))
+            continue
+        tag = rng.choice(_TAGS)
+        attrs = "".join(f' {name}="{rng.choice(_WORDS)}"'
+                        for name in rng.sample(("id", "class", "src"),
+                                               rng.randint(0, 2)))
+        if tag in ("br", "img"):
+            parts.append(f"<{tag}{attrs}>")
+        else:
+            inner = random_page(rng, depth - 1) if depth else ""
+            parts.append(f"<{tag}{attrs}>{inner}</{tag}>")
+    return "".join(parts)
+
+
+def edited(rng: random.Random, page: str) -> str:
+    words = page.split("alpha")
+    return "".join(word + rng.choice(("alpha", "omega", "<i>new</i>alpha"))
+                   for word in words[:-1]) + words[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_markup_matches_the_recursive_renderer(seed):
+    rng = random.Random(seed)
+    old = random_page(rng)
+    new = edited(rng, old) if rng.random() < 0.7 else random_page(rng)
+    expected = oracle_htmldiff.html_diff(old, new)
+    result = html_diff(old, new)
+    assert result.markup == expected.markup
+    assert result.deleted_fragments == expected.deleted_fragments
+
+
+def test_a_page_of_any_depth():
+    """20,000 nested ``<div>``s render without recursion; 2,000 used to
+    overflow the renderer's stack."""
+    depth = 20_000
+    old = "<div>" * depth + "hello" + "</div>" * depth
+    new = "<div>" * depth + "hello world<b>x</b>" + "</div>" * depth
+    result = html_diff(old, new)
+    assert result.markup.count("<div>") == depth
+    assert f'{UPDATE_MARK} hello world' in result.markup
+    assert f'{INSERT_MARK} <b>' in result.markup
+    shallow = 400
+    old = "<div>" * shallow + "<p>gone</p>" + "</div>" * shallow
+    new = "<div>" * shallow + "</div>" * shallow
+    assert html_diff(old, new).markup == \
+        oracle_htmldiff.html_diff(old, new).markup

@@ -59,9 +59,9 @@ def run_at_width(engine, query, size, pool=None):
         ctx = engine._execution_context(pool=pool)
     elif translating:
         encoding = compiled.translation.encoding
-        ctx = ExecutionContext(evaluator=encoding.lorel._evaluator,
+        ctx = ExecutionContext(evaluator=encoding.evaluator,
                                base_env=engine._base_env(), pool=pool,
-                               time_columns=encoding.encoded.time_columns)
+                               time_columns=encoding.view.time_columns)
     else:
         ctx = ExecutionContext(evaluator=engine._evaluator,
                                base_env=engine._base_env(), pool=pool)

@@ -96,6 +96,17 @@ class TestHtmlDiff:
         assert code == 0
         assert "htmldiff-legend" in text
 
+    def test_deep_pages(self, tmp_path):
+        old = tmp_path / "a.html"
+        new = tmp_path / "b.html"
+        old.write_text("<div>" * 2000 + "hello" + "</div>" * 2000,
+                       encoding="utf-8")
+        new.write_text("<div>" * 2000 + "goodbye" + "</div>" * 2000,
+                       encoding="utf-8")
+        code, text = run_cli("htmldiff", str(old), str(new))
+        assert code == 0
+        assert text.count("<div>") == 2000
+
     def test_markup_to_file(self, tmp_path):
         old = tmp_path / "a.html"
         new = tmp_path / "b.html"
